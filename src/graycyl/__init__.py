@@ -1,15 +1,15 @@
 """Exact lax-Gray-cylinder computations over cells of the Theta category."""
 
-from .dac import (DAComplex, DAMorphism, amalgamate, atom, check_basis,
-                  lambda_cell, lambda_globe, lambda_map, sign_split, tensor)
+from .dac import (DAComplex, DAMorphism, atom, check_basis, lambda_cell,
+                  lambda_globe, lambda_map, sign_split, tensor)
 from .gray import (gray_cylinder, endpoints, hyperface_cylinder,
                    lax_shuffle_diagram, verify_globular_preservation,
                    verify_gluing)
 from .nu import (NuCell, NuView, check_functor, enumerate_cells, nu_boundary,
-                 nu_compose, nu_functor, nu_identity, product_view)
+                 nu_compose, nu_functor, nu_identity)
 from .pr import pr_count, pr_hom, pr_morphism, pr_objects
 from .span import build_span, split_map, verify_span
-from .theta import (ThetaCell, ThetaMorphism, cell, compose, dimension, globe,
-                    globular_sum, gamma_image, hyperfaces, parse_cell)
+from .theta import (ThetaCell, ThetaMorphism, cell, globe, globular_sum,
+                    gamma_image, hyperfaces, parse_cell)
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ import sys
 from .dac import lambda_cell, tensor
 from .gray import (cylinder_complex, gray_cylinder, hyperface_cylinder,
                    shuffle_dot, verify_gluing, verify_globular_preservation)
-from .nu import DEFAULT_CEILING, NuView, skeleton_dot
+from .nu import DEFAULT_CEILING, EnumerationError, NuView, skeleton_dot
 from .pr import pr_count
 from .span import span_dot, verify_span
 from .theta import CellSyntaxError, hyperfaces, globular_sum, parse_cell
@@ -106,6 +106,14 @@ def main(argv=None) -> int:
         print("error: max-dim must be >= 0 and ceiling >= 1", file=sys.stderr)
         return 2
 
+    try:
+        return _run(args, t, max_dim)
+    except EnumerationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+
+
+def _run(args, t, max_dim) -> int:
     if args.command == "decompose":
         _emit(_decompose_text(t), args.out)
         return 0

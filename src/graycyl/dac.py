@@ -482,11 +482,6 @@ def amalgamate_with_inclusions(K: DAComplex, L: DAComplex, M: DAComplex,
     return result, incl_k, incl_l
 
 
-def amalgamate(K: DAComplex, L: DAComplex, M: DAComplex,
-               i: DAMorphism, j: DAMorphism) -> DAComplex:
-    return amalgamate_with_inclusions(K, L, M, i, j)[0]
-
-
 def find_isomorphism(K: DAComplex, L: DAComplex):
     """Backtracking search for a basis bijection commuting with d and e.
 

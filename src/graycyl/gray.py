@@ -184,7 +184,6 @@ def m_end_leg(t: ThetaCell, k: int, eps: int) -> DAMorphism:
                                        {g: {("t", end, g): 1} for row in ck.degrees for g in row})
         else:
             comps[(i, i)] = identity_morphism(ck)
-    from .theta import simplicial_identity
     return wreath_morphism(src, tgt, simplicial_identity(t.width), comps)
 
 
@@ -220,33 +219,21 @@ def lax_shuffle_diagram(t: ThetaCell) -> ShuffleDiagram:
             ("s", 1, ("o", 0)): {("t", H, ("o", 0)): 1},
         }).validate()
         return ShuffleDiagram(t, cyl, [ShuffleColumn("O", 0, K, embed, one)], [])
+    # column order O_0, M_1, O_1, ..., M_n, O_n: O_j sits at 2j, M_k at 2k-1
     columns = []
     for j in range(t.width + 1):
+        if j:
+            columns.append(ShuffleColumn("M", j, _m_complex(t, j),
+                                         _m_embedding(t, j, cyl), None, t))
         columns.append(ShuffleColumn("O", j, lambda_cell(o_cell(t, j)),
                                      _o_embedding(t, j, cyl), o_cell(t, j)))
-    for k in range(1, t.width + 1):
-        columns.append(ShuffleColumn("M", k, _m_complex(t, k),
-                                     _m_embedding(t, k, cyl), None, t))
     spans = []
-    o_pos = {("O", c.index): i for i, c in enumerate(columns) if c.kind == "O"}
-    m_pos = {("M", c.index): i for i, c in enumerate(columns) if c.kind == "M"}
     for k in range(1, t.width + 1):
-        spans.append(ShuffleSpan(k, "upper", o_pos[("O", k - 1)], m_pos[("M", k)],
+        spans.append(ShuffleSpan(k, "upper", 2 * k - 2, 2 * k - 1,
                                  lambda_map(o_leg(t, k, "before")), m_end_leg(t, k, 1)))
-        spans.append(ShuffleSpan(k, "lower", o_pos[("O", k)], m_pos[("M", k)],
+        spans.append(ShuffleSpan(k, "lower", 2 * k, 2 * k - 1,
                                  lambda_map(o_leg(t, k, "after")), m_end_leg(t, k, 0)))
-    # deterministic object order O_0, M_1, O_1, ..., M_n, O_n
-    ordered = []
-    for k in range(t.width + 1):
-        ordered.append(columns[k])
-        if k < t.width:
-            ordered.append(columns[t.width + 1 + k])
-    diagram = ShuffleDiagram(t, cyl, ordered, spans)
-    for s in spans:
-        s.o_index = next(i for i, c in enumerate(ordered)
-                         if c.kind == "O" and c.index == (s.level - 1 if s.position == "upper" else s.level))
-        s.m_index = next(i for i, c in enumerate(ordered) if c.kind == "M" and c.index == s.level)
-    return diagram
+    return ShuffleDiagram(t, cyl, columns, spans)
 
 
 def shuffle_dot(t: ThetaCell) -> str:
@@ -331,20 +318,8 @@ def verify_gluing(t: ThetaCell) -> GluingReport:
         pullback = True
         for d in range(cyl.top_degree + 1):
             width = len(bases[d])
-            rows_o = _image_rows(col_o.embed, d, bases[d])
-            rows_m = _image_rows(col_m.embed, d, bases[d])
-            no = len(rows_o)
-            stacked = rows_o + rows_m
-            ker = intlin.kernel(stacked, width)
-            # elements of im(O) ∩ im(M), written in the O coordinates
-            inter = []
-            for v in ker:
-                combo = [0] * width
-                for idx in range(no):
-                    if v[idx]:
-                        for p, a in enumerate(rows_o[idx]):
-                            combo[p] += v[idx] * a
-                inter.append(tuple(combo))
+            inter = intlin.intersection(_image_rows(col_o.embed, d, bases[d]),
+                                        _image_rows(col_m.embed, d, bases[d]), width)
             expected = _image_rows(via_o, d, bases[d])
             if not intlin.same_subgroup(inter, expected, width):
                 pullback = False
@@ -385,16 +360,8 @@ def verify_globular_preservation(t: ThetaCell) -> bool:
         a, b = pieces[g], pieces[g + 1]
         for d in range(cyl.top_degree + 1):
             width = len(bases[d])
-            rows_a = _image_rows(a, d, bases[d])
-            rows_b = _image_rows(b, d, bases[d])
-            ker = intlin.kernel(rows_a + rows_b, width)
-            inter = []
-            for v in ker:
-                combo = [0] * width
-                for idx in range(len(rows_a)):
-                    for p, x in enumerate(rows_a[idx]):
-                        combo[p] += v[idx] * x
-                inter.append(tuple(combo))
+            inter = intlin.intersection(_image_rows(a, d, bases[d]),
+                                        _image_rows(b, d, bases[d]), width)
             expected = _image_rows(m, d, bases[d])
             if not intlin.same_subgroup(inter, expected, width):
                 return False

@@ -100,5 +100,13 @@ def kernel(rows, width: int) -> list[tuple[int, ...]]:
     return out
 
 
+def intersection(rows_a, rows_b, width: int) -> list[tuple[int, ...]]:
+    """Generators of the intersection of the subgroups of Z^width spanned
+    by rows_a and by rows_b: each kernel vector (x, y) of the stacked rows
+    gives the common element x·A = -y·B."""
+    return [tuple(sum(c * row[p] for c, row in zip(v, rows_a)) for p in range(width))
+            for v in kernel(list(rows_a) + list(rows_b), width)]
+
+
 def same_subgroup(rows_a, rows_b, width: int) -> bool:
     return hnf(rows_a, width) == hnf(rows_b, width)

@@ -129,46 +129,56 @@ class EnumerationError(RuntimeError):
 DEFAULT_CEILING = 10 ** 6
 
 
+def _pair_key(c: NuCell, j: int, eps: int):
+    """What a j-composite matches on: a *_j b is defined exactly when
+    _pair_key(a, j, 1) == _pair_key(b, j, 0) for cells of one dimension > j."""
+    return c.rows[:j], c.rows[j][eps]
+
+
+def _close(seeds, d: int, ceiling: int) -> set:
+    """The d-cells generated by `seeds` under every j-composition, j < d.
+
+    A worklist: each popped cell joins the start/end index and is composed
+    with the partners it returns, so every composable pair is composed once
+    the later of its two cells is popped."""
+    cells: set[NuCell] = set()
+    todo: list[NuCell] = []
+
+    def insert(c: NuCell):
+        if c in cells:
+            return
+        if len(cells) >= ceiling:
+            raise EnumerationError(f"cell ceiling {ceiling} exceeded at dimension {d}")
+        cells.add(c)
+        todo.append(c)
+
+    for c in seeds:
+        insert(c)
+    index = [({}, {}) for _ in range(d)]    # j -> (cells by start, cells by end)
+    while todo:
+        c = todo.pop()
+        for j, (by_start, by_end) in enumerate(index):
+            by_start.setdefault(_pair_key(c, j, 0), []).append(c)
+            by_end.setdefault(_pair_key(c, j, 1), []).append(c)
+            for b in by_start.get(_pair_key(c, j, 1), ()):
+                insert(nu_compose(j, c, b))
+            for a in by_end.get(_pair_key(c, j, 0), ()):
+                insert(nu_compose(j, a, c))
+    return cells
+
+
 def enumerate_cells(K: DAComplex, max_dim: int, ceiling: int = DEFAULT_CEILING):
     """Per-dimension cell sets: atoms + identities, closed under all
-    compositions.  Requires a strong Steiner complex."""
+    compositions.  Requires a strong Steiner complex.  No dimension may
+    hold more than `ceiling` cells."""
     if check_basis(K) != (True, True, True):
         raise EnumerationError("complex is not strong Steiner")
-    for g in K.basis(0):
-        assert K.aug[g] == 1, "unital basis forces e = 1 in degree 0"
-    atoms_by_dim: dict[int, list[NuCell]] = {}
-    for d in range(K.top_degree + 1):
-        atoms_by_dim[d] = []
-        for g in K.basis(d):
-            a = atom(K, g)
-            atoms_by_dim[d].append(NuCell(tuple((_freeze(n), _freeze(p)) for n, p in a.rows)))
     layers: list[set[NuCell]] = []
-    cells0 = set(atoms_by_dim[0])
-    layers.append(cells0)
-    for d in range(1, max_dim + 1):
-        current: set[NuCell] = {nu_identity(c) for c in layers[d - 1]}
-        current.update(atoms_by_dim.get(d, []))
-        frontier = set(current)
-        while frontier:
-            new: set[NuCell] = set()
-            cur_list = sorted(current, key=NuCell.sort_key)
-            frontier_list = sorted(frontier, key=NuCell.sort_key)
-            for j in range(d):
-                for a in cur_list:
-                    for b in frontier_list:
-                        if nu_composable(j, a, b):
-                            c = nu_compose(j, a, b)
-                            if c not in current:
-                                new.add(c)
-                        if nu_composable(j, b, a):
-                            c = nu_compose(j, b, a)
-                            if c not in current:
-                                new.add(c)
-            if len(current) + len(new) > ceiling:
-                raise EnumerationError(f"cell ceiling {ceiling} exceeded at dimension {d}")
-            current.update(new)
-            frontier = new
-        layers.append(current)
+    for d in range(max_dim + 1):
+        seeds = [nu_identity(c) for c in layers[-1]] if d else []
+        seeds += [NuCell(tuple((_freeze(n), _freeze(p)) for n, p in atom(K, g).rows))
+                  for g in K.basis(d)]
+        layers.append(_close(seeds, d, ceiling))
     return layers
 
 
@@ -212,39 +222,13 @@ def search_tables(K: DAComplex, max_dim: int, coeff_bound: int):
 
 
 # ---------------------------------------------------------------------------
-# views and functors
+# the table view and functors
 # ---------------------------------------------------------------------------
 
-class OmegaCatView:
-    """Finitely enumerated cells with boundary/identity/composition."""
-
-    def cells(self, d: int):
-        raise NotImplementedError
-
-    def source(self, c):
-        raise NotImplementedError
-
-    def target(self, c):
-        raise NotImplementedError
-
-    def identity(self, c):
-        raise NotImplementedError
-
-    def composable(self, j, a, b) -> bool:
-        raise NotImplementedError
-
-    def compose(self, j, a, b):
-        raise NotImplementedError
-
-    def dim(self, c) -> int:
-        raise NotImplementedError
-
-
-class NuView(OmegaCatView):
-    tag = "nu-of-complex"
+class NuView:
+    """The cells of nu(K) up to max_dim, enumerated once."""
 
     def __init__(self, K: DAComplex, max_dim: int, ceiling: int = DEFAULT_CEILING):
-        self.complex = K
         self.max_dim = max_dim
         self.layers = enumerate_cells(K, max_dim, ceiling)
         self._sorted = {}
@@ -256,24 +240,6 @@ class NuView(OmegaCatView):
             self._sorted[d] = sorted(self.layers[d], key=NuCell.sort_key)
         return self._sorted[d]
 
-    def source(self, c: NuCell):
-        return nu_source(c)
-
-    def target(self, c: NuCell):
-        return nu_target(c)
-
-    def identity(self, c: NuCell):
-        return nu_identity(c)
-
-    def composable(self, j, a, b):
-        return nu_composable(j, a, b)
-
-    def compose(self, j, a, b):
-        return nu_compose(j, a, b)
-
-    def dim(self, c: NuCell):
-        return c.dim
-
     def counts(self):
         return tuple(len(self.layers[d]) for d in range(self.max_dim + 1))
 
@@ -282,93 +248,14 @@ class NuView(OmegaCatView):
                      for d in range(self.max_dim + 1))
 
 
-def theta_view(t, max_dim: int, ceiling: int = DEFAULT_CEILING) -> NuView:
-    """A cell of the wreath category as an enumerable view."""
-    from .dac import lambda_cell
-    view = NuView(lambda_cell(t), max_dim, ceiling)
-    view.tag = "theta-cell"
-    return view
-
-
-class ProductView(OmegaCatView):
-    tag = "product-of-views"
-
-    def __init__(self, factors):
-        self.factors = tuple(factors)
-        self.max_dim = min((f.max_dim for f in self.factors), default=0)
-
-    def cells(self, d: int):
-        pools = [f.cells(d) for f in self.factors]
-        return [tuple(combo) for combo in iproduct(*pools)]
-
-    def source(self, c):
-        return tuple(f.source(x) for f, x in zip(self.factors, c))
-
-    def target(self, c):
-        return tuple(f.target(x) for f, x in zip(self.factors, c))
-
-    def identity(self, c):
-        return tuple(f.identity(x) for f, x in zip(self.factors, c))
-
-    def composable(self, j, a, b):
-        return all(f.composable(j, x, y) for f, x, y in zip(self.factors, a, b))
-
-    def compose(self, j, a, b):
-        return tuple(f.compose(j, x, y) for f, x, y in zip(self.factors, a, b))
-
-    def dim(self, c):
-        if not self.factors:
-            return None
-        return self.factors[0].dim(c[0])
-
-
-class TerminalView(OmegaCatView):
-    """Product of zero factors: one cell per dimension."""
-
-    tag = "terminal"
-    max_dim = 10 ** 9
-
-    def cells(self, d: int):
-        return [("*", d)]
-
-    def source(self, c):
-        return ("*", c[1] - 1)
-
-    def target(self, c):
-        return ("*", c[1] - 1)
-
-    def identity(self, c):
-        return ("*", c[1] + 1)
-
-    def composable(self, j, a, b):
-        return a[1] == b[1] and j < a[1]
-
-    def compose(self, j, a, b):
-        return a
-
-    def dim(self, c):
-        return c[1]
-
-
-def product_view(factors) -> OmegaCatView:
-    factors = list(factors)
-    if not factors:
-        return TerminalView()
-    return ProductView(factors)
-
-
 @dataclass
 class OmegaFunctor:
-    source_view: OmegaCatView
-    target_view: OmegaCatView
+    source_view: NuView
+    target_view: NuView
     mapping: object  # callable cell -> cell
 
     def __call__(self, c):
         return self.mapping(c)
-
-    def then(self, other: "OmegaFunctor") -> "OmegaFunctor":
-        return OmegaFunctor(self.source_view, other.target_view,
-                            lambda c: other.mapping(self.mapping(c)))
 
 
 def nu_functor(a: DAMorphism, max_dim: int, ceiling: int = DEFAULT_CEILING,
@@ -397,39 +284,35 @@ def nu_functor(a: DAMorphism, max_dim: int, ceiling: int = DEFAULT_CEILING,
 
 def check_functor(F: OmegaFunctor, max_dim: int):
     """List of violations of boundary/identity/composition preservation."""
-    src, tgt = F.source_view, F.target_view
+    src = F.source_view
     report = []
     top = min(max_dim, src.max_dim)
     for d in range(top + 1):
-        for c in src.cells(d):
+        cs = src.cells(d)
+        for c in cs:
             fc = F(c)
             if d > 0:
-                if F(src.source(c)) != tgt.source(fc):
+                if F(nu_source(c)) != nu_source(fc):
                     report.append(("source", d, c))
-                if F(src.target(c)) != tgt.target(fc):
+                if F(nu_target(c)) != nu_target(fc):
                     report.append(("target", d, c))
-            if d < top and F(src.identity(c)) != tgt.identity(fc):
+            if d < top and F(nu_identity(c)) != nu_identity(fc):
                 report.append(("identity", d, c))
         for j in range(d):
-            cs = src.cells(d)
-            if isinstance(src, NuView):
-                by_start: dict = {}
-                for b in cs:
-                    by_start.setdefault((b.rows[:j], b.rows[j][0]), []).append(b)
-                pairs = ((a, b) for a in cs
-                         for b in by_start.get((a.rows[:j], a.rows[j][1]), ()))
-            else:
-                pairs = ((a, b) for a in cs for b in cs if src.composable(j, a, b))
+            by_start: dict = {}
+            for b in cs:
+                by_start.setdefault(_pair_key(b, j, 0), []).append(b)
+            pairs = ((a, b) for a in cs for b in by_start.get(_pair_key(a, j, 1), ()))
             for a, b in pairs:
-                lhs = F(src.compose(j, a, b))
-                if not tgt.composable(j, F(a), F(b)):
+                lhs = F(nu_compose(j, a, b))
+                if not nu_composable(j, F(a), F(b)):
                     report.append(("composable", d, j, a, b))
-                elif lhs != tgt.compose(j, F(a), F(b)):
+                elif lhs != nu_compose(j, F(a), F(b)):
                     report.append(("compose", d, j, a, b))
     return report
 
 
-def skeleton_dot(view, name: str = "skeleton") -> str:
+def skeleton_dot(view: NuView, name: str = "skeleton") -> str:
     """0/1/2-skeleton: nodes are 0-cells, edges nondegenerate 1-cells,
     one comment line per nondegenerate 2-cell."""
     def node_id(c):
@@ -438,17 +321,13 @@ def skeleton_dot(view, name: str = "skeleton") -> str:
     lines = [f"digraph {name} {{"]
     for c in view.cells(0):
         lines.append(f"  {node_id(c)};")
-    if view.max_dim >= 1:
-        for c in view.cells(1):
-            if isinstance(c, NuCell) and c.is_identity:
-                continue
-            s, t = view.source(c), view.target(c)
+    for c in view.cells(1):
+        if not c.is_identity:
+            s, t = nu_boundary(c)
             lines.append(f"  {node_id(s)} -> {node_id(t)} [label={node_id(c)}];")
-    if view.max_dim >= 2:
-        for c in view.cells(2):
-            if isinstance(c, NuCell) and c.is_identity:
-                continue
-            s, t = view.source(c), view.target(c)
+    for c in view.cells(2):
+        if not c.is_identity:
+            s, t = nu_boundary(c)
             lines.append(f"  // 2-cell {c}: {s} => {t}")
     lines.append("}")
     return "\n".join(lines)

@@ -305,15 +305,6 @@ class ThetaMorphism:
         return f"{self.base};[{comps}]"
 
 
-def dimension(t: ThetaCell) -> int:
-    return t.dimension()
-
-
-def compose(f: ThetaMorphism, g: ThetaMorphism) -> ThetaMorphism:
-    """The composite of f followed by g."""
-    return f.then(g)
-
-
 def theta_identity(t: ThetaCell) -> ThetaMorphism:
     comps = tuple(((i, i), theta_identity(t.children[i - 1])) for i in range(1, t.width + 1))
     return ThetaMorphism(t, t, simplicial_identity(t.width), comps)

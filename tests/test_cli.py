@@ -53,6 +53,13 @@ class TestSubcommands:
     def test_parse_error_exit_two(self, capsys):
         assert main(["decompose", "[2]([1]"]) == 2
 
+    def test_ceiling_exit_three(self):
+        code, out, err = run_cli(["nu", "[3]([1],[1],[1])", "--ceiling", "50"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_span_subcommand(self, capsys):
         assert main(["span", "[1]([1])"]) == 0
         data = json.loads(capsys.readouterr().out)

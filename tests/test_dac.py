@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graycyl.dac import (DAComplex, DAMorphism, MorphismError,
-                         amalgamate, amalgamation_over_globular_sum, atom,
+                         amalgamate_with_inclusions,
+                         amalgamation_over_globular_sum, atom,
                          check_basis, find_isomorphism, gadd, globe_inclusion,
                          identity_morphism, lambda_cell, lambda_globe,
                          lambda_map, point_complex, sign_split, support,
@@ -213,8 +214,9 @@ class TestCheckBasis:
 
 class TestAmalgamate:
     def test_two_globes_over_point(self):
-        K = amalgamate(lambda_globe(2), lambda_globe(1), lambda_globe(0),
-                       globe_inclusion(0, 2, "t"), globe_inclusion(0, 1, "s"))
+        K = amalgamate_with_inclusions(lambda_globe(2), lambda_globe(1), lambda_globe(0),
+                                       globe_inclusion(0, 2, "t"),
+                                       globe_inclusion(0, 1, "s"))[0]
         want = lambda_cell(parse_cell("[2]([1],[0])"))
         assert find_isomorphism(K, want) is not None
 
@@ -222,7 +224,7 @@ class TestAmalgamate:
         K = lambda_globe(1)
         pt = lambda_globe(0)
         left = DAMorphism(pt, K, {"b0": {"b0": 1}})
-        K2 = amalgamate(K, pt, pt, left, identity_morphism(pt))
+        K2 = amalgamate_with_inclusions(K, pt, pt, left, identity_morphism(pt))[0]
         assert find_isomorphism(K2, K) is not None
 
     def test_non_prerigid_rejected(self):
@@ -230,7 +232,7 @@ class TestAmalgamate:
         pt = lambda_globe(0)
         bad = DAMorphism(pt, K, {"b0": {"b0": 1, "t0": 1}})
         with pytest.raises(MorphismError):
-            amalgamate(K, pt, pt, bad, identity_morphism(pt))
+            amalgamate_with_inclusions(K, pt, pt, bad, identity_morphism(pt))
 
     def test_iterated_matches_recursion(self):
         for t in cells_up_to(7):

@@ -2,10 +2,10 @@ import pytest
 
 from graycyl.dac import (atom, identity_morphism, lambda_cell, lambda_globe,
                          lambda_map, tensor)
-from graycyl.nu import (EnumerationError, NuCell, NuView, TableError,
-                        check_functor, enumerate_cells, make_cell,
+from graycyl.nu import (EnumerationError, NuCell, NuView, OmegaFunctor,
+                        TableError, check_functor, enumerate_cells, make_cell,
                         nu_boundary, nu_composable, nu_compose, nu_functor,
-                        nu_identity, product_view, search_tables)
+                        nu_identity, search_tables)
 from graycyl.theta import (cell, coface, globe, hyperfaces, parse_cell,
                            theta_identity, theta_morphism)
 
@@ -151,6 +151,16 @@ class TestEnumeration:
         with pytest.raises(EnumerationError):
             enumerate_cells(SQ, 2, ceiling=3)
 
+    def test_ceiling_is_exact(self):
+        # the ceiling is checked on each insertion, so it bounds the cells
+        # built in any one dimension exactly
+        K = lambda_cell(parse_cell("[3]([1],[1],[1])"))
+        layers = enumerate_cells(K, 2)
+        most = max(len(cells) for cells in layers)
+        assert enumerate_cells(K, 2, ceiling=most) == layers
+        with pytest.raises(EnumerationError):
+            enumerate_cells(K, 2, ceiling=most - 1)
+
     def test_requires_strong_steiner(self):
         from graycyl.dac import DAComplex
         K = DAComplex(
@@ -215,31 +225,20 @@ class TestFunctors:
                 return nu_identity(nu_boundary(c)[0])
             return c if c.dim == 0 else nu_identity(bad(nu_boundary(c)[0]))
 
-        from graycyl.nu import OmegaFunctor
         F = OmegaFunctor(view, view, bad)
         assert check_functor(F, 1)
 
+    def test_swapped_diagonals_break_composition(self):
+        # the two diagonals of the square have the same source and target,
+        # so only the composition check can tell them apart
+        view = NuView(SQ, 1)
+        at = {g: atom_cell(SQ, sq(*g)) for g in
+              (("b0", "v1"), ("v1", "t0"), ("v1", "b0"), ("t0", "v1"))}
+        lower = nu_compose(0, at["b0", "v1"], at["v1", "t0"])
+        upper = nu_compose(0, at["v1", "b0"], at["t0", "v1"])
+        assert nu_boundary(lower) == nu_boundary(upper)
+        swap = {lower: upper, upper: lower}
+        F = OmegaFunctor(view, view, lambda c: swap.get(c, c))
+        report = check_functor(F, 1)
+        assert report and all(v[0] == "compose" for v in report)
 
-class TestProductView:
-    def test_terminal(self):
-        v = product_view([])
-        assert len(v.cells(0)) == 1 and len(v.cells(3)) == 1
-
-    def test_counts_multiply(self):
-        a = NuView(IV, 2)
-        b = NuView(lambda_globe(2), 2)
-        p = product_view([a, b])
-        for d in range(3):
-            assert len(p.cells(d)) == len(a.cells(d)) * len(b.cells(d))
-
-    def test_product_with_point(self):
-        a = NuView(IV, 2)
-        pt = NuView(lambda_globe(0), 2)
-        p = product_view([a, pt])
-        for d in range(3):
-            assert len(p.cells(d)) == len(a.cells(d))
-
-    def test_square_counts(self):
-        a = NuView(IV, 2)
-        p = product_view([a, a])
-        assert [len(p.cells(d)) for d in range(3)] == [4, 9, 9]

@@ -2,7 +2,7 @@ import pytest
 
 from graycyl.dac import DAMorphism, MorphismError, lambda_cell
 from graycyl.gray import H, L, cylinder_complex
-from graycyl.nu import check_functor
+from graycyl.nu import OmegaFunctor, check_functor
 from graycyl.span import (build_span, mirror_name, shift_map,
                           shift_target_cell, span_dot, split_map, verify_span)
 from graycyl.theta import cell, coface, parse_cell
@@ -87,7 +87,7 @@ class TestVerifySpan:
     def test_kappa_object_bijection(self):
         t = parse_cell("[2]([1],[0])")
         b = build_span(t)
-        images = {b.kappa(c) for c in b.cyl_view.cells(0)}
+        images = {tuple(leg(c) for leg in b.kappa) for c in b.cyl_view.cells(0)}
         assert len(images) == len(b.cyl_view.cells(0))
         assert len(images) == 2 * (t.width + 1)
 
@@ -112,8 +112,19 @@ class TestVerifySpan:
 
     def test_functor_checks_run(self):
         b = build_span(parse_cell("[1]([1])"))
-        assert not check_functor(b.kappa, b.max_dim)
+        for leg in b.kappa:
+            assert not check_functor(leg, b.max_dim)
         assert not check_functor(b.sigma, b.max_dim)
+
+    def test_broken_kappa_leg_fails(self):
+        t = parse_cell("[1]([1])")
+        b = build_span(t)
+        to_cell = b.kappa[1]
+        swap = dict(zip(to_cell.target_view.cells(0), reversed(to_cell.target_view.cells(0))))
+        bad = OmegaFunctor(to_cell.source_view, to_cell.target_view,
+                           lambda c: swap.get(to_cell(c), to_cell(c)))
+        b.kappa = (b.kappa[0], bad)
+        assert not verify_span(t, bundle=b).passed
 
     def test_dot_colors(self):
         dot = span_dot(cell(1))
