@@ -19,6 +19,7 @@ plus bare strings for the globe complexes ("b0", "t1", "v2", ...).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .theta import (SimplicialMap, ThetaCell, ThetaMorphism, gamma_image,
                     globular_sum)
@@ -210,8 +211,13 @@ def wreath_complex(children: list[DAComplex]) -> DAComplex:
     return DAComplex(tuple(degrees), diff, aug)
 
 
+@lru_cache(maxsize=64)
 def lambda_cell(t: ThetaCell) -> DAComplex:
-    """The chain-complex realization of a cell, by recursion on the tree."""
+    """The chain-complex realization of a cell, by recursion on the tree.
+
+    Memoised per cell: every caller gets the same complex, which is shared
+    and read-only.
+    """
     if t.width == 0:
         return point_complex()
     return wreath_complex([lambda_cell(c) for c in t.children])

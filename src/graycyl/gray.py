@@ -9,6 +9,7 @@ verified degree-wise with exact integer linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import intlin
 from .dac import (DAComplex, DAMorphism, identity_morphism, lambda_cell,
@@ -27,7 +28,10 @@ def interval() -> DAComplex:
     return lambda_globe(1)
 
 
+@lru_cache(maxsize=4)
 def cylinder_complex(t: ThetaCell) -> DAComplex:
+    """The complex of [1]⊗T.  Memoised per cell: the result is shared and
+    read-only."""
     return tensor(interval(), lambda_cell(t))
 
 
@@ -67,7 +71,7 @@ def o_cell(t: ThetaCell, j: int) -> ThetaCell:
     return ThetaCell(t.children[:j] + (POINT,) + t.children[j:])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShuffleColumn:
     kind: str                 # "O" or "M"
     index: int
@@ -89,7 +93,7 @@ class ShuffleColumn:
         return f"[{t.width}](" + ",".join(kids) + ")"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShuffleSpan:
     level: int                # k, 1-based
     position: str             # "upper" (O_{k-1} side) or "lower" (O_k side)
@@ -99,7 +103,7 @@ class ShuffleSpan:
     leg_m: DAMorphism         # lambda(T) -> M column complex
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShuffleDiagram:
     cell: ThetaCell
     cyl: DAComplex
@@ -208,7 +212,13 @@ def o_leg(t: ThetaCell, k: int, variant: str) -> ThetaMorphism:
     return theta_morphism(t, target, coface(t.width, k), comp_map)
 
 
+@lru_cache(maxsize=4)
 def lax_shuffle_diagram(t: ThetaCell) -> ShuffleDiagram:
+    """The columns and spans of the lax shuffle decomposition of [1]⊗T.
+
+    Memoised per cell: every caller gets the same diagram, which is shared
+    and read-only.
+    """
     cyl = cylinder_complex(t)
     if t.width == 0:
         one = cell(1)
@@ -484,7 +494,8 @@ def _face_between_o_cells(f: ThetaMorphism, js: int, jt: int) -> ThetaMorphism:
     js+1 and target position jt+1 (requires f.base(js) == jt)."""
     src_cell = o_cell(f.source, js)
     tgt_cell = o_cell(f.target, jt)
-    assert f.base(js) == jt, "unit slots are not aligned"
+    if f.base(js) != jt:
+        raise ValueError("unit slots are not aligned")
     base_imgs = tuple(
         (f.base(v) if f.base(v) <= jt else f.base(v) + 1) if v <= js
         else f.base(v - 1) + 1
@@ -512,7 +523,8 @@ def _face_between_m_columns(f: ThetaMorphism, src: ShuffleDiagram, tgt: ShuffleD
     for q in range(1, f.source.width + 1):
         for jj in fimg[q]:
             if q == i:
-                assert jj == i2, "cylinder slot must map to the cylinder slot"
+                if jj != i2:
+                    raise ValueError("cylinder slot must map to the cylinder slot")
                 comps[(q, jj)] = tensor_morphism(identity_morphism(interval()),
                                                  lambda_map(f.component(q, jj)))
             else:

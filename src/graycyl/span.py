@@ -17,7 +17,7 @@ from .dac import (DAMorphism, identity_morphism, lambda_cell, lambda_map,
                   point_complex, tensor, wreath_morphism)
 from .gray import (H, L, R, cylinder_complex, endpoint_inclusion, gray_cylinder,
                    interval, lax_shuffle_diagram, o_cell)
-from .nu import NuView, OmegaFunctor, check_functor, nu_functor
+from .nu import DEFAULT_CEILING, NuView, OmegaFunctor, check_functor, nu_functor
 from .theta import (POINT, SimplicialMap, ThetaCell, cell, coface,
                     codegeneracy, mirror, simplicial_identity, theta_identity,
                     theta_morphism)
@@ -97,16 +97,17 @@ class SpanBundle:
     q: DAMorphism
 
 
-def build_span(t: ThetaCell, max_dim: int | None = None) -> SpanBundle:
+def build_span(t: ThetaCell, max_dim: int | None = None,
+               ceiling: int = DEFAULT_CEILING) -> SpanBundle:
     if max_dim is None:
         max_dim = t.dimension() + 1
-    cyl_view = gray_cylinder(t, max_dim)
+    cyl_view = gray_cylinder(t, max_dim, ceiling)
     p1 = projection_to_interval(t)
     p2 = projection_to_cell(t)
     q = shift_map(t)
-    kappa = (nu_functor(p1, max_dim, source_view=cyl_view),
-             nu_functor(p2, max_dim, source_view=cyl_view))
-    sigma = nu_functor(q, max_dim, source_view=cyl_view)
+    kappa = (nu_functor(p1, max_dim, ceiling, source_view=cyl_view),
+             nu_functor(p2, max_dim, ceiling, source_view=cyl_view))
+    sigma = nu_functor(q, max_dim, ceiling, source_view=cyl_view)
     return SpanBundle(t, max_dim, cyl_view, kappa, sigma, p1, p2, q)
 
 
@@ -260,8 +261,9 @@ def _morphisms_equal(a: DAMorphism, b: DAMorphism) -> bool:
 
 
 def verify_span(t: ThetaCell, max_dim: int | None = None,
+                ceiling: int = DEFAULT_CEILING,
                 bundle: SpanBundle | None = None) -> SpanReport:
-    b = bundle or build_span(t, max_dim)
+    b = bundle or build_span(t, max_dim, ceiling)
     report = SpanReport(t)
     report.kappa_functor = [v for leg in b.kappa for v in check_functor(leg, b.max_dim)]
     report.sigma_functor = check_functor(b.sigma, b.max_dim)
@@ -303,9 +305,9 @@ def verify_span(t: ThetaCell, max_dim: int | None = None,
     return report
 
 
-def span_dot(t: ThetaCell) -> str:
+def span_dot(t: ThetaCell, ceiling: int = DEFAULT_CEILING) -> str:
     """The span diagram with pass/fail coloring per column square."""
-    rep = verify_span(t)
+    rep = verify_span(t, ceiling=ceiling)
     lines = ["digraph span {", "  rankdir=LR;",
              f'  cyl [label="[1]⊗{t}"];',
              f'  cart [label="[1]×{t}"];',

@@ -80,14 +80,25 @@ def mirror(t: ThetaCell) -> ThetaCell:
 # parsing
 # ---------------------------------------------------------------------------
 
+# Deepest tree parse_cell accepts.  Cell equality, hashing, printing and the
+# complex builders recurse through three or four frames per tree level; under
+# Python's default recursion limit of 1000 they fail near depth 250.
+MAX_DEPTH = 200
+
+
 def parse_cell(text: str) -> ThetaCell:
     """Parse the grammar  cell := "[" nat "]" ("(" cell ("," cell)* ")")?
 
     ``[k]`` with k >= 1 and no parens is sugar for k copies of [0];
     ``G<n>`` is sugar for the n-globe.  Whitespace is insignificant.
+    Cells deeper than MAX_DEPTH are rejected.
     """
     src = text
     pos = 0
+
+    def check_depth(depth, start):
+        if depth > MAX_DEPTH:
+            raise CellSyntaxError(f"cell deeper than {MAX_DEPTH}", start)
 
     def skip_ws():
         nonlocal pos
@@ -111,23 +122,28 @@ def parse_cell(text: str) -> ThetaCell:
             raise CellSyntaxError("expected a number", start)
         return int(src[start:pos])
 
-    def parse_one():
+    def parse_one(depth):
+        """A cell whose root sits at the given depth of the whole tree."""
         nonlocal pos
         skip_ws()
+        start = pos
         if pos < len(src) and src[pos] == "G":
             pos += 1
-            return globe(parse_nat())
+            n = parse_nat()
+            check_depth(depth + n, start)
+            return globe(n)
         expect("[")
         n = parse_nat()
         expect("]")
+        check_depth(depth + (n > 0), start)
         skip_ws()
         if pos < len(src) and src[pos] == "(":
             pos += 1
-            kids = [parse_one()]
+            kids = [parse_one(depth + 1)]
             skip_ws()
             while pos < len(src) and src[pos] == ",":
                 pos += 1
-                kids.append(parse_one())
+                kids.append(parse_one(depth + 1))
                 skip_ws()
             expect(")")
             if len(kids) != n:
@@ -135,7 +151,7 @@ def parse_cell(text: str) -> ThetaCell:
             return ThetaCell(tuple(kids))
         return cell(n)
 
-    t = parse_one()
+    t = parse_one(0)
     skip_ws()
     if pos != len(src):
         raise CellSyntaxError("trailing input", pos)
@@ -296,7 +312,8 @@ class ThetaMorphism:
             for j in gamma_image(base)[i]:
                 # unique k in F(self.base)(i) with j in F(other.base)(k)
                 ks = [k for k in g_self[i] if j in g_other[k]]
-                assert len(ks) == 1
+                if len(ks) != 1:
+                    raise ValueError(f"segment {j} of the composite has {len(ks)} preimages")
                 comps.append(((i, j), self.component(i, ks[0]).then(other.component(ks[0], j))))
         return ThetaMorphism(self.source, other.target, base, tuple(comps))
 

@@ -5,6 +5,9 @@ import sys
 import pytest
 
 from graycyl.cli import main
+from graycyl.dac import lambda_cell
+from graycyl.gray import cylinder_complex
+from graycyl.theta import MAX_DEPTH
 
 
 def run_cli(args):
@@ -59,6 +62,28 @@ class TestSubcommands:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "span", "[2]"], ["verify", "all", "[2]"],
+        ["span", "[2]"], ["emit", "span", "[2]"],
+    ])
+    def test_span_commands_honour_ceiling(self, capsys, args):
+        assert main(args + ["--ceiling", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["lambda", "tensor", "decompose"])
+    def test_depth_cap(self, capsys, command):
+        # the deepest call chain: nothing built for a shallower cell is cached
+        lambda_cell.cache_clear()
+        cylinder_complex.cache_clear()
+        assert main([command, f"G{MAX_DEPTH}"]) == 0
+        capsys.readouterr()
+        assert main([command, f"G{MAX_DEPTH + 1}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_span_subcommand(self, capsys):
         assert main(["span", "[1]([1])"]) == 0

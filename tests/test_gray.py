@@ -1,4 +1,9 @@
-from graycyl.dac import (identity_morphism, lambda_cell, lambda_map,
+import dataclasses
+
+import pytest
+
+from graycyl import gray
+from graycyl.dac import (DAMorphism, identity_morphism, lambda_cell, lambda_map,
                          tensor_morphism)
 from graycyl.gray import (endpoint_inclusion, endpoints, gray_cylinder,
                           hyperface_cylinder, interval, lax_shuffle_diagram,
@@ -202,3 +207,109 @@ class TestHyperfaceCylinder:
                 rhs = tensor_morphism(one, lambda_map(face2.map)).then(
                     tensor_morphism(one, lambda_map(face.map)))
                 assert lhs.images == rhs.images
+
+
+def _with_image(m: DAMorphism, g, image) -> DAMorphism:
+    """A copy of m that sends g to image."""
+    return DAMorphism(m.source, m.target, {**m.images, g: image})
+
+
+class TestMemoisedDiagram:
+    def test_diagram_is_shared(self):
+        t = parse_cell("[2]([1],[0])")
+        assert lax_shuffle_diagram(t) is lax_shuffle_diagram(t)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lax_shuffle_diagram(t).cell = t
+
+    def test_hyperfaces_build_each_diagram_once(self):
+        t = parse_cell("[2]([1],[1])")
+        faces = hyperfaces(t)
+        lax_shuffle_diagram.cache_clear()
+        assert all(hyperface_cylinder(f).agree for f in faces)
+        sources = {f.map.source for f in faces}
+        assert lax_shuffle_diagram.cache_info().misses <= 1 + len(sources)
+
+
+class TestPerturbedInputsFail:
+    """Each verifier fails on a perturbed copy of one of its inputs, and the
+    shared builders it reads stay unperturbed."""
+
+    def test_gluing_column_embedding(self, monkeypatch):
+        t = parse_cell("[2]([1],[0])")
+        real = gray.lax_shuffle_diagram
+
+        def perturbed(u):
+            diag = real(u)
+            col = diag.column("M", 1)
+            # send object 0 where object 1 goes: no longer injective
+            embed = _with_image(col.embed, ("o", 0), col.embed.images[("o", 1)])
+            columns = [dataclasses.replace(c, embed=embed) if c is col else c
+                       for c in diag.columns]
+            return dataclasses.replace(diag, columns=columns)
+
+        monkeypatch.setattr(gray, "lax_shuffle_diagram", perturbed)
+        rep = verify_gluing(t)
+        assert not rep.overall and not rep.monos["M1"]
+        monkeypatch.undo()
+        assert verify_gluing(t).overall
+
+    def test_gluing_span_leg(self, monkeypatch):
+        t = parse_cell("[2]([1],[0])")
+        real = gray.lax_shuffle_diagram
+
+        def perturbed(u):
+            diag = real(u)
+            first = diag.spans[0]
+            leg_m = _with_image(first.leg_m, ("o", 0), first.leg_m.images[("o", 1)])
+            spans = [dataclasses.replace(first, leg_m=leg_m)] + diag.spans[1:]
+            return dataclasses.replace(diag, spans=spans)
+
+        monkeypatch.setattr(gray, "lax_shuffle_diagram", perturbed)
+        rep = verify_gluing(t)
+        assert not rep.overall and not rep.spans[0]["commutes"]
+        monkeypatch.undo()
+        assert verify_gluing(t).overall
+
+    def test_globular_leaf_piece(self, monkeypatch):
+        t = parse_cell("[2]([1],[0])")
+        real = gray.leaf_inclusion
+        # the second leaf piece becomes a copy of the first
+        monkeypatch.setattr(gray, "leaf_inclusion",
+                            lambda u, leaf: real(u, 0 if leaf == 1 else leaf))
+        assert not verify_globular_preservation(t)
+        monkeypatch.undo()
+        assert verify_globular_preservation(t)
+
+    @pytest.mark.parametrize("kind, builder", [
+        ("vertical", "_vertical_column_maps"),
+        ("outer", "_shift_column_maps"),
+        ("inner", "_shift_column_maps"),
+    ])
+    def test_hyperface_column_map(self, monkeypatch, kind, builder):
+        face = next(f for f in hyperfaces(parse_cell("[2]([1],[0])")) if f.kind == kind)
+        real = getattr(gray, builder)
+
+        def perturbed(*args):
+            (col_s, col_t, m, mode), *rest = real(*args)
+            return [(col_s, col_t, _with_image(m, ("o", 0), {}), mode)] + rest
+
+        monkeypatch.setattr(gray, builder, perturbed)
+        rep = hyperface_cylinder(face)
+        assert not rep.agree and not rep.column_results[0]["ok"]
+        monkeypatch.undo()
+        assert hyperface_cylinder(face).agree
+
+
+class TestFacePreconditions:
+    def test_misaligned_unit_slots(self):
+        face = next(f for f in hyperfaces(cell(2)) if f.position == (0,))
+        assert face.map.base(0) == 1
+        with pytest.raises(ValueError, match="unit slots"):
+            gray._face_between_o_cells(face.map, 0, 0)
+
+    def test_cylinder_slot_elsewhere(self):
+        face = next(f for f in hyperfaces(cell(2)) if f.position == (0,))
+        src = lax_shuffle_diagram(face.map.source)
+        tgt = lax_shuffle_diagram(face.map.target)
+        with pytest.raises(ValueError, match="cylinder slot"):
+            gray._face_between_m_columns(face.map, src, tgt, 1, 1)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graycyl.theta import (CellSyntaxError, POINT, SimplicialMap, ThetaCell,
+from graycyl.theta import (MAX_DEPTH, CellSyntaxError, POINT, SimplicialMap, ThetaCell,
                            cell, cells_up_to, coface, codegeneracy,
                            gamma_image, globe, globular_sum, hyperfaces,
                            leaf_inclusion, meet_inclusion, mirror,
@@ -47,6 +47,15 @@ class TestParsing:
     def test_width_mismatch(self):
         with pytest.raises(CellSyntaxError):
             parse_cell("[2]([0])")
+
+    def test_depth_cap(self):
+        assert parse_cell(f"G{MAX_DEPTH}") == globe(MAX_DEPTH)
+        nested = "[1](" * (MAX_DEPTH - 1) + "[1]" + ")" * (MAX_DEPTH - 1)
+        assert parse_cell(nested) == globe(MAX_DEPTH)
+        for text in (f"G{MAX_DEPTH + 1}", f"[1](G{MAX_DEPTH})",
+                     "[1](" * MAX_DEPTH + "[1]" + ")" * MAX_DEPTH):
+            with pytest.raises(CellSyntaxError, match="deeper"):
+                parse_cell(text)
 
     @given(cells_strategy())
     @settings(max_examples=150, deadline=None)
@@ -165,6 +174,14 @@ class TestCompose:
             h = random_morphism_from(rng, g.target)
             assert f.then(g).then(h) == f.then(g.then(h))
             done += 1
+
+    def test_misaligned_segments_raise(self):
+        f = parse_morphism({"source": "[1]", "target": "[3]", "base": [0, 3]})
+        g = parse_morphism({"source": "[3]", "target": "[2]", "base": [0, 2, 2, 2]})
+        # a base that skipped validation: segments 1 and 3 both cover 2
+        object.__setattr__(g.base, "image", (0, 2, 1, 2))
+        with pytest.raises(ValueError, match="preimages"):
+            f.then(g)
 
     def test_hyperface_composite_base(self):
         from graycyl.dac import lambda_map
