@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .dac import lambda_cell, tensor
+from .dac import lambda_cell
 from .gray import (cylinder_complex, gray_cylinder, hyperface_cylinder,
                    shuffle_dot, verify_gluing, verify_globular_preservation)
 from .nu import DEFAULT_CEILING, EnumerationError, NuView, skeleton_dot
@@ -146,11 +146,11 @@ def _run(args, t, max_dim) -> int:
                              sort_keys=True, ensure_ascii=False), args.out)
         return 0 if agree else 1
     if args.command == "span":
-        rep = verify_span(t, args.max_dim, args.ceiling)
+        rep = verify_span(t, max_dim, args.ceiling)
         _emit(json.dumps(rep.to_json(), sort_keys=True, ensure_ascii=False), args.out)
         return 0 if rep.passed else 1
     if args.command == "verify":
-        ok, results = _run_verify(args.suite, t, args.max_dim, args.ceiling)
+        ok, results = _run_verify(args.suite, t, max_dim, args.ceiling)
         _emit(json.dumps(results, sort_keys=True, ensure_ascii=False), args.out)
         return 0 if ok else 1
     if args.command == "emit":

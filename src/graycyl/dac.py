@@ -41,20 +41,6 @@ def gadd(*xs) -> dict:
     return gclean(out)
 
 
-def gneg(x: dict) -> dict:
-    return {k: -v for k, v in x.items()}
-
-
-def gsub(x: dict, y: dict) -> dict:
-    return gadd(x, gneg(y))
-
-
-def gscale(c: int, x: dict) -> dict:
-    if c == 0:
-        return {}
-    return {k: c * v for k, v in x.items()}
-
-
 def is_nonneg(x: dict) -> bool:
     return all(v >= 0 for v in x.values())
 
@@ -330,22 +316,6 @@ def lambda_map(f: ThetaMorphism) -> DAMorphism:
     return wreath_morphism(src, tgt, f.base, comps)
 
 
-def tensor_morphism(f: DAMorphism, g: DAMorphism) -> DAMorphism:
-    src = tensor(f.source, g.source)
-    tgt = tensor(f.target, g.target)
-    images: dict = {}
-    for row in src.degrees:
-        for name in row:
-            _, a, b = name
-            out: dict = {}
-            for a2, ca in f.images[a].items():
-                for b2, cb in g.images[b].items():
-                    key = ("t", a2, b2)
-                    out[key] = out.get(key, 0) + ca * cb
-            images[name] = gclean(out)
-    return DAMorphism(src, tgt, images)
-
-
 # ---------------------------------------------------------------------------
 # atoms and basis conditions
 # ---------------------------------------------------------------------------
@@ -354,10 +324,6 @@ def tensor_morphism(f: DAMorphism, g: DAMorphism) -> DAMorphism:
 class AtomTable:
     rows: tuple              # ((neg, pos), ...) from degree 0 up to i
     valid: bool
-
-    @property
-    def dimension(self) -> int:
-        return len(self.rows) - 1
 
 
 def atom(K: DAComplex, b) -> AtomTable:
@@ -407,12 +373,12 @@ def check_basis(K: DAComplex):
     loop_free = True
     for i in range(K.top_degree + 1):
         hi = [g for g in gens if K.degree_of(g) > i]
-        edges = []
-        for x in hi:
-            sx = support(atoms[x].rows[i][1])
-            for y in hi:
-                if sx & support(atoms[y].rows[i][0]):
-                    edges.append((x, y))
+        # x -> y when the positive row i of <x> meets the negative row i of <y>
+        ends: dict = {}      # generator -> atoms whose negative row i contains it
+        for y in hi:
+            for z in atoms[y].rows[i][0]:
+                ends.setdefault(z, []).append(y)
+        edges = [(x, y) for x in hi for z in atoms[x].rows[i][1] for y in ends.get(z, ())]
         if not _acyclic(hi, edges):
             loop_free = False
             break

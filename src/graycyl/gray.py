@@ -13,8 +13,8 @@ from functools import lru_cache
 
 from . import intlin
 from .dac import (DAComplex, DAMorphism, identity_morphism, lambda_cell,
-                  lambda_globe, lambda_map, tensor, tensor_morphism,
-                  wreath_complex, wreath_morphism)
+                  lambda_globe, lambda_map, tensor, wreath_complex,
+                  wreath_morphism)
 from .nu import DEFAULT_CEILING, NuView, nu_functor
 from .theta import (POINT, Hyperface, SimplicialMap, ThetaCell, ThetaMorphism,
                     bang, cell, coface, gamma_image, globular_sum,
@@ -24,7 +24,9 @@ from .theta import (POINT, Hyperface, SimplicialMap, ThetaCell, ThetaMorphism,
 L, R, H = "b0", "t0", "v1"          # interval complex generators
 
 
+@lru_cache(maxsize=1)
 def interval() -> DAComplex:
+    """The interval complex, built once: the result is shared and read-only."""
     return lambda_globe(1)
 
 
@@ -33,6 +35,19 @@ def cylinder_complex(t: ThetaCell) -> DAComplex:
     """The complex of [1]⊗T.  Memoised per cell: the result is shared and
     read-only."""
     return tensor(interval(), lambda_cell(t))
+
+
+def cylinder_map(f: ThetaMorphism) -> DAMorphism:
+    """[1]⊗f: the identity of the interval tensored with lambda(f), between
+    the memoised cylinders of f's source and target."""
+    lam = lambda_map(f)
+    src = cylinder_complex(f.source)
+    images = {}
+    for row in src.degrees:
+        for name in row:
+            _, a, g = name
+            images[name] = {("t", a, h): c for h, c in lam.images[g].items()}
+    return DAMorphism(src, cylinder_complex(f.target), images)
 
 
 def gray_cylinder(t: ThetaCell, max_dim: int | None = None,
@@ -139,7 +154,7 @@ def _o_embedding(t: ThetaCell, j: int, cyl: DAComplex) -> DAMorphism:
 
 
 def _m_complex(t: ThetaCell, k: int) -> DAComplex:
-    kids = [tensor(interval(), lambda_cell(c)) if i == k else lambda_cell(c)
+    kids = [cylinder_complex(c) if i == k else lambda_cell(c)
             for i, c in enumerate(t.children, start=1)]
     return wreath_complex(kids)
 
@@ -177,18 +192,9 @@ def _m_embedding(t: ThetaCell, k: int, cyl: DAComplex) -> DAMorphism:
 
 def m_end_leg(t: ThetaCell, k: int, eps: int) -> DAMorphism:
     """lambda(T) -> M_k complex, the end-eps inclusion on the k-th slot."""
-    src = lambda_cell(t)
-    tgt = _m_complex(t, k)
-    end = L if eps == 0 else R
-    comps = {}
-    for i, c in enumerate(t.children, start=1):
-        ck = lambda_cell(c)
-        if i == k:
-            comps[(i, i)] = DAMorphism(ck, tensor(interval(), ck),
-                                       {g: {("t", end, g): 1} for row in ck.degrees for g in row})
-        else:
-            comps[(i, i)] = identity_morphism(ck)
-    return wreath_morphism(src, tgt, simplicial_identity(t.width), comps)
+    comps = {(i, i): endpoint_inclusion(c, eps) if i == k else identity_morphism(lambda_cell(c))
+             for i, c in enumerate(t.children, start=1)}
+    return wreath_morphism(lambda_cell(t), _m_complex(t, k), simplicial_identity(t.width), comps)
 
 
 def o_leg(t: ThetaCell, k: int, variant: str) -> ThetaMorphism:
@@ -350,14 +356,9 @@ def verify_globular_preservation(t: ThetaCell) -> bool:
     in the cylinders over the meet globes."""
     dec = globular_sum(t)
     cyl = cylinder_complex(t)
-    one = identity_morphism(interval())
     bases = {d: {g: i for i, g in enumerate(cyl.basis(d))} for d in range(cyl.top_degree + 1)}
-    pieces = [tensor_morphism(one, lambda_map(leaf_inclusion(t, i)))
-              for i in range(len(dec.leaf_dims))]
-    pieces = [DAMorphism(p.source, cyl, p.images) for p in pieces]
-    meets = [tensor_morphism(one, lambda_map(meet_inclusion(t, g)))
-             for g in range(len(dec.meet_dims))]
-    meets = [DAMorphism(m.source, cyl, m.images) for m in meets]
+    pieces = [cylinder_map(leaf_inclusion(t, i)) for i in range(len(dec.leaf_dims))]
+    meets = [cylinder_map(meet_inclusion(t, g)) for g in range(len(dec.meet_dims))]
 
     for d in range(cyl.top_degree + 1):
         rows = []
@@ -439,15 +440,12 @@ def _vertical_column_maps(face: Hyperface, src: ShuffleDiagram, tgt: ShuffleDiag
         col_t = tgt.column("M", i)
         comps = {}
         for q, c in enumerate(t_src.children, start=1):
-            ck = lambda_cell(c)
             if q == i:
-                comps[(q, q)] = tensor_morphism(
-                    identity_morphism(interval()),
-                    lambda_map(nu_child) if q == k else identity_morphism(ck))
+                comps[(q, q)] = cylinder_map(nu_child if q == k else theta_identity(c))
             elif q == k:
                 comps[(q, q)] = lambda_map(nu_child)
             else:
-                comps[(q, q)] = identity_morphism(ck)
+                comps[(q, q)] = identity_morphism(lambda_cell(c))
         m = wreath_morphism(col_s.complex, col_t.complex,
                             simplicial_identity(t_src.width), comps)
         out.append((col_s, col_t, m, "exact"))
@@ -525,8 +523,7 @@ def _face_between_m_columns(f: ThetaMorphism, src: ShuffleDiagram, tgt: ShuffleD
             if q == i:
                 if jj != i2:
                     raise ValueError("cylinder slot must map to the cylinder slot")
-                comps[(q, jj)] = tensor_morphism(identity_morphism(interval()),
-                                                 lambda_map(f.component(q, jj)))
+                comps[(q, jj)] = cylinder_map(f.component(q, jj))
             else:
                 comps[(q, jj)] = lambda_map(f.component(q, jj))
     return wreath_morphism(col_s.complex, col_t.complex, f.base, comps)
@@ -534,13 +531,13 @@ def _face_between_m_columns(f: ThetaMorphism, src: ShuffleDiagram, tgt: ShuffleD
 
 def hyperface_cylinder(face: Hyperface) -> HyperfaceCylinderReport:
     """Check the shuffle-diagram description of the cylinder over a face
-    against the direct tensor morphism."""
+    against the cylinder map [1]⊗f of the face."""
     if face.kind not in ("vertical", "outer", "inner"):
         raise ValueError(f"not a hyperface kind: {face.kind!r}")
     t_src, t_tgt = face.map.source, face.map.target
     src = lax_shuffle_diagram(t_src)
     tgt = lax_shuffle_diagram(t_tgt)
-    steiner = tensor_morphism(identity_morphism(interval()), lambda_map(face.map))
+    steiner = cylinder_map(face.map)
     results = []
     if face.kind == "vertical":
         triples = _vertical_column_maps(face, src, tgt)

@@ -86,14 +86,6 @@ def nu_boundary(c: NuCell):
     return src, tgt
 
 
-def nu_source(c: NuCell) -> NuCell:
-    return nu_boundary(c)[0]
-
-
-def nu_target(c: NuCell) -> NuCell:
-    return nu_boundary(c)[1]
-
-
 def nu_identity(c: NuCell) -> NuCell:
     return NuCell(c.rows + (((), ()),))
 
@@ -292,9 +284,11 @@ def check_functor(F: OmegaFunctor, max_dim: int):
         for c in cs:
             fc = F(c)
             if d > 0:
-                if F(nu_source(c)) != nu_source(fc):
+                src_c, tgt_c = nu_boundary(c)
+                src_fc, tgt_fc = nu_boundary(fc)
+                if F(src_c) != src_fc:
                     report.append(("source", d, c))
-                if F(nu_target(c)) != nu_target(fc):
+                if F(tgt_c) != tgt_fc:
                     report.append(("target", d, c))
             if d < top and F(nu_identity(c)) != nu_identity(fc):
                 report.append(("identity", d, c))

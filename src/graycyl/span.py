@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dac import (DAMorphism, identity_morphism, lambda_cell, lambda_map,
-                  point_complex, tensor, wreath_morphism)
+                  point_complex, wreath_morphism)
 from .gray import (H, L, R, cylinder_complex, endpoint_inclusion, gray_cylinder,
                    interval, lax_shuffle_diagram, o_cell)
 from .nu import DEFAULT_CEILING, NuView, OmegaFunctor, check_functor, nu_functor
@@ -150,7 +150,7 @@ def kappa_column_expectations(t: ThetaCell):
         else:
             k = c.index
             child = lambda_cell(t.children[k - 1])
-            child_cyl = tensor(interval(), child)
+            child_cyl = cylinder_complex(t.children[k - 1])
             collapse = DAMorphism(child_cyl, point_complex(), {
                 g: {("o", 0): 1} if child_cyl.degree_of(g) == 0 else {}
                 for row in child_cyl.degrees for g in row})

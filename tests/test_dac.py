@@ -8,7 +8,8 @@ from graycyl.dac import (DAComplex, DAMorphism, MorphismError,
                          check_basis, find_isomorphism, gadd, globe_inclusion,
                          identity_morphism, lambda_cell, lambda_globe,
                          lambda_map, point_complex, sign_split, support,
-                         tensor, tensor_morphism, wreath_complex)
+                         tensor, wreath_complex)
+from graycyl.gray import cylinder_map
 from graycyl.theta import (POINT, cell, cells_up_to, coface, codegeneracy,
                            globe, hyperfaces, parse_cell, theta_identity,
                            theta_morphism, vertex)
@@ -145,8 +146,8 @@ class TestTensor:
                                 assert left.aug[g] == right.aug[h]
 
     def test_tensor_of_morphisms_chain(self):
-        f = lambda_map(next(h.map for h in hyperfaces(cell(2)) if h.kind == "inner"))
-        m = tensor_morphism(identity_morphism(lambda_globe(1)), f)
+        f = next(h.map for h in hyperfaces(cell(2)) if h.kind == "inner")
+        m = cylinder_map(f)
         m.validate()
 
 
@@ -205,6 +206,16 @@ class TestCheckBasis:
         ).validate()
         unital, _, _ = check_basis(K)
         assert not unital
+
+    def test_two_cycle_is_not_loop_free(self):
+        x, y = ("x", 0), ("x", 1)
+        K = DAComplex(
+            degrees=((("o", 0), ("o", 1)), (x, y)),
+            diff={x: {("o", 1): 1, ("o", 0): -1}, y: {("o", 0): 1, ("o", 1): -1}},
+            aug={("o", 0): 1, ("o", 1): 1},
+        ).validate()
+        unital, loop_free, strong = check_basis(K)
+        assert unital and loop_free is False and strong is False
 
     def test_strong_implies_loop_free_on_corpus(self):
         for t in cells_up_to(6):

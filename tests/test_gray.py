@@ -2,13 +2,12 @@ import dataclasses
 
 import pytest
 
-from graycyl import gray
-from graycyl.dac import (DAMorphism, identity_morphism, lambda_cell, lambda_map,
-                         tensor_morphism)
-from graycyl.gray import (endpoint_inclusion, endpoints, gray_cylinder,
-                          hyperface_cylinder, interval, lax_shuffle_diagram,
-                          shuffle_dot, verify_gluing,
-                          verify_globular_preservation)
+from graycyl import dac, gray
+from graycyl.dac import DAMorphism, lambda_cell, lambda_map
+from graycyl.gray import (cylinder_complex, cylinder_map, endpoint_inclusion,
+                          endpoints, gray_cylinder, hyperface_cylinder,
+                          interval, lax_shuffle_diagram, shuffle_dot,
+                          verify_gluing, verify_globular_preservation)
 from graycyl.nu import NuView, check_functor
 from graycyl.theta import (cell, cells_up_to, globe, hyperfaces, parse_cell,
                            theta_identity)
@@ -202,10 +201,8 @@ class TestHyperfaceCylinder:
         for face in hyperfaces(t):
             for face2 in hyperfaces(face.map.source):
                 comp = face2.map.then(face.map)
-                one = identity_morphism(interval())
-                lhs = tensor_morphism(one, lambda_map(comp))
-                rhs = tensor_morphism(one, lambda_map(face2.map)).then(
-                    tensor_morphism(one, lambda_map(face.map)))
+                lhs = cylinder_map(comp)
+                rhs = cylinder_map(face2.map).then(cylinder_map(face.map))
                 assert lhs.images == rhs.images
 
 
@@ -228,6 +225,30 @@ class TestMemoisedDiagram:
         assert all(hyperface_cylinder(f).agree for f in faces)
         sources = {f.map.source for f in faces}
         assert lax_shuffle_diagram.cache_info().misses <= 1 + len(sources)
+
+
+class TestOneCylinderBuilder:
+    def test_interval_is_shared(self):
+        assert interval() is interval()
+
+    def test_hyperfaces_tensor_only_through_cylinder_complex(self, monkeypatch):
+        calls = []
+        real = dac.tensor
+
+        def counted(K, L):
+            calls.append((K, L))
+            return real(K, L)
+
+        monkeypatch.setattr(dac, "tensor", counted)
+        monkeypatch.setattr(gray, "tensor", counted)
+        for cache in (dac.lambda_cell, cylinder_complex, lax_shuffle_diagram):
+            cache.cache_clear()
+        faces = hyperfaces(parse_cell("[2]([1],[1])"))
+        for f in faces:
+            hyperface_cylinder(f)
+        assert calls and len(calls) == cylinder_complex.cache_info().misses
+        f = faces[0].map
+        assert cylinder_map(f).source is cylinder_complex(f.source)
 
 
 class TestPerturbedInputsFail:

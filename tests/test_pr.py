@@ -192,11 +192,10 @@ class TestMorphism:
 
     def test_matches_steiner_on_objects_and_edges(self):
         # translate table 1-cells through the crossing/lane description
-        from graycyl.dac import identity_morphism, lambda_map, tensor_morphism
-        from graycyl.gray import interval
+        from graycyl.gray import cylinder_map
         f = self.running_example()
         m = pr_morphism(f, (0, 1))
-        steiner = tensor_morphism(identity_morphism(interval()), lambda_map(f))
+        steiner = cylinder_map(f)
         src_child = f.source.children[0]
         # crossing 1-cells h(x)o_p with lane choices in each crossed segment
         for p in (0, 1):
