@@ -19,7 +19,7 @@ plus bare strings for the globe complexes ("b0", "t1", "v2", ...).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .theta import (SimplicialMap, ThetaCell, ThetaMorphism, gamma_image,
                     globular_sum)
@@ -89,6 +89,23 @@ class ComplexError(ValueError):
     pass
 
 
+class GenIndex:
+    """Bit i stands for the i-th generator of the flattened basis, so
+    complexes with equal bases give equal masks."""
+
+    def __init__(self, degrees):
+        self.names = tuple(g for b in degrees for g in b)
+        self.bit = {g: 1 << i for i, g in enumerate(self.names)}
+
+    def names_of(self, mask: int) -> list:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.names[low.bit_length() - 1])
+            mask ^= low
+        return out
+
+
 @dataclass(frozen=True)
 class DAComplex:
     degrees: tuple[tuple, ...]           # ordered basis per degree
@@ -114,6 +131,10 @@ class DAComplex:
 
     def degree_of(self, g) -> int:
         return self._degree_of[g]
+
+    @cached_property
+    def gen_index(self) -> GenIndex:
+        return GenIndex(self.degrees)
 
     def d(self, x: dict) -> dict:
         out: dict = {}

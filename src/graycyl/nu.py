@@ -3,46 +3,63 @@
 An i-cell is a table of pairs (x_k^0, x_k^1) of nonnegative elements,
 0 <= k <= i, with d(x_k^e) = x_{k-1}^1 - x_{k-1}^0, e(x_0^e) = 1 and equal
 top entries.  Composition x *_j y is read left to right: x first, then y.
+Every entry met so far has coefficients in {0,1}, so an entry is held as a
+bitmask over the complex's generators (DAComplex.gen_index); an entry that
+would leave {0,1} raises TableError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iproduct
 
-from .dac import (DAComplex, DAMorphism, atom, check_basis, gadd, gclean,
-                  is_nonneg, render_element)
-
-
-def _freeze(x: dict) -> tuple:
-    return tuple(sorted(x.items(), key=lambda kv: repr(kv[0])))
-
-
-def _thaw(f: tuple) -> dict:
-    return dict(f)
+from .dac import (DAComplex, DAMorphism, GenIndex, atom, check_basis, gadd,
+                  gclean, is_nonneg, render_element, render_name)
 
 
 class TableError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+def _mask(index: GenIndex, x: dict) -> int:
+    """The bitmask of a {0,1} element; other coefficients are not tables
+    this representation can hold."""
+    m = 0
+    for g, c in x.items():
+        if c not in (0, 1):
+            raise TableError(f"coefficient {c} of {render_name(g)} is not 0 or 1")
+        if c:
+            m |= index.bit[g]
+    return m
+
+
+def _table(index: GenIndex, rows) -> NuCell:
+    return NuCell(tuple((_mask(index, n), _mask(index, p)) for n, p in rows), index)
+
+
+@dataclass(frozen=True, slots=True)
 class NuCell:
-    rows: tuple  # ((neg_k, pos_k) frozen pairs), k = 0..dim
+    rows: tuple  # ((neg_k, pos_k) generator bitmasks), k = 0..dim
+    index: GenIndex = field(compare=False, repr=False)  # names the bits, for rendering
 
     @property
     def dim(self) -> int:
         return len(self.rows) - 1
 
     def entry(self, k: int, eps: int) -> dict:
-        return _thaw(self.rows[k][eps])
+        return dict.fromkeys(self.index.names_of(self.rows[k][eps]), 1)
 
     @property
     def is_identity(self) -> bool:
-        return self.dim > 0 and self.rows[-1] == ((), ())
+        return self.dim > 0 and self.rows[-1] == (0, 0)
 
     def sort_key(self):
-        return repr(self.rows)
+        """repr of the rows as tuples of (name, 1) pairs, names in repr
+        order.  Cell listings and JSON dumps sort by it and their bytes are
+        pinned, so it must not change."""
+        def pairs(m):
+            return tuple((g, 1) for g in sorted(self.index.names_of(m), key=repr))
+        return repr(tuple((pairs(n), pairs(p)) for n, p in self.rows))
 
     def __str__(self) -> str:
         cols = [f"({render_element(self.entry(k, 0))};{render_element(self.entry(k, 1))})"
@@ -72,7 +89,7 @@ def make_cell(K: DAComplex, entries) -> NuCell:
             raise TableError("augmentation of bottom entries must be 1")
     if entries[i][0] != entries[i][1]:
         raise TableError("top entries must agree")
-    return NuCell(tuple((_freeze(n), _freeze(p)) for n, p in entries))
+    return _table(K.gen_index, entries)
 
 
 def nu_boundary(c: NuCell):
@@ -81,33 +98,38 @@ def nu_boundary(c: NuCell):
         raise TableError("a 0-cell has no boundary")
     below = c.rows[:-2]
     neg, pos = c.rows[-2]
-    src = NuCell(below + ((neg, neg),))
-    tgt = NuCell(below + ((pos, pos),))
+    src = NuCell(below + ((neg, neg),), c.index)
+    tgt = NuCell(below + ((pos, pos),), c.index)
     return src, tgt
 
 
 def nu_identity(c: NuCell) -> NuCell:
-    return NuCell(c.rows + (((), ()),))
+    return NuCell(c.rows + ((0, 0),), c.index)
 
 
 def nu_composable(j: int, a: NuCell, b: NuCell) -> bool:
-    if a.dim != b.dim or j >= a.dim:
-        return False
-    if a.rows[:j] != b.rows[:j]:
-        return False
-    return a.rows[j][1] == b.rows[j][0]
+    n = len(a.rows)
+    return (n == len(b.rows) and j < n - 1 and a.rows[:j] == b.rows[:j]
+            and a.rows[j][1] == b.rows[j][0])
 
 
 def nu_compose(j: int, a: NuCell, b: NuCell) -> NuCell:
     """a *_j b, a first then b."""
     if not nu_composable(j, a, b):
         raise TableError(f"cells are not {j}-composable")
+    return _compose(j, a, b)
+
+
+def _compose(j: int, a: NuCell, b: NuCell) -> NuCell:
+    """a *_j b for a j-composable pair.  Above level j the entries add;
+    every table met so far has {0,1} entries, so the sum must not overlap."""
     rows = list(a.rows[:j])
     rows.append((a.rows[j][0], b.rows[j][1]))
-    for k in range(j + 1, a.dim + 1):
-        rows.append((_freeze(gadd(_thaw(a.rows[k][0]), _thaw(b.rows[k][0]))),
-                     _freeze(gadd(_thaw(a.rows[k][1]), _thaw(b.rows[k][1])))))
-    return NuCell(tuple(rows))
+    for (an, ap), (bn, bp) in zip(a.rows[j + 1:], b.rows[j + 1:]):
+        if an & bn or ap & bp:
+            raise TableError(f"{j}-composite has an entry with a coefficient 2")
+        rows.append((an | bn, ap | bp))
+    return NuCell(tuple(rows), a.index)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +190,7 @@ def enumerate_cells(K: DAComplex, max_dim: int, ceiling: int = DEFAULT_CEILING):
     layers: list[set[NuCell]] = []
     for d in range(max_dim + 1):
         seeds = [nu_identity(c) for c in layers[-1]] if d else []
-        seeds += [NuCell(tuple((_freeze(n), _freeze(p)) for n, p in atom(K, g).rows))
-                  for g in K.basis(d)]
+        seeds += [_table(K.gen_index, atom(K, g).rows) for g in K.basis(d)]
         layers.append(_close(seeds, d, ceiling))
     return layers
 
@@ -182,27 +203,26 @@ def search_tables(K: DAComplex, max_dim: int, coeff_bound: int):
         for combo in iproduct(range(coeff_bound + 1), repeat=len(basis)):
             yield gclean(dict(zip(basis, combo)))
 
+    index = K.gen_index
     bottoms = [x for x in vectors(0) if K.e(x) == 1]
     by_boundary: dict[int, dict] = {}
     for d in range(1, max_dim + 1):
         table: dict = {}
         for x in vectors(d):
-            table.setdefault(_freeze(K.d(x)), []).append(x)
+            table.setdefault(frozenset(K.d(x).items()), []).append(x)
         by_boundary[d] = table
 
-    layers: list[set[NuCell]] = [set()]
-    pairs0 = [((x, x),) for x in bottoms]
-    layers[0] = {NuCell(tuple((_freeze(n), _freeze(p)) for n, p in rows)) for rows in pairs0}
+    layers: list[set[NuCell]] = [{_table(index, [(x, x)]) for x in bottoms}]
     partial = [[(x, y)] for x in bottoms for y in bottoms]
     for d in range(1, max_dim + 1):
         out: set[NuCell] = set()
         nxt = []
         for rows in partial:
             neg_prev, pos_prev = rows[-1]
-            want = _freeze(gadd(pos_prev, {g: -c for g, c in neg_prev.items()}))
+            want = frozenset(gadd(pos_prev, {g: -c for g, c in neg_prev.items()}).items())
             sols = by_boundary[d].get(want, [])
             for x in sols:
-                out.add(NuCell(tuple(( _freeze(n), _freeze(p)) for n, p in rows) + ((_freeze(x), _freeze(x)),)))
+                out.add(_table(index, rows + [(x, x)]))
             for x in sols:
                 for y in sols:
                     nxt.append(rows + [(x, y)])
@@ -256,16 +276,36 @@ def nu_functor(a: DAMorphism, max_dim: int, ceiling: int = DEFAULT_CEILING,
     """Entrywise application of a morphism of complexes to tables."""
     src = source_view or NuView(a.source, max_dim, ceiling)
     tgt = target_view or NuView(a.target, max_dim, ceiling)
+    index = a.target.gen_index
+
+    def gen_mask(img: dict):
+        # None where a coefficient is not 0 or 1: an error only once an
+        # entry holds that generator
+        return _mask(index, img) if all(c in (0, 1) for c in img.values()) else None
+
+    gen_image = [gen_mask(a.images[g]) for g in a.source.gen_index.names]  # by bit position
+    entry_image = {0: 0}
     cache: dict = {}
+
+    def image(m: int) -> int:
+        out = entry_image.get(m)
+        if out is None:
+            out, rest = 0, m
+            while rest:
+                low = rest & -rest
+                im = gen_image[low.bit_length() - 1]
+                if im is None or out & im:
+                    raise TableError("image entry has a coefficient other than 0 or 1")
+                out |= im
+                rest ^= low
+            entry_image[m] = out
+        return out
 
     def apply(c: NuCell) -> NuCell:
         out = cache.get(c)
         if out is not None:
             return out
-        rows = []
-        for k in range(c.dim + 1):
-            rows.append((_freeze(a.apply(c.entry(k, 0))), _freeze(a.apply(c.entry(k, 1)))))
-        out = NuCell(tuple(rows))
+        out = NuCell(tuple((image(n), image(p)) for n, p in c.rows), index)
         if out.dim <= tgt.max_dim and out not in tgt.layers[out.dim]:
             raise TableError(f"image table is not a cell of the target: {c}")
         cache[c] = out
@@ -274,36 +314,52 @@ def nu_functor(a: DAMorphism, max_dim: int, ceiling: int = DEFAULT_CEILING,
     return OmegaFunctor(src, tgt, apply)
 
 
-def check_functor(F: OmegaFunctor, max_dim: int):
-    """List of violations of boundary/identity/composition preservation."""
-    src = F.source_view
-    report = []
+def check_functors(Fs, max_dim: int):
+    """Per functor, the list of violations of boundary/identity/composition
+    preservation.  The functors share one source view, so each composable
+    pair of it is composed once for all of them."""
+    if not Fs or any(F.source_view is not Fs[0].source_view for F in Fs):
+        raise ValueError("check_functors needs functors out of one source view")
+    src = Fs[0].source_view
+    reports = [[] for _ in Fs]
+    checks = list(zip(Fs, reports))
     top = min(max_dim, src.max_dim)
     for d in range(top + 1):
         cs = src.cells(d)
         for c in cs:
-            fc = F(c)
             if d > 0:
                 src_c, tgt_c = nu_boundary(c)
-                src_fc, tgt_fc = nu_boundary(fc)
-                if F(src_c) != src_fc:
-                    report.append(("source", d, c))
-                if F(tgt_c) != tgt_fc:
-                    report.append(("target", d, c))
-            if d < top and F(nu_identity(c)) != nu_identity(fc):
-                report.append(("identity", d, c))
+            ident = nu_identity(c) if d < top else None
+            for F, report in checks:
+                fc = F(c)
+                if d > 0:
+                    src_fc, tgt_fc = nu_boundary(fc)
+                    if F(src_c) != src_fc:
+                        report.append(("source", d, c))
+                    if F(tgt_c) != tgt_fc:
+                        report.append(("target", d, c))
+                if ident is not None and F(ident) != nu_identity(fc):
+                    report.append(("identity", d, c))
         for j in range(d):
             by_start: dict = {}
             for b in cs:
                 by_start.setdefault(_pair_key(b, j, 0), []).append(b)
-            pairs = ((a, b) for a in cs for b in by_start.get(_pair_key(a, j, 1), ()))
-            for a, b in pairs:
-                lhs = F(nu_compose(j, a, b))
-                if not nu_composable(j, F(a), F(b)):
-                    report.append(("composable", d, j, a, b))
-                elif lhs != nu_compose(j, F(a), F(b)):
-                    report.append(("compose", d, j, a, b))
-    return report
+            for a in cs:
+                for b in by_start.get(_pair_key(a, j, 1), ()):
+                    ab = _compose(j, a, b)
+                    for F, report in checks:
+                        lhs = F(ab)
+                        fa, fb = F(a), F(b)
+                        if not nu_composable(j, fa, fb):
+                            report.append(("composable", d, j, a, b))
+                        elif lhs != _compose(j, fa, fb):
+                            report.append(("compose", d, j, a, b))
+    return reports
+
+
+def check_functor(F: OmegaFunctor, max_dim: int):
+    """List of violations of boundary/identity/composition preservation."""
+    return check_functors((F,), max_dim)[0]
 
 
 def skeleton_dot(view: NuView, name: str = "skeleton") -> str:

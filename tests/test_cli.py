@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -111,3 +112,15 @@ class TestDeterminism:
             assert code == 0, err
             outs.add(out)
         assert len(outs) == 1
+
+    @pytest.mark.parametrize("args, digest", [
+        (["gray", "[2]([1],[1])", "--max-dim", "3"],
+         "b5fc8d67517f6821c7acc75076a9f81e7a54f574cac7bed7abfe72aa51204a74"),
+        (["nu", "[3]", "--max-dim", "3"],
+         "ce765789207511ad8e34aa6e62894f7ef97820330e5a1dbbb9a9566e860e0e02"),
+    ])
+    def test_pinned_output_bytes(self, capsys, args, digest):
+        # cell order and rendering of the table dumps are part of the output
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -1,11 +1,11 @@
 import pytest
 
-from graycyl.dac import (atom, identity_morphism, lambda_cell, lambda_globe,
-                         lambda_map, tensor)
+from graycyl.dac import (DAComplex, DAMorphism, atom, identity_morphism,
+                         lambda_cell, lambda_globe, lambda_map, tensor)
 from graycyl.nu import (EnumerationError, NuCell, NuView, OmegaFunctor,
-                        TableError, check_functor, enumerate_cells, make_cell,
-                        nu_boundary, nu_composable, nu_compose, nu_functor,
-                        nu_identity, search_tables)
+                        TableError, check_functor, check_functors,
+                        enumerate_cells, make_cell, nu_boundary, nu_composable,
+                        nu_compose, nu_functor, nu_identity, search_tables)
 from graycyl.theta import (cell, coface, globe, hyperfaces, parse_cell,
                            theta_identity, theta_morphism)
 
@@ -58,12 +58,13 @@ class TestIdentity:
     def test_append_zero(self):
         c = atom_cell(IV, "b0")
         i = nu_identity(c)
-        assert i.rows[-1] == ((), ())
+        assert i.entry(1, 0) == {} and i.entry(1, 1) == {}
         assert i.dim == 1
 
     def test_double(self):
         c = atom_cell(IV, "b0")
-        assert nu_identity(nu_identity(c)).rows[-2:] == (((), ()), ((), ()))
+        ii = nu_identity(nu_identity(c))
+        assert all(ii.entry(k, eps) == {} for k in (1, 2) for eps in (0, 1))
 
 
 class TestCompose:
@@ -242,3 +243,55 @@ class TestFunctors:
         report = check_functor(F, 1)
         assert report and all(v[0] == "compose" for v in report)
 
+
+class TestTableGuards:
+    """Tables hold {0,1} entries as bitmasks; every way to leave {0,1}
+    raises instead of being silently truncated."""
+
+    def test_coefficient_two_rejected(self):
+        # a 1-generator with zero boundary lets 2x pass every other check
+        K = DAComplex(degrees=((("o", 0),), (("x", 0),)),
+                      diff={("x", 0): {}}, aug={("o", 0): 1})
+        o, x = {("o", 0): 1}, {("x", 0): 1}
+        assert make_cell(K, [(o, o), (x, x)]).dim == 1
+        with pytest.raises(TableError, match="coefficient 2"):
+            make_cell(K, [(o, o), ({("x", 0): 2}, {("x", 0): 2})])
+
+    def test_overlapping_composite_rejected(self):
+        index = IV.gen_index
+        b0, v1 = index.bit["b0"], index.bit["v1"]
+        a = NuCell(((b0, b0), (v1, v1)), index)
+        assert nu_composable(0, a, a)
+        with pytest.raises(TableError, match="coefficient 2"):
+            nu_compose(0, a, a)
+
+    def test_functor_doubling_a_generator_rejected(self):
+        # both edges of [2] onto the first one: the long edge s1+s2 would
+        # map to 2 s1
+        K = lambda_cell(cell(2))
+        s1, s2 = ("s", 1, ("o", 0)), ("s", 2, ("o", 0))
+        images = {("o", p): {("o", p): 1} for p in range(3)}
+        images.update({s1: {s1: 1}, s2: {s1: 1}})
+        view = NuView(K, 1)
+        F = nu_functor(DAMorphism(K, K, images), 1, source_view=view, target_view=view)
+        long_edge = nu_compose(0, atom_cell(K, s1), atom_cell(K, s2))
+        with pytest.raises(TableError, match="coefficient"):
+            F(long_edge)
+
+
+class TestSharedFunctorCheck:
+    def test_reports_per_functor(self):
+        view = NuView(SQ, 2)
+        good = nu_functor(identity_morphism(SQ), 2, source_view=view, target_view=view)
+        bad = OmegaFunctor(view, view, lambda c: nu_identity(nu_boundary(c)[0])
+                           if c.dim == 1 and not c.is_identity else c)
+        bad_alone = check_functor(bad, 2)
+        assert bad_alone and check_functor(good, 2) == []
+        assert check_functors([good, bad], 2) == [[], bad_alone]
+        assert check_functors([bad, good], 2) == [bad_alone, []]
+
+    def test_one_source_view_required(self):
+        F = nu_functor(identity_morphism(SQ), 1)
+        G = nu_functor(identity_morphism(SQ), 1)
+        with pytest.raises(ValueError):
+            check_functors([F, G], 1)

@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graycyl.gray import gray_cylinder
 from graycyl.pr import (EMPTY, POINT_EXPR, Cell, Interval, Product, hom_cell,
                         pr, pr_count, pr_hom, pr_morphism, pr_objects,
                         product, theta_count)
-from graycyl.theta import cell, parse_cell, parse_morphism
+from graycyl.theta import cell, cells_up_to, parse_cell, parse_morphism
 
 
 ONE = parse_cell("[1]")
@@ -122,6 +124,12 @@ class TestCounting:
             view = gray_cylinder(t)
             for d in range(view.max_dim + 1):
                 assert pr_count([t], d) == len(view.layers[d]), (str(t), d)
+
+    @given(st.sampled_from(cells_up_to(7)))
+    @settings(max_examples=30, deadline=None)
+    def test_cross_oracle_up_to_seven_nodes(self, t):
+        view = gray_cylinder(t, t.dimension() + 1)
+        assert view.counts() == tuple(pr_count([t], d) for d in range(view.max_dim + 1))
 
     def test_concatenation_against_hom_restriction(self):
         # PR([1],[1]) is the top hom of the cylinder over [2]([1],[1])
