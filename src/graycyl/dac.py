@@ -305,6 +305,11 @@ class DAMorphism:
         return self
 
 
+def morphisms_agree(a: DAMorphism, b: DAMorphism) -> bool:
+    """a and b send every generator of a's source to the same element."""
+    return all(a.images[g] == b.images[g] for row in a.source.degrees for g in row)
+
+
 def identity_morphism(K: DAComplex) -> DAMorphism:
     return DAMorphism(K, K, {g: {g: 1} for b in K.degrees for g in b})
 

@@ -13,11 +13,11 @@ from functools import lru_cache
 
 from . import intlin
 from .dac import (DAComplex, DAMorphism, identity_morphism, lambda_cell,
-                  lambda_globe, lambda_map, tensor, wreath_complex,
-                  wreath_morphism)
-from .nu import DEFAULT_CEILING, NuView, nu_functor
+                  lambda_globe, lambda_map, morphisms_agree, tensor,
+                  wreath_complex, wreath_morphism)
+from .nu import DEFAULT_CEILING, NuView
 from .theta import (POINT, Hyperface, SimplicialMap, ThetaCell, ThetaMorphism,
-                    bang, cell, coface, gamma_image, globular_sum,
+                    cell, gamma_image, globular_sum, inner_face,
                     leaf_inclusion, meet_inclusion, simplicial_identity,
                     theta_identity, theta_morphism)
 
@@ -63,18 +63,6 @@ def endpoint_inclusion(t: ThetaCell, eps: int) -> DAMorphism:
     cyl = cylinder_complex(t)
     end = L if eps == 0 else R
     return DAMorphism(K, cyl, {g: {("t", end, g): 1} for row in K.degrees for g in row})
-
-
-def endpoints(t: ThetaCell, max_dim: int | None = None,
-              source_view: NuView | None = None,
-              target_view: NuView | None = None):
-    if max_dim is None:
-        max_dim = t.dimension() + 1
-    src = source_view or NuView(lambda_cell(t), max_dim)
-    tgt = target_view or gray_cylinder(t, max_dim)
-    e0 = nu_functor(endpoint_inclusion(t, 0), max_dim, source_view=src, target_view=tgt)
-    e1 = nu_functor(endpoint_inclusion(t, 1), max_dim, source_view=src, target_view=tgt)
-    return e0, e1
 
 
 # ---------------------------------------------------------------------------
@@ -197,27 +185,6 @@ def m_end_leg(t: ThetaCell, k: int, eps: int) -> DAMorphism:
     return wreath_morphism(lambda_cell(t), _m_complex(t, k), simplicial_identity(t.width), comps)
 
 
-def o_leg(t: ThetaCell, k: int, variant: str) -> ThetaMorphism:
-    """d^k;(...,(!,id),...) into O_{k-1} (variant "before") or
-    d^k;(...,(id,!),...) into O_k (variant "after")."""
-    j = k - 1 if variant == "before" else k
-    target = o_cell(t, j)
-    comp_map = {}
-    for i in range(1, t.width + 1):
-        if i < k:
-            comp_map[(i, i)] = theta_identity(t.children[i - 1])
-        elif i == k:
-            if variant == "before":
-                comp_map[(k, k)] = bang(t.children[k - 1])
-                comp_map[(k, k + 1)] = theta_identity(t.children[k - 1])
-            else:
-                comp_map[(k, k)] = theta_identity(t.children[k - 1])
-                comp_map[(k, k + 1)] = bang(t.children[k - 1])
-        else:
-            comp_map[(i, i + 1)] = theta_identity(t.children[i - 1])
-    return theta_morphism(t, target, coface(t.width, k), comp_map)
-
-
 @lru_cache(maxsize=4)
 def lax_shuffle_diagram(t: ThetaCell) -> ShuffleDiagram:
     """The columns and spans of the lax shuffle decomposition of [1]⊗T.
@@ -245,10 +212,13 @@ def lax_shuffle_diagram(t: ThetaCell) -> ShuffleDiagram:
                                      _o_embedding(t, j, cyl), o_cell(t, j)))
     spans = []
     for k in range(1, t.width + 1):
+        # the span legs into O_{k-1} and O_k are the inner faces d^k of those cells
+        before = inner_face(o_cell(t, k - 1), k, "before")
+        after = inner_face(o_cell(t, k), k, "after")
         spans.append(ShuffleSpan(k, "upper", 2 * k - 2, 2 * k - 1,
-                                 lambda_map(o_leg(t, k, "before")), m_end_leg(t, k, 1)))
+                                 lambda_map(before), m_end_leg(t, k, 1)))
         spans.append(ShuffleSpan(k, "lower", 2 * k, 2 * k - 1,
-                                 lambda_map(o_leg(t, k, "after")), m_end_leg(t, k, 0)))
+                                 lambda_map(after), m_end_leg(t, k, 0)))
     return ShuffleDiagram(t, cyl, columns, spans)
 
 
@@ -269,6 +239,11 @@ def shuffle_dot(t: ThetaCell) -> str:
 # ---------------------------------------------------------------------------
 # gluing verification
 # ---------------------------------------------------------------------------
+
+def _basis_indices(K: DAComplex) -> dict:
+    """Per degree, the position of each generator in the basis of K."""
+    return {d: {g: i for i, g in enumerate(K.basis(d))} for d in range(K.top_degree + 1)}
+
 
 def _image_rows(embed: DAMorphism, degree: int, basis_index: dict):
     rows = []
@@ -307,7 +282,7 @@ def verify_gluing(t: ThetaCell) -> GluingReport:
     diag = lax_shuffle_diagram(t)
     report = GluingReport(t)
     cyl = diag.cyl
-    bases = {d: {g: i for i, g in enumerate(cyl.basis(d))} for d in range(cyl.top_degree + 1)}
+    bases = _basis_indices(cyl)
 
     for c in diag.columns:
         ok = True
@@ -323,14 +298,12 @@ def verify_gluing(t: ThetaCell) -> GluingReport:
             rows.extend(_image_rows(c.embed, d, bases[d]))
         report.coverage[d] = intlin.spans_all(rows, len(bases[d]))
 
-    span_complex = lambda_cell(t)
     for s in diag.spans:
         col_o = diag.columns[s.o_index]
         col_m = diag.columns[s.m_index]
         via_o = s.leg_o.then(col_o.embed)
         via_m = s.leg_m.then(col_m.embed)
-        commutes = all(via_o.images[g] == via_m.images[g]
-                       for row in span_complex.degrees for g in row)
+        commutes = morphisms_agree(via_o, via_m)
         pullback = True
         for d in range(cyl.top_degree + 1):
             width = len(bases[d])
@@ -356,7 +329,7 @@ def verify_globular_preservation(t: ThetaCell) -> bool:
     in the cylinders over the meet globes."""
     dec = globular_sum(t)
     cyl = cylinder_complex(t)
-    bases = {d: {g: i for i, g in enumerate(cyl.basis(d))} for d in range(cyl.top_degree + 1)}
+    bases = _basis_indices(cyl)
     pieces = [cylinder_map(leaf_inclusion(t, i)) for i in range(len(dec.leaf_dims))]
     meets = [cylinder_map(meet_inclusion(t, g)) for g in range(len(dec.meet_dims))]
 
@@ -385,37 +358,25 @@ def verify_globular_preservation(t: ThetaCell) -> bool:
 
 @dataclass
 class HyperfaceCylinderReport:
-    face: Hyperface
     column_results: list
     agree: bool
-    steiner: DAMorphism
 
 
 def _column_map_matches(src_col: ShuffleColumn, tgt_col: ShuffleColumn,
                         col_map: DAMorphism, steiner: DAMorphism) -> bool:
-    via_diagram = col_map.then(tgt_col.embed)
-    via_steiner = src_col.embed.then(steiner)
-    return all(via_diagram.images[g] == via_steiner.images[g]
-               for row in src_col.complex.degrees for g in row)
+    return morphisms_agree(src_col.embed.then(steiner), col_map.then(tgt_col.embed))
 
 
-def _factors_through(src_col: ShuffleColumn, tgt_cols, steiner: DAMorphism,
-                     cyl_tgt: DAComplex) -> bool:
+def _factors_through(src_col: ShuffleColumn, tgt_cols, steiner: DAMorphism) -> bool:
     via_steiner = src_col.embed.then(steiner)
-    bases = {d: {g: i for i, g in enumerate(cyl_tgt.basis(d))}
-             for d in range(cyl_tgt.top_degree + 1)}
+    bases = _basis_indices(steiner.target)
     for d in range(src_col.complex.top_degree + 1):
-        width = len(bases[d])
         rows = []
         for c in tgt_cols:
             rows.extend(_image_rows(c.embed, d, bases[d]))
-        h = intlin.hnf(rows, width)
-        for g in src_col.complex.basis(d):
-            vec = [0] * width
-            for hname, cc in via_steiner.images[g].items():
-                vec[bases[d][hname]] = cc
-            if not intlin.in_span(h, tuple(vec)):
-                return False
+        h = intlin.hnf(rows, len(bases[d]))
+        if not all(intlin.in_span(h, v) for v in _image_rows(via_steiner, d, bases[d])):
+            return False
     return True
 
 
@@ -549,6 +510,6 @@ def hyperface_cylinder(face: Hyperface) -> HyperfaceCylinderReport:
             ok = _column_map_matches(col_s, col_t, m, steiner)
             results.append({"column": f"{col_s.kind}{col_s.index}", "mode": "exact", "ok": ok})
         else:
-            ok = _factors_through(col_s, col_t, steiner, tgt.cyl)
+            ok = _factors_through(col_s, col_t, steiner)
             results.append({"column": f"{col_s.kind}{col_s.index}", "mode": "span", "ok": ok})
-    return HyperfaceCylinderReport(face, results, all(r["ok"] for r in results), steiner)
+    return HyperfaceCylinderReport(results, all(r["ok"] for r in results))

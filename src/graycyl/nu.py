@@ -357,11 +357,6 @@ def check_functors(Fs, max_dim: int):
     return reports
 
 
-def check_functor(F: OmegaFunctor, max_dim: int):
-    """List of violations of boundary/identity/composition preservation."""
-    return check_functors((F,), max_dim)[0]
-
-
 def skeleton_dot(view: NuView, name: str = "skeleton") -> str:
     """0/1/2-skeleton: nodes are 0-cells, edges nondegenerate 1-cells,
     one comment line per nondegenerate 2-cell."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .theta import ThetaCell, ThetaMorphism, gamma_image
+from .theta import ThetaCell
 
 
 class PRExpr:
@@ -29,19 +29,6 @@ class Empty(PRExpr):
 class Point(PRExpr):
     def __str__(self):
         return "x"
-
-
-@dataclass(frozen=True)
-class Interval(PRExpr):
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("interval needs lo <= hi")
-
-    def __str__(self):
-        return f"[{self.lo},{self.hi}]"
 
 
 @dataclass(frozen=True)
@@ -174,11 +161,6 @@ def _count(expr: PRExpr, d: int) -> int:
         return 0
     if isinstance(expr, Point):
         return 1
-    if isinstance(expr, Interval):
-        n = expr.hi - expr.lo
-        if d == 0:
-            return n + 1
-        return (n + 2) * (n + 1) // 2
     if isinstance(expr, Cell):
         return theta_count(expr.cell, d)
     if isinstance(expr, Product):
@@ -207,91 +189,3 @@ def pr_count(cells_or_expr, d: int) -> int:
         return _count(cells_or_expr, d)
     return _count(pr(cells_or_expr), d)
 
-
-# ---------------------------------------------------------------------------
-# the cylinder functor on morphisms, reduced to the simplex-over-simplex case
-# ---------------------------------------------------------------------------
-
-def _is_simplex(t: ThetaCell) -> bool:
-    return all(c.width == 0 for c in t.children)
-
-
-@dataclass(frozen=True)
-class PRHomMapCase:
-    """One (i, j) factor of a hom map: the target case entry plus the
-    vertex images of the restricted component."""
-    i: int
-    j: int
-    kind: str            # "interval" | "point" | "empty"
-    lo: int = 0
-    hi: int = 0
-    vertex_images: tuple = ()
-
-
-@dataclass(frozen=True)
-class PRHomMap:
-    source: PRExpr
-    target: PRExpr
-    cases: tuple
-
-
-@dataclass(frozen=True)
-class PRMorphism:
-    """Object and hom data of PR(f; g, <x,z>)."""
-    f: ThetaMorphism
-    x: int
-    z: int
-    object_map: dict      # (level, coords) -> tuple over i of (level_i, coords_i)
-    hom_maps: dict        # (src_obj, tgt_obj) -> PRHomMap
-
-
-def pr_morphism(f: ThetaMorphism, segment_range) -> PRMorphism:
-    """The enriched functor PR((T_i)_{i in <x,z>}) -> prod_i PR((S_j)_{j in F(f)(i)})
-    for a morphism of simplex-over-simplex cells."""
-    x, z = segment_range
-    src_cells = f.source.children[x:z]
-    if not all(_is_simplex(c) for c in src_cells):
-        raise ValueError("recursion bottoms out at simplex children")
-    fimg = gamma_image(f.base)
-
-    def clamp(p, i):
-        return max(i - 1, min(i, p))
-
-    idx = list(range(x + 1, z + 1))
-
-    object_map = {}
-    for (level, coords) in sorted(pr_objects(src_cells)):
-        per_i = []
-        for pos, i in enumerate(idx):
-            lvl = f.base(clamp(x + level, i))
-            imgs = tuple(f.component(i, j).base(coords[pos]) for j in fimg[i])
-            per_i.append((lvl, imgs))
-        object_map[(level, coords)] = tuple(per_i)
-
-    hom_maps = {}
-    objs = sorted(pr_objects(src_cells))
-    for src in objs:
-        for tgt in objs:
-            (b, avec), (d, cvec) = src, tgt
-            if b > d or any(a > c for a, c in zip(avec, cvec)):
-                continue
-            src_factors = []
-            cases = []
-            for pos, i in enumerate(idx):
-                a, c = avec[pos], cvec[pos]
-                crossed = (x + b) < i <= (x + d)
-                src_factors.append(Interval(a, c) if crossed else POINT_EXPR)
-                lvl_b = f.base(clamp(x + b, i))
-                lvl_d = f.base(clamp(x + d, i))
-                for j in fimg[i]:
-                    g = f.component(i, j).base
-                    if lvl_b < j <= lvl_d:
-                        cases.append(PRHomMapCase(i, j, "interval", g(a), g(c),
-                                                  tuple(g(v) for v in range(a, c + 1))))
-                    else:
-                        cases.append(PRHomMapCase(i, j, "point"))
-            tgt_expr = product(
-                Interval(cs.lo, cs.hi) if cs.kind == "interval" else POINT_EXPR
-                for cs in cases)
-            hom_maps[(src, tgt)] = PRHomMap(product(src_factors), tgt_expr, tuple(cases))
-    return PRMorphism(f, x, z, object_map, hom_maps)

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dac import (DAMorphism, identity_morphism, lambda_cell, lambda_map,
-                  point_complex, wreath_morphism)
+                  morphisms_agree, point_complex, wreath_morphism)
 from .gray import (H, L, R, cylinder_complex, endpoint_inclusion, gray_cylinder,
-                   interval, lax_shuffle_diagram, o_cell)
+                   interval, lax_shuffle_diagram)
 from .nu import DEFAULT_CEILING, NuView, OmegaFunctor, check_functors, nu_functor
 from .theta import (POINT, SimplicialMap, ThetaCell, cell, coface,
                     codegeneracy, mirror, simplicial_identity, theta_identity,
@@ -149,17 +149,14 @@ def kappa_column_expectations(t: ThetaCell):
             out.append((c, lambda_map(collapse).then(iso), lambda_map(to_t)))
         else:
             k = c.index
-            child = lambda_cell(t.children[k - 1])
             child_cyl = cylinder_complex(t.children[k - 1])
             collapse = DAMorphism(child_cyl, point_complex(), {
                 g: {("o", 0): 1} if child_cyl.degree_of(g) == 0 else {}
                 for row in child_cyl.degrees for g in row})
             p1_exp = wreath_morphism(c.complex, lambda_cell(cell(1)),
                                      split_map(n, k), {(k, 1): collapse}).then(iso)
-            child_p2 = DAMorphism(child_cyl, child, {
-                g: ({g[2]: 1} if interval().degree_of(g[1]) == 0 else {})
-                for row in child_cyl.degrees for g in row})
-            comps = {(i, i): identity_morphism(lambda_cell(cc)) if i != k else child_p2
+            comps = {(i, i): identity_morphism(lambda_cell(cc)) if i != k
+                     else projection_to_cell(cc)
                      for i, cc in enumerate(t.children, start=1)}
             p2_exp = wreath_morphism(c.complex, lambda_cell(t),
                                      simplicial_identity(n), comps)
@@ -256,10 +253,6 @@ class SpanReport:
         }
 
 
-def _morphisms_equal(a: DAMorphism, b: DAMorphism) -> bool:
-    return all(a.images[g] == b.images[g] for row in a.source.degrees for g in row)
-
-
 def verify_span(t: ThetaCell, max_dim: int | None = None,
                 ceiling: int = DEFAULT_CEILING,
                 bundle: SpanBundle | None = None) -> SpanReport:
@@ -269,12 +262,12 @@ def verify_span(t: ThetaCell, max_dim: int | None = None,
     report.kappa_functor = p1_report + p2_report
 
     for col, p1_exp, p2_exp in kappa_column_expectations(t):
-        ok = (_morphisms_equal(col.embed.then(b.p1), p1_exp)
-              and _morphisms_equal(col.embed.then(b.p2), p2_exp))
+        ok = (morphisms_agree(col.embed.then(b.p1), p1_exp)
+              and morphisms_agree(col.embed.then(b.p2), p2_exp))
         report.kappa_columns.append((f"{col.kind}{col.index}", ok))
     for col, q_exp in sigma_column_expectations(t):
         report.sigma_columns.append((f"{col.kind}{col.index}",
-                                     _morphisms_equal(col.embed.then(b.q), q_exp)))
+                                     morphisms_agree(col.embed.then(b.q), q_exp)))
 
     # folding diamonds
     e0, e1 = (endpoint_inclusion(t, 0), endpoint_inclusion(t, 1))
@@ -283,7 +276,7 @@ def verify_span(t: ThetaCell, max_dim: int | None = None,
         f = e.then(b.p1)
         const_ok = all(f.images[g] == ({end_gen: 1} if e.source.degree_of(g) == 0 else {})
                        for row in e.source.degrees for g in row)
-        ident_ok = _morphisms_equal(e.then(b.p2), identity_morphism(lambda_cell(t)))
+        ident_ok = morphisms_agree(e.then(b.p2), identity_morphism(lambda_cell(t)))
         kappa_ok = const_ok and ident_ok
         sig = e.then(b.q)
         sigma_ok = all(

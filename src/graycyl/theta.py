@@ -32,9 +32,6 @@ class ThetaCell:
             return 0
         return 1 + max(c.dimension() for c in self.children)
 
-    def node_count(self) -> int:
-        return 1 + sum(c.node_count() for c in self.children)
-
     def objects(self):
         """Vertex set {0..n} of the base simplex."""
         return range(self.width + 1)
@@ -393,7 +390,7 @@ def _outer_face(t: ThetaCell, k: int) -> ThetaMorphism:
     return theta_morphism(src, t, base, comp_map)
 
 
-def _inner_face(t: ThetaCell, k: int, variant: str) -> ThetaMorphism:
+def inner_face(t: ThetaCell, k: int, variant: str) -> ThetaMorphism:
     """d^k with the unit slot at k+1 (variant "after") or k (variant "before")."""
     n = t.width
     drop = k + 1 if variant == "after" else k
@@ -436,9 +433,9 @@ def hyperfaces(t: ThetaCell) -> list[Hyperface]:
         out.append(Hyperface("outer", (n,), _outer_face(t, n)))
     for k in range(1, n):
         if t.children[k] == POINT:
-            out.append(Hyperface("inner", (k, "after"), _inner_face(t, k, "after")))
+            out.append(Hyperface("inner", (k, "after"), inner_face(t, k, "after")))
         if t.children[k - 1] == POINT:
-            out.append(Hyperface("inner", (k, "before"), _inner_face(t, k, "before")))
+            out.append(Hyperface("inner", (k, "before"), inner_face(t, k, "before")))
     return out
 
 
@@ -446,16 +443,23 @@ def hyperfaces(t: ThetaCell) -> list[Hyperface]:
 # leaf and meet globe inclusions (the globular sum realized in Theta)
 # ---------------------------------------------------------------------------
 
+def _leaf_segment(t: ThetaCell, leaf: int):
+    """(s, i, n): the `leaf`-th leaf of t is leaf i of the n leaves of
+    child s."""
+    for s, c in enumerate(t.children, start=1):
+        n = len(globular_sum(c).leaf_dims)
+        if leaf < n:
+            return s, leaf, n
+        leaf -= n
+    raise IndexError("leaf index out of range")
+
+
 def leaf_inclusion(t: ThetaCell, leaf: int) -> ThetaMorphism:
     """The inclusion of the `leaf`-th leaf globe into t."""
     if t.width == 0:
         return theta_identity(t)
-    counts = [len(globular_sum(c).leaf_dims) for c in t.children]
-    s, acc = 1, 0
-    while acc + counts[s - 1] <= leaf:
-        acc += counts[s - 1]
-        s += 1
-    inner = leaf_inclusion(t.children[s - 1], leaf - acc)
+    s, i, _ = _leaf_segment(t, leaf)
+    inner = leaf_inclusion(t.children[s - 1], i)
     base = SimplicialMap(1, t.width, (s - 1, s))
     return theta_morphism(ThetaCell((inner.source,)), t, base, {(1, s): inner})
 
@@ -464,15 +468,11 @@ def meet_inclusion(t: ThetaCell, gap: int) -> ThetaMorphism:
     """The inclusion of the meet globe between leaves gap and gap+1."""
     if t.width == 0:
         raise ValueError("a point has no meets")
-    counts = [len(globular_sum(c).leaf_dims) for c in t.children]
-    s, acc = 1, 0
-    while acc + counts[s - 1] <= gap:
-        acc += counts[s - 1]
-        s += 1
-    if acc + counts[s - 1] == gap + 1:
+    s, i, n = _leaf_segment(t, gap)
+    if i == n - 1:
         # the meet sits between segment s and s+1: the shared object
         return vertex(t, s)
-    inner = meet_inclusion(t.children[s - 1], gap - acc)
+    inner = meet_inclusion(t.children[s - 1], i)
     base = SimplicialMap(1, t.width, (s - 1, s))
     return theta_morphism(ThetaCell((inner.source,)), t, base, {(1, s): inner})
 

@@ -5,12 +5,12 @@ import pytest
 from graycyl import dac, gray
 from graycyl.dac import DAMorphism, lambda_cell, lambda_map
 from graycyl.gray import (cylinder_complex, cylinder_map, endpoint_inclusion,
-                          endpoints, gray_cylinder, hyperface_cylinder,
-                          interval, lax_shuffle_diagram, shuffle_dot,
-                          verify_gluing, verify_globular_preservation)
-from graycyl.nu import NuView, check_functor
+                          gray_cylinder, hyperface_cylinder, interval,
+                          lax_shuffle_diagram, shuffle_dot, verify_gluing,
+                          verify_globular_preservation)
+from graycyl.nu import NuView, check_functors, nu_functor
 from graycyl.theta import (cell, cells_up_to, globe, hyperfaces, parse_cell,
-                           theta_identity)
+                           parse_morphism, theta_identity)
 
 
 class TestGrayCylinder:
@@ -35,16 +35,24 @@ class TestGrayCylinder:
             assert len(view.cells(0)) == 2 * (t.width + 1)
 
 
+def end_functors(t):
+    """The end inclusions T -> [1]⊗T at vertex 0 and 1, on tables."""
+    max_dim = t.dimension() + 1
+    src, tgt = NuView(lambda_cell(t), max_dim), gray_cylinder(t, max_dim)
+    return tuple(nu_functor(endpoint_inclusion(t, eps), max_dim,
+                            source_view=src, target_view=tgt) for eps in (0, 1))
+
+
 class TestEndpoints:
     def test_point(self):
-        e0, e1 = endpoints(parse_cell("[0]"))
+        e0, e1 = end_functors(parse_cell("[0]"))
         zero = e0.source_view.cells(0)[0]
         assert e0(zero) != e1(zero)
 
     def test_disjoint_images(self):
         for s in ("[1]", "[2]", "G2", "[1]([1])", "[2]([1],[0])"):
             t = parse_cell(s)
-            e0, e1 = endpoints(t)
+            e0, e1 = end_functors(t)
             for d in range(t.dimension() + 1):
                 img0 = {e0(c) for c in e0.source_view.cells(d)}
                 img1 = {e1(c) for c in e1.source_view.cells(d)}
@@ -52,9 +60,9 @@ class TestEndpoints:
 
     def test_functorial(self):
         t = parse_cell("[1]([1])")
-        e0, e1 = endpoints(t)
-        assert not check_functor(e0, t.dimension() + 1)
-        assert not check_functor(e1, t.dimension() + 1)
+        e0, e1 = end_functors(t)
+        assert not check_functors((e0,), t.dimension() + 1)[0]
+        assert not check_functors((e1,), t.dimension() + 1)[0]
 
     def test_factorization_through_outer_pieces(self):
         # the 0-end sits in the unit-last piece, the 1-end in the unit-first
@@ -249,6 +257,22 @@ class TestOneCylinderBuilder:
         assert calls and len(calls) == cylinder_complex.cache_info().misses
         f = faces[0].map
         assert cylinder_map(f).source is cylinder_complex(f.source)
+
+    def test_cylinder_map_on_objects_and_edges(self):
+        f = parse_morphism({
+            "source": "[1]([2])", "target": "[2]([1],[1])", "base": [0, 2],
+            "components": {"1,1": {"base": [0, 1, 1]}, "1,2": {"base": [0, 0, 1]}}})
+        steiner = cylinder_map(f)
+        # the crossing 1-cells h⊗o_p go to h⊗o_f(p)
+        for p in (0, 1):
+            img = steiner.apply({("t", "v1", ("o", p)): 1})
+            assert img == {("t", "v1", ("o", f.base(p))): 1}
+        # the lane edges b0⊗(1|o_a) go to the path through the component images
+        for a in range(f.source.children[0].width + 1):
+            img = steiner.apply({("t", "b0", ("s", 1, ("o", a))): 1})
+            want = {("t", "b0", ("s", j, ("o", comp.base(a)))): 1
+                    for (i, j), comp in f.components}
+            assert img == want
 
 
 class TestPerturbedInputsFail:

@@ -3,7 +3,7 @@ import pytest
 from graycyl.dac import (DAComplex, DAMorphism, atom, identity_morphism,
                          lambda_cell, lambda_globe, lambda_map, tensor)
 from graycyl.nu import (EnumerationError, NuCell, NuView, OmegaFunctor,
-                        TableError, check_functor, check_functors,
+                        TableError, check_functors,
                         enumerate_cells, make_cell, nu_boundary, nu_composable,
                         nu_compose, nu_functor, nu_identity, search_tables)
 from graycyl.theta import (cell, coface, globe, hyperfaces, parse_cell,
@@ -192,7 +192,7 @@ class TestFunctors:
     def test_identity_functor(self):
         view = NuView(SQ, 2)
         f = nu_functor(identity_morphism(SQ), 2, source_view=view, target_view=view)
-        assert not check_functor(f, 2)
+        assert not check_functors((f,), 2)[0]
 
     def test_long_edge_image(self):
         comp = {(1, 1): theta_identity(parse_cell("[0]")),
@@ -216,7 +216,7 @@ class TestFunctors:
     def test_hyperfaces_of_two_simplex_pass(self):
         for face in hyperfaces(cell(2)):
             F = nu_functor(lambda_map(face.map), 2)
-            assert not check_functor(F, 2)
+            assert not check_functors((F,), 2)[0]
 
     def test_corrupted_map_detected(self):
         view = NuView(SQ, 2)
@@ -227,7 +227,7 @@ class TestFunctors:
             return c if c.dim == 0 else nu_identity(bad(nu_boundary(c)[0]))
 
         F = OmegaFunctor(view, view, bad)
-        assert check_functor(F, 1)
+        assert check_functors((F,), 1)[0]
 
     def test_swapped_diagonals_break_composition(self):
         # the two diagonals of the square have the same source and target,
@@ -240,7 +240,7 @@ class TestFunctors:
         assert nu_boundary(lower) == nu_boundary(upper)
         swap = {lower: upper, upper: lower}
         F = OmegaFunctor(view, view, lambda c: swap.get(c, c))
-        report = check_functor(F, 1)
+        report = check_functors((F,), 1)[0]
         assert report and all(v[0] == "compose" for v in report)
 
 
@@ -285,8 +285,8 @@ class TestSharedFunctorCheck:
         good = nu_functor(identity_morphism(SQ), 2, source_view=view, target_view=view)
         bad = OmegaFunctor(view, view, lambda c: nu_identity(nu_boundary(c)[0])
                            if c.dim == 1 and not c.is_identity else c)
-        bad_alone = check_functor(bad, 2)
-        assert bad_alone and check_functor(good, 2) == []
+        bad_alone = check_functors((bad,), 2)[0]
+        assert bad_alone and check_functors((good,), 2)[0] == []
         assert check_functors([good, bad], 2) == [[], bad_alone]
         assert check_functors([bad, good], 2) == [bad_alone, []]
 

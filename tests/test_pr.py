@@ -1,12 +1,10 @@
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graycyl.gray import gray_cylinder
-from graycyl.pr import (EMPTY, POINT_EXPR, Cell, Interval, Product, hom_cell,
-                        pr, pr_count, pr_hom, pr_morphism, pr_objects,
-                        product, theta_count)
-from graycyl.theta import cell, cells_up_to, parse_cell, parse_morphism
+from graycyl.pr import (EMPTY, POINT_EXPR, Cell, Product, hom_cell, pr,
+                        pr_count, pr_hom, pr_objects, product, theta_count)
+from graycyl.theta import cells_up_to, parse_cell
 
 
 ONE = parse_cell("[1]")
@@ -77,13 +75,9 @@ class TestExpressions:
     def test_empty_absorbs(self):
         assert product([Cell(ONE), EMPTY]) is EMPTY
 
-    def test_interval_requires_order(self):
-        with pytest.raises(ValueError):
-            Interval(2, 1)
-
     def test_pretty_printer(self):
-        e = product([Interval(0, 1), pr([ONE, TWO])])
-        assert str(e) == "[0,1]*PR([1],[2])"
+        e = product([Cell(TWO), pr([ONE, TWO])])
+        assert str(e) == "[2]*PR([1],[2])"
         assert str(POINT_EXPR) == "x"
 
 
@@ -153,75 +147,3 @@ class TestCounting:
                 h = pr_hom([t], src, tgt)
                 assert (h is EMPTY) == (dec_level or dec_coord)
 
-
-class TestMorphism:
-    def running_example(self):
-        return parse_morphism({
-            "source": "[1]([2])", "target": "[2]([1],[1])", "base": [0, 2],
-            "components": {"1,1": {"base": [0, 1, 1]}, "1,2": {"base": [0, 0, 1]}}})
-
-    def test_object_map(self):
-        m = pr_morphism(self.running_example(), (0, 1))
-        # (level, coords) -> per-factor (level, coords); the single factor is
-        # the cylinder functor's object action d^1 x (s^1, s^0)
-        assert m.object_map[(0, (0,))] == (((0, (0, 0)),))
-        assert m.object_map[(1, (1,))] == (((2, (1, 0)),))
-        assert m.object_map[(1, (2,))] == (((2, (1, 1)),))
-
-    def test_hom_map_lower_triangle(self):
-        m = pr_morphism(self.running_example(), (0, 1))
-        hm = m.hom_maps[((0, (0,)), (1, (1,)))]
-        assert hm.source == Interval(0, 1)
-        assert hm.target == Product((Interval(0, 1), Interval(0, 0)))
-        assert [c.vertex_images for c in hm.cases] == [(0, 1), (0, 0)]
-
-    def test_hom_map_upper_triangle(self):
-        m = pr_morphism(self.running_example(), (0, 1))
-        hm = m.hom_maps[((0, (1,)), (1, (2,)))]
-        assert hm.source == Interval(1, 2)
-        assert hm.target == Product((Interval(1, 1), Interval(0, 1)))
-        assert [c.vertex_images for c in hm.cases] == [(1, 1), (0, 1)]
-
-    def test_hom_map_long_diagonal(self):
-        m = pr_morphism(self.running_example(), (0, 1))
-        hm = m.hom_maps[((0, (0,)), (1, (2,)))]
-        assert hm.source == Interval(0, 2)
-        assert hm.target == Product((Interval(0, 1), Interval(0, 1)))
-        assert [c.vertex_images for c in hm.cases] == [(0, 1, 1), (0, 0, 1)]
-
-    def test_identity(self):
-        from graycyl.theta import theta_identity
-        t = parse_cell("[1]([2])")
-        m = pr_morphism(theta_identity(t), (0, 1))
-        for obj, img in m.object_map.items():
-            assert img == ((obj),) or img == (obj,)
-        hm = m.hom_maps[((0, (0,)), (1, (2,)))]
-        assert hm.source == hm.target
-
-    def test_matches_steiner_on_objects_and_edges(self):
-        # translate table 1-cells through the crossing/lane description
-        from graycyl.gray import cylinder_map
-        f = self.running_example()
-        m = pr_morphism(f, (0, 1))
-        steiner = cylinder_map(f)
-        src_child = f.source.children[0]
-        # crossing 1-cells h(x)o_p with lane choices in each crossed segment
-        for p in (0, 1):
-            for lane in range(src_child.width + 1):
-                vec = {("t", "v1", ("o", p)): 1}
-                img = steiner.apply(vec)
-                lvl = f.base(p)
-                assert img == {("t", "v1", ("o", lvl)): 1}
-        # lane edges b0(x)(s,1,(o,a)) map to composite paths per the object map
-        for a in range(src_child.width + 1):
-            vec = {("t", "b0", ("s", 1, ("o", a))): 1}
-            img = steiner.apply(vec)
-            want = {}
-            for (i, j), comp in f.components:
-                want[("t", "b0", ("s", j, ("o", comp.base(a))))] = 1
-            assert img == want
-
-    def test_requires_simplex_children(self):
-        from graycyl.theta import theta_identity
-        with pytest.raises(ValueError):
-            pr_morphism(theta_identity(parse_cell("[1]([1]([1]))")), (0, 1))

@@ -2,7 +2,7 @@ import pytest
 
 from graycyl.dac import DAMorphism, MorphismError, lambda_cell
 from graycyl.gray import H, L, cylinder_complex
-from graycyl.nu import OmegaFunctor, check_functor
+from graycyl.nu import OmegaFunctor, check_functors
 from graycyl.span import (build_span, mirror_name, shift_map,
                           shift_target_cell, span_dot, split_map, verify_span)
 from graycyl.theta import cell, coface, parse_cell
@@ -113,8 +113,8 @@ class TestVerifySpan:
     def test_functor_checks_run(self):
         b = build_span(parse_cell("[1]([1])"))
         for leg in b.kappa:
-            assert not check_functor(leg, b.max_dim)
-        assert not check_functor(b.sigma, b.max_dim)
+            assert not check_functors((leg,), b.max_dim)[0]
+        assert not check_functors((b.sigma,), b.max_dim)[0]
 
     def test_broken_kappa_leg_fails(self):
         t = parse_cell("[1]([1])")
