@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .dac import lambda_cell
 from .gray import (cylinder_complex, gray_cylinder, hyperface_cylinder,
@@ -72,7 +73,10 @@ def _run_verify(suite: str, t, max_dim, ceiling) -> tuple[bool, dict]:
     return ok, results
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max-dim", type=int, default=None)
     common.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
@@ -94,7 +98,11 @@ def main(argv=None) -> int:
     pe.add_argument("kind", choices=("shuffle", "skeleton", "span"))
     pe.add_argument("cell")
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         t = parse_cell(args.cell)
     except CellSyntaxError as exc:

@@ -175,9 +175,9 @@ def _close(seeds, d: int, ceiling: int) -> set:
             by_start.setdefault(_pair_key(c, j, 0), []).append(c)
             by_end.setdefault(_pair_key(c, j, 1), []).append(c)
             for b in by_start.get(_pair_key(c, j, 1), ()):
-                insert(nu_compose(j, c, b))
+                insert(_compose(j, c, b))
             for a in by_end.get(_pair_key(c, j, 0), ()):
-                insert(nu_compose(j, a, c))
+                insert(_compose(j, a, c))
     return cells
 
 
@@ -312,6 +312,55 @@ def nu_functor(a: DAMorphism, max_dim: int, ceiling: int = DEFAULT_CEILING,
         return out
 
     return OmegaFunctor(src, tgt, apply)
+
+
+def check_entrywise_functors(Fs, max_dim: int):
+    """Per functor built by nu_functor, the list of violations among its
+    cells: ("image", d, c) where F(c) is not a target cell (TableError),
+    ("source"/"target"/"identity", d, c) where F does not preserve them,
+    or has no image at that boundary or identity.
+
+    Composition needs no walk over the composable pairs.  nu_functor maps
+    each entry mask m to image(m), the OR of the images of its generators,
+    and raises TableError when two of them overlap.  For a j-composable
+    pair (a, b), F(a) and F(b) are j-composable, since equal entries have
+    equal images.  F(a *_j b) and F(a) *_j F(b) agree at and below row j;
+    above it both are image(m) | image(n) for disjoint m, n, and both raise
+    exactly when image(m) & image(n) != 0.  And a *_j b is itself a source
+    cell, since the closure is closed under *_j, so this pass applies F to
+    it: the pair walk of check_functors could report nothing that this pass
+    has not already reported."""
+    if not Fs or any(F.source_view is not Fs[0].source_view for F in Fs):
+        raise ValueError("check_entrywise_functors needs functors out of one source view")
+    src = Fs[0].source_view
+    reports = [[] for _ in Fs]
+    top = min(max_dim, src.max_dim)
+
+    def image(F, c):
+        try:
+            return F(c)
+        except TableError:
+            return None
+
+    for d in range(top + 1):
+        for c in src.layers[d]:
+            if d > 0:
+                src_c, tgt_c = nu_boundary(c)
+            ident = nu_identity(c) if d < top else None
+            for F, report in zip(Fs, reports):
+                fc = image(F, c)
+                if fc is None:
+                    report.append(("image", d, c))
+                    continue
+                if d > 0:
+                    src_fc, tgt_fc = nu_boundary(fc)
+                    if image(F, src_c) != src_fc:
+                        report.append(("source", d, c))
+                    if image(F, tgt_c) != tgt_fc:
+                        report.append(("target", d, c))
+                if ident is not None and image(F, ident) != nu_identity(fc):
+                    report.append(("identity", d, c))
+    return reports
 
 
 def check_functors(Fs, max_dim: int):

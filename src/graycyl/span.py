@@ -17,7 +17,8 @@ from .dac import (DAMorphism, identity_morphism, lambda_cell, lambda_map,
                   morphisms_agree, point_complex, wreath_morphism)
 from .gray import (H, L, R, cylinder_complex, endpoint_inclusion, gray_cylinder,
                    interval, lax_shuffle_diagram)
-from .nu import DEFAULT_CEILING, NuView, OmegaFunctor, check_functors, nu_functor
+from .nu import (DEFAULT_CEILING, NuView, OmegaFunctor, check_entrywise_functors,
+                 nu_functor)
 from .theta import (POINT, SimplicialMap, ThetaCell, cell, coface,
                     codegeneracy, mirror, simplicial_identity, theta_identity,
                     theta_morphism)
@@ -258,7 +259,8 @@ def verify_span(t: ThetaCell, max_dim: int | None = None,
                 bundle: SpanBundle | None = None) -> SpanReport:
     b = bundle or build_span(t, max_dim, ceiling)
     report = SpanReport(t)
-    p1_report, p2_report, report.sigma_functor = check_functors((*b.kappa, b.sigma), b.max_dim)
+    p1_report, p2_report, report.sigma_functor = check_entrywise_functors(
+        (*b.kappa, b.sigma), b.max_dim)
     report.kappa_functor = p1_report + p2_report
 
     for col, p1_exp, p2_exp in kappa_column_expectations(t):

@@ -97,6 +97,29 @@ class TestSubcommands:
         assert out.read_text().startswith("digraph shuffle")
 
 
+class TestRepeatedMain:
+    SEQUENCE = [
+        ["counts", "[1]", "--max-dim", "2"],
+        ["verify", "nosuch", "[1]"],          # argparse rejects it: exit 2
+        ["counts", "[1]", "--format", "text"],
+        ["decompose", "[2]([1]"],              # cell syntax error: exit 2
+        ["span", "[1]([1])"],
+        ["counts", "[1]"],                     # no --max-dim or --format carried over
+    ]
+
+    def test_one_process_matches_separate_runs(self, capsys):
+        in_process = []
+        for args in self.SEQUENCE:
+            try:
+                code = main(args)
+            except SystemExit as exc:
+                code = exc.code
+            in_process.append((code, capsys.readouterr().out))
+        separate = [run_cli(args)[:2] for args in self.SEQUENCE]
+        assert in_process == separate
+        assert [code for code, _ in separate] == [0, 2, 0, 2, 0, 0]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("args", [
         ["counts", "[1]([1])"],

@@ -23,6 +23,8 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 ORACLES = {
     "nu.search_tables": "exhaustive table search, the oracle of the closure",
     "nu.make_cell": "validating table constructor, builds tables the closure must find",
+    "nu.nu_compose": "checked composition for hand-built cells",
+    "nu.check_functors": "all-pairs functor check, the oracle of check_entrywise_functors",
     "dac.find_isomorphism": "compares the globular-sum amalgamation with lambda_cell",
     "dac.amalgamation_over_globular_sum": "the complex of a cell built from its globular sum",
     "theta.reconstruct": "inverse of globular_sum, round-trips the decomposition",

@@ -204,6 +204,11 @@ class TestHyperfaceCylinder:
             for f in hyperfaces(parse_cell(s)):
                 assert hyperface_cylinder(f).agree, (s, f.kind, f.position)
 
+    def test_corpus_up_to_seven_nodes(self):
+        for t in cells_up_to(7):
+            for f in hyperfaces(t):
+                assert hyperface_cylinder(f).agree, (str(t), f.kind, f.position)
+
     def test_steiner_functoriality(self):
         t = parse_cell("[2]([1],[0])")
         for face in hyperfaces(t):

@@ -1,11 +1,24 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graycyl.dac import DAMorphism, MorphismError, lambda_cell
 from graycyl.gray import H, L, cylinder_complex
-from graycyl.nu import OmegaFunctor, check_functors
+from graycyl.nu import (OmegaFunctor, TableError, check_entrywise_functors,
+                        check_functors, nu_functor)
 from graycyl.span import (build_span, mirror_name, shift_map,
                           shift_target_cell, span_dot, split_map, verify_span)
-from graycyl.theta import cell, coface, parse_cell
+from graycyl.theta import cell, cells_up_to, cells_with_nodes, coface, parse_cell
+
+
+def swapped_ends(q: DAMorphism) -> DAMorphism:
+    """q with the two objects of its target exchanged: not a chain map."""
+    ends = {("o", 0): ("o", 1), ("o", 1): ("o", 0)}
+    return DAMorphism(q.source, q.target,
+                      {g: {ends.get(h, h): c for h, c in img.items()}
+                       for g, img in q.images.items()})
 
 
 class TestSplitMap:
@@ -79,10 +92,14 @@ class TestVerifySpan:
             assert verify_span(parse_cell(s)).passed
 
     def test_corpus_up_to_six_nodes(self):
-        from graycyl.theta import cells_up_to
         for t in cells_up_to(6):
             budget = min(t.dimension() + 1, 4)
             assert verify_span(t, max_dim=budget).passed, str(t)
+
+    @given(st.sampled_from(cells_with_nodes(7)))
+    @settings(max_examples=20, deadline=None)
+    def test_seven_node_sample(self, t):
+        assert verify_span(t, max_dim=min(t.dimension() + 1, 4)).passed, str(t)
 
     def test_kappa_object_bijection(self):
         t = parse_cell("[2]([1],[0])")
@@ -92,29 +109,34 @@ class TestVerifySpan:
         assert len(images) == 2 * (t.width + 1)
 
     def test_mutated_sigma_fails(self):
+        with pytest.raises(MorphismError):
+            swapped_ends(build_span(cell(2)).q).validate()
+
+    def test_image_violation_is_reported(self):
         t = cell(2)
         b = build_span(t)
-        q = b.q
-        swapped = {}
-        for g, img in q.images.items():
-            out = {}
-            for h, c in img.items():
-                if h == ("o", 0):
-                    out[("o", 1)] = c
-                elif h == ("o", 1):
-                    out[("o", 0)] = c
-                else:
-                    out[h] = c
-            swapped[g] = out
-        bad = DAMorphism(q.source, q.target, swapped)
-        with pytest.raises(MorphismError):
-            bad.validate()
+        b.sigma = nu_functor(swapped_ends(b.q), b.max_dim, source_view=b.cyl_view)
+        rep = verify_span(t, bundle=b)
+        assert not rep.passed and not rep.kappa_functor
+        assert rep.sigma_functor and rep.sigma_functor[0][0] == "image"
+        assert rep.to_json()["sigma_functor_violations"] == len(rep.sigma_functor)
 
     def test_functor_checks_run(self):
         b = build_span(parse_cell("[1]([1])"))
         for leg in b.kappa:
             assert not check_functors((leg,), b.max_dim)[0]
         assert not check_functors((b.sigma,), b.max_dim)[0]
+
+    def test_coefficient_two_is_an_image_violation(self):
+        b = build_span(cell(1))
+        doubled = DAMorphism(b.q.source, b.q.target,
+                             {g: {h: 2 * c for h, c in img.items()}
+                              for g, img in b.q.images.items()})
+        F = nu_functor(doubled, b.max_dim, source_view=b.cyl_view)
+        report = check_entrywise_functors((F,), b.max_dim)[0]
+        assert report and {v[0] for v in report} == {"image"}
+        with pytest.raises(TableError):
+            check_functors((F,), b.max_dim)
 
     def test_broken_kappa_leg_fails(self):
         t = parse_cell("[1]([1])")
@@ -129,3 +151,53 @@ class TestVerifySpan:
     def test_dot_colors(self):
         dot = span_dot(cell(1))
         assert "color=green" in dot and "color=red" not in dot
+
+
+class TestEntrywiseCheck:
+    """check_entrywise_functors against the all-pairs oracle check_functors."""
+
+    @staticmethod
+    def both(b):
+        Fs = (*b.kappa, b.sigma)
+        new = check_entrywise_functors(Fs, b.max_dim)
+        try:
+            old = check_functors(Fs, b.max_dim)
+        except TableError:
+            old = None
+        return new, old
+
+    def test_same_violations_up_to_six_nodes(self):
+        for t in cells_up_to(6):
+            b = build_span(t, max_dim=min(t.dimension() + 1, 4))
+            new, old = self.both(b)
+            assert old is not None, str(t)
+            assert [Counter(r) for r in new] == [Counter(r) for r in old], str(t)
+
+    @pytest.mark.parametrize("text", ["[1]", "[2]", "[1]([1])"])
+    def test_oracle_raises_exactly_on_image_violations(self, text):
+        t = parse_cell(text)
+        b = build_span(t)
+        assert self.both(b)[1] is not None
+        b.sigma = nu_functor(swapped_ends(b.q), b.max_dim, source_view=b.cyl_view)
+        new, old = self.both(b)
+        assert old is None
+        assert any(v[0] == "image" for v in new[2])
+        assert not new[0] and not new[1]
+
+    def test_preservation_violations_match_oracle(self):
+        t = parse_cell("[1]([1])")
+        b = build_span(t)
+        to_cell = b.kappa[1]
+        objects = to_cell.target_view.cells(0)
+        swap = dict(zip(objects, reversed(objects)))
+        bad = OmegaFunctor(to_cell.source_view, to_cell.target_view,
+                           lambda c: swap.get(to_cell(c), to_cell(c)))
+        new = check_entrywise_functors((bad,), b.max_dim)[0]
+        old = check_functors((bad,), b.max_dim)[0]
+        assert new and Counter(new) == Counter(old)
+
+    def test_one_source_view_required(self):
+        F = build_span(cell(1)).sigma
+        G = build_span(cell(1)).sigma
+        with pytest.raises(ValueError):
+            check_entrywise_functors([F, G], 1)
