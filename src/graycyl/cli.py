@@ -26,10 +26,17 @@ def _decompose_text(t) -> str:
     return " ".join(parts)
 
 
+class _OutputError(Exception):
+    """The --out file could not be written: bad input, like other flags."""
+
+
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise _OutputError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -119,6 +126,9 @@ def main(argv=None) -> int:
     except EnumerationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except _OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _run(args, t, max_dim) -> int:

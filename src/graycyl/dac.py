@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .theta import (SimplicialMap, ThetaCell, ThetaMorphism, gamma_image,
                     globular_sum)
@@ -71,22 +72,67 @@ def render_name(g) -> str:
     return repr(g)
 
 
-def render_element(x: dict) -> str:
-    if not x:
-        return "0"
-    parts = []
-    for g in sorted(x, key=render_name):
-        c = x[g]
-        parts.append(f"{'' if c == 1 else c}{render_name(g)}" if c > 0 else f"-{'' if c == -1 else -c}{render_name(g)}")
-    return "+".join(parts).replace("+-", "-")
-
-
 # ---------------------------------------------------------------------------
 # complexes
 # ---------------------------------------------------------------------------
 
 class ComplexError(ValueError):
     pass
+
+
+def _bit_positions(mask: int) -> list:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _ranks(keys: list) -> list:
+    """rank[i] = place of keys[i] in sorted order, ties by position."""
+    rank = [0] * len(keys)
+    for r, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+        rank[i] = r
+    return rank
+
+
+def tuple_repr(items: list) -> str:
+    """repr of a tuple whose items have the reprs `items`."""
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
+class EntryText(NamedTuple):
+    """An entry mask as printed.  `key` is the repr of the tuple of its
+    (name, 1) pairs with the names in repr order, `names` the rendered names
+    in that order, `text` the rendered names joined by "+" in rendered
+    order, or "0" for the empty entry."""
+    key: str
+    names: tuple
+    text: str
+
+
+class Rendering:
+    """The printed forms of the generators of one GenIndex, by bit
+    position: each name is rendered once, and each entry mask once."""
+
+    def __init__(self, names):
+        self.text = [render_name(g) for g in names]
+        self.pair = [repr((g, 1)) for g in names]
+        self.repr_rank = _ranks([repr(g) for g in names])
+        self.text_rank = _ranks(self.text)
+        self._entries: dict = {}
+
+    def entry(self, mask: int) -> EntryText:
+        out = self._entries.get(mask)
+        if out is None:
+            bits = _bit_positions(mask)
+            by_repr = sorted(bits, key=self.repr_rank.__getitem__)
+            out = self._entries[mask] = EntryText(
+                tuple_repr([self.pair[i] for i in by_repr]),
+                tuple(self.text[i] for i in by_repr),
+                "+".join(self.text[i] for i in sorted(bits, key=self.text_rank.__getitem__)) or "0")
+        return out
 
 
 class GenIndex:
@@ -97,13 +143,14 @@ class GenIndex:
         self.names = tuple(g for b in degrees for g in b)
         self.bit = {g: 1 << i for i, g in enumerate(self.names)}
 
+    @cached_property
+    def rendering(self) -> Rendering:
+        """Built on first use, so complexes that are never printed pay
+        nothing."""
+        return Rendering(self.names)
+
     def names_of(self, mask: int) -> list:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(self.names[low.bit_length() - 1])
-            mask ^= low
-        return out
+        return [self.names[i] for i in _bit_positions(mask)]
 
 
 @dataclass(frozen=True)
@@ -169,11 +216,16 @@ class DAComplex:
         return tuple(len(b) for b in self.degrees)
 
     def to_json(self) -> dict:
+        """Generator names as gen_index renders them, keys in rendered order."""
+        text = dict(zip(self.gen_index.names, self.gen_index.rendering.text))
+
+        def rendered(x: dict) -> dict:
+            return {text[g]: c for g, c in sorted(x.items(), key=lambda kv: text[kv[0]])}
+
         return {
-            "degrees": [[render_name(g) for g in b] for b in self.degrees],
-            "d": {render_name(g): {render_name(h): c for h, c in sorted(v.items(), key=lambda kv: render_name(kv[0]))}
-                  for g, v in sorted(self.diff.items(), key=lambda kv: render_name(kv[0])) if v},
-            "e": {render_name(g): c for g, c in sorted(self.aug.items(), key=lambda kv: render_name(kv[0]))},
+            "degrees": [[text[g] for g in b] for b in self.degrees],
+            "d": rendered({g: rendered(v) for g, v in self.diff.items() if v}),
+            "e": rendered(self.aug),
         }
 
 

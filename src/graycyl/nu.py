@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 from .dac import (DAComplex, DAMorphism, GenIndex, atom, check_basis, gadd,
-                  gclean, is_nonneg, render_element, render_name)
+                  gclean, is_nonneg, render_name, tuple_repr)
 
 
 class TableError(ValueError):
@@ -53,23 +53,21 @@ class NuCell:
     def is_identity(self) -> bool:
         return self.dim > 0 and self.rows[-1] == (0, 0)
 
-    def sort_key(self):
+    def sort_key(self) -> str:
         """repr of the rows as tuples of (name, 1) pairs, names in repr
-        order.  Cell listings and JSON dumps sort by it and their bytes are
-        pinned, so it must not change."""
-        def pairs(m):
-            return tuple((g, 1) for g in sorted(self.index.names_of(m), key=repr))
-        return repr(tuple((pairs(n), pairs(p)) for n, p in self.rows))
+        order, built from the cached pair reprs.  Cell listings and JSON
+        dumps sort by it and their bytes are pinned, so it must not change."""
+        entry = self.index.rendering.entry
+        return tuple_repr([f"({entry(n).key}, {entry(p).key})" for n, p in self.rows])
 
     def __str__(self) -> str:
-        cols = [f"({render_element(self.entry(k, 0))};{render_element(self.entry(k, 1))})"
-                for k in range(self.dim + 1)]
-        return "[" + " ".join(cols) + "]"
+        entry = self.index.rendering.entry
+        return "[" + " ".join(f"({entry(n).text};{entry(p).text})" for n, p in self.rows) + "]"
 
     def to_json(self):
-        def side(x):
-            return {render_element({g: 1}): c for g, c in sorted(x.items(), key=repr)}
-        return [[side(self.entry(k, 0)), side(self.entry(k, 1))] for k in range(self.dim + 1)]
+        entry = self.index.rendering.entry
+        return [[dict.fromkeys(entry(n).names, 1), dict.fromkeys(entry(p).names, 1)]
+                for n, p in self.rows]
 
 
 def make_cell(K: DAComplex, entries) -> NuCell:

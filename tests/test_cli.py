@@ -96,6 +96,14 @@ class TestSubcommands:
         assert main(["emit", "shuffle", "[2]", "--out", str(out)]) == 0
         assert out.read_text().startswith("digraph shuffle")
 
+    @pytest.mark.parametrize("where", ["missing/x.json", "."])
+    def test_unwritable_out_exit_two(self, tmp_path, where):
+        code, out, err = run_cli(["nu", "[1]", "--out", str(tmp_path / where)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestRepeatedMain:
     SEQUENCE = [
@@ -141,6 +149,12 @@ class TestDeterminism:
          "b5fc8d67517f6821c7acc75076a9f81e7a54f574cac7bed7abfe72aa51204a74"),
         (["nu", "[3]", "--max-dim", "3"],
          "ce765789207511ad8e34aa6e62894f7ef97820330e5a1dbbb9a9566e860e0e02"),
+        (["emit", "skeleton", "[2]([1],[1])"],      # NuCell.__str__
+         "4f866ed04a7c1f25d407d7bafe706b368235e14cc8df16eadff9400ab75ac8e5"),
+        (["gray", "[1]([1])", "--max-dim", "3", "--format", "text"],
+         "07803b8ea868b5f607731b1c75521a721dcb754672e57605a6739dfcc916cd83"),
+        (["tensor", "[2]([1],[0])"],                # DAComplex.to_json
+         "49ca75c258d28ad024bf544c6edb1055f7834f70ff54605b56de9d54a3be21e3"),
     ])
     def test_pinned_output_bytes(self, capsys, args, digest):
         # cell order and rendering of the table dumps are part of the output

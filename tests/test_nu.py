@@ -1,13 +1,19 @@
+import json
+from collections import Counter
+
 import pytest
 
+from graycyl import dac
 from graycyl.dac import (DAComplex, DAMorphism, atom, identity_morphism,
-                         lambda_cell, lambda_globe, lambda_map, tensor)
+                         lambda_cell, lambda_globe, lambda_map, render_name,
+                         tensor)
+from graycyl.gray import cylinder_complex, gray_cylinder
 from graycyl.nu import (EnumerationError, NuCell, NuView, OmegaFunctor,
                         TableError, check_functors,
                         enumerate_cells, make_cell, nu_boundary, nu_composable,
                         nu_compose, nu_functor, nu_identity, search_tables)
-from graycyl.theta import (cell, coface, globe, hyperfaces, parse_cell,
-                           theta_identity, theta_morphism)
+from graycyl.theta import (cell, cells_up_to, coface, globe, hyperfaces,
+                           parse_cell, theta_identity, theta_morphism)
 
 
 def atom_cell(K, g) -> NuCell:
@@ -295,3 +301,110 @@ class TestSharedFunctorCheck:
         G = nu_functor(identity_morphism(SQ), 1)
         with pytest.raises(ValueError):
             check_functors([F, G], 1)
+
+
+# The rendering formulas from before the per-index rendering table, kept
+# here as the oracle of the bytes that table must reproduce.
+
+def legacy_render_element(x: dict) -> str:
+    if not x:
+        return "0"
+    parts = []
+    for g in sorted(x, key=render_name):
+        c = x[g]
+        parts.append(f"{'' if c == 1 else c}{render_name(g)}" if c > 0
+                     else f"-{'' if c == -1 else -c}{render_name(g)}")
+    return "+".join(parts).replace("+-", "-")
+
+
+def legacy_sort_key(c: NuCell) -> str:
+    def pairs(m):
+        return tuple((g, 1) for g in sorted(c.index.names_of(m), key=repr))
+    return repr(tuple((pairs(n), pairs(p)) for n, p in c.rows))
+
+
+def legacy_str(c: NuCell) -> str:
+    cols = [f"({legacy_render_element(c.entry(k, 0))};{legacy_render_element(c.entry(k, 1))})"
+            for k in range(c.dim + 1)]
+    return "[" + " ".join(cols) + "]"
+
+
+def legacy_to_json(c: NuCell):
+    def side(x):
+        return {legacy_render_element({g: 1}): v for g, v in sorted(x.items(), key=repr)}
+    return [[side(c.entry(k, 0)), side(c.entry(k, 1))] for k in range(c.dim + 1)]
+
+
+def legacy_complex_to_json(K: DAComplex) -> dict:
+    def by_name(kv):
+        return render_name(kv[0])
+    return {
+        "degrees": [[render_name(g) for g in b] for b in K.degrees],
+        "d": {render_name(g): {render_name(h): c for h, c in sorted(v.items(), key=by_name)}
+              for g, v in sorted(K.diff.items(), key=by_name) if v},
+        "e": {render_name(g): c for g, c in sorted(K.aug.items(), key=by_name)},
+    }
+
+
+def ordered(data) -> str:
+    """JSON with the dict orders kept, so equal strings mean equal order."""
+    return json.dumps(data, ensure_ascii=False)
+
+
+class TestRenderingTable:
+    @pytest.mark.parametrize("t", cells_up_to(5), ids=str)
+    def test_matches_legacy_formulas(self, t):
+        dim = t.dimension()
+        sizes = Counter()
+        for view in (gray_cylinder(t, dim + 1), NuView(lambda_cell(t), dim + 1)):
+            for d in range(view.max_dim + 1):
+                for c in view.layers[d]:
+                    assert c.sort_key() == legacy_sort_key(c)
+                    assert str(c) == legacy_str(c)
+                    assert ordered(c.to_json()) == ordered(legacy_to_json(c))
+                    sizes.update(len(c.index.names_of(m)) for row in c.rows for m in row)
+        assert sizes[0] and sizes[1]        # empty and one-generator entries
+        for K in (lambda_cell(t), cylinder_complex(t)):
+            assert ordered(K.to_json()) == ordered(legacy_complex_to_json(K))
+
+    def test_repr_and_rendered_orders_kept_apart(self):
+        # "z" comes first in repr order, "2|o0" first in rendered order
+        o = [("o", p) for p in range(3)]
+        z, s = "z", ("s", 2, o[0])
+        K = DAComplex(degrees=(tuple(o), (z, s)),
+                      diff={z: {o[1]: 1, o[0]: -1}, s: {o[2]: 1, o[1]: -1}},
+                      aug=dict.fromkeys(o, 1))
+        c = make_cell(K, [({o[0]: 1}, {o[2]: 1}), ({z: 1, s: 1}, {z: 1, s: 1})])
+        assert str(c) == legacy_str(c) == "[(o0;o2) (2|o0+z;2|o0+z)]"
+        assert c.sort_key() == legacy_sort_key(c)
+        assert ordered(c.to_json()) == ordered(legacy_to_json(c))
+        assert list(c.to_json()[1][0]) == ["z", "2|o0"]
+
+    def test_each_name_rendered_once_per_index(self, monkeypatch):
+        # a complex of its own, so no earlier test has rendered its names
+        K = tensor(IV, lambda_cell(parse_cell("[2]([1],[0])")))
+        view = NuView(K, 3)
+        calls, depth = [], [0]
+        real = dac.render_name
+
+        def counting(g):
+            if not depth[0]:
+                calls.append(g)         # the outermost call of a recursion
+            depth[0] += 1
+            try:
+                return real(g)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(dac, "render_name", counting)
+
+        def dump():
+            return ([[c.to_json() for c in sorted(view.layers[d], key=NuCell.sort_key)]
+                     for d in range(4)],
+                    [str(c) for c in view.cells(2)], K.to_json())
+
+        first = dump()
+        assert Counter(calls) == Counter(K.gen_index.names)
+        calls.clear()
+        assert dump() == first
+        assert calls == []
