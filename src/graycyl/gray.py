@@ -108,7 +108,6 @@ class ShuffleSpan:
 
 @dataclass(frozen=True)
 class ShuffleDiagram:
-    cell: ThetaCell
     cyl: DAComplex
     columns: list
     spans: list
@@ -193,15 +192,6 @@ def lax_shuffle_diagram(t: ThetaCell) -> ShuffleDiagram:
     and read-only.
     """
     cyl = cylinder_complex(t)
-    if t.width == 0:
-        one = cell(1)
-        K = lambda_cell(one)
-        embed = DAMorphism(K, cyl, {
-            ("o", 0): {("t", L, ("o", 0)): 1},
-            ("o", 1): {("t", R, ("o", 0)): 1},
-            ("s", 1, ("o", 0)): {("t", H, ("o", 0)): 1},
-        }).validate()
-        return ShuffleDiagram(t, cyl, [ShuffleColumn("O", 0, K, embed, one)], [])
     # column order O_0, M_1, O_1, ..., M_n, O_n: O_j sits at 2j, M_k at 2k-1
     columns = []
     for j in range(t.width + 1):
@@ -219,7 +209,7 @@ def lax_shuffle_diagram(t: ThetaCell) -> ShuffleDiagram:
                                  lambda_map(before), m_end_leg(t, k, 1)))
         spans.append(ShuffleSpan(k, "lower", 2 * k, 2 * k - 1,
                                  lambda_map(after), m_end_leg(t, k, 0)))
-    return ShuffleDiagram(t, cyl, columns, spans)
+    return ShuffleDiagram(cyl, columns, spans)
 
 
 def shuffle_dot(t: ThetaCell) -> str:
@@ -362,11 +352,6 @@ class HyperfaceCylinderReport:
     agree: bool
 
 
-def _column_map_matches(src_col: ShuffleColumn, tgt_col: ShuffleColumn,
-                        col_map: DAMorphism, steiner: DAMorphism) -> bool:
-    return morphisms_agree(src_col.embed.then(steiner), col_map.then(tgt_col.embed))
-
-
 def _factors_through(src_col: ShuffleColumn, tgt_cols, steiner: DAMorphism) -> bool:
     via_steiner = src_col.embed.then(steiner)
     bases = _basis_indices(steiner.target)
@@ -378,74 +363,6 @@ def _factors_through(src_col: ShuffleColumn, tgt_cols, steiner: DAMorphism) -> b
         if not all(intlin.in_span(h, v) for v in _image_rows(via_steiner, d, bases[d])):
             return False
     return True
-
-
-def _vertical_column_maps(face: Hyperface, src: ShuffleDiagram, tgt: ShuffleDiagram):
-    """(src column, tgt column, map, mode) for a vertical face."""
-    t_src = face.map.source
-    k = face.position[0]
-    nu_child = face.map.component(k, k)
-    out = []
-    for j in range(t_src.width + 1):
-        col_s = src.column("O", j)
-        col_t = tgt.column("O", j)
-        slot = k if k <= j else k + 1
-        comp_map = {(i, i): theta_identity(col_s.cell.children[i - 1])
-                    for i in range(1, col_s.cell.width + 1)}
-        comp_map[(slot, slot)] = nu_child
-        m = theta_morphism(col_s.cell, col_t.cell,
-                           simplicial_identity(col_s.cell.width), comp_map)
-        out.append((col_s, col_t, lambda_map(m), "exact"))
-    for i in range(1, t_src.width + 1):
-        col_s = src.column("M", i)
-        col_t = tgt.column("M", i)
-        comps = {}
-        for q, c in enumerate(t_src.children, start=1):
-            if q == i:
-                comps[(q, q)] = cylinder_map(nu_child if q == k else theta_identity(c))
-            elif q == k:
-                comps[(q, q)] = lambda_map(nu_child)
-            else:
-                comps[(q, q)] = identity_morphism(lambda_cell(c))
-        m = wreath_morphism(col_s.complex, col_t.complex,
-                            simplicial_identity(t_src.width), comps)
-        out.append((col_s, col_t, m, "exact"))
-    return out
-
-
-def _shift_column_maps(face: Hyperface, src: ShuffleDiagram, tgt: ShuffleDiagram):
-    """Column maps for outer and inner horizontal faces.
-
-    Exact triples for all columns except the inner face's own cylinder
-    column, which is claimed to factor through the three adjacent target
-    columns (the product-rule object of the inner-face diagram).
-    """
-    t_src = face.map.source
-    n = t_src.width
-    k = face.position[0] if face.kind == "inner" else None
-    out = []
-    for j in range(n + 1):
-        col_s = src.column("O", j)
-        if face.kind == "outer":
-            jt = j + 1 if face.position[0] == 0 else j
-        else:
-            jt = j if j < k else j + 1
-        col_t = tgt.column("O", jt)
-        m = _face_between_o_cells(face.map, j, jt)
-        out.append((col_s, col_t, lambda_map(m), "exact"))
-    for i in range(1, n + 1):
-        col_s = src.column("M", i)
-        if face.kind == "outer":
-            i2 = i + 1 if face.position[0] == 0 else i
-        elif i != k:
-            i2 = i if i < k else i + 1
-        else:
-            claimed = [tgt.column("M", k), tgt.column("O", k), tgt.column("M", k + 1)]
-            out.append((col_s, claimed, None, "span"))
-            continue
-        out.append((col_s, tgt.column("M", i2),
-                    _face_between_m_columns(face.map, src, tgt, i, i2), "exact"))
-    return out
 
 
 def _face_between_o_cells(f: ThetaMorphism, js: int, jt: int) -> ThetaMorphism:
@@ -490,26 +407,39 @@ def _face_between_m_columns(f: ThetaMorphism, src: ShuffleDiagram, tgt: ShuffleD
     return wreath_morphism(col_s.complex, col_t.complex, f.base, comps)
 
 
+def _column_maps(f: ThetaMorphism, src: ShuffleDiagram, tgt: ShuffleDiagram):
+    """(source column, target column, column map) per source column of the
+    cylinder over f: O_j goes to O_f(j), and M_i to the column over the
+    segment F(f)(i).  An M_i over two segments {k, k+1} (the inner face's
+    own column) has no column map: it is claimed to factor through the
+    target columns [M_k, O_k, M_{k+1}], and its map is None."""
+    for j in range(f.source.width + 1):
+        yield (src.column("O", j), tgt.column("O", f.base(j)),
+               lambda_map(_face_between_o_cells(f, j, f.base(j))))
+    for i, segments in gamma_image(f.base).items():
+        if len(segments) == 1:
+            j, = segments
+            yield (src.column("M", i), tgt.column("M", j),
+                   _face_between_m_columns(f, src, tgt, i, j))
+        else:
+            k, _ = segments
+            yield (src.column("M", i),
+                   [tgt.column("M", k), tgt.column("O", k), tgt.column("M", k + 1)], None)
+
+
 def hyperface_cylinder(face: Hyperface) -> HyperfaceCylinderReport:
     """Check the shuffle-diagram description of the cylinder over a face
     against the cylinder map [1]⊗f of the face."""
-    if face.kind not in ("vertical", "outer", "inner"):
-        raise ValueError(f"not a hyperface kind: {face.kind!r}")
-    t_src, t_tgt = face.map.source, face.map.target
-    src = lax_shuffle_diagram(t_src)
-    tgt = lax_shuffle_diagram(t_tgt)
-    steiner = cylinder_map(face.map)
+    f = face.map
+    src = lax_shuffle_diagram(f.source)
+    tgt = lax_shuffle_diagram(f.target)
+    steiner = cylinder_map(f)
     results = []
-    if face.kind == "vertical":
-        triples = _vertical_column_maps(face, src, tgt)
-    else:
-        triples = _shift_column_maps(face, src, tgt)
-    for item in triples:
-        col_s, col_t, m, mode = item
-        if mode == "exact":
-            ok = _column_map_matches(col_s, col_t, m, steiner)
-            results.append({"column": f"{col_s.kind}{col_s.index}", "mode": "exact", "ok": ok})
+    for col_s, col_t, m in _column_maps(f, src, tgt):
+        if m is None:
+            ok, mode = _factors_through(col_s, col_t, steiner), "span"
         else:
-            ok = _factors_through(col_s, col_t, steiner)
-            results.append({"column": f"{col_s.kind}{col_s.index}", "mode": "span", "ok": ok})
+            ok = morphisms_agree(col_s.embed.then(steiner), m.then(col_t.embed))
+            mode = "exact"
+        results.append({"column": f"{col_s.kind}{col_s.index}", "mode": mode, "ok": ok})
     return HyperfaceCylinderReport(results, all(r["ok"] for r in results))

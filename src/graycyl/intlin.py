@@ -7,16 +7,13 @@ over the integers; inputs in this project never exceed a few dozen rows.
 from __future__ import annotations
 
 
-def _reduce_rows(rows: list[list[int]], width: int, track: int = 0):
-    """Bring `rows` (length width + track) to row echelon form over Z by
-    integer row operations on the first `width` coordinates."""
+def _reduce_rows(rows: list[list[int]], width: int):
+    """Bring `rows` to row echelon form over Z by integer row operations
+    on their first `width` coordinates."""
     rows = [list(r) for r in rows]
     pivot_row = 0
     for col in range(width):
-        # find a nonzero entry in this column at or below pivot_row
-        live = [r for r in range(pivot_row, len(rows)) if rows[r][col] != 0]
-        if not live:
-            continue
+        # reduce the nonzero entries at or below pivot_row to a single one
         while True:
             live = [r for r in range(pivot_row, len(rows)) if rows[r][col] != 0]
             if len(live) <= 1:
@@ -26,7 +23,6 @@ def _reduce_rows(rows: list[list[int]], width: int, track: int = 0):
             for r in live[1:]:
                 q = rows[r][col] // rows[small][col]
                 rows[r] = [a - q * b for a, b in zip(rows[r], rows[small])]
-        live = [r for r in range(pivot_row, len(rows)) if rows[r][col] != 0]
         if not live:
             continue
         r = live[0]

@@ -312,7 +312,7 @@ def nu_functor(a: DAMorphism, max_dim: int, ceiling: int = DEFAULT_CEILING,
     return OmegaFunctor(src, tgt, apply)
 
 
-def check_entrywise_functors(Fs, max_dim: int):
+def check_entrywise_functors(Fs):
     """Per functor built by nu_functor, the list of violations among its
     cells: ("image", d, c) where F(c) is not a target cell (TableError),
     ("source"/"target"/"identity", d, c) where F does not preserve them,
@@ -332,7 +332,7 @@ def check_entrywise_functors(Fs, max_dim: int):
         raise ValueError("check_entrywise_functors needs functors out of one source view")
     src = Fs[0].source_view
     reports = [[] for _ in Fs]
-    top = min(max_dim, src.max_dim)
+    top = src.max_dim
 
     def image(F, c):
         try:

@@ -88,7 +88,6 @@ def shift_map(t: ThetaCell) -> DAMorphism:
 
 @dataclass
 class SpanBundle:
-    cell: ThetaCell
     max_dim: int
     cyl_view: NuView
     kappa: tuple[OmegaFunctor, OmegaFunctor]   # the legs to the interval and the cell
@@ -109,7 +108,7 @@ def build_span(t: ThetaCell, max_dim: int | None = None,
     kappa = (nu_functor(p1, max_dim, ceiling, source_view=cyl_view),
              nu_functor(p2, max_dim, ceiling, source_view=cyl_view))
     sigma = nu_functor(q, max_dim, ceiling, source_view=cyl_view)
-    return SpanBundle(t, max_dim, cyl_view, kappa, sigma, p1, p2, q)
+    return SpanBundle(max_dim, cyl_view, kappa, sigma, p1, p2, q)
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +129,6 @@ def kappa_column_expectations(t: ThetaCell):
     iso = _interval_as_cell_iso()
     out = []
     n = t.width
-    if n == 0:
-        col = diag.columns[0]
-        out.append((col, identity_morphism(col.complex).then(iso),
-                    DAMorphism(col.complex, lambda_cell(t),
-                               {("o", 0): {("o", 0): 1}, ("o", 1): {("o", 0): 1},
-                                ("s", 1, ("o", 0)): {}})))
-        return out
     for c in diag.columns:
         if c.kind == "O":
             j = c.index
@@ -173,12 +165,6 @@ def sigma_column_expectations(t: ThetaCell):
     tgt = lambda_cell(shift_target_cell(t))
     out = []
     n = t.width
-    if n == 0:
-        col = diag.columns[0]
-        exp = DAMorphism(col.complex, tgt, {
-            ("o", 0): {("o", 0): 1}, ("o", 1): {("o", 1): 1},
-            ("s", 1, ("o", 0)): {("s", 1, ("o", 0)): 1}})
-        return [(col, exp)]
     for c in diag.columns:
         images = {}
         if c.kind == "O":
@@ -260,7 +246,7 @@ def verify_span(t: ThetaCell, max_dim: int | None = None,
     b = bundle or build_span(t, max_dim, ceiling)
     report = SpanReport(t)
     p1_report, p2_report, report.sigma_functor = check_entrywise_functors(
-        (*b.kappa, b.sigma), b.max_dim)
+        (*b.kappa, b.sigma))
     report.kappa_functor = p1_report + p2_report
 
     for col, p1_exp, p2_exp in kappa_column_expectations(t):

@@ -164,14 +164,6 @@ class GlobularSumDecomposition:
     leaf_dims: tuple[int, ...]
     meet_dims: tuple[int, ...]
 
-    def __str__(self) -> str:
-        if not self.meet_dims:
-            return str(self.leaf_dims[0])
-        parts = [str(self.leaf_dims[0])]
-        for m, n in zip(self.meet_dims, self.leaf_dims[1:]):
-            parts.append(f"(+{m}) {n}")
-        return " ".join(parts)
-
 
 def globular_sum(t: ThetaCell) -> GlobularSumDecomposition:
     """Leaf depths left-to-right and depths of consecutive-leaf meets."""

@@ -155,6 +155,12 @@ class TestDeterminism:
          "07803b8ea868b5f607731b1c75521a721dcb754672e57605a6739dfcc916cd83"),
         (["tensor", "[2]([1],[0])"],                # DAComplex.to_json
          "49ca75c258d28ad024bf544c6edb1055f7834f70ff54605b56de9d54a3be21e3"),
+        (["verify", "all", "[0]"],                  # width-0 shuffle diagram and span
+         "80dcfc7f4152985522b8958dcec62b174740a4018e44b5e1969beb8b768f4e64"),
+        (["verify", "hyperface", "[2]([1],[0])"],   # vertical, outer and inner faces
+         "b826a744095d50f98ea3d4a0937a89971fde034253bfede9cbda55799345b8bb"),
+        (["verify", "all", "[1]([1])"],             # outer faces with source [0]
+         "967df442222ad1f708218f01bc68af7e111901fe9d9e40ee86c4e38e2ee6aa10"),
     ])
     def test_pinned_output_bytes(self, capsys, args, digest):
         # cell order and rendering of the table dumps are part of the output

@@ -1,6 +1,6 @@
 """Every public name, method and field of the library has a reader.
 
-Three rules over the syntax trees of src/graycyl and tests:
+Four rules over the syntax trees of src/graycyl and tests:
 
 * a module-level public function, class or constant is used by some module
   other than its own, or by its own module outside its definition; an
@@ -8,7 +8,9 @@ Three rules over the syntax trees of src/graycyl and tests:
 * a public name that only tests use is an oracle, listed in ORACLES with
   the reason it is kept;
 * every method, property and field of a library class is read as an
-  attribute in the library or the tests, outside its own definition.
+  attribute in the library or the tests, outside its own definition;
+* every parameter of a library function or lambda is read in its body;
+  the receiver self or cls of a method is bound, not passed, and exempt.
 """
 
 import ast
@@ -122,3 +124,22 @@ def test_every_member_is_read():
                 if reads[name] <= _reads(node, attributes_only=True)[name]:
                     unread.append(f"{path.stem}.{cls.name}.{name}")
     assert not unread, f"never read as an attribute: {unread}"
+
+
+def _parameters(fn):
+    args = fn.args
+    named = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+    return [a.arg for a in named if a is not None and a.arg not in ("self", "cls")]
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in LIBRARY:
+        for fn in ast.walk(TREES[path]):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            body = fn.body if isinstance(fn, ast.FunctionDef) else [fn.body]
+            reads = sum((_reads(node) for node in body), Counter())
+            name = getattr(fn, "name", "<lambda>")
+            unread += [f"{path.stem}.{name}({p})" for p in _parameters(fn) if not reads[p]]
+    assert not unread, f"parameters never read: {unread}"

@@ -194,6 +194,21 @@ class TestHyperfaceCylinder:
         assert rep.agree
         assert any(r["mode"] == "span" for r in rep.column_results)
 
+    def test_pinned_column_order_and_modes(self):
+        # the CLI prints only `agree`; the columns checked per face are pinned here
+        five = [(c, "exact") for c in ("O0", "O1", "O2", "M1", "M2")]
+        three = [(c, "exact") for c in ("O0", "O1", "M1")]
+        expected = {
+            ("vertical", (1, 0)): five, ("vertical", (1, 1)): five,
+            ("outer", (0,)): three, ("outer", (2,)): three,
+            ("inner", (1, "after")): [("O0", "exact"), ("O1", "exact"), ("M1", "span")],
+        }
+        faces = hyperfaces(parse_cell("[2]([1],[0])"))
+        assert {(f.kind, f.position): [(r["column"], r["mode"])
+                                       for r in hyperface_cylinder(f).column_results]
+                for f in faces} == expected
+        assert len(faces) == len(expected)
+
     def test_full_corpus(self):
         for s in ("[2]", "[3]", "[1]([1])", "[2]([1],[0])"):
             for f in hyperfaces(parse_cell(s)):
@@ -229,7 +244,7 @@ class TestMemoisedDiagram:
         t = parse_cell("[2]([1],[0])")
         assert lax_shuffle_diagram(t) is lax_shuffle_diagram(t)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            lax_shuffle_diagram(t).cell = t
+            lax_shuffle_diagram(t).columns = []
 
     def test_hyperfaces_build_each_diagram_once(self):
         t = parse_cell("[2]([1],[1])")
@@ -330,20 +345,16 @@ class TestPerturbedInputsFail:
         monkeypatch.undo()
         assert verify_globular_preservation(t)
 
-    @pytest.mark.parametrize("kind, builder", [
-        ("vertical", "_vertical_column_maps"),
-        ("outer", "_shift_column_maps"),
-        ("inner", "_shift_column_maps"),
-    ])
-    def test_hyperface_column_map(self, monkeypatch, kind, builder):
+    @pytest.mark.parametrize("kind", ["vertical", "outer", "inner"])
+    def test_hyperface_column_map(self, monkeypatch, kind):
         face = next(f for f in hyperfaces(parse_cell("[2]([1],[0])")) if f.kind == kind)
-        real = getattr(gray, builder)
+        real = gray._column_maps
 
         def perturbed(*args):
-            (col_s, col_t, m, mode), *rest = real(*args)
-            return [(col_s, col_t, _with_image(m, ("o", 0), {}), mode)] + rest
+            (col_s, col_t, m), *rest = real(*args)
+            return [(col_s, col_t, _with_image(m, ("o", 0), {}))] + rest
 
-        monkeypatch.setattr(gray, builder, perturbed)
+        monkeypatch.setattr(gray, "_column_maps", perturbed)
         rep = hyperface_cylinder(face)
         assert not rep.agree and not rep.column_results[0]["ok"]
         monkeypatch.undo()

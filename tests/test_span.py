@@ -133,7 +133,7 @@ class TestVerifySpan:
                              {g: {h: 2 * c for h, c in img.items()}
                               for g, img in b.q.images.items()})
         F = nu_functor(doubled, b.max_dim, source_view=b.cyl_view)
-        report = check_entrywise_functors((F,), b.max_dim)[0]
+        report = check_entrywise_functors((F,))[0]
         assert report and {v[0] for v in report} == {"image"}
         with pytest.raises(TableError):
             check_functors((F,), b.max_dim)
@@ -159,7 +159,7 @@ class TestEntrywiseCheck:
     @staticmethod
     def both(b):
         Fs = (*b.kappa, b.sigma)
-        new = check_entrywise_functors(Fs, b.max_dim)
+        new = check_entrywise_functors(Fs)
         try:
             old = check_functors(Fs, b.max_dim)
         except TableError:
@@ -192,7 +192,7 @@ class TestEntrywiseCheck:
         swap = dict(zip(objects, reversed(objects)))
         bad = OmegaFunctor(to_cell.source_view, to_cell.target_view,
                            lambda c: swap.get(to_cell(c), to_cell(c)))
-        new = check_entrywise_functors((bad,), b.max_dim)[0]
+        new = check_entrywise_functors((bad,))[0]
         old = check_functors((bad,), b.max_dim)[0]
         assert new and Counter(new) == Counter(old)
 
@@ -200,4 +200,4 @@ class TestEntrywiseCheck:
         F = build_span(cell(1)).sigma
         G = build_span(cell(1)).sigma
         with pytest.raises(ValueError):
-            check_entrywise_functors([F, G], 1)
+            check_entrywise_functors([F, G])
