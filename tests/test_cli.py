@@ -161,6 +161,10 @@ class TestDeterminism:
          "b826a744095d50f98ea3d4a0937a89971fde034253bfede9cbda55799345b8bb"),
         (["verify", "all", "[1]([1])"],             # outer faces with source [0]
          "967df442222ad1f708218f01bc68af7e111901fe9d9e40ee86c4e38e2ee6aa10"),
+        (["emit", "shuffle", "[2]([1],[0])"],       # column labels and span edges
+         "bebc6dec85083665dd4b9bf36610abdfcd75e28b6b13d194424407eee67f4681"),
+        (["emit", "span", "[2]([1],[0])"],          # kappa and sigma column squares
+         "58ae4c269b2d46a248c940846ed9d23b190a41b194d9a0638389cbb86e5b8889"),
     ])
     def test_pinned_output_bytes(self, capsys, args, digest):
         # cell order and rendering of the table dumps are part of the output
