@@ -177,7 +177,7 @@ def _run(args, t, max_dim) -> int:
         elif args.kind == "skeleton":
             _emit(skeleton_dot(gray_cylinder(t, min(max_dim, 2), args.ceiling)), args.out)
         else:
-            _emit(span_dot(t, args.ceiling), args.out)
+            _emit(span_dot(t, max_dim, args.ceiling), args.out)
         return 0
     return 2
 

@@ -17,9 +17,9 @@ from .dac import (DAComplex, DAMorphism, identity_morphism, lambda_cell,
                   wreath_complex, wreath_morphism)
 from .nu import DEFAULT_CEILING, NuView
 from .theta import (POINT, Hyperface, SimplicialMap, ThetaCell, ThetaMorphism,
-                    cell, gamma_image, globular_sum, inner_face,
-                    leaf_inclusion, meet_inclusion, simplicial_identity,
-                    theta_identity, theta_morphism)
+                    gamma_image, globular_sum, inner_face, leaf_inclusion,
+                    meet_inclusion, simplicial_identity, theta_identity,
+                    theta_morphism)
 
 L, R, H = "b0", "t0", "v1"          # interval complex generators
 
@@ -78,45 +78,7 @@ def o_cell(t: ThetaCell, j: int) -> ThetaCell:
 class ShuffleColumn:
     kind: str                 # "O" or "M"
     index: int
-    complex: DAComplex
-    embed: DAMorphism         # into the cylinder complex
-    cell: ThetaCell | None    # O columns are honest cells
-    parent: ThetaCell | None = None
-
-    @property
-    def display(self) -> str:
-        if self.cell is not None:
-            return str(self.cell)
-        k, t = self.index, self.parent
-        child = t.children[k - 1]
-        if child == POINT:
-            return str(ThetaCell(t.children[:k - 1] + (cell(1),) + t.children[k:]))
-        kids = [str(c) for c in t.children]
-        kids[k - 1] = f"[1]⊗{child}"
-        return f"[{t.width}](" + ",".join(kids) + ")"
-
-
-@dataclass(frozen=True)
-class ShuffleSpan:
-    level: int                # k, 1-based
-    position: str             # "upper" (O_{k-1} side) or "lower" (O_k side)
-    o_index: int              # column index of the O object
-    m_index: int              # column index of M_k
-    leg_o: DAMorphism         # lambda(T) -> O column complex
-    leg_m: DAMorphism         # lambda(T) -> M column complex
-
-
-@dataclass(frozen=True)
-class ShuffleDiagram:
-    cyl: DAComplex
-    columns: list
-    spans: list
-
-    def column(self, kind: str, index: int) -> ShuffleColumn:
-        for c in self.columns:
-            if c.kind == kind and c.index == index:
-                return c
-        raise KeyError((kind, index))
+    embed: DAMorphism         # from the column's complex into the cylinder complex
 
 
 def _o_embedding(t: ThetaCell, j: int, cyl: DAComplex) -> DAMorphism:
@@ -140,14 +102,9 @@ def _o_embedding(t: ThetaCell, j: int, cyl: DAComplex) -> DAMorphism:
     return DAMorphism(K, cyl, images).validate()
 
 
-def _m_complex(t: ThetaCell, k: int) -> DAComplex:
-    kids = [cylinder_complex(c) if i == k else lambda_cell(c)
-            for i, c in enumerate(t.children, start=1)]
-    return wreath_complex(kids)
-
-
 def _m_embedding(t: ThetaCell, k: int, cyl: DAComplex) -> DAMorphism:
-    K = _m_complex(t, k)
+    K = wreath_complex([cylinder_complex(c) if i == k else lambda_cell(c)
+                        for i, c in enumerate(t.children, start=1)])
     child = lambda_cell(t.children[k - 1])
     images = {}
     for p in range(t.width + 1):
@@ -177,51 +134,60 @@ def _m_embedding(t: ThetaCell, k: int, cyl: DAComplex) -> DAMorphism:
     return DAMorphism(K, cyl, images).validate()
 
 
-def m_end_leg(t: ThetaCell, k: int, eps: int) -> DAMorphism:
-    """lambda(T) -> M_k complex, the end-eps inclusion on the k-th slot."""
+def m_end_leg(t: ThetaCell, m: ShuffleColumn, eps: int) -> DAMorphism:
+    """lambda(T) -> the complex of the column m = M_k, the end-eps inclusion
+    on the k-th slot."""
+    k = m.index
     comps = {(i, i): endpoint_inclusion(c, eps) if i == k else identity_morphism(lambda_cell(c))
              for i, c in enumerate(t.children, start=1)}
-    return wreath_morphism(lambda_cell(t), _m_complex(t, k), simplicial_identity(t.width), comps)
+    return wreath_morphism(lambda_cell(t), m.embed.source, simplicial_identity(t.width), comps)
 
 
 @lru_cache(maxsize=4)
-def lax_shuffle_diagram(t: ThetaCell) -> ShuffleDiagram:
-    """The columns and spans of the lax shuffle decomposition of [1]⊗T.
+def lax_shuffle_diagram(t: ThetaCell) -> tuple[ShuffleColumn, ...]:
+    """The columns O_0, M_1, O_1, ..., M_n, O_n of the lax shuffle
+    decomposition of [1]⊗T, in that order: O_j sits at 2j, M_k at 2k-1.
 
-    Memoised per cell: every caller gets the same diagram, which is shared
+    Memoised per cell: every caller gets the same tuple, which is shared
     and read-only.
     """
     cyl = cylinder_complex(t)
-    # column order O_0, M_1, O_1, ..., M_n, O_n: O_j sits at 2j, M_k at 2k-1
     columns = []
     for j in range(t.width + 1):
         if j:
-            columns.append(ShuffleColumn("M", j, _m_complex(t, j),
-                                         _m_embedding(t, j, cyl), None, t))
-        columns.append(ShuffleColumn("O", j, lambda_cell(o_cell(t, j)),
-                                     _o_embedding(t, j, cyl), o_cell(t, j)))
-    spans = []
+            columns.append(ShuffleColumn("M", j, _m_embedding(t, j, cyl)))
+        columns.append(ShuffleColumn("O", j, _o_embedding(t, j, cyl)))
+    return tuple(columns)
+
+
+def _spans(t: ThetaCell, columns):
+    """(k, position, O column, M_k, leg into O, leg into M_k) per span of the
+    decomposition: at each M_k an "upper" span on the O_{k-1} side and a
+    "lower" one on the O_k side.  The legs into the O columns are the inner
+    faces d^k of those cells."""
     for k in range(1, t.width + 1):
-        # the span legs into O_{k-1} and O_k are the inner faces d^k of those cells
-        before = inner_face(o_cell(t, k - 1), k, "before")
-        after = inner_face(o_cell(t, k), k, "after")
-        spans.append(ShuffleSpan(k, "upper", 2 * k - 2, 2 * k - 1,
-                                 lambda_map(before), m_end_leg(t, k, 1)))
-        spans.append(ShuffleSpan(k, "lower", 2 * k, 2 * k - 1,
-                                 lambda_map(after), m_end_leg(t, k, 0)))
-    return ShuffleDiagram(cyl, columns, spans)
+        m = columns[2 * k - 1]
+        for position, j, eps, side in (("upper", k - 1, 1, "before"), ("lower", k, 0, "after")):
+            yield (k, position, columns[2 * j], m,
+                   lambda_map(inner_face(o_cell(t, j), k, side)), m_end_leg(t, m, eps))
 
 
 def shuffle_dot(t: ThetaCell) -> str:
-    diag = lax_shuffle_diagram(t)
+    """The columns of the decomposition as nodes n0..n2n in column order,
+    and each span as a box with edges to its O column and its M column."""
     lines = ["digraph shuffle {", "  rankdir=TB;"]
-    for i, c in enumerate(diag.columns):
-        lines.append(f'  n{i} [label="{c.display}"];')
-    for s in diag.spans:
-        sid = f"s_{s.level}_{s.position}"
-        lines.append(f'  {sid} [label="{t}", shape=box];')
-        lines.append(f"  {sid} -> n{s.o_index};")
-        lines.append(f"  {sid} -> n{s.m_index};")
+    for j in range(t.width + 1):
+        if j:
+            kids = [str(c) for c in t.children]
+            kids[j - 1] = "[1]" if t.children[j - 1].width == 0 else f"[1]⊗{kids[j - 1]}"
+            lines.append(f'  n{2 * j - 1} [label="[{t.width}](' + ",".join(kids) + ')"];')
+        lines.append(f'  n{2 * j} [label="{o_cell(t, j)}"];')
+    for k in range(1, t.width + 1):
+        for position, o in (("upper", 2 * k - 2), ("lower", 2 * k)):
+            sid = f"s_{k}_{position}"
+            lines.append(f'  {sid} [label="{t}", shape=box];')
+            lines.append(f"  {sid} -> n{o};")
+            lines.append(f"  {sid} -> n{2 * k - 1};")
     lines.append("}")
     return "\n".join(lines)
 
@@ -269,14 +235,14 @@ class GluingReport:
 
 def verify_gluing(t: ThetaCell) -> GluingReport:
     """Monomorphism, coverage and pullback checks for the shuffle pieces."""
-    diag = lax_shuffle_diagram(t)
+    columns = lax_shuffle_diagram(t)
     report = GluingReport(t)
-    cyl = diag.cyl
+    cyl = cylinder_complex(t)
     bases = _basis_indices(cyl)
 
-    for c in diag.columns:
+    for c in columns:
         ok = True
-        for d in range(c.complex.top_degree + 1):
+        for d in range(c.embed.source.top_degree + 1):
             rows = _image_rows(c.embed, d, bases[d])
             if intlin.rank(rows, len(bases[d])) != len(rows):
                 ok = False
@@ -284,15 +250,13 @@ def verify_gluing(t: ThetaCell) -> GluingReport:
 
     for d in range(cyl.top_degree + 1):
         rows = []
-        for c in diag.columns:
+        for c in columns:
             rows.extend(_image_rows(c.embed, d, bases[d]))
         report.coverage[d] = intlin.spans_all(rows, len(bases[d]))
 
-    for s in diag.spans:
-        col_o = diag.columns[s.o_index]
-        col_m = diag.columns[s.m_index]
-        via_o = s.leg_o.then(col_o.embed)
-        via_m = s.leg_m.then(col_m.embed)
+    for level, position, col_o, col_m, leg_o, leg_m in _spans(t, columns):
+        via_o = leg_o.then(col_o.embed)
+        via_m = leg_m.then(col_m.embed)
         commutes = morphisms_agree(via_o, via_m)
         pullback = True
         for d in range(cyl.top_degree + 1):
@@ -305,7 +269,7 @@ def verify_gluing(t: ThetaCell) -> GluingReport:
             # injectivity of the span object into the intersection
             if intlin.rank(expected, width) != len(expected):
                 pullback = False
-        report.spans.append({"level": s.level, "position": s.position,
+        report.spans.append({"level": level, "position": position,
                              "commutes": commutes, "pullback": pullback})
     return report
 
@@ -355,7 +319,7 @@ class HyperfaceCylinderReport:
 def _factors_through(src_col: ShuffleColumn, tgt_cols, steiner: DAMorphism) -> bool:
     via_steiner = src_col.embed.then(steiner)
     bases = _basis_indices(steiner.target)
-    for d in range(src_col.complex.top_degree + 1):
+    for d in range(src_col.embed.source.top_degree + 1):
         rows = []
         for c in tgt_cols:
             rows.extend(_image_rows(c.embed, d, bases[d]))
@@ -389,11 +353,9 @@ def _face_between_o_cells(f: ThetaMorphism, js: int, jt: int) -> ThetaMorphism:
     return theta_morphism(src_cell, tgt_cell, base, comp_map)
 
 
-def _face_between_m_columns(f: ThetaMorphism, src: ShuffleDiagram, tgt: ShuffleDiagram,
-                            i: int, i2: int) -> DAMorphism:
-    """Wreath morphism M_i(source) -> M_{i2}(target) induced by the face."""
-    col_s = src.column("M", i)
-    col_t = tgt.column("M", i2)
+def _face_between_m_columns(f: ThetaMorphism, src, tgt, i: int, i2: int) -> DAMorphism:
+    """Wreath morphism M_i(source) -> M_{i2}(target) induced by the face,
+    between the columns of the shuffle diagrams src and tgt."""
     fimg = gamma_image(f.base)
     comps = {}
     for q in range(1, f.source.width + 1):
@@ -404,27 +366,27 @@ def _face_between_m_columns(f: ThetaMorphism, src: ShuffleDiagram, tgt: ShuffleD
                 comps[(q, jj)] = cylinder_map(f.component(q, jj))
             else:
                 comps[(q, jj)] = lambda_map(f.component(q, jj))
-    return wreath_morphism(col_s.complex, col_t.complex, f.base, comps)
+    return wreath_morphism(src[2 * i - 1].embed.source, tgt[2 * i2 - 1].embed.source,
+                           f.base, comps)
 
 
-def _column_maps(f: ThetaMorphism, src: ShuffleDiagram, tgt: ShuffleDiagram):
+def _column_maps(f: ThetaMorphism, src, tgt):
     """(source column, target column, column map) per source column of the
     cylinder over f: O_j goes to O_f(j), and M_i to the column over the
     segment F(f)(i).  An M_i over two segments {k, k+1} (the inner face's
     own column) has no column map: it is claimed to factor through the
     target columns [M_k, O_k, M_{k+1}], and its map is None."""
     for j in range(f.source.width + 1):
-        yield (src.column("O", j), tgt.column("O", f.base(j)),
+        yield (src[2 * j], tgt[2 * f.base(j)],
                lambda_map(_face_between_o_cells(f, j, f.base(j))))
     for i, segments in gamma_image(f.base).items():
         if len(segments) == 1:
             j, = segments
-            yield (src.column("M", i), tgt.column("M", j),
+            yield (src[2 * i - 1], tgt[2 * j - 1],
                    _face_between_m_columns(f, src, tgt, i, j))
         else:
             k, _ = segments
-            yield (src.column("M", i),
-                   [tgt.column("M", k), tgt.column("O", k), tgt.column("M", k + 1)], None)
+            yield src[2 * i - 1], tgt[2 * k - 1:2 * k + 2], None
 
 
 def hyperface_cylinder(face: Hyperface) -> HyperfaceCylinderReport:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .dac import (DAMorphism, identity_morphism, lambda_cell, lambda_map,
                   morphisms_agree, point_complex, wreath_morphism)
 from .gray import (H, L, R, cylinder_complex, endpoint_inclusion, gray_cylinder,
-                   interval, lax_shuffle_diagram)
+                   interval, lax_shuffle_diagram, o_cell)
 from .nu import (DEFAULT_CEILING, NuView, OmegaFunctor, check_entrywise_functors,
                  nu_functor)
 from .theta import (POINT, SimplicialMap, ThetaCell, cell, coface,
@@ -88,7 +88,6 @@ def shift_map(t: ThetaCell) -> DAMorphism:
 
 @dataclass
 class SpanBundle:
-    max_dim: int
     cyl_view: NuView
     kappa: tuple[OmegaFunctor, OmegaFunctor]   # the legs to the interval and the cell
     sigma: OmegaFunctor
@@ -108,7 +107,7 @@ def build_span(t: ThetaCell, max_dim: int | None = None,
     kappa = (nu_functor(p1, max_dim, ceiling, source_view=cyl_view),
              nu_functor(p2, max_dim, ceiling, source_view=cyl_view))
     sigma = nu_functor(q, max_dim, ceiling, source_view=cyl_view)
-    return SpanBundle(max_dim, cyl_view, kappa, sigma, p1, p2, q)
+    return SpanBundle(cyl_view, kappa, sigma, p1, p2, q)
 
 
 # ---------------------------------------------------------------------------
@@ -125,19 +124,19 @@ def _interval_as_cell_iso() -> DAMorphism:
 
 def kappa_column_expectations(t: ThetaCell):
     """(column, expected p1 composite, expected p2 composite) triples."""
-    diag = lax_shuffle_diagram(t)
     iso = _interval_as_cell_iso()
     out = []
     n = t.width
-    for c in diag.columns:
+    for c in lax_shuffle_diagram(t):
         if c.kind == "O":
             j = c.index
+            oc = o_cell(t, j)
             collapse = theta_morphism(
-                c.cell, cell(1), split_map(n + 1, j + 1),
+                oc, cell(1), split_map(n + 1, j + 1),
                 {(j + 1, 1): theta_identity(POINT)})
             to_t = theta_morphism(
-                c.cell, t, codegeneracy(n + 1, j),
-                {(i, i if i <= j else i - 1): theta_identity(c.cell.children[i - 1])
+                oc, t, codegeneracy(n + 1, j),
+                {(i, i if i <= j else i - 1): theta_identity(oc.children[i - 1])
                  for i in range(1, n + 2) if i != j + 1})
             out.append((c, lambda_map(collapse).then(iso), lambda_map(to_t)))
         else:
@@ -146,12 +145,12 @@ def kappa_column_expectations(t: ThetaCell):
             collapse = DAMorphism(child_cyl, point_complex(), {
                 g: {("o", 0): 1} if child_cyl.degree_of(g) == 0 else {}
                 for row in child_cyl.degrees for g in row})
-            p1_exp = wreath_morphism(c.complex, lambda_cell(cell(1)),
+            p1_exp = wreath_morphism(c.embed.source, lambda_cell(cell(1)),
                                      split_map(n, k), {(k, 1): collapse}).then(iso)
             comps = {(i, i): identity_morphism(lambda_cell(cc)) if i != k
                      else projection_to_cell(cc)
                      for i, cc in enumerate(t.children, start=1)}
-            p2_exp = wreath_morphism(c.complex, lambda_cell(t),
+            p2_exp = wreath_morphism(c.embed.source, lambda_cell(t),
                                      simplicial_identity(n), comps)
             out.append((c, p1_exp, p2_exp))
     return out
@@ -161,18 +160,18 @@ def sigma_column_expectations(t: ThetaCell):
     """(column, expected sigma composite) pairs, built from the child
     recursion: the k-th cylinder column maps through the suspended piece
     of the mirrored cell."""
-    diag = lax_shuffle_diagram(t)
     tgt = lambda_cell(shift_target_cell(t))
     out = []
     n = t.width
-    for c in diag.columns:
+    for c in lax_shuffle_diagram(t):
+        K = c.embed.source
         images = {}
         if c.kind == "O":
             j = c.index
             for p in range(n + 2):
                 images[("o", p)] = {("o", 0 if p <= j else 1): 1}
-            for d in range(1, c.complex.top_degree + 1):
-                for g in c.complex.basis(d):
+            for d in range(1, K.top_degree + 1):
+                for g in K.basis(d):
                     _, i, sub = g
                     if i == j + 1:
                         images[g] = {("s", 1, ("o", n - j)): 1}
@@ -185,8 +184,8 @@ def sigma_column_expectations(t: ThetaCell):
             mpos = n + 1 - k
             for p in range(n + 1):
                 images[("o", p)] = {("o", 0 if p < k else 1): 1}
-            for d in range(1, c.complex.top_degree + 1):
-                for g in c.complex.basis(d):
+            for d in range(1, K.top_degree + 1):
+                for g in K.basis(d):
                     _, i, sub = g
                     if i != k:
                         images[g] = {}
@@ -202,7 +201,7 @@ def sigma_column_expectations(t: ThetaCell):
                             _, _, inner = h
                             out_img[("s", 1, ("s", mpos, inner))] = cc
                     images[g] = out_img
-        out.append((c, DAMorphism(c.complex, tgt, images)))
+        out.append((c, DAMorphism(K, tgt, images)))
     return out
 
 
@@ -286,9 +285,10 @@ def verify_span(t: ThetaCell, max_dim: int | None = None,
     return report
 
 
-def span_dot(t: ThetaCell, ceiling: int = DEFAULT_CEILING) -> str:
+def span_dot(t: ThetaCell, max_dim: int | None = None,
+             ceiling: int = DEFAULT_CEILING) -> str:
     """The span diagram with pass/fail coloring per column square."""
-    rep = verify_span(t, ceiling=ceiling)
+    rep = verify_span(t, max_dim, ceiling)
     lines = ["digraph span {", "  rankdir=LR;",
              f'  cyl [label="[1]⊗{t}"];',
              f'  cart [label="[1]×{t}"];',

@@ -86,6 +86,13 @@ class TestSubcommands:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_emit_span_honours_max_dim(self, capsys):
+        # with the default max-dim, dimension 1 of the cylinder of [1] exceeds 5 cells
+        args = ["[1]", "--max-dim", "0", "--ceiling", "5"]
+        assert main(["span"] + args) == 0
+        assert main(["emit", "span"] + args) == 0
+        assert capsys.readouterr().out.count('color=green') == 6
+
     def test_span_subcommand(self, capsys):
         assert main(["span", "[1]([1])"]) == 0
         data = json.loads(capsys.readouterr().out)

@@ -1,8 +1,10 @@
 import dataclasses
+import re
 
 import pytest
 
 from graycyl import dac, gray
+from graycyl.cli import main
 from graycyl.dac import DAMorphism, lambda_cell, lambda_map
 from graycyl.gray import (cylinder_complex, cylinder_map, endpoint_inclusion,
                           gray_cylinder, hyperface_cylinder, interval,
@@ -73,8 +75,8 @@ class TestEndpoints:
             into_last = lambda_map(unit_missing_inclusion(t, "last"))
             e0 = endpoint_inclusion(t, 0)
             e1 = endpoint_inclusion(t, 1)
-            assert into_last.then(diag.column("O", t.width).embed).images == e0.images
-            assert into_first.then(diag.column("O", 0).embed).images == e1.images
+            assert into_last.then(diag[2 * t.width].embed).images == e0.images
+            assert into_first.then(diag[0].embed).images == e1.images
 
 
 def unit_missing_inclusion(t, which):
@@ -89,30 +91,38 @@ def unit_missing_inclusion(t, which):
     return theta_morphism(t, o_cell(t, n), coface(n, n + 1), comp)
 
 
+def column_labels(t):
+    """The node labels of shuffle_dot(t), in node order."""
+    return re.findall(r'^  n\d+ \[label="(.*)"\];$', shuffle_dot(t), re.M)
+
+
 class TestShuffleDiagram:
     def test_two_simplex_objects(self):
-        diag = lax_shuffle_diagram(cell(2))
-        assert [c.display for c in diag.columns] == [
+        assert column_labels(cell(2)) == [
             "[3]", "[2]([1],[0])", "[3]", "[2]([0],[1])", "[3]"]
 
     def test_interval_objects(self):
-        diag = lax_shuffle_diagram(cell(1))
-        assert [c.display for c in diag.columns] == ["[2]", "[1]([1])", "[2]"]
+        assert column_labels(cell(1)) == ["[2]", "[1]([1])", "[2]"]
 
     def test_point_degenerate(self):
-        diag = lax_shuffle_diagram(parse_cell("[0]"))
-        assert [c.display for c in diag.columns] == ["[1]"]
-        assert diag.spans == []
+        t = parse_cell("[0]")
+        assert column_labels(t) == ["[1]"]
+        assert list(gray._spans(t, lax_shuffle_diagram(t))) == []
+
+    def test_column_order(self):
+        # callers index the tuple by position: O_j at 2j, M_k at 2k-1
+        for t in cells_up_to(6):
+            names = ["O0"] + [f"{kind}{k}" for k in range(1, t.width + 1) for kind in "MO"]
+            assert [f"{c.kind}{c.index}" for c in lax_shuffle_diagram(t)] == names, str(t)
 
     def test_embeddings_are_chain_maps(self):
         for s in ("[2]", "[1]([2])", "[2]([1],[0])"):
-            for c in lax_shuffle_diagram(parse_cell(s)).columns:
+            for c in lax_shuffle_diagram(parse_cell(s)):
                 c.embed.validate()
 
     def test_corrected_degree_one_generators(self):
         # the cylinder column embeds its end copies with a crossing summand
-        diag = lax_shuffle_diagram(parse_cell("[1]([1])"))
-        m1 = diag.column("M", 1)
+        m1 = lax_shuffle_diagram(parse_cell("[1]([1])"))[1]
         left_end = m1.embed.images[("s", 1, ("t", "b0", ("o", 0)))]
         right_end = m1.embed.images[("s", 1, ("t", "t0", ("o", 0)))]
         assert left_end == {("t", "b0", ("s", 1, ("o", 0))): 1,
@@ -124,16 +134,32 @@ class TestShuffleDiagram:
 
     def test_span_legs_commute(self):
         t = parse_cell("[2]([1],[0])")
-        diag = lax_shuffle_diagram(t)
         K = lambda_cell(t)
-        for s in diag.spans:
-            via_o = s.leg_o.then(diag.columns[s.o_index].embed)
-            via_m = s.leg_m.then(diag.columns[s.m_index].embed)
+        for _, _, col_o, col_m, leg_o, leg_m in gray._spans(t, lax_shuffle_diagram(t)):
+            via_o = leg_o.then(col_o.embed)
+            via_m = leg_m.then(col_m.embed)
             assert all(via_o.images[g] == via_m.images[g]
                        for row in K.degrees for g in row)
 
     def test_dot_deterministic(self):
         assert shuffle_dot(cell(2)) == shuffle_dot(cell(2))
+
+    def test_span_legs_built_only_by_gluing(self, monkeypatch, capsys):
+        calls = []
+        real = gray.m_end_leg
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(gray, "m_end_leg", counted)
+        t = parse_cell("[2]([1],[1])")
+        lax_shuffle_diagram.cache_clear()
+        assert main(["verify", "hyperface", str(t)]) == 0
+        capsys.readouterr()
+        assert calls == []
+        assert verify_gluing(t).overall
+        assert len(calls) == 2 * t.width
 
 
 class TestGluing:
@@ -244,7 +270,7 @@ class TestMemoisedDiagram:
         t = parse_cell("[2]([1],[0])")
         assert lax_shuffle_diagram(t) is lax_shuffle_diagram(t)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            lax_shuffle_diagram(t).columns = []
+            lax_shuffle_diagram(t)[0].embed = None
 
     def test_hyperfaces_build_each_diagram_once(self):
         t = parse_cell("[2]([1],[1])")
@@ -305,12 +331,11 @@ class TestPerturbedInputsFail:
 
         def perturbed(u):
             diag = real(u)
-            col = diag.column("M", 1)
+            col = diag[1]                       # M_1
             # send object 0 where object 1 goes: no longer injective
             embed = _with_image(col.embed, ("o", 0), col.embed.images[("o", 1)])
-            columns = [dataclasses.replace(c, embed=embed) if c is col else c
-                       for c in diag.columns]
-            return dataclasses.replace(diag, columns=columns)
+            return tuple(dataclasses.replace(c, embed=embed) if c is col else c
+                         for c in diag)
 
         monkeypatch.setattr(gray, "lax_shuffle_diagram", perturbed)
         rep = verify_gluing(t)
@@ -320,16 +345,15 @@ class TestPerturbedInputsFail:
 
     def test_gluing_span_leg(self, monkeypatch):
         t = parse_cell("[2]([1],[0])")
-        real = gray.lax_shuffle_diagram
+        real = gray.m_end_leg
 
-        def perturbed(u):
-            diag = real(u)
-            first = diag.spans[0]
-            leg_m = _with_image(first.leg_m, ("o", 0), first.leg_m.images[("o", 1)])
-            spans = [dataclasses.replace(first, leg_m=leg_m)] + diag.spans[1:]
-            return dataclasses.replace(diag, spans=spans)
+        def perturbed(u, m, eps):
+            leg = real(u, m, eps)
+            if (m.index, eps) == (1, 1):        # the leg of the first span
+                leg = _with_image(leg, ("o", 0), leg.images[("o", 1)])
+            return leg
 
-        monkeypatch.setattr(gray, "lax_shuffle_diagram", perturbed)
+        monkeypatch.setattr(gray, "m_end_leg", perturbed)
         rep = verify_gluing(t)
         assert not rep.overall and not rep.spans[0]["commutes"]
         monkeypatch.undo()

@@ -115,7 +115,7 @@ class TestVerifySpan:
     def test_image_violation_is_reported(self):
         t = cell(2)
         b = build_span(t)
-        b.sigma = nu_functor(swapped_ends(b.q), b.max_dim, source_view=b.cyl_view)
+        b.sigma = nu_functor(swapped_ends(b.q), b.cyl_view.max_dim, source_view=b.cyl_view)
         rep = verify_span(t, bundle=b)
         assert not rep.passed and not rep.kappa_functor
         assert rep.sigma_functor and rep.sigma_functor[0][0] == "image"
@@ -124,19 +124,19 @@ class TestVerifySpan:
     def test_functor_checks_run(self):
         b = build_span(parse_cell("[1]([1])"))
         for leg in b.kappa:
-            assert not check_functors((leg,), b.max_dim)[0]
-        assert not check_functors((b.sigma,), b.max_dim)[0]
+            assert not check_functors((leg,), b.cyl_view.max_dim)[0]
+        assert not check_functors((b.sigma,), b.cyl_view.max_dim)[0]
 
     def test_coefficient_two_is_an_image_violation(self):
         b = build_span(cell(1))
         doubled = DAMorphism(b.q.source, b.q.target,
                              {g: {h: 2 * c for h, c in img.items()}
                               for g, img in b.q.images.items()})
-        F = nu_functor(doubled, b.max_dim, source_view=b.cyl_view)
+        F = nu_functor(doubled, b.cyl_view.max_dim, source_view=b.cyl_view)
         report = check_entrywise_functors((F,))[0]
         assert report and {v[0] for v in report} == {"image"}
         with pytest.raises(TableError):
-            check_functors((F,), b.max_dim)
+            check_functors((F,), b.cyl_view.max_dim)
 
     def test_broken_kappa_leg_fails(self):
         t = parse_cell("[1]([1])")
@@ -161,7 +161,7 @@ class TestEntrywiseCheck:
         Fs = (*b.kappa, b.sigma)
         new = check_entrywise_functors(Fs)
         try:
-            old = check_functors(Fs, b.max_dim)
+            old = check_functors(Fs, b.cyl_view.max_dim)
         except TableError:
             old = None
         return new, old
@@ -178,7 +178,7 @@ class TestEntrywiseCheck:
         t = parse_cell(text)
         b = build_span(t)
         assert self.both(b)[1] is not None
-        b.sigma = nu_functor(swapped_ends(b.q), b.max_dim, source_view=b.cyl_view)
+        b.sigma = nu_functor(swapped_ends(b.q), b.cyl_view.max_dim, source_view=b.cyl_view)
         new, old = self.both(b)
         assert old is None
         assert any(v[0] == "image" for v in new[2])
@@ -193,7 +193,7 @@ class TestEntrywiseCheck:
         bad = OmegaFunctor(to_cell.source_view, to_cell.target_view,
                            lambda c: swap.get(to_cell(c), to_cell(c)))
         new = check_entrywise_functors((bad,))[0]
-        old = check_functors((bad,), b.max_dim)[0]
+        old = check_functors((bad,), b.cyl_view.max_dim)[0]
         assert new and Counter(new) == Counter(old)
 
     def test_one_source_view_required(self):
