@@ -132,6 +132,14 @@ def _compose(j: int, a: NuCell, b: NuCell) -> NuCell:
 
 # ---------------------------------------------------------------------------
 # enumeration by polygraph closure
+#
+# nu(K) of a strong Steiner complex is freely generated by its atoms
+# (Steiner, "Omega-categories and chain complexes", HHA 6, 2004), so every
+# d-cell is a (d-1)-composite of whiskered atoms: d-atoms composed at levels
+# j < d-1 with identity d-cells (the rewriting-path normal form of free
+# omega-categories, Burroni, TCS 115, 1993).  The closure builds a layer in
+# two stages: whisker the atoms (_whisker), then compose at level d-1 with a
+# whiskered atom on the right.
 # ---------------------------------------------------------------------------
 
 class EnumerationError(RuntimeError):
@@ -147,8 +155,94 @@ def _pair_key(c: NuCell, j: int, eps: int):
     return c.rows[:j], c.rows[j][eps]
 
 
-def _close(seeds, d: int, ceiling: int) -> set:
-    """The d-cells generated by `seeds` under every j-composition, j < d.
+def _whisker(atoms, identities, d: int, insert) -> list:
+    """Stage 1: the d-atoms whiskered on both sides by the identity d-cells
+    at every level j < d-1, each inserted into the layer by insert(c),
+    which is true for a cell new to the layer.
+
+    At level j only the iterated identities of (j+1)-cells take part.  An
+    identity of a lower cell is a unit for *_j.  For an identity y of a
+    higher cell, the exchange law gives
+    x *_j y = (x *_j s_{j+1} y) *_{j+1} (t_{j+1} x *_j y) and
+    y *_j x = (y *_j s_{j+1} x) *_{j+1} (t_{j+1} y *_j x): a whisker at
+    level j by a (j+1)-cell, then one at level j+1."""
+    if not atoms:
+        return []
+    index = [({}, {}) for _ in range(d - 1)]    # j -> (identities by start, by end)
+    for i in identities:
+        j = i.dim - 1                           # i is an iterated identity of a (j+1)-cell
+        while i.rows[j + 1] == (0, 0):
+            j -= 1
+        if 0 <= j < d - 1:
+            by_start, by_end = index[j]
+            by_start.setdefault(_pair_key(i, j, 0), []).append(i)
+            by_end.setdefault(_pair_key(i, j, 1), []).append(i)
+    whiskered = list(atoms)
+    todo = list(atoms)
+    while todo:
+        w = todo.pop()
+        for j, (by_start, by_end) in enumerate(index):
+            sides = [_compose(j, w, i) for i in by_start.get(_pair_key(w, j, 1), ())]
+            sides += [_compose(j, i, w) for i in by_end.get(_pair_key(w, j, 0), ())]
+            for c in sides:
+                if insert(c):
+                    whiskered.append(c)
+                    todo.append(c)
+    return whiskered
+
+
+def enumerate_cells(K: DAComplex, max_dim: int, ceiling: int = DEFAULT_CEILING):
+    """Per-dimension cell sets of nu(K).  Requires a strong Steiner complex.
+
+    Dimension d is built in two stages.  Stage 1 whiskers the d-atoms with
+    the identities of the (d-1)-cells at every level j < d-1, on both
+    sides (at level j, the identities of (j+1)-cells suffice; see
+    _whisker); call the result W.  Stage 2 seeds the layer with W and those
+    identities and closes it under *_{d-1}, always with a cell of W on the
+    right.  By Steiner's freeness theorem this reaches every d-cell.  No
+    dimension may hold more than `ceiling` cells; the ceiling is checked on
+    every insertion, so it also bounds the work done."""
+    if check_basis(K) != (True, True, True):
+        raise EnumerationError("complex is not strong Steiner")
+    layers: list[set[NuCell]] = []
+    for d in range(max_dim + 1):
+        cells: set[NuCell] = set()
+
+        def insert(c: NuCell) -> bool:
+            if c in cells:
+                return False
+            if len(cells) >= ceiling:
+                raise EnumerationError(f"cell ceiling {ceiling} exceeded at dimension {d}")
+            cells.add(c)
+            return True
+
+        identities = [nu_identity(c) for c in layers[-1]] if d else []
+        for c in identities:
+            insert(c)
+        atoms = [_table(K.gen_index, atom(K, g).rows) for g in K.basis(d)]
+        for a in atoms:
+            insert(a)
+        whiskered = _whisker(atoms, identities, d, insert)
+        if d:
+            # an identity on the left gives back its right factor, so only
+            # the cells of W start a (d-1)-composite
+            by_start: dict = {}
+            for w in whiskered:
+                by_start.setdefault(_pair_key(w, d - 1, 0), []).append(w)
+            todo = list(whiskered)
+            while todo:
+                c = todo.pop()
+                for w in by_start.get(_pair_key(c, d - 1, 1), ()):
+                    cw = _compose(d - 1, c, w)
+                    if insert(cw):
+                        todo.append(cw)
+        layers.append(cells)
+    return layers
+
+
+def close_all_pairs(seeds, d: int, ceiling: int = DEFAULT_CEILING) -> set:
+    """Test oracle of enumerate_cells: the d-cells generated by `seeds`
+    under every j-composition, j < d, by composing every composable pair.
 
     A worklist: each popped cell joins the start/end index and is composed
     with the partners it returns, so every composable pair is composed once
@@ -177,20 +271,6 @@ def _close(seeds, d: int, ceiling: int) -> set:
             for a in by_end.get(_pair_key(c, j, 0), ()):
                 insert(_compose(j, a, c))
     return cells
-
-
-def enumerate_cells(K: DAComplex, max_dim: int, ceiling: int = DEFAULT_CEILING):
-    """Per-dimension cell sets: atoms + identities, closed under all
-    compositions.  Requires a strong Steiner complex.  No dimension may
-    hold more than `ceiling` cells."""
-    if check_basis(K) != (True, True, True):
-        raise EnumerationError("complex is not strong Steiner")
-    layers: list[set[NuCell]] = []
-    for d in range(max_dim + 1):
-        seeds = [nu_identity(c) for c in layers[-1]] if d else []
-        seeds += [_table(K.gen_index, atom(K, g).rows) for g in K.basis(d)]
-        layers.append(_close(seeds, d, ceiling))
-    return layers
 
 
 def search_tables(K: DAComplex, max_dim: int, coeff_bound: int):

@@ -64,6 +64,19 @@ class TestSubcommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_ceiling_bounds_a_cylinder_exactly(self, capsys):
+        # the largest layer of this cylinder, dimensions 3 and 4, holds 672 cells
+        args = ["gray", "[2]([2],[2])", "--max-dim", "4", "--ceiling"]
+        assert main(args + ["672"]) == 0
+        out = capsys.readouterr().out
+        assert max(json.loads(out)["counts"]) == 672
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+            "ea6ec2eb8e465d1df82130d045e0eef8bd391e3463375d5d79e3037fbfc2df35"
+        assert main(args + ["671"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("args", [
         ["verify", "span", "[2]"], ["verify", "all", "[2]"],
         ["span", "[2]"], ["emit", "span", "[2]"],

@@ -1,12 +1,15 @@
 """Every public name, method and field of the library has a reader.
 
-Four rules over the syntax trees of src/graycyl and tests:
+Five rules over the syntax trees of src/graycyl and tests:
 
 * a module-level public function, class or constant is used by some module
   other than its own, or by its own module outside its definition; an
   import is not a use, so a re-export in __init__.py reaches nothing;
 * a public name that only tests use is an oracle, listed in ORACLES with
   the reason it is kept;
+* a module-level private function or class (_name, not a dunder) is read
+  by library code outside its definition: a test may reach into it, but
+  only library callers keep it;
 * every method, property and field of a library class is read as an
   attribute in the library or the tests, outside its own definition;
 * every parameter of a library function or lambda is read in its body;
@@ -24,6 +27,7 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 # Public names that only tests use, kept as independent checks of the library.
 ORACLES = {
     "nu.search_tables": "exhaustive table search, the oracle of the closure",
+    "nu.close_all_pairs": "pair-walk closure, the oracle of enumerate_cells",
     "nu.make_cell": "validating table constructor, builds tables the closure must find",
     "nu.nu_compose": "checked composition for hand-built cells",
     "nu.check_functors": "all-pairs functor check, the oracle of check_entrywise_functors",
@@ -111,6 +115,18 @@ def test_oracles_are_test_only():
     _, test_only = _unused_by_library()
     assert set(ORACLES) <= test_only, \
         f"in ORACLES but not a name only tests use: {sorted(set(ORACLES) - test_only)}"
+
+
+def test_every_private_definition_is_read_by_library():
+    library = sum((_reads(TREES[p]) for p in LIBRARY), Counter())
+    unread = []
+    for path in LIBRARY:
+        for node in TREES[path].body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and library[node.name] <= _reads(node)[node.name]):
+                unread.append(f"{path.stem}.{node.name}")
+    assert not unread, f"private and never read by the library: {unread}"
 
 
 def test_every_member_is_read():

@@ -3,13 +3,13 @@ from collections import Counter
 
 import pytest
 
-from graycyl import dac
+from graycyl import dac, nu
 from graycyl.dac import (DAComplex, DAMorphism, atom, identity_morphism,
                          lambda_cell, lambda_globe, lambda_map, render_name,
                          tensor)
 from graycyl.gray import cylinder_complex, gray_cylinder
 from graycyl.nu import (EnumerationError, NuCell, NuView, OmegaFunctor,
-                        TableError, check_functors,
+                        TableError, check_functors, close_all_pairs,
                         enumerate_cells, make_cell, nu_boundary, nu_composable,
                         nu_compose, nu_functor, nu_identity, search_tables)
 from graycyl.theta import (cell, cells_up_to, coface, globe, hyperfaces,
@@ -177,6 +177,51 @@ class TestEnumeration:
         )
         with pytest.raises(EnumerationError):
             enumerate_cells(K, 1)
+
+
+def pair_walk_layers(K, max_dim):
+    """The layers of enumerate_cells, built by the pair-walk oracle."""
+    layers = []
+    for d in range(max_dim + 1):
+        seeds = [nu_identity(c) for c in layers[-1]] if d else []
+        seeds += [atom_cell(K, g) for g in K.basis(d)]
+        layers.append(close_all_pairs(seeds, d))
+    return layers
+
+
+def assert_same_layers(got, want):
+    assert len(got) == len(want)
+    for d, (a, b) in enumerate(zip(got, want)):
+        assert a == b, f"dimension {d}: {len(a - b)} extra, {len(b - a)} missing"
+
+
+class TestPairWalkOracle:
+    """The whiskered-atom closure against the closure under every
+    composable pair."""
+
+    @pytest.mark.parametrize("t", cells_up_to(6), ids=str)
+    def test_cylinder_and_lambda_views(self, t):
+        max_dim = min(t.dimension() + 1, 4)
+        for K in (cylinder_complex(t), lambda_cell(t)):
+            assert_same_layers(enumerate_cells(K, max_dim), pair_walk_layers(K, max_dim))
+
+    @pytest.mark.parametrize("text, max_dim", [
+        ("[2]([2],[2])", 4), ("[3]([0],[1]([1]),[0])", 4), ("[5]", 3), ("G4", 5),
+    ])
+    def test_closure_wide_cylinders(self, text, max_dim):
+        K = cylinder_complex(parse_cell(text))
+        assert_same_layers(enumerate_cells(K, max_dim), pair_walk_layers(K, max_dim))
+
+    def test_dropping_whiskering_loses_cells(self, monkeypatch):
+        # without stage 1 a layer holds only identities and (d-1)-composites of bare atoms
+        K = cylinder_complex(parse_cell("[1]([1])"))
+        full = enumerate_cells(K, 3)
+        monkeypatch.setattr(nu, "_whisker", lambda atoms, identities, d, insert: list(atoms))
+        cut = enumerate_cells(K, 3)
+        assert all(b <= a for a, b in zip(full, cut))
+        assert [len(a - b) for a, b in zip(full, cut)] == [0, 0, 4, 4]
+        with pytest.raises(AssertionError):
+            assert_same_layers(cut, pair_walk_layers(K, 3))
 
 
 class TestSearchOracle:
