@@ -183,6 +183,12 @@ class DAComplex:
     def gen_index(self) -> GenIndex:
         return GenIndex(self.degrees)
 
+    @cached_property
+    def atoms(self) -> dict:
+        """generator -> its atom table, built once for check_basis and the
+        seeds of every nu closure of this complex."""
+        return {g: atom(self, g) for row in self.degrees for g in row}
+
     def d(self, x: dict) -> dict:
         out: dict = {}
         for g, c in x.items():
@@ -445,7 +451,7 @@ def _acyclic(nodes, edges) -> bool:
 def check_basis(K: DAComplex):
     """(unital, loop_free, strongly_loop_free) for the basis of K."""
     gens = [g for row in K.degrees for g in row]
-    atoms = {g: atom(K, g) for g in gens}
+    atoms = K.atoms
     unital = all(atoms[g].valid for g in gens)
 
     loop_free = True

@@ -13,12 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
-from .dac import (DAComplex, DAMorphism, GenIndex, atom, check_basis, gadd,
-                  gclean, is_nonneg, render_name, tuple_repr)
+from .dac import (DAComplex, DAMorphism, GenIndex, check_basis, gadd, gclean,
+                  is_nonneg, render_name, tuple_repr)
 
 
 class TableError(ValueError):
     pass
+
+
+_MISS = object()   # a dict.get default that no stored value equals
 
 
 def _mask(index: GenIndex, x: dict) -> int:
@@ -219,7 +222,7 @@ def enumerate_cells(K: DAComplex, max_dim: int, ceiling: int = DEFAULT_CEILING):
         identities = [nu_identity(c) for c in layers[-1]] if d else []
         for c in identities:
             insert(c)
-        atoms = [_table(K.gen_index, atom(K, g).rows) for g in K.basis(d)]
+        atoms = [_table(K.gen_index, K.atoms[g].rows) for g in K.basis(d)]
         for a in atoms:
             insert(a)
         whiskered = _whisker(atoms, identities, d, insert)
@@ -363,7 +366,6 @@ def nu_functor(a: DAMorphism, max_dim: int, ceiling: int = DEFAULT_CEILING,
 
     gen_image = [gen_mask(a.images[g]) for g in a.source.gen_index.names]  # by bit position
     entry_image = {0: 0}
-    cache: dict = {}
 
     def image(m: int) -> int:
         out = entry_image.get(m)
@@ -380,16 +382,20 @@ def nu_functor(a: DAMorphism, max_dim: int, ceiling: int = DEFAULT_CEILING,
         return out
 
     def apply(c: NuCell) -> NuCell:
-        out = cache.get(c)
-        if out is not None:
-            return out
         out = NuCell(tuple((image(n), image(p)) for n, p in c.rows), index)
         if out.dim <= tgt.max_dim and out not in tgt.layers[out.dim]:
             raise TableError(f"image table is not a cell of the target: {c}")
-        cache[c] = out
         return out
 
     return OmegaFunctor(src, tgt, apply)
+
+
+def _image_rows(F, c: NuCell):
+    """The rows of F(c), or None where F(c) is not a target cell."""
+    try:
+        return F(c).rows
+    except TableError:
+        return None
 
 
 def check_entrywise_functors(Fs):
@@ -397,6 +403,17 @@ def check_entrywise_functors(Fs):
     cells: ("image", d, c) where F(c) is not a target cell (TableError),
     ("source"/"target"/"identity", d, c) where F does not preserve them,
     or has no image at that boundary or identity.
+
+    F is applied once per source cell, and its image rows are kept by the
+    rows of the cell.  The clauses are then checked on rows: the source and
+    target of c are rows[:-2] + ((n, n),) and rows[:-2] + ((p, p),) for
+    (n, p) = rows[-2], its identity is rows + ((0, 0),), and their images
+    are looked up and compared with the boundary and identity of F(c)'s
+    rows.  Every lookup hits on a complete closure: nu(K) holds the source,
+    target and identity of each of its cells, and enumerate_cells returns
+    all cells of each dimension up to max_dim, so a boundary is a cell one
+    layer down and an identity below the top one layer up.  A miss (an
+    incomplete source view) builds the cell and applies F to it once.
 
     Composition needs no walk over the composable pairs.  nu_functor maps
     each entry mask m to image(m), the OR of the images of its generators,
@@ -411,45 +428,65 @@ def check_entrywise_functors(Fs):
     if not Fs or any(F.source_view is not Fs[0].source_view for F in Fs):
         raise ValueError("check_entrywise_functors needs functors out of one source view")
     src = Fs[0].source_view
-    reports = [[] for _ in Fs]
     top = src.max_dim
+    cells = [c for layer in src.layers for c in layer]
+    images = [{c.rows: _image_rows(F, c) for c in cells} for F in Fs]
+    reports = [[] for _ in Fs]
 
-    def image(F, c):
-        try:
-            return F(c)
-        except TableError:
-            return None
+    def image(F, seen: dict, rows: tuple, index: GenIndex):
+        out = seen.get(rows, _MISS)
+        if out is _MISS:
+            out = seen[rows] = _image_rows(F, NuCell(rows, index))
+        return out
 
-    for d in range(top + 1):
-        for c in src.layers[d]:
-            if d > 0:
-                src_c, tgt_c = nu_boundary(c)
-            ident = nu_identity(c) if d < top else None
-            for F, report in zip(Fs, reports):
-                fc = image(F, c)
-                if fc is None:
-                    report.append(("image", d, c))
-                    continue
-                if d > 0:
-                    src_fc, tgt_fc = nu_boundary(fc)
-                    if image(F, src_c) != src_fc:
-                        report.append(("source", d, c))
-                    if image(F, tgt_c) != tgt_fc:
-                        report.append(("target", d, c))
-                if ident is not None and image(F, ident) != nu_identity(fc):
-                    report.append(("identity", d, c))
+    for c in cells:
+        rows = c.rows
+        d = len(rows) - 1
+        if d:
+            below = rows[:-2]
+            neg, pos = rows[-2]
+            src_rows, tgt_rows = below + ((neg, neg),), below + ((pos, pos),)
+        for F, seen, report in zip(Fs, images, reports):
+            fc = seen[rows]
+            if fc is None:
+                report.append(("image", d, c))
+                continue
+            if d:
+                below = fc[:-2]
+                neg, pos = fc[-2]
+                if image(F, seen, src_rows, c.index) != below + ((neg, neg),):
+                    report.append(("source", d, c))
+                if image(F, seen, tgt_rows, c.index) != below + ((pos, pos),):
+                    report.append(("target", d, c))
+            if d < top and image(F, seen, rows + ((0, 0),), c.index) != fc + ((0, 0),):
+                report.append(("identity", d, c))
     return reports
+
+
+def _memoised(F):
+    """F, applied once per distinct cell."""
+    seen: dict = {}
+
+    def apply(c: NuCell) -> NuCell:
+        out = seen.get(c)
+        if out is None:
+            out = seen[c] = F(c)
+        return out
+
+    return apply
 
 
 def check_functors(Fs, max_dim: int):
     """Per functor, the list of violations of boundary/identity/composition
     preservation.  The functors share one source view, so each composable
-    pair of it is composed once for all of them."""
+    pair of it is composed once for all of them.  Each functor is applied
+    once per cell, and each image composite F(a) *_j F(b) is computed once
+    per distinct (j, F(a), F(b))."""
     if not Fs or any(F.source_view is not Fs[0].source_view for F in Fs):
         raise ValueError("check_functors needs functors out of one source view")
     src = Fs[0].source_view
     reports = [[] for _ in Fs]
-    checks = list(zip(Fs, reports))
+    checks = [(_memoised(F), {}, report) for F, report in zip(Fs, reports)]
     top = min(max_dim, src.max_dim)
     for d in range(top + 1):
         cs = src.cells(d)
@@ -457,7 +494,7 @@ def check_functors(Fs, max_dim: int):
             if d > 0:
                 src_c, tgt_c = nu_boundary(c)
             ident = nu_identity(c) if d < top else None
-            for F, report in checks:
+            for F, _, report in checks:
                 fc = F(c)
                 if d > 0:
                     src_fc, tgt_fc = nu_boundary(fc)
@@ -474,12 +511,18 @@ def check_functors(Fs, max_dim: int):
             for a in cs:
                 for b in by_start.get(_pair_key(a, j, 1), ()):
                     ab = _compose(j, a, b)
-                    for F, report in checks:
+                    for F, composites, report in checks:
                         lhs = F(ab)
                         fa, fb = F(a), F(b)
-                        if not nu_composable(j, fa, fb):
+                        key = (j, fa.rows, fb.rows)
+                        rhs = composites.get(key, _MISS)
+                        if rhs is _MISS:
+                            # None where F(a) and F(b) are not j-composable
+                            rhs = composites[key] = (_compose(j, fa, fb)
+                                                     if nu_composable(j, fa, fb) else None)
+                        if rhs is None:
                             report.append(("composable", d, j, a, b))
-                        elif lhs != _compose(j, fa, fb):
+                        elif lhs != rhs:
                             report.append(("compose", d, j, a, b))
     return reports
 

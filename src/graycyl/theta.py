@@ -7,7 +7,7 @@ indexed by the segment-image sets F(f)(i) = {j | f(i-1) < j <= f(i)}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 
@@ -19,9 +19,39 @@ class CellSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThetaCell:
     children: tuple["ThetaCell", ...]
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # the value of the dataclass hash, hash((children,)), taken once
+        # from the children's stored hashes, so hashing never recurses
+        object.__setattr__(self, "_hash", hash((self.children,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        """Structural equality by an explicit stack, so deep trees compare
+        without recursion; shared subtrees and unequal hashes end early."""
+        if self is other:
+            return True
+        if not isinstance(other, ThetaCell):
+            return NotImplemented
+        if self._hash != other._hash:
+            return False
+        stack = [(self.children, other.children)]
+        while stack:
+            xs, ys = stack.pop()
+            if len(xs) != len(ys):
+                return False
+            for x, y in zip(xs, ys):
+                if x is not y:
+                    if x._hash != y._hash:
+                        return False
+                    stack.append((x.children, y.children))
+        return True
 
     @property
     def width(self) -> int:
@@ -77,9 +107,10 @@ def mirror(t: ThetaCell) -> ThetaCell:
 # parsing
 # ---------------------------------------------------------------------------
 
-# Deepest tree parse_cell accepts.  Cell equality, hashing, printing and the
-# complex builders recurse through three or four frames per tree level; under
-# Python's default recursion limit of 1000 they fail near depth 250.
+# Deepest tree parse_cell accepts.  Cell equality and hashing do not recurse,
+# but printing and the complex builders recurse through three or four frames
+# per tree level; under Python's default recursion limit of 1000 they fail
+# near depth 250.
 MAX_DEPTH = 200
 
 

@@ -154,6 +154,20 @@ class TestEnumeration:
                             extra.add(nu_compose(j, a, b))
             assert extra <= cells
 
+    def test_atoms_built_once_per_complex(self, monkeypatch):
+        K = tensor(IV, lambda_globe(2))
+        built = Counter()
+        real_atom = dac.atom
+
+        def counting_atom(K, g):
+            built[g] += 1
+            return real_atom(K, g)
+
+        monkeypatch.setattr(dac, "atom", counting_atom)
+        NuView(K, 2)
+        NuView(K, 3)
+        assert built == Counter(g for row in K.degrees for g in row)
+
     def test_ceiling(self):
         with pytest.raises(EnumerationError):
             enumerate_cells(SQ, 2, ceiling=3)

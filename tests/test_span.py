@@ -1,13 +1,12 @@
+import copy
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from graycyl.dac import DAMorphism, MorphismError, lambda_cell
 from graycyl.gray import H, L, cylinder_complex
 from graycyl.nu import (OmegaFunctor, TableError, check_entrywise_functors,
-                        check_functors, nu_functor)
+                        check_functors, nu_boundary, nu_functor, nu_identity)
 from graycyl.span import (build_span, mirror_name, shift_map,
                           shift_target_cell, span_dot, split_map, verify_span)
 from graycyl.theta import cell, cells_up_to, cells_with_nodes, coface, parse_cell
@@ -96,10 +95,11 @@ class TestVerifySpan:
             budget = min(t.dimension() + 1, 4)
             assert verify_span(t, max_dim=budget).passed, str(t)
 
-    @given(st.sampled_from(cells_with_nodes(7)))
-    @settings(max_examples=20, deadline=None)
-    def test_seven_node_sample(self, t):
-        assert verify_span(t, max_dim=min(t.dimension() + 1, 4)).passed, str(t)
+    def test_corpus_of_seven_nodes(self):
+        cells = cells_with_nodes(7)
+        assert len(cells) == 132
+        for t in cells:
+            assert verify_span(t, max_dim=min(t.dimension() + 1, 4)).passed, str(t)
 
     def test_kappa_object_bijection(self):
         t = parse_cell("[2]([1],[0])")
@@ -201,3 +201,54 @@ class TestEntrywiseCheck:
         G = build_span(cell(1)).sigma
         with pytest.raises(ValueError):
             check_entrywise_functors([F, G])
+
+
+class TestEntrywisePass:
+    """How check_entrywise_functors applies its functors, and what it reports
+    against a target view that lacks a cell."""
+
+    def test_one_application_per_source_cell(self):
+        for text in ("[2]", "[1]([1])", "[2]([1],[0])"):
+            b = build_span(parse_cell(text))
+            cells = Counter(c for layer in b.cyl_view.layers for c in layer)
+            calls = [Counter() for _ in range(3)]
+
+            def counting(F, seen):
+                def apply(c):
+                    seen[c] += 1
+                    return F(c)
+                return OmegaFunctor(F.source_view, F.target_view, apply)
+
+            Fs = [counting(F, n) for F, n in zip((*b.kappa, b.sigma), calls)]
+            assert check_entrywise_functors(Fs) == [[], [], []]
+            assert calls == [cells] * 3, text
+
+    def test_incomplete_target_layer_is_reported(self):
+        b = build_span(parse_cell("[1]([1])"))
+        full = b.sigma
+        broken = copy.copy(full.target_view)
+        broken.layers = [set(layer) for layer in broken.layers]
+        victim = nu_identity(full(b.cyl_view.cells(0)[0]))
+        broken.layers[1].remove(victim)
+        F = nu_functor(b.q, b.cyl_view.max_dim, source_view=b.cyl_view, target_view=broken)
+
+        def missing(x):
+            return x not in broken.layers[x.dim]
+
+        top = b.cyl_view.max_dim
+        want = []
+        for d, layer in enumerate(b.cyl_view.layers):
+            for c in layer:
+                if missing(full(c)):
+                    want.append(("image", d, c))
+                    continue
+                if d:
+                    src_c, tgt_c = nu_boundary(c)
+                    if missing(full(src_c)):
+                        want.append(("source", d, c))
+                    if missing(full(tgt_c)):
+                        want.append(("target", d, c))
+                if d < top and missing(full(nu_identity(c))):
+                    want.append(("identity", d, c))
+        assert {v[0] for v in want} == {"image", "source", "target", "identity"}
+        assert check_entrywise_functors((F,)) == [want]

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -259,3 +260,48 @@ class TestMisc:
     def test_vertex(self):
         v = vertex(cell(2), 1)
         assert v.source == POINT and v.base(0) == 1
+
+
+class TestDeepCells:
+    """Equality and hashing of cells deeper than a recursive walk could go
+    under Python's default recursion limit."""
+
+    def test_equal_to_a_separate_copy(self):
+        a, b = globe(250), globe(250)
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+
+    def test_unequal_to_a_deeper_globe(self):
+        a, c = globe(250), globe(251)
+        assert a != c and c != a
+        assert a != c.children[0].children[0]
+        assert len({a, c, globe(250)}) == 2
+
+    def test_unequal_at_the_bottom_only(self):
+        def over(base):
+            for _ in range(250):
+                base = ThetaCell((base,))
+            return base
+
+        assert over(cell(2)) == over(cell(2))
+        assert over(cell(2)) != over(cell(1)) and over(cell(1)) == globe(251)
+
+    def test_lru_cache_keys(self):
+        calls = []
+
+        @lru_cache(maxsize=None)
+        def depth(t):
+            calls.append(t)
+            n = 0
+            while t.children:
+                t, n = t.children[0], n + 1
+            return n
+
+        assert [depth(globe(250)), depth(globe(250)), depth(globe(251))] == [250, 250, 251]
+        assert len(calls) == 2 and depth.cache_info().hits == 1
+
+    def test_hash_is_the_dataclass_hash(self):
+        # set and dict orders of cells, and so the pinned CLI bytes, rest on it
+        for t in cells_up_to(5):
+            assert hash(t) == hash((t.children,))
