@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
+from weakref import WeakKeyDictionary
 
 from .theta import (SimplicialMap, ThetaCell, ThetaMorphism, gamma_image,
                     globular_sum)
@@ -185,9 +186,19 @@ class DAComplex:
 
     @cached_property
     def atoms(self) -> dict:
-        """generator -> its atom table, built once for check_basis and the
-        seeds of every nu closure of this complex."""
-        return {g: atom(self, g) for row in self.degrees for g in row}
+        """generator -> its atom table with (neg, pos) gen_index bitmask
+        rows, built once for check_basis and the seeds of every nu closure
+        of this complex.  A bitmask holds coefficients 0 and 1 only, as a
+        table of nu does, so an atom with another coefficient is not valid."""
+        bit = self.gen_index.bit
+        out = {}
+        for row in self.degrees:
+            for g in row:
+                table = atom(self, g)
+                masks = tuple(tuple(sum(bit[h] for h in x) for x in pair) for pair in table.rows)
+                exact = all(c == 1 for pair in table.rows for x in pair for c in x.values())
+                out[g] = AtomTable(masks, table.valid and exact)
+        return out
 
     def d(self, x: dict) -> dict:
         out: dict = {}
@@ -276,12 +287,13 @@ def wreath_complex(children: list[DAComplex]) -> DAComplex:
     return DAComplex(tuple(degrees), diff, aug)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=None)
 def lambda_cell(t: ThetaCell) -> DAComplex:
     """The chain-complex realization of a cell, by recursion on the tree.
 
-    Memoised per cell: every caller gets the same complex, which is shared
-    and read-only.
+    Memoised per cell, unbounded: every caller gets the same complex, which
+    is shared and read-only, so lambda_map(f).source is
+    lambda_cell(f.source) for every f.
     """
     if t.width == 0:
         return point_complex()
@@ -391,7 +403,22 @@ def wreath_morphism(src: DAComplex, tgt: DAComplex, base: SimplicialMap,
     return DAMorphism(src, tgt, images)
 
 
+# lambda_map's value per interned morphism, held only while the morphism lives
+_LAMBDA_MAPS: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def lambda_map(f: ThetaMorphism) -> DAMorphism:
+    """The morphism of complexes of f, between lambda_cell(f.source) and
+    lambda_cell(f.target).  Built once per morphism and kept as long as f
+    lives: every caller gets the same morphism, which is shared and
+    read-only."""
+    out = _LAMBDA_MAPS.get(f)
+    if out is None:
+        out = _LAMBDA_MAPS[f] = _lambda_map(f)
+    return out
+
+
+def _lambda_map(f: ThetaMorphism) -> DAMorphism:
     src = lambda_cell(f.source)
     tgt = lambda_cell(f.target)
     if f.source.width == 0:
@@ -406,7 +433,8 @@ def lambda_map(f: ThetaMorphism) -> DAMorphism:
 
 @dataclass(frozen=True)
 class AtomTable:
-    rows: tuple              # ((neg, pos), ...) from degree 0 up to i
+    rows: tuple              # ((neg, pos), ...) from degree 0 up to i: element
+                             # dicts from atom(), bitmasks in DAComplex.atoms
     valid: bool
 
 
@@ -449,7 +477,9 @@ def _acyclic(nodes, edges) -> bool:
 
 
 def check_basis(K: DAComplex):
-    """(unital, loop_free, strongly_loop_free) for the basis of K."""
+    """(unital, loop_free, strongly_loop_free) for the basis of K.  An atom
+    with an entry coefficient other than 0 or 1, which no table of nu can
+    hold, counts as not unital."""
     gens = [g for row in K.degrees for g in row]
     atoms = K.atoms
     unital = all(atoms[g].valid for g in gens)
@@ -458,11 +488,12 @@ def check_basis(K: DAComplex):
     for i in range(K.top_degree + 1):
         hi = [g for g in gens if K.degree_of(g) > i]
         # x -> y when the positive row i of <x> meets the negative row i of <y>
-        ends: dict = {}      # generator -> atoms whose negative row i contains it
+        ends: dict = {}      # bit position -> atoms whose negative row i holds it
         for y in hi:
-            for z in atoms[y].rows[i][0]:
+            for z in _bit_positions(atoms[y].rows[i][0]):
                 ends.setdefault(z, []).append(y)
-        edges = [(x, y) for x in hi for z in atoms[x].rows[i][1] for y in ends.get(z, ())]
+        edges = [(x, y) for x in hi for z in _bit_positions(atoms[x].rows[i][1])
+                 for y in ends.get(z, ())]
         if not _acyclic(hi, edges):
             loop_free = False
             break

@@ -222,7 +222,7 @@ def enumerate_cells(K: DAComplex, max_dim: int, ceiling: int = DEFAULT_CEILING):
         identities = [nu_identity(c) for c in layers[-1]] if d else []
         for c in identities:
             insert(c)
-        atoms = [_table(K.gen_index, K.atoms[g].rows) for g in K.basis(d)]
+        atoms = [NuCell(K.atoms[g].rows, K.gen_index) for g in K.basis(d)]
         for a in atoms:
             insert(a)
         whiskered = _whisker(atoms, identities, d, insert)

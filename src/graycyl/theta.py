@@ -8,7 +8,9 @@ indexed by the segment-image sets F(f)(i) = {j | f(i-1) < j <= f(i)}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
+from types import MappingProxyType
+from weakref import WeakValueDictionary
 
 
 class CellSyntaxError(ValueError):
@@ -19,60 +21,74 @@ class CellSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, eq=False)
-class ThetaCell:
-    children: tuple["ThetaCell", ...]
-    _hash: int = field(init=False, repr=False)
+# The live cells by children tuple, and the live morphisms by their field
+# tuple.  Construction returns the table's instance when there is one, so
+# equal values are one object and equality is identity.  The tables hold
+# their values weakly: a cell or morphism no one holds is freed.
+_CELLS: WeakValueDictionary = WeakValueDictionary()
+_MORPHISMS: WeakValueDictionary = WeakValueDictionary()
 
-    def __post_init__(self):
-        # the value of the dataclass hash, hash((children,)), taken once
-        # from the children's stored hashes, so hashing never recurses
-        object.__setattr__(self, "_hash", hash((self.children,)))
+
+@dataclass(frozen=True, eq=False, init=False)
+class ThetaCell:
+    """A cell, interned: ThetaCell(children) is the one live cell with those
+    children, so two cells are equal exactly when they are the same object."""
+
+    children: tuple["ThetaCell", ...]
+    _hash: int = field(repr=False)
+
+    def __new__(cls, children: tuple["ThetaCell", ...]):
+        self = _CELLS.get(children)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "children", children)
+            # the value of the dataclass hash, hash((children,)), taken once
+            # from the children's stored hashes, so hashing never recurses;
+            # set orders and the pinned CLI bytes rest on it
+            object.__setattr__(self, "_hash", hash((children,)))
+            _CELLS[children] = self
+        return self
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __eq__(self, other) -> bool:
-        """Structural equality by an explicit stack, so deep trees compare
-        without recursion; shared subtrees and unequal hashes end early."""
-        if self is other:
-            return True
-        if not isinstance(other, ThetaCell):
-            return NotImplemented
-        if self._hash != other._hash:
-            return False
-        stack = [(self.children, other.children)]
-        while stack:
-            xs, ys = stack.pop()
-            if len(xs) != len(ys):
-                return False
-            for x, y in zip(xs, ys):
-                if x is not y:
-                    if x._hash != y._hash:
-                        return False
-                    stack.append((x.children, y.children))
-        return True
 
     @property
     def width(self) -> int:
         return len(self.children)
 
     def dimension(self) -> int:
-        if self.width == 0:
-            return 0
-        return 1 + max(c.dimension() for c in self.children)
+        """Depth of the tree, level by level, so deep cells do not recurse."""
+        depth, level = 0, {self}
+        while True:
+            level = {c for t in level for c in t.children}
+            if not level:
+                return depth
+            depth += 1
 
     def objects(self):
         """Vertex set {0..n} of the base simplex."""
         return range(self.width + 1)
 
     def __str__(self) -> str:
-        n = self.width
-        if n == 0:
-            return "[0]"
-        if all(c.width == 0 for c in self.children):
-            return f"[{n}]"
-        return f"[{n}](" + ",".join(str(c) for c in self.children) + ")"
+        """[n](T_1,...,T_n), or [n] when every child is [0]; written from an
+        explicit stack of cells and punctuation, so deep cells do not
+        recurse."""
+        out = []
+        stack = [self]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, str):
+                out.append(t)
+            elif all(c.width == 0 for c in t.children):
+                out.append(f"[{t.width}]")
+            else:
+                out.append(f"[{t.width}](")
+                stack.append(")")
+                for k, c in enumerate(reversed(t.children)):
+                    if k:
+                        stack.append(",")
+                    stack.append(c)
+        return "".join(out)
 
     def __repr__(self) -> str:
         return f"ThetaCell({self})"
@@ -107,10 +123,10 @@ def mirror(t: ThetaCell) -> ThetaCell:
 # parsing
 # ---------------------------------------------------------------------------
 
-# Deepest tree parse_cell accepts.  Cell equality and hashing do not recurse,
-# but printing and the complex builders recurse through three or four frames
-# per tree level; under Python's default recursion limit of 1000 they fail
-# near depth 250.
+# Deepest tree parse_cell accepts.  Cell construction, equality, hashing,
+# printing and dimension() do not recurse, but the complex builders recurse
+# through three or four frames per tree level; under Python's default
+# recursion limit of 1000 they fail near depth 250.
 MAX_DEPTH = 200
 
 
@@ -283,36 +299,60 @@ def codegeneracy(n: int, k: int) -> SimplicialMap:
     return SimplicialMap(n, n - 1, tuple(i if i <= k else i - 1 for i in range(n + 1)))
 
 
-def gamma_image(f: SimplicialMap) -> dict[int, tuple[int, ...]]:
-    """F(f)(i) = {j | f(i-1) < j <= f(i)} for each source segment i."""
-    return {i: tuple(range(f(i - 1) + 1, f(i) + 1)) for i in range(1, f.source_width + 1)}
+@cache
+def gamma_image(f: SimplicialMap) -> MappingProxyType:
+    """F(f)(i) = {j | f(i-1) < j <= f(i)} for each source segment i.
+
+    Memoised per map: every caller gets the same read-only mapping."""
+    return MappingProxyType({i: tuple(range(f(i - 1) + 1, f(i) + 1))
+                             for i in range(1, f.source_width + 1)})
 
 
 # ---------------------------------------------------------------------------
 # morphisms of the wreath product
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ThetaMorphism:
+    """A morphism, interned like ThetaCell: equal morphisms are one object.
+    The checks run once, when a morphism is first built; a construction
+    that fails raises and leaves nothing in the table."""
+
     source: ThetaCell
     target: ThetaCell
     base: SimplicialMap
     components: tuple[tuple[tuple[int, int], "ThetaMorphism"], ...]
+    _hash: int = field(repr=False)
 
-    def __post_init__(self):
-        if self.base.source_width != self.source.width:
+    def __new__(cls, source: ThetaCell, target: ThetaCell, base: SimplicialMap,
+                components: tuple[tuple[tuple[int, int], "ThetaMorphism"], ...]):
+        key = (source, target, base, components)
+        self = _MORPHISMS.get(key)
+        if self is not None:
+            return self
+        if base.source_width != source.width:
             raise ValueError("base source width mismatch")
-        if self.base.target_width != self.target.width:
+        if base.target_width != target.width:
             raise ValueError("base target width mismatch")
-        expected = [(i, j) for i in range(1, self.source.width + 1)
-                    for j in gamma_image(self.base)[i]]
-        if [k for k, _ in self.components] != expected:
+        image = gamma_image(base)
+        if [k for k, _ in components] != [(i, j) for i in range(1, source.width + 1)
+                                          for j in image[i]]:
             raise ValueError("component keys must be exactly the segment-image pairs")
-        for (i, j), f in self.components:
-            if f.source != self.source.children[i - 1]:
+        for (i, j), f in components:
+            if f.source is not source.children[i - 1]:
                 raise ValueError(f"component ({i},{j}) has wrong source")
-            if f.target != self.target.children[j - 1]:
+            if f.target is not target.children[j - 1]:
                 raise ValueError(f"component ({i},{j}) has wrong target")
+        self = object.__new__(cls)
+        for name, value in zip(("source", "target", "base", "components"), key):
+            object.__setattr__(self, name, value)
+        # the value of the dataclass hash, as before interning
+        object.__setattr__(self, "_hash", hash(key))
+        _MORPHISMS[key] = self
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def component(self, i: int, j: int) -> "ThetaMorphism":
         for k, f in self.components:

@@ -1,7 +1,11 @@
+from collections import Counter
+from weakref import WeakKeyDictionary
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graycyl import dac
 from graycyl.dac import (DAComplex, DAMorphism, MorphismError,
                          amalgamate_with_inclusions,
                          amalgamation_over_globular_sum, atom,
@@ -9,7 +13,7 @@ from graycyl.dac import (DAComplex, DAMorphism, MorphismError,
                          identity_morphism, lambda_cell, lambda_globe,
                          lambda_map, point_complex, sign_split, support,
                          tensor, wreath_complex)
-from graycyl.gray import cylinder_map
+from graycyl.gray import cylinder_map, hyperface_cylinder
 from graycyl.theta import (POINT, cell, cells_up_to, coface, codegeneracy,
                            globe, hyperfaces, parse_cell, theta_identity,
                            theta_morphism, vertex)
@@ -96,6 +100,30 @@ class TestLambdaMap:
         for t in cells_up_to(6):
             for face in hyperfaces(t):
                 lambda_map(face.map).validate()
+
+    def test_built_once_per_distinct_morphism(self, monkeypatch):
+        built = Counter()      # also keeps every morphism built alive
+        real = dac._lambda_map
+
+        def counted(f):
+            built[f] += 1
+            return real(f)
+
+        monkeypatch.setattr(dac, "_lambda_map", counted)
+        monkeypatch.setattr(dac, "_LAMBDA_MAPS", WeakKeyDictionary())
+        faces = hyperfaces(parse_cell("[2]([1],[0])"))
+        for _ in range(2):
+            for face in faces:
+                assert lambda_map(face.map) is lambda_map(face.map)
+                assert hyperface_cylinder(face).agree
+        reachable, todo = set(), [face.map for face in faces]
+        while todo:
+            f = todo.pop()
+            if f not in reachable:
+                reachable.add(f)
+                todo.extend(m for _, m in f.components)
+        assert reachable < set(built)
+        assert set(built.values()) == {1}
 
 
 class TestTensor:
@@ -191,6 +219,24 @@ class TestAtoms:
     def test_unknown_generator(self):
         with pytest.raises(KeyError):
             atom(lambda_globe(1), "zz")
+
+    def test_complex_keeps_bitmask_rows(self):
+        K = lambda_globe(2)
+        bit = K.gen_index.bit
+        table = K.atoms["v2"]
+        assert table.valid
+        assert table.rows == ((bit["b0"], bit["t0"]), (bit["b1"], bit["t1"]),
+                              (bit["v2"], bit["v2"]))
+        for g, table in K.atoms.items():
+            assert table.rows == tuple(tuple(sum(bit[h] for h in x) for x in pair)
+                                       for pair in atom(K, g).rows)
+
+    def test_coefficient_two_is_not_a_valid_atom(self):
+        o0, o1, x = ("o", 0), ("o", 1), ("x", 0)
+        K = DAComplex(((o0, o1), (x,)), {x: {o1: 2, o0: -2}}, {o0: 1, o1: 1}).validate()
+        bit = K.gen_index.bit
+        assert K.atoms[x] == dac.AtomTable(((bit[o0], bit[o1]), (bit[x], bit[x])), False)
+        assert check_basis(K)[0] is False
 
 
 class TestCheckBasis:

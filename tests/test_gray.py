@@ -304,6 +304,15 @@ class TestOneCylinderBuilder:
         f = faces[0].map
         assert cylinder_map(f).source is cylinder_complex(f.source)
 
+    def test_maps_run_between_the_shared_complexes(self):
+        for t in cells_up_to(6):
+            for face in hyperfaces(t):
+                f = face.map
+                lam, cyl = lambda_map(f), cylinder_map(f)
+                assert lam.source is lambda_cell(f.source) and lam.target is lambda_cell(f.target)
+                assert cyl.source is cylinder_complex(f.source)
+                assert cyl.target is cylinder_complex(f.target)
+
     def test_cylinder_map_on_objects_and_edges(self):
         f = parse_morphism({
             "source": "[1]([2])", "target": "[2]([1],[1])", "base": [0, 2],

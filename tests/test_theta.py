@@ -1,3 +1,4 @@
+import gc
 import random
 from functools import lru_cache
 
@@ -5,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graycyl import theta
 from graycyl.theta import (MAX_DEPTH, CellSyntaxError, POINT, SimplicialMap, ThetaCell,
                            cell, cells_up_to, coface, codegeneracy,
                            gamma_image, globe, globular_sum, hyperfaces,
                            leaf_inclusion, meet_inclusion, mirror,
                            parse_cell, parse_morphism, reconstruct,
-                           simplicial_identity, theta_identity, vertex)
+                           simplicial_identity, theta_identity,
+                           theta_morphism, vertex)
 
 
 def cells_strategy(max_width=3, max_height=3):
@@ -112,6 +115,15 @@ class TestGammaImage:
 
     def test_degeneracy(self):
         assert gamma_image(codegeneracy(1, 0)) == {1: ()}
+
+    def test_memoised_value_is_read_only(self):
+        image = gamma_image(coface(2, 1))
+        assert gamma_image(coface(2, 1)) is image
+        with pytest.raises(TypeError):
+            image[1] = ()
+        with pytest.raises(TypeError):
+            del image[2]
+        assert image == {1: (1, 2), 2: (3,)}
 
     def test_composite_union_formula(self):
         def monotone_maps(n, m):
@@ -267,8 +279,9 @@ class TestDeepCells:
     under Python's default recursion limit."""
 
     def test_equal_to_a_separate_copy(self):
+        # cells are interned, so a copy built apart is the same object
         a, b = globe(250), globe(250)
-        assert a is not b
+        assert a is b
         assert a == b and not a != b
         assert hash(a) == hash(b)
 
@@ -302,6 +315,54 @@ class TestDeepCells:
         assert len(calls) == 2 and depth.cache_info().hits == 1
 
     def test_hash_is_the_dataclass_hash(self):
-        # set and dict orders of cells, and so the pinned CLI bytes, rest on it
+        # set and dict orders of cells and morphisms, and so the pinned CLI
+        # bytes, rest on it
         for t in cells_up_to(5):
             assert hash(t) == hash((t.children,))
+            for face in hyperfaces(t):
+                f = face.map
+                assert hash(f.source) == hash((f.source.children,))
+                assert hash(f) == hash((f.source, f.target, f.base, f.components))
+
+    def test_printing_and_dimension_do_not_recurse(self):
+        g = globe(1000)
+        assert str(g) == "[1](" * 999 + "[1]" + ")" * 999
+        assert repr(g) == f"ThetaCell({g})"
+        assert g.dimension() == 1000
+        assert str(ThetaCell((g, POINT))).startswith("[2]([1]([1](")
+
+
+class TestInterning:
+    """Equal cells and morphisms are one object, held weakly."""
+
+    def test_construction_returns_the_live_instance(self):
+        for text in ("[0]", "[2]([1],[0])", "[3]([0],[1]([1]),[0])", "G7"):
+            assert parse_cell(text) is parse_cell(text)
+        assert parse_cell("[2]([1],[0])") is cell(2, cell(1), POINT)
+        assert globe(250) is globe(250)
+        for face in hyperfaces(parse_cell("[2]([1],[1])")):
+            f = face.map
+            assert theta_morphism(f.source, f.target, f.base, dict(f.components)) is f
+            assert f.then(theta_identity(f.target)) is f
+
+    def test_tables_free_what_no_one_holds(self):
+        gc.collect()
+        before = len(theta._CELLS), len(theta._MORPHISMS)
+        t = globe(500)
+        v = vertex(t, 1)
+        assert theta._CELLS[t.children] is t and len(theta._CELLS) > before[0]
+        assert len(theta._MORPHISMS) == before[1] + 1
+        del t, v
+        gc.collect()
+        assert (len(theta._CELLS), len(theta._MORPHISMS)) == before
+
+    def test_a_bad_morphism_raises_every_time_and_is_not_kept(self):
+        src = cell(1)
+        base = simplicial_identity(1)
+        wrong = {(1, 1): theta_identity(src)}       # the component must start at [0]
+        before = len(theta._MORPHISMS)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="wrong source"):
+                theta_morphism(src, src, base, wrong)
+        assert len(theta._MORPHISMS) == before
+        assert (src, src, base, tuple(wrong.items())) not in theta._MORPHISMS
