@@ -1,6 +1,6 @@
 """Exact lax-Gray-cylinder computations over cells of the Theta category."""
 
-from .dac import (DAComplex, DAMorphism, atom, check_basis, lambda_cell,
+from .dac import (DAComplex, DAMorphism, check_basis, lambda_cell,
                   lambda_globe, lambda_map, sign_split, tensor)
 from .gray import (gray_cylinder, hyperface_cylinder, lax_shuffle_diagram,
                    verify_globular_preservation, verify_gluing)

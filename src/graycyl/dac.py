@@ -47,15 +47,11 @@ def is_nonneg(x: dict) -> bool:
     return all(v >= 0 for v in x.values())
 
 
-def support(x: dict) -> frozenset:
-    return frozenset(k for k, v in x.items() if v != 0)
-
-
 def sign_split(x: dict):
-    """(support, positive part, negative part); x = plus - minus."""
+    """(positive part, negative part); x = plus - minus."""
     plus = {k: v for k, v in x.items() if v > 0}
     minus = {k: -v for k, v in x.items() if v < 0}
-    return support(x), plus, minus
+    return plus, minus
 
 
 def render_name(g) -> str:
@@ -186,18 +182,26 @@ class DAComplex:
 
     @cached_property
     def atoms(self) -> dict:
-        """generator -> its atom table with (neg, pos) gen_index bitmask
-        rows, built once for check_basis and the seeds of every nu closure
-        of this complex.  A bitmask holds coefficients 0 and 1 only, as a
-        table of nu does, so an atom with another coefficient is not valid."""
+        """generator -> its atom table <g>, built once for check_basis and
+        the seeds of every nu closure of this complex.  The top row is
+        (g, g) and each row below takes d(-)_- of the negative entry and
+        d(-)_+ of the positive one.  Rows are (neg, pos) gen_index bitmask
+        pairs; a bitmask holds coefficients 0 and 1 only, as a table of nu
+        does, so an atom with another coefficient is not valid."""
         bit = self.gen_index.bit
         out = {}
         for row in self.degrees:
             for g in row:
-                table = atom(self, g)
-                masks = tuple(tuple(sum(bit[h] for h in x) for x in pair) for pair in table.rows)
-                exact = all(c == 1 for pair in table.rows for x in pair for c in x.values())
-                out[g] = AtomTable(masks, table.valid and exact)
+                neg = pos = {g: 1}
+                rows = [(neg, pos)]
+                for _ in range(self.degree_of(g)):
+                    neg, pos = sign_split(self.d(neg))[1], sign_split(self.d(pos))[0]
+                    rows.append((neg, pos))
+                rows.reverse()
+                valid = (self.e(rows[0][0]) == 1 and self.e(rows[0][1]) == 1
+                         and all(c == 1 for pair in rows for x in pair for c in x.values()))
+                out[g] = AtomTable(tuple(tuple(sum(bit[h] for h in x) for x in pair)
+                                         for pair in rows), valid)
         return out
 
     def d(self, x: dict) -> dict:
@@ -433,26 +437,9 @@ def _lambda_map(f: ThetaMorphism) -> DAMorphism:
 
 @dataclass(frozen=True)
 class AtomTable:
-    rows: tuple              # ((neg, pos), ...) from degree 0 up to i: element
-                             # dicts from atom(), bitmasks in DAComplex.atoms
+    rows: tuple              # ((neg, pos), ...) gen_index bitmask pairs,
+                             # from degree 0 up to the generator's degree
     valid: bool
-
-
-def atom(K: DAComplex, b) -> AtomTable:
-    """The table <b>: top pair (b, b), lower rows via d(-)_- / d(-)_+."""
-    if b not in K._degree_of:
-        raise KeyError(f"unknown generator {b!r}")
-    i = K.degree_of(b)
-    neg, pos = {b: 1}, {b: 1}
-    rows = [(neg, pos)]
-    for _ in range(i, 0, -1):
-        _, _, neg_next = sign_split(K.d(neg))
-        _, pos_next, _ = sign_split(K.d(pos))
-        neg, pos = neg_next, pos_next
-        rows.append((neg, pos))
-    rows.reverse()
-    valid = K.e(rows[0][0]) == 1 and K.e(rows[0][1]) == 1
-    return AtomTable(tuple(rows), valid)
 
 
 def _acyclic(nodes, edges) -> bool:
@@ -501,10 +488,10 @@ def check_basis(K: DAComplex):
     edges = []
     for x in gens:
         dx = K.d({x: 1}) if K.degree_of(x) > 0 else {}
-        _, dplus, dminus = sign_split(dx)
-        for y in support(dplus):
+        dplus, dminus = sign_split(dx)
+        for y in dplus:
             edges.append((x, y))
-        for y in support(dminus):
+        for y in dminus:
             edges.append((y, x))
     strongly_loop_free = _acyclic(gens, edges)
     return unital, loop_free, strongly_loop_free

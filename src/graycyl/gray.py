@@ -80,6 +80,10 @@ class ShuffleColumn:
     index: int
     embed: DAMorphism         # from the column's complex into the cylinder complex
 
+    @property
+    def name(self) -> str:
+        return f"{self.kind}{self.index}"
+
 
 def _o_embedding(t: ThetaCell, j: int, cyl: DAComplex) -> DAMorphism:
     oc = o_cell(t, j)
@@ -119,18 +123,10 @@ def _m_embedding(t: ThetaCell, k: int, cyl: DAComplex) -> DAMorphism:
                 images[g] = {("t", R, ("s", i, sub)): 1}
             else:
                 _, a, x = sub
-                if a == H:
-                    images[g] = {("t", H, ("s", k, x)): 1}
-                elif a == L:
-                    img = {("t", L, ("s", k, x)): 1}
-                    if child.degree_of(x) == 0:
-                        img[("t", H, ("o", k))] = 1
-                    images[g] = img
-                else:
-                    img = {("t", R, ("s", k, x)): 1}
-                    if child.degree_of(x) == 0:
-                        img[("t", H, ("o", k - 1))] = 1
-                    images[g] = img
+                img = images[g] = {("t", a, ("s", k, x)): 1}
+                if a != H and child.degree_of(x) == 0:
+                    # an end copy of an object of the child picks up a crossing
+                    img[("t", H, ("o", k if a == L else k - 1))] = 1
     return DAMorphism(K, cyl, images).validate()
 
 
@@ -196,19 +192,40 @@ def shuffle_dot(t: ThetaCell) -> str:
 # gluing verification
 # ---------------------------------------------------------------------------
 
-def _basis_indices(K: DAComplex) -> dict:
-    """Per degree, the position of each generator in the basis of K."""
-    return {d: {g: i for i, g in enumerate(K.basis(d))} for d in range(K.top_degree + 1)}
+def _image_table(f: DAMorphism) -> list:
+    """Per degree of f's target, the images of f's source generators of that
+    degree as rows over the target basis of that degree."""
+    table = []
+    for d, basis in enumerate(f.target.degrees):
+        place = {g: i for i, g in enumerate(basis)}
+        rows = []
+        for g in f.source.basis(d):
+            row = [0] * len(basis)
+            for h, c in f.images[g].items():
+                row[place[h]] = c
+            rows.append(tuple(row))
+        table.append(rows)
+    return table
 
 
-def _image_rows(embed: DAMorphism, degree: int, basis_index: dict):
-    rows = []
-    for g in embed.source.basis(degree):
-        vec = [0] * len(basis_index)
-        for h, c in embed.images[g].items():
-            vec[basis_index[h]] = c
-        rows.append(tuple(vec))
-    return rows
+def _joined(tables) -> list:
+    """The table of all the rows of several tables into one target."""
+    return [[row for rows in per_degree for row in rows] for per_degree in zip(*tables)]
+
+
+def _injective(table, widths) -> bool:
+    return all(intlin.rank(rows, w) == len(rows) for rows, w in zip(table, widths))
+
+
+def _covers(table, widths) -> list:
+    """Per degree, do the rows span the whole target lattice?"""
+    return [intlin.spans_all(rows, w) for rows, w in zip(table, widths)]
+
+
+def _meet_in(a, b, m, widths) -> bool:
+    """Do the lattices of a and b meet exactly in that of m, in every degree?"""
+    return all(intlin.same_subgroup(intlin.intersection(ra, rb, w), rm, w)
+               for ra, rb, rm, w in zip(a, b, m, widths))
 
 
 @dataclass
@@ -237,40 +254,19 @@ def verify_gluing(t: ThetaCell) -> GluingReport:
     """Monomorphism, coverage and pullback checks for the shuffle pieces."""
     columns = lax_shuffle_diagram(t)
     report = GluingReport(t)
-    cyl = cylinder_complex(t)
-    bases = _basis_indices(cyl)
-
-    for c in columns:
-        ok = True
-        for d in range(c.embed.source.top_degree + 1):
-            rows = _image_rows(c.embed, d, bases[d])
-            if intlin.rank(rows, len(bases[d])) != len(rows):
-                ok = False
-        report.monos[f"{c.kind}{c.index}"] = ok
-
-    for d in range(cyl.top_degree + 1):
-        rows = []
-        for c in columns:
-            rows.extend(_image_rows(c.embed, d, bases[d]))
-        report.coverage[d] = intlin.spans_all(rows, len(bases[d]))
-
+    widths = cylinder_complex(t).size_profile()
+    tables = {c.name: _image_table(c.embed) for c in columns}
+    report.monos = {name: _injective(table, widths) for name, table in tables.items()}
+    report.coverage = dict(enumerate(_covers(_joined(tables.values()), widths)))
     for level, position, col_o, col_m, leg_o, leg_m in _spans(t, columns):
         via_o = leg_o.then(col_o.embed)
-        via_m = leg_m.then(col_m.embed)
-        commutes = morphisms_agree(via_o, via_m)
-        pullback = True
-        for d in range(cyl.top_degree + 1):
-            width = len(bases[d])
-            inter = intlin.intersection(_image_rows(col_o.embed, d, bases[d]),
-                                        _image_rows(col_m.embed, d, bases[d]), width)
-            expected = _image_rows(via_o, d, bases[d])
-            if not intlin.same_subgroup(inter, expected, width):
-                pullback = False
-            # injectivity of the span object into the intersection
-            if intlin.rank(expected, width) != len(expected):
-                pullback = False
-        report.spans.append({"level": level, "position": position,
-                             "commutes": commutes, "pullback": pullback})
+        span = _image_table(via_o)
+        report.spans.append({
+            "level": level, "position": position,
+            "commutes": morphisms_agree(via_o, leg_m.then(col_m.embed)),
+            # the span maps injectively onto the intersection of its columns
+            "pullback": (_meet_in(tables[col_o.name], tables[col_m.name], span, widths)
+                         and _injective(span, widths))})
     return report
 
 
@@ -282,28 +278,13 @@ def verify_globular_preservation(t: ThetaCell) -> bool:
     """Cylinders over the leaf globes cover the cylinder and meet exactly
     in the cylinders over the meet globes."""
     dec = globular_sum(t)
-    cyl = cylinder_complex(t)
-    bases = _basis_indices(cyl)
-    pieces = [cylinder_map(leaf_inclusion(t, i)) for i in range(len(dec.leaf_dims))]
-    meets = [cylinder_map(meet_inclusion(t, g)) for g in range(len(dec.meet_dims))]
-
-    for d in range(cyl.top_degree + 1):
-        rows = []
-        for p in pieces:
-            rows.extend(_image_rows(p, d, bases[d]))
-        if not intlin.spans_all(rows, len(bases[d])):
-            return False
-
-    for g, m in enumerate(meets):
-        a, b = pieces[g], pieces[g + 1]
-        for d in range(cyl.top_degree + 1):
-            width = len(bases[d])
-            inter = intlin.intersection(_image_rows(a, d, bases[d]),
-                                        _image_rows(b, d, bases[d]), width)
-            expected = _image_rows(m, d, bases[d])
-            if not intlin.same_subgroup(inter, expected, width):
-                return False
-    return True
+    widths = cylinder_complex(t).size_profile()
+    pieces = [_image_table(cylinder_map(leaf_inclusion(t, i)))
+              for i in range(len(dec.leaf_dims))]
+    meets = [_image_table(cylinder_map(meet_inclusion(t, g)))
+             for g in range(len(dec.meet_dims))]
+    return (all(_covers(_joined(pieces), widths))
+            and all(_meet_in(pieces[g], pieces[g + 1], m, widths) for g, m in enumerate(meets)))
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +298,13 @@ class HyperfaceCylinderReport:
 
 
 def _factors_through(src_col: ShuffleColumn, tgt_cols, steiner: DAMorphism) -> bool:
-    via_steiner = src_col.embed.then(steiner)
-    bases = _basis_indices(steiner.target)
-    for d in range(src_col.embed.source.top_degree + 1):
-        rows = []
-        for c in tgt_cols:
-            rows.extend(_image_rows(c.embed, d, bases[d]))
-        h = intlin.hnf(rows, len(bases[d]))
-        if not all(intlin.in_span(h, v) for v in _image_rows(via_steiner, d, bases[d])):
+    """Does the cylinder map send the column into the lattice of the target
+    columns, in every degree?"""
+    via = _image_table(src_col.embed.then(steiner))
+    target = _joined([_image_table(c.embed) for c in tgt_cols])
+    for images, rows, w in zip(via, target, steiner.target.size_profile()):
+        h = intlin.hnf(rows, w)
+        if not all(intlin.in_span(h, v) for v in images):
             return False
     return True
 
@@ -403,5 +383,5 @@ def hyperface_cylinder(face: Hyperface) -> HyperfaceCylinderReport:
         else:
             ok = morphisms_agree(col_s.embed.then(steiner), m.then(col_t.embed))
             mode = "exact"
-        results.append({"column": f"{col_s.kind}{col_s.index}", "mode": mode, "ok": ok})
+        results.append({"column": col_s.name, "mode": mode, "ok": ok})
     return HyperfaceCylinderReport(results, all(r["ok"] for r in results))

@@ -21,7 +21,7 @@ from .nu import (DEFAULT_CEILING, NuView, OmegaFunctor, check_entrywise_functors
                  nu_functor)
 from .theta import (POINT, SimplicialMap, ThetaCell, cell, coface,
                     codegeneracy, mirror, simplicial_identity, theta_identity,
-                    theta_morphism)
+                    theta_morphism, vertex)
 
 
 def split_map(n: int, j: int) -> SimplicialMap:
@@ -157,51 +157,29 @@ def kappa_column_expectations(t: ThetaCell):
 
 
 def sigma_column_expectations(t: ThetaCell):
-    """(column, expected sigma composite) pairs, built from the child
-    recursion: the k-th cylinder column maps through the suspended piece
-    of the mirrored cell."""
-    tgt = lambda_cell(shift_target_cell(t))
-    out = []
+    """(column, expected sigma composite) pairs.  O_j collapses to the
+    suspended vertex n-j of the mirrored cell; M_k maps through the child's
+    shift into the suspended slot n+1-k of the mirrored cell."""
     n = t.width
+    mt = mirror(t)
+    shift = shift_target_cell(t)
+    tgt = lambda_cell(shift)
+    out = []
     for c in lax_shuffle_diagram(t):
-        K = c.embed.source
-        images = {}
         if c.kind == "O":
             j = c.index
-            for p in range(n + 2):
-                images[("o", p)] = {("o", 0 if p <= j else 1): 1}
-            for d in range(1, K.top_degree + 1):
-                for g in K.basis(d):
-                    _, i, sub = g
-                    if i == j + 1:
-                        images[g] = {("s", 1, ("o", n - j)): 1}
-                    else:
-                        images[g] = {}
+            collapse = theta_morphism(o_cell(t, j), shift, split_map(n + 1, j + 1),
+                                      {(j + 1, 1): vertex(mt, n - j)})
+            out.append((c, lambda_map(collapse)))
         else:
             k = c.index
-            child = t.children[k - 1]
-            child_q = shift_map(child)
-            mpos = n + 1 - k
-            for p in range(n + 1):
-                images[("o", p)] = {("o", 0 if p < k else 1): 1}
-            for d in range(1, K.top_degree + 1):
-                for g in K.basis(d):
-                    _, i, sub = g
-                    if i != k:
-                        images[g] = {}
-                        continue
-                    img = child_q.images[sub]
-                    out_img = {}
-                    for h, cc in img.items():
-                        if h == ("o", 0):
-                            out_img[("s", 1, ("o", mpos - 1))] = cc
-                        elif h == ("o", 1):
-                            out_img[("s", 1, ("o", mpos))] = cc
-                        else:
-                            _, _, inner = h
-                            out_img[("s", 1, ("s", mpos, inner))] = cc
-                    images[g] = out_img
-        out.append((c, DAMorphism(K, tgt, images)))
+            mirrored = mt.children[n - k]        # mirror of the k-th child
+            slot = theta_morphism(ThetaCell((mirrored,)), mt,
+                                  SimplicialMap(1, n, (n - k, n + 1 - k)),
+                                  {(1, n + 1 - k): theta_identity(mirrored)})
+            into_slot = shift_map(t.children[k - 1]).then(lambda_map(slot))
+            out.append((c, wreath_morphism(c.embed.source, tgt, split_map(n, k),
+                                           {(k, 1): into_slot})))
     return out
 
 
@@ -251,10 +229,9 @@ def verify_span(t: ThetaCell, max_dim: int | None = None,
     for col, p1_exp, p2_exp in kappa_column_expectations(t):
         ok = (morphisms_agree(col.embed.then(b.p1), p1_exp)
               and morphisms_agree(col.embed.then(b.p2), p2_exp))
-        report.kappa_columns.append((f"{col.kind}{col.index}", ok))
+        report.kappa_columns.append((col.name, ok))
     for col, q_exp in sigma_column_expectations(t):
-        report.sigma_columns.append((f"{col.kind}{col.index}",
-                                     morphisms_agree(col.embed.then(b.q), q_exp)))
+        report.sigma_columns.append((col.name, morphisms_agree(col.embed.then(b.q), q_exp)))
 
     # folding diamonds
     e0, e1 = (endpoint_inclusion(t, 0), endpoint_inclusion(t, 1))

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from graycyl import dac
 from graycyl.dac import (DAComplex, DAMorphism, MorphismError,
                          amalgamate_with_inclusions,
-                         amalgamation_over_globular_sum, atom,
-                         check_basis, find_isomorphism, gadd, globe_inclusion,
+                         amalgamation_over_globular_sum, check_basis, find_isomorphism, gadd, globe_inclusion,
                          identity_morphism, lambda_cell, lambda_globe,
-                         lambda_map, point_complex, sign_split, support,
-                         tensor, wreath_complex)
+                         lambda_map, point_complex, sign_split, tensor,
+                         wreath_complex)
 from graycyl.gray import cylinder_map, hyperface_cylinder
 from graycyl.theta import (POINT, cell, cells_up_to, coface, codegeneracy,
                            globe, hyperfaces, parse_cell, theta_identity,
@@ -141,8 +140,8 @@ class TestTensor:
         T = tensor(lambda_globe(1), lambda_globe(2)).validate()
         assert T.size_profile() == (4, 6, 4, 1)
         d = T.diff[("t", "v1", "b1")]
-        assert support(d) == {("t", "b0", "b1"), ("t", "t0", "b1"),
-                              ("t", "v1", "b0"), ("t", "v1", "t0")}
+        assert set(d) == {("t", "b0", "b1"), ("t", "t0", "b1"),
+                          ("t", "v1", "b0"), ("t", "v1", "t0")}
 
     def test_degree_size_convolution(self):
         for a in (lambda_globe(2), lambda_cell(parse_cell("[2]([1],[0])"))):
@@ -181,55 +180,64 @@ class TestTensor:
 
 class TestSignSplit:
     def test_zero(self):
-        assert sign_split({}) == (frozenset(), {}, {})
+        assert sign_split({}) == ({}, {})
 
     def test_interval_boundary_split(self):
         K = lambda_globe(1)
-        supp, plus, minus = sign_split(K.diff["v1"])
-        assert supp == {"t0", "b0"} and plus == {"t0": 1} and minus == {"b0": 1}
+        plus, minus = sign_split(K.diff["v1"])
+        assert plus == {"t0": 1} and minus == {"b0": 1}
 
     def test_direct(self):
-        supp, plus, minus = sign_split({"a": 2, "b": -3, "c": 1})
+        plus, minus = sign_split({"a": 2, "b": -3, "c": 1})
         assert plus == {"a": 2, "c": 1} and minus == {"b": 3}
 
     @given(st.dictionaries(st.sampled_from("abcdefgh"), st.integers(-9, 9), max_size=8))
     @settings(max_examples=500, deadline=None)
     def test_recombination(self, x):
-        supp, plus, minus = sign_split(x)
+        plus, minus = sign_split(x)
         assert gadd(plus, {k: -v for k, v in minus.items()}) == {k: v for k, v in x.items() if v}
-        assert support(plus) & support(minus) == frozenset()
+        assert not plus.keys() & minus.keys()
+
+
+def atom_rows(K, g):
+    """The rows of K's atom table <g> as (neg, pos) lists of generators."""
+    names_of = K.gen_index.names_of
+    return tuple((names_of(neg), names_of(pos)) for neg, pos in K.atoms[g].rows)
 
 
 class TestAtoms:
     def test_interval_top(self):
-        a = atom(lambda_globe(1), "v1")
-        assert a.valid
-        assert a.rows == (({"b0": 1}, {"t0": 1}), ({"v1": 1}, {"v1": 1}))
+        K = lambda_globe(1)
+        assert K.atoms["v1"].valid
+        assert atom_rows(K, "v1") == ((["b0"], ["t0"]), (["v1"], ["v1"]))
 
     def test_two_globe_top(self):
-        a = atom(lambda_globe(2), "v2")
-        assert a.valid
-        assert a.rows[0] == ({"b0": 1}, {"t0": 1})
-        assert a.rows[1] == ({"b1": 1}, {"t1": 1})
+        K = lambda_globe(2)
+        assert K.atoms["v2"].valid
+        assert atom_rows(K, "v2") == ((["b0"], ["t0"]), (["b1"], ["t1"]), (["v2"], ["v2"]))
 
     def test_degree_zero(self):
-        a = atom(lambda_globe(2), "b0")
-        assert a.rows == (({"b0": 1}, {"b0": 1}),) and a.valid
+        K = lambda_globe(2)
+        assert K.atoms["b0"].valid and atom_rows(K, "b0") == ((["b0"], ["b0"]),)
 
     def test_unknown_generator(self):
         with pytest.raises(KeyError):
-            atom(lambda_globe(1), "zz")
+            lambda_globe(1).atoms["zz"]
 
     def test_complex_keeps_bitmask_rows(self):
         K = lambda_globe(2)
         bit = K.gen_index.bit
-        table = K.atoms["v2"]
-        assert table.valid
-        assert table.rows == ((bit["b0"], bit["t0"]), (bit["b1"], bit["t1"]),
-                              (bit["v2"], bit["v2"]))
-        for g, table in K.atoms.items():
-            assert table.rows == tuple(tuple(sum(bit[h] for h in x) for x in pair)
-                                       for pair in atom(K, g).rows)
+        assert K.atoms["v2"].rows == ((bit["b0"], bit["t0"]), (bit["b1"], bit["t1"]),
+                                      (bit["v2"], bit["v2"]))
+
+    def test_square_top(self):
+        # the top square of [1]⊗[1]: sources and targets of two paths
+        K = tensor(lambda_globe(1), lambda_globe(1))
+        top = ("t", "v1", "v1")
+        assert atom_rows(K, top) == (
+            ([("t", "b0", "b0")], [("t", "t0", "t0")]),
+            ([("t", "b0", "v1"), ("t", "v1", "t0")], [("t", "t0", "v1"), ("t", "v1", "b0")]),
+            ([top], [top]))
 
     def test_coefficient_two_is_not_a_valid_atom(self):
         o0, o1, x = ("o", 0), ("o", 1), ("x", 0)

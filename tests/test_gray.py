@@ -12,7 +12,7 @@ from graycyl.gray import (cylinder_complex, cylinder_map, endpoint_inclusion,
                           verify_globular_preservation)
 from graycyl.nu import NuView, check_functors, nu_functor
 from graycyl.theta import (cell, cells_up_to, globe, hyperfaces, parse_cell,
-                           parse_morphism, theta_identity)
+                           parse_morphism, theta_identity, vertex)
 
 
 class TestGrayCylinder:
@@ -368,6 +368,53 @@ class TestPerturbedInputsFail:
         monkeypatch.undo()
         assert verify_gluing(t).overall
 
+    def test_gluing_coverage(self, monkeypatch):
+        t = parse_cell("[2]([1],[0])")
+        real = gray.lax_shuffle_diagram
+        crossing = ("s", 1, ("t", "v1", ("o", 0)))
+
+        def perturbed(u):
+            diag = real(u)
+            col = diag[1]                       # M_1
+            # only M_1 reaches the crossing generator h⊗(1|o0) of the cylinder
+            embed = _with_image(col.embed, crossing, {})
+            return tuple(dataclasses.replace(c, embed=embed) if c is col else c
+                         for c in diag)
+
+        monkeypatch.setattr(gray, "lax_shuffle_diagram", perturbed)
+        rep = verify_gluing(t)
+        assert not rep.overall and not rep.coverage[2]
+        assert all(rep.coverage[d] for d in rep.coverage if d != 2)
+        monkeypatch.undo()
+        assert verify_gluing(t).overall
+
+    def test_gluing_pullback(self, monkeypatch):
+        t = parse_cell("[2]([1],[0])")
+        real = gray._spans
+        edge = ("s", 1, ("o", 0))
+
+        def perturbed(u, columns):
+            (k, position, col_o, col_m, leg_o, leg_m), *rest = real(u, columns)
+            # both legs drop the same edge: the square still commutes, but
+            # the span no longer maps onto the intersection of its columns
+            return [(k, position, col_o, col_m,
+                     _with_image(leg_o, edge, {}), _with_image(leg_m, edge, {}))] + rest
+
+        monkeypatch.setattr(gray, "_spans", perturbed)
+        rep = verify_gluing(t)
+        assert not rep.overall
+        assert rep.spans[0]["commutes"] and not rep.spans[0]["pullback"]
+        assert all(s["commutes"] and s["pullback"] for s in rep.spans[1:])
+        monkeypatch.undo()
+        assert verify_gluing(t).overall
+
+    def test_globular_meet_piece(self, monkeypatch):
+        # the leaves of [2] meet in vertex 1, not in vertex 0
+        monkeypatch.setattr(gray, "meet_inclusion", lambda u, gap: vertex(u, 0))
+        assert not verify_globular_preservation(cell(2))
+        monkeypatch.undo()
+        assert verify_globular_preservation(cell(2))
+
     def test_globular_leaf_piece(self, monkeypatch):
         t = parse_cell("[2]([1],[0])")
         real = gray.leaf_inclusion
@@ -390,6 +437,22 @@ class TestPerturbedInputsFail:
         monkeypatch.setattr(gray, "_column_maps", perturbed)
         rep = hyperface_cylinder(face)
         assert not rep.agree and not rep.column_results[0]["ok"]
+        monkeypatch.undo()
+        assert hyperface_cylinder(face).agree
+
+    def test_hyperface_span_column(self, monkeypatch):
+        face = next(f for f in hyperfaces(parse_cell("[2]([1],[0])")) if f.kind == "inner")
+        real = gray._column_maps
+
+        def perturbed(*args):
+            # the column over two segments loses O_k and M_{k+1}
+            return [(col_s, col_t if m is not None else col_t[:1], m)
+                    for col_s, col_t, m in real(*args)]
+
+        monkeypatch.setattr(gray, "_column_maps", perturbed)
+        results = hyperface_cylinder(face).column_results
+        assert [(r["column"], r["mode"], r["ok"]) for r in results] == [
+            ("O0", "exact", True), ("O1", "exact", True), ("M1", "span", False)]
         monkeypatch.undo()
         assert hyperface_cylinder(face).agree
 

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from graycyl import dac, nu
-from graycyl.dac import (DAComplex, DAMorphism, atom, identity_morphism,
+from graycyl.dac import (DAComplex, DAMorphism, identity_morphism,
                          lambda_cell, lambda_globe, lambda_map, render_name,
                          tensor)
 from graycyl.gray import cylinder_complex, gray_cylinder
@@ -17,9 +17,10 @@ from graycyl.theta import (cell, cells_up_to, coface, globe, hyperfaces,
 
 
 def atom_cell(K, g) -> NuCell:
-    a = atom(K, g)
+    a = K.atoms[g]
     assert a.valid
-    return make_cell(K, list(a.rows))
+    names_of = K.gen_index.names_of
+    return make_cell(K, [tuple(dict.fromkeys(names_of(x), 1) for x in pair) for pair in a.rows])
 
 
 IV = lambda_globe(1)
@@ -156,17 +157,18 @@ class TestEnumeration:
 
     def test_atoms_built_once_per_complex(self, monkeypatch):
         K = tensor(IV, lambda_globe(2))
-        built = Counter()
-        real_atom = dac.atom
+        built = []
+        real_table = dac.AtomTable
 
-        def counting_atom(K, g):
-            built[g] += 1
-            return real_atom(K, g)
+        def counting_table(rows, valid):
+            built.append(rows)
+            return real_table(rows, valid)
 
-        monkeypatch.setattr(dac, "atom", counting_atom)
+        monkeypatch.setattr(dac, "AtomTable", counting_table)
         NuView(K, 2)
         NuView(K, 3)
-        assert built == Counter(g for row in K.degrees for g in row)
+        assert len(built) == sum(len(row) for row in K.degrees)
+        assert {table.rows for table in K.atoms.values()} == set(built)
 
     def test_ceiling(self):
         with pytest.raises(EnumerationError):

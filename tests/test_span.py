@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from graycyl.dac import DAMorphism, MorphismError, lambda_cell
-from graycyl.gray import H, L, cylinder_complex
+from graycyl.gray import H, L, R, cylinder_complex
 from graycyl.nu import (OmegaFunctor, TableError, check_entrywise_functors,
                         check_functors, nu_boundary, nu_functor, nu_identity)
 from graycyl.span import (build_span, mirror_name, shift_map,
@@ -147,6 +147,29 @@ class TestVerifySpan:
                            lambda c: swap.get(to_cell(c), to_cell(c)))
         b.kappa = (b.kappa[0], bad)
         assert not verify_span(t, bundle=b).passed
+
+    def test_swapped_sigma_fails_every_square(self):
+        t = parse_cell("[2]([1],[0])")
+        b = build_span(t)
+        b.q = swapped_ends(b.q)
+        rep = verify_span(t, bundle=b)
+        assert rep.sigma_columns and not any(ok for _, ok in rep.sigma_columns)
+        assert not rep.diamonds["sigma_e0"] and not rep.diamonds["sigma_e1"]
+        assert all(ok for _, ok in rep.kappa_columns)
+        assert rep.diamonds["kappa_e0"] and rep.diamonds["kappa_e1"]
+
+    def test_swapped_kappa_fails_every_square(self):
+        t = parse_cell("[2]([1],[0])")
+        b = build_span(t)
+        ends = {L: R, R: L}
+        b.p1 = DAMorphism(b.p1.source, b.p1.target,
+                          {g: {ends.get(h, h): c for h, c in img.items()}
+                           for g, img in b.p1.images.items()})
+        rep = verify_span(t, bundle=b)
+        assert rep.kappa_columns and not any(ok for _, ok in rep.kappa_columns)
+        assert not rep.diamonds["kappa_e0"] and not rep.diamonds["kappa_e1"]
+        assert all(ok for _, ok in rep.sigma_columns)
+        assert rep.diamonds["sigma_e0"] and rep.diamonds["sigma_e1"]
 
     def test_dot_colors(self):
         dot = span_dot(cell(1))
