@@ -48,7 +48,7 @@ def _dump_view(view: NuView, fmt: str, out):
     data = {
         "counts": list(view.counts()),
         "nondegenerate": list(view.nondegenerate_counts()),
-        "cells": {str(d): [c.to_json() for c in view.cells(d)]
+        "cells": {str(d): [view.to_json(c) for c in view.cells(d)]
                   for d in range(view.max_dim + 1)},
     }
     _emit(json.dumps(data, sort_keys=True, ensure_ascii=False, indent=None if fmt == "json" else 1), out)

@@ -6,11 +6,16 @@ top entries.  Composition x *_j y is read left to right: x first, then y.
 Every entry met so far has coefficients in {0,1}, so an entry is held as a
 bitmask over the complex's generators (DAComplex.gen_index); an entry that
 would leave {0,1} raises TableError.
+
+A cell is the tuple of its rows ((x_0^0, x_0^1), ..., (x_i^0, x_i^1)) of
+bitmasks, so its dimension is len(c) - 1, and it is hashed and compared as
+that tuple.  The bits are named by the complex, so a NuView renders the
+cells of its complex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .dac import (DAComplex, DAMorphism, GenIndex, check_basis, gadd, gclean,
@@ -36,44 +41,15 @@ def _mask(index: GenIndex, x: dict) -> int:
     return m
 
 
-def _table(index: GenIndex, rows) -> NuCell:
-    return NuCell(tuple((_mask(index, n), _mask(index, p)) for n, p in rows), index)
+def _table(index: GenIndex, rows) -> tuple:
+    return tuple((_mask(index, n), _mask(index, p)) for n, p in rows)
 
 
-@dataclass(frozen=True, slots=True)
-class NuCell:
-    rows: tuple  # ((neg_k, pos_k) generator bitmasks), k = 0..dim
-    index: GenIndex = field(compare=False, repr=False)  # names the bits, for rendering
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows) - 1
-
-    def entry(self, k: int, eps: int) -> dict:
-        return dict.fromkeys(self.index.names_of(self.rows[k][eps]), 1)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.dim > 0 and self.rows[-1] == (0, 0)
-
-    def sort_key(self) -> str:
-        """repr of the rows as tuples of (name, 1) pairs, names in repr
-        order, built from the cached pair reprs.  Cell listings and JSON
-        dumps sort by it and their bytes are pinned, so it must not change."""
-        entry = self.index.rendering.entry
-        return tuple_repr([f"({entry(n).key}, {entry(p).key})" for n, p in self.rows])
-
-    def __str__(self) -> str:
-        entry = self.index.rendering.entry
-        return "[" + " ".join(f"({entry(n).text};{entry(p).text})" for n, p in self.rows) + "]"
-
-    def to_json(self):
-        entry = self.index.rendering.entry
-        return [[dict.fromkeys(entry(n).names, 1), dict.fromkeys(entry(p).names, 1)]
-                for n, p in self.rows]
+def _is_identity(c: tuple) -> bool:
+    return len(c) > 1 and c[-1] == (0, 0)
 
 
-def make_cell(K: DAComplex, entries) -> NuCell:
+def make_cell(K: DAComplex, entries) -> tuple:
     """Validate and build a table from [(neg, pos), ...] dicts."""
     i = len(entries) - 1
     for k, (neg, pos) in enumerate(entries):
@@ -93,44 +69,41 @@ def make_cell(K: DAComplex, entries) -> NuCell:
     return _table(K.gen_index, entries)
 
 
-def nu_boundary(c: NuCell):
+def nu_boundary(c: tuple):
     """(source, target): truncate, repeating the chosen side at the top."""
-    if c.dim == 0:
+    if len(c) == 1:
         raise TableError("a 0-cell has no boundary")
-    below = c.rows[:-2]
-    neg, pos = c.rows[-2]
-    src = NuCell(below + ((neg, neg),), c.index)
-    tgt = NuCell(below + ((pos, pos),), c.index)
-    return src, tgt
+    below = c[:-2]
+    neg, pos = c[-2]
+    return below + ((neg, neg),), below + ((pos, pos),)
 
 
-def nu_identity(c: NuCell) -> NuCell:
-    return NuCell(c.rows + ((0, 0),), c.index)
+def nu_identity(c: tuple) -> tuple:
+    return c + ((0, 0),)
 
 
-def nu_composable(j: int, a: NuCell, b: NuCell) -> bool:
-    n = len(a.rows)
-    return (n == len(b.rows) and j < n - 1 and a.rows[:j] == b.rows[:j]
-            and a.rows[j][1] == b.rows[j][0])
+def nu_composable(j: int, a: tuple, b: tuple) -> bool:
+    n = len(a)
+    return n == len(b) and j < n - 1 and a[:j] == b[:j] and a[j][1] == b[j][0]
 
 
-def nu_compose(j: int, a: NuCell, b: NuCell) -> NuCell:
+def nu_compose(j: int, a: tuple, b: tuple) -> tuple:
     """a *_j b, a first then b."""
     if not nu_composable(j, a, b):
         raise TableError(f"cells are not {j}-composable")
     return _compose(j, a, b)
 
 
-def _compose(j: int, a: NuCell, b: NuCell) -> NuCell:
+def _compose(j: int, a: tuple, b: tuple) -> tuple:
     """a *_j b for a j-composable pair.  Above level j the entries add;
     every table met so far has {0,1} entries, so the sum must not overlap."""
-    rows = list(a.rows[:j])
-    rows.append((a.rows[j][0], b.rows[j][1]))
-    for (an, ap), (bn, bp) in zip(a.rows[j + 1:], b.rows[j + 1:]):
+    rows = list(a[:j])
+    rows.append((a[j][0], b[j][1]))
+    for (an, ap), (bn, bp) in zip(a[j + 1:], b[j + 1:]):
         if an & bn or ap & bp:
             raise TableError(f"{j}-composite has an entry with a coefficient 2")
         rows.append((an | bn, ap | bp))
-    return NuCell(tuple(rows), a.index)
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +125,10 @@ class EnumerationError(RuntimeError):
 DEFAULT_CEILING = 10 ** 6
 
 
-def _pair_key(c: NuCell, j: int, eps: int):
+def _pair_key(c: tuple, j: int, eps: int):
     """What a j-composite matches on: a *_j b is defined exactly when
     _pair_key(a, j, 1) == _pair_key(b, j, 0) for cells of one dimension > j."""
-    return c.rows[:j], c.rows[j][eps]
+    return c[:j], c[j][eps]
 
 
 def _whisker(atoms, identities, d: int, insert) -> list:
@@ -173,8 +146,8 @@ def _whisker(atoms, identities, d: int, insert) -> list:
         return []
     index = [({}, {}) for _ in range(d - 1)]    # j -> (identities by start, by end)
     for i in identities:
-        j = i.dim - 1                           # i is an iterated identity of a (j+1)-cell
-        while i.rows[j + 1] == (0, 0):
+        j = len(i) - 2                          # i is an iterated identity of a (j+1)-cell
+        while i[j + 1] == (0, 0):
             j -= 1
         if 0 <= j < d - 1:
             by_start, by_end = index[j]
@@ -207,11 +180,11 @@ def enumerate_cells(K: DAComplex, max_dim: int, ceiling: int = DEFAULT_CEILING):
     every insertion, so it also bounds the work done."""
     if check_basis(K) != (True, True, True):
         raise EnumerationError("complex is not strong Steiner")
-    layers: list[set[NuCell]] = []
+    layers: list[set[tuple]] = []
     for d in range(max_dim + 1):
-        cells: set[NuCell] = set()
+        cells: set[tuple] = set()
 
-        def insert(c: NuCell) -> bool:
+        def insert(c: tuple) -> bool:
             if c in cells:
                 return False
             if len(cells) >= ceiling:
@@ -222,7 +195,7 @@ def enumerate_cells(K: DAComplex, max_dim: int, ceiling: int = DEFAULT_CEILING):
         identities = [nu_identity(c) for c in layers[-1]] if d else []
         for c in identities:
             insert(c)
-        atoms = [NuCell(K.atoms[g].rows, K.gen_index) for g in K.basis(d)]
+        atoms = [K.atoms[g].rows for g in K.basis(d)]
         for a in atoms:
             insert(a)
         whiskered = _whisker(atoms, identities, d, insert)
@@ -250,10 +223,10 @@ def close_all_pairs(seeds, d: int, ceiling: int = DEFAULT_CEILING) -> set:
     A worklist: each popped cell joins the start/end index and is composed
     with the partners it returns, so every composable pair is composed once
     the later of its two cells is popped."""
-    cells: set[NuCell] = set()
-    todo: list[NuCell] = []
+    cells: set[tuple] = set()
+    todo: list[tuple] = []
 
-    def insert(c: NuCell):
+    def insert(c: tuple):
         if c in cells:
             return
         if len(cells) >= ceiling:
@@ -293,10 +266,10 @@ def search_tables(K: DAComplex, max_dim: int, coeff_bound: int):
             table.setdefault(frozenset(K.d(x).items()), []).append(x)
         by_boundary[d] = table
 
-    layers: list[set[NuCell]] = [{_table(index, [(x, x)]) for x in bottoms}]
+    layers: list[set[tuple]] = [{_table(index, [(x, x)]) for x in bottoms}]
     partial = [[(x, y)] for x in bottoms for y in bottoms]
     for d in range(1, max_dim + 1):
-        out: set[NuCell] = set()
+        out: set[tuple] = set()
         nxt = []
         for rows in partial:
             neg_prev, pos_prev = rows[-1]
@@ -319,10 +292,12 @@ def search_tables(K: DAComplex, max_dim: int, coeff_bound: int):
 # ---------------------------------------------------------------------------
 
 class NuView:
-    """The cells of nu(K) up to max_dim, enumerated once."""
+    """The cells of nu(K) up to max_dim, enumerated once, and their printed
+    forms, with the bits named by K.gen_index."""
 
     def __init__(self, K: DAComplex, max_dim: int, ceiling: int = DEFAULT_CEILING):
         self.max_dim = max_dim
+        self.gen_index = K.gen_index
         self.layers = enumerate_cells(K, max_dim, ceiling)
         self._sorted = {}
 
@@ -330,15 +305,31 @@ class NuView:
         if d > self.max_dim:
             return ()
         if d not in self._sorted:
-            self._sorted[d] = sorted(self.layers[d], key=NuCell.sort_key)
+            self._sorted[d] = sorted(self.layers[d], key=self.sort_key)
         return self._sorted[d]
 
     def counts(self):
         return tuple(len(self.layers[d]) for d in range(self.max_dim + 1))
 
     def nondegenerate_counts(self):
-        return tuple(sum(1 for c in self.layers[d] if not c.is_identity)
+        return tuple(sum(1 for c in self.layers[d] if not _is_identity(c))
                      for d in range(self.max_dim + 1))
+
+    def sort_key(self, c: tuple) -> str:
+        """repr of the rows as tuples of (name, 1) pairs, names in repr
+        order, built from the cached pair reprs.  Cell listings and JSON
+        dumps sort by it and their bytes are pinned, so it must not change."""
+        entry = self.gen_index.rendering.entry
+        return tuple_repr([f"({entry(n).key}, {entry(p).key})" for n, p in c])
+
+    def text(self, c: tuple) -> str:
+        entry = self.gen_index.rendering.entry
+        return "[" + " ".join(f"({entry(n).text};{entry(p).text})" for n, p in c) + "]"
+
+    def to_json(self, c: tuple):
+        entry = self.gen_index.rendering.entry
+        return [[dict.fromkeys(entry(n).names, 1), dict.fromkeys(entry(p).names, 1)]
+                for n, p in c]
 
 
 @dataclass
@@ -381,21 +372,14 @@ def nu_functor(a: DAMorphism, max_dim: int, ceiling: int = DEFAULT_CEILING,
             entry_image[m] = out
         return out
 
-    def apply(c: NuCell) -> NuCell:
-        out = NuCell(tuple((image(n), image(p)) for n, p in c.rows), index)
-        if out.dim <= tgt.max_dim and out not in tgt.layers[out.dim]:
-            raise TableError(f"image table is not a cell of the target: {c}")
+    def apply(c: tuple) -> tuple:
+        out = tuple([(image(n), image(p)) for n, p in c])
+        d = len(out) - 1
+        if d <= tgt.max_dim and out not in tgt.layers[d]:
+            raise TableError(f"image table is not a cell of the target: {src.text(c)}")
         return out
 
     return OmegaFunctor(src, tgt, apply)
-
-
-def _image_rows(F, c: NuCell):
-    """The rows of F(c), or None where F(c) is not a target cell."""
-    try:
-        return F(c).rows
-    except TableError:
-        return None
 
 
 def check_entrywise_functors(Fs):
@@ -404,16 +388,14 @@ def check_entrywise_functors(Fs):
     ("source"/"target"/"identity", d, c) where F does not preserve them,
     or has no image at that boundary or identity.
 
-    F is applied once per source cell, and its image rows are kept by the
-    rows of the cell.  The clauses are then checked on rows: the source and
-    target of c are rows[:-2] + ((n, n),) and rows[:-2] + ((p, p),) for
-    (n, p) = rows[-2], its identity is rows + ((0, 0),), and their images
-    are looked up and compared with the boundary and identity of F(c)'s
-    rows.  Every lookup hits on a complete closure: nu(K) holds the source,
-    target and identity of each of its cells, and enumerate_cells returns
-    all cells of each dimension up to max_dim, so a boundary is a cell one
-    layer down and an identity below the top one layer up.  A miss (an
-    incomplete source view) builds the cell and applies F to it once.
+    F is applied once per source cell, and its images are kept by cell.
+    The source, target and identity of c are looked up there and compared
+    with the boundary and identity of F(c).  Every lookup hits on a
+    complete closure: nu(K) holds the source, target and identity of each
+    of its cells, and enumerate_cells returns all cells of each dimension
+    up to max_dim, so a boundary is a cell one layer down and an identity
+    below the top one layer up.  A miss (an incomplete source view)
+    applies F to that cell once.
 
     Composition needs no walk over the composable pairs.  nu_functor maps
     each entry mask m to image(m), the OR of the images of its generators,
@@ -429,47 +411,47 @@ def check_entrywise_functors(Fs):
         raise ValueError("check_entrywise_functors needs functors out of one source view")
     src = Fs[0].source_view
     top = src.max_dim
-    cells = [c for layer in src.layers for c in layer]
-    images = [{c.rows: _image_rows(F, c) for c in cells} for F in Fs]
+    images = [_memoised(_or_none(F)) for F in Fs]
     reports = [[] for _ in Fs]
-
-    def image(F, seen: dict, rows: tuple, index: GenIndex):
-        out = seen.get(rows, _MISS)
-        if out is _MISS:
-            out = seen[rows] = _image_rows(F, NuCell(rows, index))
-        return out
-
-    for c in cells:
-        rows = c.rows
-        d = len(rows) - 1
-        if d:
-            below = rows[:-2]
-            neg, pos = rows[-2]
-            src_rows, tgt_rows = below + ((neg, neg),), below + ((pos, pos),)
-        for F, seen, report in zip(Fs, images, reports):
-            fc = seen[rows]
-            if fc is None:
-                report.append(("image", d, c))
-                continue
+    for d, layer in enumerate(src.layers):
+        for c in layer:
             if d:
-                below = fc[:-2]
-                neg, pos = fc[-2]
-                if image(F, seen, src_rows, c.index) != below + ((neg, neg),):
-                    report.append(("source", d, c))
-                if image(F, seen, tgt_rows, c.index) != below + ((pos, pos),):
-                    report.append(("target", d, c))
-            if d < top and image(F, seen, rows + ((0, 0),), c.index) != fc + ((0, 0),):
-                report.append(("identity", d, c))
+                src_c, tgt_c = nu_boundary(c)
+            ident = nu_identity(c) if d < top else None
+            for image, report in zip(images, reports):
+                fc = image(c)
+                if fc is None:
+                    report.append(("image", d, c))
+                    continue
+                if d:
+                    src_fc, tgt_fc = nu_boundary(fc)
+                    if image(src_c) != src_fc:
+                        report.append(("source", d, c))
+                    if image(tgt_c) != tgt_fc:
+                        report.append(("target", d, c))
+                if ident is not None and image(ident) != nu_identity(fc):
+                    report.append(("identity", d, c))
     return reports
+
+
+def _or_none(F):
+    """F, with None where F(c) is not a target cell (TableError)."""
+    def apply(c: tuple):
+        try:
+            return F(c)
+        except TableError:
+            return None
+
+    return apply
 
 
 def _memoised(F):
     """F, applied once per distinct cell."""
     seen: dict = {}
 
-    def apply(c: NuCell) -> NuCell:
-        out = seen.get(c)
-        if out is None:
+    def apply(c: tuple):
+        out = seen.get(c, _MISS)
+        if out is _MISS:
             out = seen[c] = F(c)
         return out
 
@@ -514,7 +496,7 @@ def check_functors(Fs, max_dim: int):
                     for F, composites, report in checks:
                         lhs = F(ab)
                         fa, fb = F(a), F(b)
-                        key = (j, fa.rows, fb.rows)
+                        key = (j, fa, fb)
                         rhs = composites.get(key, _MISS)
                         if rhs is _MISS:
                             # None where F(a) and F(b) are not j-composable
@@ -530,19 +512,21 @@ def check_functors(Fs, max_dim: int):
 def skeleton_dot(view: NuView, name: str = "skeleton") -> str:
     """0/1/2-skeleton: nodes are 0-cells, edges nondegenerate 1-cells,
     one comment line per nondegenerate 2-cell."""
+    text = view.text
+
     def node_id(c):
-        return '"' + str(c).replace('"', "'") + '"'
+        return '"' + text(c).replace('"', "'") + '"'
 
     lines = [f"digraph {name} {{"]
     for c in view.cells(0):
         lines.append(f"  {node_id(c)};")
     for c in view.cells(1):
-        if not c.is_identity:
+        if not _is_identity(c):
             s, t = nu_boundary(c)
             lines.append(f"  {node_id(s)} -> {node_id(t)} [label={node_id(c)}];")
     for c in view.cells(2):
-        if not c.is_identity:
+        if not _is_identity(c):
             s, t = nu_boundary(c)
-            lines.append(f"  // 2-cell {c}: {s} => {t}")
+            lines.append(f"  // 2-cell {text(c)}: {text(s)} => {text(t)}")
     lines.append("}")
     return "\n".join(lines)

@@ -19,7 +19,7 @@ from .gray import (H, L, R, cylinder_complex, endpoint_inclusion, gray_cylinder,
                    interval, lax_shuffle_diagram, o_cell)
 from .nu import (DEFAULT_CEILING, NuView, OmegaFunctor, check_entrywise_functors,
                  nu_functor)
-from .theta import (POINT, SimplicialMap, ThetaCell, cell, coface,
+from .theta import (POINT, SimplicialMap, ThetaCell, bang, cell, coface,
                     codegeneracy, mirror, simplicial_identity, theta_identity,
                     theta_morphism, vertex)
 
@@ -233,21 +233,17 @@ def verify_span(t: ThetaCell, max_dim: int | None = None,
     for col, q_exp in sigma_column_expectations(t):
         report.sigma_columns.append((col.name, morphisms_agree(col.embed.then(b.q), q_exp)))
 
-    # folding diamonds
-    e0, e1 = (endpoint_inclusion(t, 0), endpoint_inclusion(t, 1))
-    for eps, e in ((0, e0), (1, e1)):
-        end_gen = L if eps == 0 else R
-        f = e.then(b.p1)
-        const_ok = all(f.images[g] == ({end_gen: 1} if e.source.degree_of(g) == 0 else {})
-                       for row in e.source.degrees for g in row)
-        ident_ok = morphisms_agree(e.then(b.p2), identity_morphism(lambda_cell(t)))
-        kappa_ok = const_ok and ident_ok
-        sig = e.then(b.q)
-        sigma_ok = all(
-            sig.images[g] == ({("o", eps): 1} if e.source.degree_of(g) == 0 else {})
-            for row in e.source.degrees for g in row)
-        report.diamonds[f"kappa_e{eps}"] = kappa_ok
-        report.diamonds[f"sigma_e{eps}"] = sigma_ok
+    # folding diamonds: each end of the cylinder goes to that end of the
+    # interval and of the shift, and identically to the cell
+    iso = _interval_as_cell_iso()
+    for eps in (0, 1):
+        e = endpoint_inclusion(t, eps)
+        p1_exp = lambda_map(bang(t).then(vertex(cell(1), eps))).then(iso)
+        q_exp = lambda_map(bang(t).then(vertex(shift_target_cell(t), eps)))
+        report.diamonds[f"kappa_e{eps}"] = (
+            morphisms_agree(e.then(b.p1), p1_exp)
+            and morphisms_agree(e.then(b.p2), identity_morphism(lambda_cell(t))))
+        report.diamonds[f"sigma_e{eps}"] = morphisms_agree(e.then(b.q), q_exp)
 
     # split-map identities from the square sorts
     ok = True

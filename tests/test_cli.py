@@ -169,7 +169,7 @@ class TestDeterminism:
          "b5fc8d67517f6821c7acc75076a9f81e7a54f574cac7bed7abfe72aa51204a74"),
         (["nu", "[3]", "--max-dim", "3"],
          "ce765789207511ad8e34aa6e62894f7ef97820330e5a1dbbb9a9566e860e0e02"),
-        (["emit", "skeleton", "[2]([1],[1])"],      # NuCell.__str__
+        (["emit", "skeleton", "[2]([1],[1])"],      # cell text, rendered by the view
          "4f866ed04a7c1f25d407d7bafe706b368235e14cc8df16eadff9400ab75ac8e5"),
         (["gray", "[1]([1])", "--max-dim", "3", "--format", "text"],
          "07803b8ea868b5f607731b1c75521a721dcb754672e57605a6739dfcc916cd83"),
@@ -185,6 +185,8 @@ class TestDeterminism:
          "bebc6dec85083665dd4b9bf36610abdfcd75e28b6b13d194424407eee67f4681"),
         (["emit", "span", "[2]([1],[0])"],          # kappa and sigma column squares
          "58ae4c269b2d46a248c940846ed9d23b190a41b194d9a0638389cbb86e5b8889"),
+        (["nu", "[2]([1],[0])", "--format", "dot"],  # skeleton of a lambda view
+         "4407f2959cb06fedec9b7a194a5e1ba01c547fbbd9d63e762c71fddb71c84713"),
     ])
     def test_pinned_output_bytes(self, capsys, args, digest):
         # cell order and rendering of the table dumps are part of the output

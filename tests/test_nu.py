@@ -7,20 +7,25 @@ from graycyl import dac, nu
 from graycyl.dac import (DAComplex, DAMorphism, identity_morphism,
                          lambda_cell, lambda_globe, lambda_map, render_name,
                          tensor)
-from graycyl.gray import cylinder_complex, gray_cylinder
-from graycyl.nu import (EnumerationError, NuCell, NuView, OmegaFunctor,
-                        TableError, check_functors, close_all_pairs,
-                        enumerate_cells, make_cell, nu_boundary, nu_composable,
-                        nu_compose, nu_functor, nu_identity, search_tables)
+from graycyl.gray import cylinder_complex
+from graycyl.nu import (EnumerationError, NuView, OmegaFunctor, TableError,
+                        check_functors, close_all_pairs, enumerate_cells,
+                        make_cell, nu_boundary, nu_composable, nu_compose,
+                        nu_functor, nu_identity, search_tables)
 from graycyl.theta import (cell, cells_up_to, coface, globe, hyperfaces,
                            parse_cell, theta_identity, theta_morphism)
 
 
-def atom_cell(K, g) -> NuCell:
+def atom_cell(K, g) -> tuple:
     a = K.atoms[g]
     assert a.valid
     names_of = K.gen_index.names_of
     return make_cell(K, [tuple(dict.fromkeys(names_of(x), 1) for x in pair) for pair in a.rows])
+
+
+def entry(K, c, k, eps) -> dict:
+    """Entry (k, eps) of the cell c of nu(K), as an element."""
+    return dict.fromkeys(K.gen_index.names_of(c[k][eps]), 1)
 
 
 IV = lambda_globe(1)
@@ -45,8 +50,8 @@ class TestBoundary:
     def test_square_filler(self):
         c = atom_cell(SQ, sq("v1", "v1"))
         src, tgt = nu_boundary(c)
-        assert src.entry(1, 0) == {sq("b0", "v1"): 1, sq("v1", "t0"): 1}
-        assert tgt.entry(1, 0) == {sq("v1", "b0"): 1, sq("t0", "v1"): 1}
+        assert entry(SQ, src, 1, 0) == {sq("b0", "v1"): 1, sq("v1", "t0"): 1}
+        assert entry(SQ, tgt, 1, 0) == {sq("v1", "b0"): 1, sq("t0", "v1"): 1}
 
     def test_zero_cell_has_none(self):
         with pytest.raises(TableError):
@@ -65,13 +70,13 @@ class TestIdentity:
     def test_append_zero(self):
         c = atom_cell(IV, "b0")
         i = nu_identity(c)
-        assert i.entry(1, 0) == {} and i.entry(1, 1) == {}
-        assert i.dim == 1
+        assert entry(IV, i, 1, 0) == {} and entry(IV, i, 1, 1) == {}
+        assert len(i) - 1 == 1
 
     def test_double(self):
         c = atom_cell(IV, "b0")
         ii = nu_identity(nu_identity(c))
-        assert all(ii.entry(k, eps) == {} for k in (1, 2) for eps in (0, 1))
+        assert all(entry(IV, ii, k, eps) == {} for k in (1, 2) for eps in (0, 1))
 
 
 class TestCompose:
@@ -79,7 +84,7 @@ class TestCompose:
         a = atom_cell(SQ, sq("b0", "v1"))
         b = atom_cell(SQ, sq("v1", "t0"))
         c = nu_compose(0, a, b)
-        assert c.entry(1, 0) == {sq("b0", "v1"): 1, sq("v1", "t0"): 1}
+        assert entry(SQ, c, 1, 0) == {sq("b0", "v1"): 1, sq("v1", "t0"): 1}
 
     def test_unit_law(self):
         a = atom_cell(SQ, sq("b0", "v1"))
@@ -169,6 +174,20 @@ class TestEnumeration:
         NuView(K, 3)
         assert len(built) == sum(len(row) for row in K.degrees)
         assert {table.rows for table in K.atoms.values()} == set(built)
+
+    def test_cells_are_row_tuples(self):
+        # a cell is the tuple of its (neg, pos) bitmask rows, with no wrapper,
+        # and the closure is seeded with the atom tables themselves
+        K = cylinder_complex(parse_cell("[2]([1],[0])"))
+        view = NuView(K, 3)
+        for d, layer in enumerate(view.layers):
+            for c in layer:
+                assert type(c) is tuple and len(c) == d + 1
+                assert all(type(row) is tuple and len(row) == 2
+                           and all(type(m) is int for m in row) for row in c)
+            stored = {c: c for c in layer}
+            for g in K.basis(d):
+                assert stored[K.atoms[g].rows] is K.atoms[g].rows
 
     def test_ceiling(self):
         with pytest.raises(EnumerationError):
@@ -271,14 +290,14 @@ class TestFunctors:
         K = lambda_cell(cell(2))
         edge = atom_cell(K, ("s", 1, ("o", 0)))
         img = F(edge)
-        assert img.entry(1, 0) == {("s", 1, ("o", 0)): 1, ("s", 2, ("o", 0)): 1}
+        assert entry(m.target, img, 1, 0) == {("s", 1, ("o", 0)): 1, ("s", 2, ("o", 0)): 1}
 
     def test_endpoint_inclusion_picks_object(self):
         from graycyl.theta import vertex
         m = lambda_map(vertex(cell(1), 0))
         F = nu_functor(m, 1)
         pt = atom_cell(lambda_cell(parse_cell("[0]")), ("o", 0))
-        assert F(pt).entry(0, 0) == {("o", 0): 1}
+        assert entry(m.target, F(pt), 0, 0) == {("o", 0): 1}
 
     def test_hyperfaces_of_two_simplex_pass(self):
         for face in hyperfaces(cell(2)):
@@ -289,9 +308,9 @@ class TestFunctors:
         view = NuView(SQ, 2)
 
         def bad(c):
-            if c.dim == 1 and not c.is_identity:
+            if len(c) - 1 == 1 and c[-1] != (0, 0):
                 return nu_identity(nu_boundary(c)[0])
-            return c if c.dim == 0 else nu_identity(bad(nu_boundary(c)[0]))
+            return c if len(c) - 1 == 0 else nu_identity(bad(nu_boundary(c)[0]))
 
         F = OmegaFunctor(view, view, bad)
         assert check_functors((F,), 1)[0]
@@ -320,14 +339,14 @@ class TestTableGuards:
         K = DAComplex(degrees=((("o", 0),), (("x", 0),)),
                       diff={("x", 0): {}}, aug={("o", 0): 1})
         o, x = {("o", 0): 1}, {("x", 0): 1}
-        assert make_cell(K, [(o, o), (x, x)]).dim == 1
+        assert len(make_cell(K, [(o, o), (x, x)])) - 1 == 1
         with pytest.raises(TableError, match="coefficient 2"):
             make_cell(K, [(o, o), ({("x", 0): 2}, {("x", 0): 2})])
 
     def test_overlapping_composite_rejected(self):
         index = IV.gen_index
         b0, v1 = index.bit["b0"], index.bit["v1"]
-        a = NuCell(((b0, b0), (v1, v1)), index)
+        a = ((b0, b0), (v1, v1))
         assert nu_composable(0, a, a)
         with pytest.raises(TableError, match="coefficient 2"):
             nu_compose(0, a, a)
@@ -351,7 +370,7 @@ class TestSharedFunctorCheck:
         view = NuView(SQ, 2)
         good = nu_functor(identity_morphism(SQ), 2, source_view=view, target_view=view)
         bad = OmegaFunctor(view, view, lambda c: nu_identity(nu_boundary(c)[0])
-                           if c.dim == 1 and not c.is_identity else c)
+                           if len(c) - 1 == 1 and c[-1] != (0, 0) else c)
         bad_alone = check_functors((bad,), 2)[0]
         assert bad_alone and check_functors((good,), 2)[0] == []
         assert check_functors([good, bad], 2) == [[], bad_alone]
@@ -378,22 +397,22 @@ def legacy_render_element(x: dict) -> str:
     return "+".join(parts).replace("+-", "-")
 
 
-def legacy_sort_key(c: NuCell) -> str:
+def legacy_sort_key(K: DAComplex, c: tuple) -> str:
     def pairs(m):
-        return tuple((g, 1) for g in sorted(c.index.names_of(m), key=repr))
-    return repr(tuple((pairs(n), pairs(p)) for n, p in c.rows))
+        return tuple((g, 1) for g in sorted(K.gen_index.names_of(m), key=repr))
+    return repr(tuple((pairs(n), pairs(p)) for n, p in c))
 
 
-def legacy_str(c: NuCell) -> str:
-    cols = [f"({legacy_render_element(c.entry(k, 0))};{legacy_render_element(c.entry(k, 1))})"
-            for k in range(c.dim + 1)]
+def legacy_str(K: DAComplex, c: tuple) -> str:
+    cols = [f"({legacy_render_element(entry(K, c, k, 0))};"
+            f"{legacy_render_element(entry(K, c, k, 1))})" for k in range(len(c))]
     return "[" + " ".join(cols) + "]"
 
 
-def legacy_to_json(c: NuCell):
+def legacy_to_json(K: DAComplex, c: tuple):
     def side(x):
         return {legacy_render_element({g: 1}): v for g, v in sorted(x.items(), key=repr)}
-    return [[side(c.entry(k, 0)), side(c.entry(k, 1))] for k in range(c.dim + 1)]
+    return [[side(entry(K, c, k, 0)), side(entry(K, c, k, 1))] for k in range(len(c))]
 
 
 def legacy_complex_to_json(K: DAComplex) -> dict:
@@ -417,13 +436,14 @@ class TestRenderingTable:
     def test_matches_legacy_formulas(self, t):
         dim = t.dimension()
         sizes = Counter()
-        for view in (gray_cylinder(t, dim + 1), NuView(lambda_cell(t), dim + 1)):
+        for K in (cylinder_complex(t), lambda_cell(t)):
+            view = NuView(K, dim + 1)
             for d in range(view.max_dim + 1):
                 for c in view.layers[d]:
-                    assert c.sort_key() == legacy_sort_key(c)
-                    assert str(c) == legacy_str(c)
-                    assert ordered(c.to_json()) == ordered(legacy_to_json(c))
-                    sizes.update(len(c.index.names_of(m)) for row in c.rows for m in row)
+                    assert view.sort_key(c) == legacy_sort_key(K, c)
+                    assert view.text(c) == legacy_str(K, c)
+                    assert ordered(view.to_json(c)) == ordered(legacy_to_json(K, c))
+                    sizes.update(len(K.gen_index.names_of(m)) for row in c for m in row)
         assert sizes[0] and sizes[1]        # empty and one-generator entries
         for K in (lambda_cell(t), cylinder_complex(t)):
             assert ordered(K.to_json()) == ordered(legacy_complex_to_json(K))
@@ -435,11 +455,13 @@ class TestRenderingTable:
         K = DAComplex(degrees=(tuple(o), (z, s)),
                       diff={z: {o[1]: 1, o[0]: -1}, s: {o[2]: 1, o[1]: -1}},
                       aug=dict.fromkeys(o, 1))
+        view = NuView(K, 1)
         c = make_cell(K, [({o[0]: 1}, {o[2]: 1}), ({z: 1, s: 1}, {z: 1, s: 1})])
-        assert str(c) == legacy_str(c) == "[(o0;o2) (2|o0+z;2|o0+z)]"
-        assert c.sort_key() == legacy_sort_key(c)
-        assert ordered(c.to_json()) == ordered(legacy_to_json(c))
-        assert list(c.to_json()[1][0]) == ["z", "2|o0"]
+        assert c in view.layers[1]
+        assert view.text(c) == legacy_str(K, c) == "[(o0;o2) (2|o0+z;2|o0+z)]"
+        assert view.sort_key(c) == legacy_sort_key(K, c)
+        assert ordered(view.to_json(c)) == ordered(legacy_to_json(K, c))
+        assert list(view.to_json(c)[1][0]) == ["z", "2|o0"]
 
     def test_each_name_rendered_once_per_index(self, monkeypatch):
         # a complex of its own, so no earlier test has rendered its names
@@ -460,9 +482,9 @@ class TestRenderingTable:
         monkeypatch.setattr(dac, "render_name", counting)
 
         def dump():
-            return ([[c.to_json() for c in sorted(view.layers[d], key=NuCell.sort_key)]
+            return ([[view.to_json(c) for c in sorted(view.layers[d], key=view.sort_key)]
                      for d in range(4)],
-                    [str(c) for c in view.cells(2)], K.to_json())
+                    [view.text(c) for c in view.cells(2)], K.to_json())
 
         first = dump()
         assert Counter(calls) == Counter(K.gen_index.names)

@@ -129,13 +129,14 @@ class TestCounting:
         # PR([1],[1]) is the top hom of the cylinder over [2]([1],[1])
         t = parse_cell("[2]([1],[1])")
         view = gray_cylinder(t, 4)
-        lo = {("t", "b0", ("o", 0)): 1}
-        hi = {("t", "t0", ("o", 2)): 1}
+        lo = [("t", "b0", ("o", 0))]
+        hi = [("t", "t0", ("o", 2))]
+        names_of = view.gen_index.names_of
         expr = pr([ONE, ONE])
         for d in range(4):
             restricted = sum(
                 1 for c in view.layers[d + 1]
-                if c.entry(0, 0) == lo and c.entry(0, 1) == hi)
+                if names_of(c[0][0]) == lo and names_of(c[0][1]) == hi)
             assert pr_count(expr, d) == restricted
 
     def test_monotone_emptiness(self):

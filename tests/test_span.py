@@ -121,6 +121,20 @@ class TestVerifySpan:
         assert rep.sigma_functor and rep.sigma_functor[0][0] == "image"
         assert rep.to_json()["sigma_functor_violations"] == len(rep.sigma_functor)
 
+    def test_image_error_names_the_source_cell(self):
+        b = build_span(cell(1))
+        F = nu_functor(swapped_ends(b.q), b.cyl_view.max_dim, source_view=b.cyl_view)
+        named = []
+        for layer in b.cyl_view.layers:
+            for c in layer:
+                try:
+                    F(c)
+                except TableError as exc:
+                    named.append((str(exc), b.cyl_view.text(c)))
+        assert named
+        assert all(msg == f"image table is not a cell of the target: {text}"
+                   for msg, text in named)
+
     def test_functor_checks_run(self):
         b = build_span(parse_cell("[1]([1])"))
         for leg in b.kappa:
@@ -256,7 +270,7 @@ class TestEntrywisePass:
         F = nu_functor(b.q, b.cyl_view.max_dim, source_view=b.cyl_view, target_view=broken)
 
         def missing(x):
-            return x not in broken.layers[x.dim]
+            return x not in broken.layers[len(x) - 1]
 
         top = b.cyl_view.max_dim
         want = []
