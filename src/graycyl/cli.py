@@ -54,7 +54,7 @@ def _dump_view(view: NuView, fmt: str, out):
     _emit(json.dumps(data, sort_keys=True, ensure_ascii=False, indent=None if fmt == "json" else 1), out)
 
 
-def _run_verify(suite: str, t, max_dim, ceiling) -> tuple[bool, dict]:
+def _run_verify(suite: str, t) -> tuple[bool, dict]:
     results: dict = {"cell": str(t)}
     ok = True
     if suite in ("gluing", "gray", "all"):
@@ -73,7 +73,7 @@ def _run_verify(suite: str, t, max_dim, ceiling) -> tuple[bool, dict]:
             ok = ok and rep.agree
         results["hyperfaces"] = faces
     if suite in ("span", "all"):
-        rep = verify_span(t, max_dim, ceiling)
+        rep = verify_span(t)
         results["span"] = rep.to_json()
         ok = ok and rep.passed
     results["ok"] = ok
@@ -164,11 +164,11 @@ def _run(args, t, max_dim) -> int:
                              sort_keys=True, ensure_ascii=False), args.out)
         return 0 if agree else 1
     if args.command == "span":
-        rep = verify_span(t, max_dim, args.ceiling)
+        rep = verify_span(t)
         _emit(json.dumps(rep.to_json(), sort_keys=True, ensure_ascii=False), args.out)
         return 0 if rep.passed else 1
     if args.command == "verify":
-        ok, results = _run_verify(args.suite, t, max_dim, args.ceiling)
+        ok, results = _run_verify(args.suite, t)
         _emit(json.dumps(results, sort_keys=True, ensure_ascii=False), args.out)
         return 0 if ok else 1
     if args.command == "emit":
@@ -177,7 +177,7 @@ def _run(args, t, max_dim) -> int:
         elif args.kind == "skeleton":
             _emit(skeleton_dot(gray_cylinder(t, min(max_dim, 2), args.ceiling)), args.out)
         else:
-            _emit(span_dot(t, max_dim, args.ceiling), args.out)
+            _emit(span_dot(t), args.out)
         return 0
     return 2
 

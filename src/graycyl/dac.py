@@ -214,12 +214,6 @@ class DAComplex:
     def e(self, x: dict) -> int:
         return sum(c * self.aug[g] for g, c in x.items())
 
-    def element_degree(self, x: dict) -> int | None:
-        degs = {self.degree_of(g) for g in x}
-        if len(degs) > 1:
-            raise ComplexError("mixed-degree element")
-        return degs.pop() if degs else None
-
     def validate(self):
         for d in range(2, self.top_degree + 1):
             for g in self.basis(d):
@@ -359,24 +353,49 @@ class DAMorphism:
         return DAMorphism(self.source, other.target,
                           {g: other.apply(v) for g, v in self.images.items()})
 
-    def validate(self):
+    def violations(self) -> list:
+        """(kind, g) for each way a generator g of the source, in degree
+        order, keeps this from being a morphism of augmented directed
+        complexes: "missing" (g has no image), "negative" (a negative
+        coefficient), "degree" (a target generator of another degree),
+        "augmentation" (degree 0) or "chain" (the image of g's boundary is
+        not the boundary of g's image; unchecked while a generator of that
+        boundary has no image)."""
+        found = []
         for d in range(self.source.top_degree + 1):
             for g in self.source.basis(d):
                 img = self.images.get(g)
                 if img is None:
-                    raise MorphismError(f"no image for {g!r}")
+                    found.append(("missing", g))
+                    continue
                 if not is_nonneg(img):
-                    raise MorphismError(f"image of {g!r} is not positive")
-                deg = self.target.element_degree(img)
-                if deg is not None and deg != d:
-                    raise MorphismError(f"image of {g!r} has wrong degree")
+                    found.append(("negative", g))
+                if any(self.target.degree_of(h) != d for h in img):
+                    found.append(("degree", g))
                 if d == 0:
                     if self.target.e(img) != self.source.e({g: 1}):
-                        raise MorphismError(f"augmentation broken at {g!r}")
+                        found.append(("augmentation", g))
                 else:
-                    if self.apply(self.source.diff.get(g, {})) != self.target.d(img):
-                        raise MorphismError(f"chain condition broken at {g!r}")
+                    boundary = self.source.diff.get(g, {})
+                    if (all(h in self.images for h in boundary)
+                            and self.apply(boundary) != self.target.d(img)):
+                        found.append(("chain", g))
+        return found
+
+    def validate(self):
+        """self, or MorphismError naming the first of its violations."""
+        for kind, g in self.violations():
+            raise MorphismError(_VIOLATION_TEXT[kind].format(g))
         return self
+
+
+_VIOLATION_TEXT = {
+    "missing": "no image for {!r}",
+    "negative": "image of {!r} is not positive",
+    "degree": "image of {!r} has wrong degree",
+    "augmentation": "augmentation broken at {!r}",
+    "chain": "chain condition broken at {!r}",
+}
 
 
 def morphisms_agree(a: DAMorphism, b: DAMorphism) -> bool:

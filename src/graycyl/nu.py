@@ -382,69 +382,6 @@ def nu_functor(a: DAMorphism, max_dim: int, ceiling: int = DEFAULT_CEILING,
     return OmegaFunctor(src, tgt, apply)
 
 
-def check_entrywise_functors(Fs):
-    """Per functor built by nu_functor, the list of violations among its
-    cells: ("image", d, c) where F(c) is not a target cell (TableError),
-    ("source"/"target"/"identity", d, c) where F does not preserve them,
-    or has no image at that boundary or identity.
-
-    F is applied once per source cell, and its images are kept by cell.
-    The source, target and identity of c are looked up there and compared
-    with the boundary and identity of F(c).  Every lookup hits on a
-    complete closure: nu(K) holds the source, target and identity of each
-    of its cells, and enumerate_cells returns all cells of each dimension
-    up to max_dim, so a boundary is a cell one layer down and an identity
-    below the top one layer up.  A miss (an incomplete source view)
-    applies F to that cell once.
-
-    Composition needs no walk over the composable pairs.  nu_functor maps
-    each entry mask m to image(m), the OR of the images of its generators,
-    and raises TableError when two of them overlap.  For a j-composable
-    pair (a, b), F(a) and F(b) are j-composable, since equal entries have
-    equal images.  F(a *_j b) and F(a) *_j F(b) agree at and below row j;
-    above it both are image(m) | image(n) for disjoint m, n, and both raise
-    exactly when image(m) & image(n) != 0.  And a *_j b is itself a source
-    cell, since the closure is closed under *_j, so this pass applies F to
-    it: the pair walk of check_functors could report nothing that this pass
-    has not already reported."""
-    if not Fs or any(F.source_view is not Fs[0].source_view for F in Fs):
-        raise ValueError("check_entrywise_functors needs functors out of one source view")
-    src = Fs[0].source_view
-    top = src.max_dim
-    images = [_memoised(_or_none(F)) for F in Fs]
-    reports = [[] for _ in Fs]
-    for d, layer in enumerate(src.layers):
-        for c in layer:
-            if d:
-                src_c, tgt_c = nu_boundary(c)
-            ident = nu_identity(c) if d < top else None
-            for image, report in zip(images, reports):
-                fc = image(c)
-                if fc is None:
-                    report.append(("image", d, c))
-                    continue
-                if d:
-                    src_fc, tgt_fc = nu_boundary(fc)
-                    if image(src_c) != src_fc:
-                        report.append(("source", d, c))
-                    if image(tgt_c) != tgt_fc:
-                        report.append(("target", d, c))
-                if ident is not None and image(ident) != nu_identity(fc):
-                    report.append(("identity", d, c))
-    return reports
-
-
-def _or_none(F):
-    """F, with None where F(c) is not a target cell (TableError)."""
-    def apply(c: tuple):
-        try:
-            return F(c)
-        except TableError:
-            return None
-
-    return apply
-
-
 def _memoised(F):
     """F, applied once per distinct cell."""
     seen: dict = {}

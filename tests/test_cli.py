@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from graycyl import nu
 from graycyl.cli import main
 from graycyl.dac import lambda_cell
 from graycyl.gray import cylinder_complex
@@ -81,7 +82,20 @@ class TestSubcommands:
         ["verify", "span", "[2]"], ["verify", "all", "[2]"],
         ["span", "[2]"], ["emit", "span", "[2]"],
     ])
-    def test_span_commands_honour_ceiling(self, capsys, args):
+    def test_span_commands_honour_ceiling(self, capsys, monkeypatch, args):
+        # the span is checked on complexes: these commands build no closure,
+        # so no ceiling is ever reached
+        def no_closure(*_):
+            raise AssertionError("a nu closure was built")
+
+        monkeypatch.setattr(nu, "enumerate_cells", no_closure)
+        assert main(args + ["--ceiling", "1"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("args", [
+        ["nu", "[2]"], ["gray", "[2]"], ["counts", "[2]"], ["emit", "skeleton", "[2]"],
+    ])
+    def test_closure_commands_honour_ceiling(self, capsys, args):
         assert main(args + ["--ceiling", "1"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
@@ -100,7 +114,8 @@ class TestSubcommands:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_emit_span_honours_max_dim(self, capsys):
-        # with the default max-dim, dimension 1 of the cylinder of [1] exceeds 5 cells
+        # the span builds no closure, so --ceiling 5 cannot stop it, though
+        # dimension 1 of the cylinder of [1] has more than 5 cells
         args = ["[1]", "--max-dim", "0", "--ceiling", "5"]
         assert main(["span"] + args) == 0
         assert main(["emit", "span"] + args) == 0

@@ -30,7 +30,8 @@ ORACLES = {
     "nu.close_all_pairs": "pair-walk closure, the oracle of enumerate_cells",
     "nu.make_cell": "validating table constructor, builds tables the closure must find",
     "nu.nu_compose": "checked composition for hand-built cells",
-    "nu.check_functors": "all-pairs functor check, the oracle of check_entrywise_functors",
+    "nu.nu_functor": "nu of a morphism of complexes, the oracle of the span's complex-level legs",
+    "nu.check_functors": "all-pairs functor check, run on nu_functor by the span's oracle test",
     "dac.find_isomorphism": "compares the globular-sum amalgamation with lambda_cell",
     "dac.amalgamation_over_globular_sum": "the complex of a cell built from its globular sum",
     "theta.reconstruct": "inverse of globular_sum, round-trips the decomposition",

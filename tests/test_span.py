@@ -1,14 +1,11 @@
-import copy
-from collections import Counter
-
 import pytest
 
 from graycyl.dac import DAMorphism, MorphismError, lambda_cell
-from graycyl.gray import H, L, R, cylinder_complex
-from graycyl.nu import (OmegaFunctor, TableError, check_entrywise_functors,
-                        check_functors, nu_boundary, nu_functor, nu_identity)
-from graycyl.span import (build_span, mirror_name, shift_map,
-                          shift_target_cell, span_dot, split_map, verify_span)
+from graycyl.gray import H, L, R, cylinder_complex, gray_cylinder
+from graycyl.nu import TableError, check_functors, nu_functor
+from graycyl.span import (_span_report, mirror_name, projection_to_cell,
+                          projection_to_interval, shift_map, shift_target_cell,
+                          span_dot, split_map, verify_span)
 from graycyl.theta import cell, cells_up_to, cells_with_nodes, coface, parse_cell
 
 
@@ -18,6 +15,22 @@ def swapped_ends(q: DAMorphism) -> DAMorphism:
     return DAMorphism(q.source, q.target,
                       {g: {ends.get(h, h): c for h, c in img.items()}
                        for g, img in q.images.items()})
+
+
+def doubled(m: DAMorphism) -> DAMorphism:
+    """m with every coefficient doubled: it breaks the augmentation."""
+    return DAMorphism(m.source, m.target,
+                      {g: {h: 2 * c for h, c in img.items()} for g, img in m.images.items()})
+
+
+def legs(t):
+    return projection_to_interval(t), projection_to_cell(t), shift_map(t)
+
+
+def leg_functors(t, max_dim=None):
+    """nu of p1, p2 and q out of one cylinder view: the oracle's functors."""
+    view = gray_cylinder(t, max_dim)
+    return view, [nu_functor(m, view.max_dim, source_view=view) for m in legs(t)]
 
 
 class TestSplitMap:
@@ -92,81 +105,84 @@ class TestVerifySpan:
 
     def test_corpus_up_to_six_nodes(self):
         for t in cells_up_to(6):
-            budget = min(t.dimension() + 1, 4)
-            assert verify_span(t, max_dim=budget).passed, str(t)
+            assert verify_span(t).passed, str(t)
 
     def test_corpus_of_seven_nodes(self):
         cells = cells_with_nodes(7)
         assert len(cells) == 132
         for t in cells:
-            assert verify_span(t, max_dim=min(t.dimension() + 1, 4)).passed, str(t)
+            assert verify_span(t).passed, str(t)
+
+    def test_corpus_of_eight_nodes(self):
+        cells = cells_with_nodes(8)
+        assert len(cells) == 429
+        for t in cells:
+            assert verify_span(t).passed, str(t)
 
     def test_kappa_object_bijection(self):
         t = parse_cell("[2]([1],[0])")
-        b = build_span(t)
-        images = {tuple(leg(c) for leg in b.kappa) for c in b.cyl_view.cells(0)}
-        assert len(images) == len(b.cyl_view.cells(0))
+        view, (to_interval, to_cell, _) = leg_functors(t)
+        images = {(to_interval(c), to_cell(c)) for c in view.cells(0)}
+        assert len(images) == len(view.cells(0))
         assert len(images) == 2 * (t.width + 1)
+        for c in view.cells(0):
+            for leg in (to_interval, to_cell):
+                assert leg(c) in leg.target_view.layers[0]
 
     def test_mutated_sigma_fails(self):
         with pytest.raises(MorphismError):
-            swapped_ends(build_span(cell(2)).q).validate()
+            swapped_ends(shift_map(cell(2))).validate()
 
     def test_image_violation_is_reported(self):
         t = cell(2)
-        b = build_span(t)
-        b.sigma = nu_functor(swapped_ends(b.q), b.cyl_view.max_dim, source_view=b.cyl_view)
-        rep = verify_span(t, bundle=b)
+        p1, p2, q = legs(t)
+        rep = _span_report(t, p1, p2, swapped_ends(q))
         assert not rep.passed and not rep.kappa_functor
-        assert rep.sigma_functor and rep.sigma_functor[0][0] == "image"
+        assert rep.sigma_functor and rep.sigma_functor[0][0] == "chain"
         assert rep.to_json()["sigma_functor_violations"] == len(rep.sigma_functor)
 
     def test_image_error_names_the_source_cell(self):
-        b = build_span(cell(1))
-        F = nu_functor(swapped_ends(b.q), b.cyl_view.max_dim, source_view=b.cyl_view)
+        t = cell(1)
+        view = gray_cylinder(t)
+        F = nu_functor(swapped_ends(shift_map(t)), view.max_dim, source_view=view)
         named = []
-        for layer in b.cyl_view.layers:
+        for layer in view.layers:
             for c in layer:
                 try:
                     F(c)
                 except TableError as exc:
-                    named.append((str(exc), b.cyl_view.text(c)))
+                    named.append((str(exc), view.text(c)))
         assert named
         assert all(msg == f"image table is not a cell of the target: {text}"
                    for msg, text in named)
 
     def test_functor_checks_run(self):
-        b = build_span(parse_cell("[1]([1])"))
-        for leg in b.kappa:
-            assert not check_functors((leg,), b.cyl_view.max_dim)[0]
-        assert not check_functors((b.sigma,), b.cyl_view.max_dim)[0]
+        view, Fs = leg_functors(parse_cell("[1]([1])"))
+        for F in Fs:
+            assert not check_functors((F,), view.max_dim)[0]
 
     def test_coefficient_two_is_an_image_violation(self):
-        b = build_span(cell(1))
-        doubled = DAMorphism(b.q.source, b.q.target,
-                             {g: {h: 2 * c for h, c in img.items()}
-                              for g, img in b.q.images.items()})
-        F = nu_functor(doubled, b.cyl_view.max_dim, source_view=b.cyl_view)
-        report = check_entrywise_functors((F,))[0]
-        assert report and {v[0] for v in report} == {"image"}
+        t = cell(1)
+        view = gray_cylinder(t)
+        F = nu_functor(doubled(shift_map(t)), view.max_dim, source_view=view)
+        for c in view.cells(0):
+            with pytest.raises(TableError):
+                F(c)
         with pytest.raises(TableError):
-            check_functors((F,), b.cyl_view.max_dim)
+            check_functors((F,), view.max_dim)
 
     def test_broken_kappa_leg_fails(self):
         t = parse_cell("[1]([1])")
-        b = build_span(t)
-        to_cell = b.kappa[1]
-        swap = dict(zip(to_cell.target_view.cells(0), reversed(to_cell.target_view.cells(0))))
-        bad = OmegaFunctor(to_cell.source_view, to_cell.target_view,
-                           lambda c: swap.get(to_cell(c), to_cell(c)))
-        b.kappa = (b.kappa[0], bad)
-        assert not verify_span(t, bundle=b).passed
+        p1, p2, q = legs(t)
+        rep = _span_report(t, p1, swapped_ends(p2), q)
+        assert not rep.passed
+        assert rep.kappa_functor and not rep.sigma_functor
 
     def test_swapped_sigma_fails_every_square(self):
         t = parse_cell("[2]([1],[0])")
-        b = build_span(t)
-        b.q = swapped_ends(b.q)
-        rep = verify_span(t, bundle=b)
+        p1, p2, q = legs(t)
+        rep = _span_report(t, p1, p2, swapped_ends(q))
+        assert rep.sigma_functor and not rep.kappa_functor
         assert rep.sigma_columns and not any(ok for _, ok in rep.sigma_columns)
         assert not rep.diamonds["sigma_e0"] and not rep.diamonds["sigma_e1"]
         assert all(ok for _, ok in rep.kappa_columns)
@@ -174,12 +190,13 @@ class TestVerifySpan:
 
     def test_swapped_kappa_fails_every_square(self):
         t = parse_cell("[2]([1],[0])")
-        b = build_span(t)
+        p1, p2, q = legs(t)
         ends = {L: R, R: L}
-        b.p1 = DAMorphism(b.p1.source, b.p1.target,
-                          {g: {ends.get(h, h): c for h, c in img.items()}
-                           for g, img in b.p1.images.items()})
-        rep = verify_span(t, bundle=b)
+        p1 = DAMorphism(p1.source, p1.target,
+                        {g: {ends.get(h, h): c for h, c in img.items()}
+                         for g, img in p1.images.items()})
+        rep = _span_report(t, p1, p2, q)
+        assert rep.kappa_functor and not rep.sigma_functor
         assert rep.kappa_columns and not any(ok for _, ok in rep.kappa_columns)
         assert not rep.diamonds["kappa_e0"] and not rep.diamonds["kappa_e1"]
         assert all(ok for _, ok in rep.sigma_columns)
@@ -190,102 +207,55 @@ class TestVerifySpan:
         assert "color=green" in dot and "color=red" not in dot
 
 
-class TestEntrywiseCheck:
-    """check_entrywise_functors against the all-pairs oracle check_functors."""
+def _replaced(m: DAMorphism, g, img: dict) -> DAMorphism:
+    return DAMorphism(m.source, m.target, {**m.images, g: img})
 
-    @staticmethod
-    def both(b):
-        Fs = (*b.kappa, b.sigma)
-        new = check_entrywise_functors(Fs)
-        try:
-            old = check_functors(Fs, b.cyl_view.max_dim)
-        except TableError:
-            old = None
-        return new, old
 
-    def test_same_violations_up_to_six_nodes(self):
+def _negative(m: DAMorphism) -> DAMorphism:
+    """m with the image of its first 1-generator that has one negated."""
+    h = next(g for g in m.source.basis(1) if m.images[g])
+    return _replaced(m, h, {x: -c for x, c in m.images[h].items()})
+
+
+def _wrong_degree(m: DAMorphism) -> DAMorphism:
+    """m with its first 1-generator sent to a 0-generator."""
+    return _replaced(m, m.source.basis(1)[0], {m.target.basis(0)[0]: 1})
+
+
+class TestLegViolations:
+    """A broken leg is reported by the kind of its violation, on its own side
+    of the span."""
+
+    T = parse_cell("[1]([1])")
+
+    @pytest.mark.parametrize("kind, leg, breaking", [
+        ("negative", 2, _negative),
+        ("degree", 1, _wrong_degree),
+        ("augmentation", 2, doubled),
+        ("chain", 2, swapped_ends),
+        ("negative", 0, _negative),
+        ("augmentation", 1, doubled),
+    ], ids=["negative-sigma", "degree-kappa", "augmentation-sigma", "chain-sigma",
+            "negative-kappa", "augmentation-kappa"])
+    def test_violation_is_reported(self, kind, leg, breaking):
+        ms = list(legs(self.T))
+        bad = breaking(ms[leg])
+        assert kind in {k for k, _ in bad.violations()}
+        with pytest.raises(MorphismError):
+            bad.validate()
+        ms[leg] = bad
+        data = _span_report(self.T, *ms).to_json()
+        assert not data["passed"]
+        broken, intact = (("sigma", "kappa") if leg == 2 else ("kappa", "sigma"))
+        assert data[f"{broken}_functor_violations"] > 0
+        assert data[f"{intact}_functor_violations"] == 0
+
+
+class TestFunctorOracle:
+    """nu is a functor (Steiner 2004), so the legs the span checks as chain
+    maps give omega-functors; the all-pairs check confirms it on the tables."""
+
+    def test_legs_are_functors_up_to_six_nodes(self):
         for t in cells_up_to(6):
-            b = build_span(t, max_dim=min(t.dimension() + 1, 4))
-            new, old = self.both(b)
-            assert old is not None, str(t)
-            assert [Counter(r) for r in new] == [Counter(r) for r in old], str(t)
-
-    @pytest.mark.parametrize("text", ["[1]", "[2]", "[1]([1])"])
-    def test_oracle_raises_exactly_on_image_violations(self, text):
-        t = parse_cell(text)
-        b = build_span(t)
-        assert self.both(b)[1] is not None
-        b.sigma = nu_functor(swapped_ends(b.q), b.cyl_view.max_dim, source_view=b.cyl_view)
-        new, old = self.both(b)
-        assert old is None
-        assert any(v[0] == "image" for v in new[2])
-        assert not new[0] and not new[1]
-
-    def test_preservation_violations_match_oracle(self):
-        t = parse_cell("[1]([1])")
-        b = build_span(t)
-        to_cell = b.kappa[1]
-        objects = to_cell.target_view.cells(0)
-        swap = dict(zip(objects, reversed(objects)))
-        bad = OmegaFunctor(to_cell.source_view, to_cell.target_view,
-                           lambda c: swap.get(to_cell(c), to_cell(c)))
-        new = check_entrywise_functors((bad,))[0]
-        old = check_functors((bad,), b.cyl_view.max_dim)[0]
-        assert new and Counter(new) == Counter(old)
-
-    def test_one_source_view_required(self):
-        F = build_span(cell(1)).sigma
-        G = build_span(cell(1)).sigma
-        with pytest.raises(ValueError):
-            check_entrywise_functors([F, G])
-
-
-class TestEntrywisePass:
-    """How check_entrywise_functors applies its functors, and what it reports
-    against a target view that lacks a cell."""
-
-    def test_one_application_per_source_cell(self):
-        for text in ("[2]", "[1]([1])", "[2]([1],[0])"):
-            b = build_span(parse_cell(text))
-            cells = Counter(c for layer in b.cyl_view.layers for c in layer)
-            calls = [Counter() for _ in range(3)]
-
-            def counting(F, seen):
-                def apply(c):
-                    seen[c] += 1
-                    return F(c)
-                return OmegaFunctor(F.source_view, F.target_view, apply)
-
-            Fs = [counting(F, n) for F, n in zip((*b.kappa, b.sigma), calls)]
-            assert check_entrywise_functors(Fs) == [[], [], []]
-            assert calls == [cells] * 3, text
-
-    def test_incomplete_target_layer_is_reported(self):
-        b = build_span(parse_cell("[1]([1])"))
-        full = b.sigma
-        broken = copy.copy(full.target_view)
-        broken.layers = [set(layer) for layer in broken.layers]
-        victim = nu_identity(full(b.cyl_view.cells(0)[0]))
-        broken.layers[1].remove(victim)
-        F = nu_functor(b.q, b.cyl_view.max_dim, source_view=b.cyl_view, target_view=broken)
-
-        def missing(x):
-            return x not in broken.layers[len(x) - 1]
-
-        top = b.cyl_view.max_dim
-        want = []
-        for d, layer in enumerate(b.cyl_view.layers):
-            for c in layer:
-                if missing(full(c)):
-                    want.append(("image", d, c))
-                    continue
-                if d:
-                    src_c, tgt_c = nu_boundary(c)
-                    if missing(full(src_c)):
-                        want.append(("source", d, c))
-                    if missing(full(tgt_c)):
-                        want.append(("target", d, c))
-                if d < top and missing(full(nu_identity(c))):
-                    want.append(("identity", d, c))
-        assert {v[0] for v in want} == {"image", "source", "target", "identity"}
-        assert check_entrywise_functors((F,)) == [want]
+            view, Fs = leg_functors(t, min(t.dimension() + 1, 4))
+            assert check_functors(Fs, view.max_dim) == [[], [], []], str(t)
