@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import intlin
-from .dac import (DAComplex, DAMorphism, identity_morphism, lambda_cell,
-                  lambda_globe, lambda_map, morphisms_agree, tensor,
-                  wreath_complex, wreath_morphism)
+from .dac import (DAComplex, DAMorphism, lambda_cell, lambda_globe,
+                  lambda_map, morphisms_agree, tensor, wreath_complex,
+                  wreath_morphism)
 from .nu import DEFAULT_CEILING, NuView
 from .theta import (POINT, Hyperface, SimplicialMap, ThetaCell, ThetaMorphism,
                     gamma_image, globular_sum, inner_face, leaf_inclusion,
@@ -134,7 +134,7 @@ def m_end_leg(t: ThetaCell, m: ShuffleColumn, eps: int) -> DAMorphism:
     """lambda(T) -> the complex of the column m = M_k, the end-eps inclusion
     on the k-th slot."""
     k = m.index
-    comps = {(i, i): endpoint_inclusion(c, eps) if i == k else identity_morphism(lambda_cell(c))
+    comps = {(i, i): endpoint_inclusion(c, eps) if i == k else lambda_map(theta_identity(c))
              for i, c in enumerate(t.children, start=1)}
     return wreath_morphism(lambda_cell(t), m.embed.source, simplicial_identity(t.width), comps)
 

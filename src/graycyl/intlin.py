@@ -1,50 +1,65 @@
 """Small exact integer linear algebra: Hermite forms, kernels, span tests.
 
-Matrices are lists of row tuples.  Everything is Euclidean row reduction
-over the integers; inputs in this project never exceed a few dozen rows.
+Matrices are lists of row tuples, and a lattice is the subgroup of Z^width
+that its rows generate.  Every reduction runs through one routine,
+`_echelon`, the incremental Hermite reduction (Cohen, "A Course in
+Computational Algebraic Number Theory", §2.4): the rows are inserted one
+at a time into an echelon keyed by pivot column.  A row is walked to its
+first nonzero entry among the first `width` coordinates; if no pivot sits
+in that column it becomes one, and if one does, Euclid on the two rows
+leaves the gcd row as the pivot and carries the remainder row, now zero
+there, on to the next column.  Each step is a unimodular operation on a
+pair of rows, so the pivots and the rows that reach zero generate the same
+subgroup as the input, and a row only ever moves on to later columns.
+
+`rank` counts the pivots, `spans_all` asks that every column hold a pivot
+equal to 1, `hnf` back-reduces the pivots to the canonical Hermite form,
+`kernel` reads the identity-augmented tails of the rows that reach zero,
+and `intersection` and `same_subgroup` are built on `kernel` and `hnf`.
+`in_span` reads a basis that `hnf` returned.
 """
 
 from __future__ import annotations
 
 
-def _reduce_rows(rows: list[list[int]], width: int):
-    """Bring `rows` to row echelon form over Z by integer row operations
-    on their first `width` coordinates."""
-    rows = [list(r) for r in rows]
-    pivot_row = 0
-    for col in range(width):
-        # reduce the nonzero entries at or below pivot_row to a single one
+def _echelon(rows, width: int) -> tuple[dict, list]:
+    """({column: row}, zero rows): the pivot rows of `rows` by the column of
+    their first nonzero entry, which is positive, and the rows whose first
+    `width` entries all reduce to zero.  The input rows are never changed
+    in place; entries past `width` ride along with their row."""
+    pivots: dict = {}
+    zero: list = []
+    for row in rows:
+        col = 0
         while True:
-            live = [r for r in range(pivot_row, len(rows)) if rows[r][col] != 0]
-            if len(live) <= 1:
+            while col < width and not row[col]:
+                col += 1
+            if col == width:
+                zero.append(row)
                 break
-            live.sort(key=lambda r: abs(rows[r][col]))
-            small = live[0]
-            for r in live[1:]:
-                q = rows[r][col] // rows[small][col]
-                rows[r] = [a - q * b for a, b in zip(rows[r], rows[small])]
-        if not live:
-            continue
-        r = live[0]
-        rows[pivot_row], rows[r] = rows[r], rows[pivot_row]
-        if rows[pivot_row][col] < 0:
-            rows[pivot_row] = [-a for a in rows[pivot_row]]
-        pivot_row += 1
-    return rows, pivot_row
+            piv = pivots.get(col)
+            if piv is None:
+                pivots[col] = row if row[col] > 0 else [-a for a in row]
+                break
+            # Euclid at col: piv keeps the gcd, row is left zero there
+            while row[col]:
+                q = piv[col] // row[col]
+                piv, row = row, [a - q * b for a, b in zip(piv, row)]
+            pivots[col] = piv if piv[col] > 0 else [-a for a in piv]
+            col += 1
+    return pivots, zero
 
 
 def hnf(rows, width: int) -> tuple[tuple[int, ...], ...]:
     """Canonical (row-style) Hermite normal form of the subgroup generated
-    by `rows` inside Z^width."""
-    red, npiv = _reduce_rows(rows, width)
-    red = red[:npiv]
-    # normalize entries above each pivot
-    pivots = []
-    for r in red:
-        c = next(i for i, a in enumerate(r) if a != 0)
-        pivots.append(c)
-    for k in range(len(red) - 1, -1, -1):
-        c = pivots[k]
+    by `rows` inside Z^width: pivots positive, every entry above a pivot
+    in [0, pivot)."""
+    pivots, _ = _echelon(rows, width)
+    cols = sorted(pivots)
+    red = [pivots[c] for c in cols]
+    # reduce above each pivot from the top down: subtracting row k changes
+    # only columns from cols[k] on, so the columns already reduced hold
+    for k, c in enumerate(cols):
         p = red[k][c]
         for up in range(k):
             q = red[up][c] // p
@@ -54,16 +69,15 @@ def hnf(rows, width: int) -> tuple[tuple[int, ...], ...]:
 
 
 def rank(rows, width: int) -> int:
-    _, npiv = _reduce_rows(rows, width)
-    return npiv
+    return len(_echelon(rows, width)[0])
 
 
 def spans_all(rows, width: int) -> bool:
-    """Do the rows generate the full lattice Z^width?"""
-    h = hnf(rows, width)
-    if len(h) != width:
-        return False
-    return all(h[i][i] == 1 for i in range(width))
+    """Do the rows generate the full lattice Z^width?  Exactly when every
+    column holds a pivot and every pivot is 1: the echelon is then
+    unitriangular, and otherwise the index is the product of the pivots."""
+    pivots, _ = _echelon(rows, width)
+    return len(pivots) == width and all(row[c] == 1 for c, row in pivots.items())
 
 
 def in_span(rows_hnf, v) -> bool:
@@ -83,25 +97,29 @@ def in_span(rows_hnf, v) -> bool:
 
 def kernel(rows, width: int) -> list[tuple[int, ...]]:
     """Integer kernel of the map Z^len(rows) -> Z^width sending the k-th
-    unit vector to rows[k]."""
+    unit vector to rows[k]: the identity tails of the stacked rows that
+    reduce to zero in their first `width` entries."""
     n = len(rows)
-    stacked = [list(rows[k]) + [1 if i == k else 0 for i in range(n)] for k in range(n)]
-    red, _ = _reduce_rows(stacked, width)
-    out = []
-    for r in red:
-        if all(a == 0 for a in r[:width]):
-            tail = tuple(r[width:])
-            if any(tail):
-                out.append(tail)
-    return out
+    stacked = []
+    for k, row in enumerate(rows):
+        tail = [0] * n
+        tail[k] = 1
+        stacked.append(list(row) + tail)
+    return [tuple(r[width:]) for r in _echelon(stacked, width)[1]]
 
 
 def intersection(rows_a, rows_b, width: int) -> list[tuple[int, ...]]:
     """Generators of the intersection of the subgroups of Z^width spanned
     by rows_a and by rows_b: each kernel vector (x, y) of the stacked rows
     gives the common element x·A = -y·B."""
-    return [tuple(sum(c * row[p] for c, row in zip(v, rows_a)) for p in range(width))
-            for v in kernel(list(rows_a) + list(rows_b), width)]
+    out = []
+    for v in kernel(list(rows_a) + list(rows_b), width):
+        acc = [0] * width
+        for c, row in zip(v, rows_a):
+            if c:
+                acc = [a + c * b for a, b in zip(acc, row)]
+        out.append(tuple(acc))
+    return out
 
 
 def same_subgroup(rows_a, rows_b, width: int) -> bool:

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dac import (DAMorphism, identity_morphism, lambda_cell, lambda_map,
-                  morphisms_agree, point_complex, wreath_morphism)
+from .dac import (DAMorphism, lambda_cell, lambda_map, morphisms_agree,
+                  point_complex, wreath_morphism)
 from .gray import (H, L, R, cylinder_complex, endpoint_inclusion, interval,
                    lax_shuffle_diagram, o_cell)
 from .theta import (POINT, SimplicialMap, ThetaCell, bang, cell, coface,
@@ -128,7 +128,7 @@ def kappa_column_expectations(t: ThetaCell):
                 for row in child_cyl.degrees for g in row})
             p1_exp = wreath_morphism(c.embed.source, lambda_cell(cell(1)),
                                      split_map(n, k), {(k, 1): collapse}).then(iso)
-            comps = {(i, i): identity_morphism(lambda_cell(cc)) if i != k
+            comps = {(i, i): lambda_map(theta_identity(cc)) if i != k
                      else projection_to_cell(cc)
                      for i, cc in enumerate(t.children, start=1)}
             p2_exp = wreath_morphism(c.embed.source, lambda_cell(t),
@@ -225,7 +225,7 @@ def _span_report(t: ThetaCell, p1: DAMorphism, p2: DAMorphism,
         q_exp = lambda_map(bang(t).then(vertex(shift_target_cell(t), eps)))
         report.diamonds[f"kappa_e{eps}"] = (
             morphisms_agree(e.then(p1), p1_exp)
-            and morphisms_agree(e.then(p2), identity_morphism(lambda_cell(t))))
+            and morphisms_agree(e.then(p2), lambda_map(theta_identity(t))))
         report.diamonds[f"sigma_e{eps}"] = morphisms_agree(e.then(q), q_exp)
 
     # split-map identities from the square sorts

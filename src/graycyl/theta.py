@@ -382,13 +382,33 @@ class ThetaMorphism:
         return f"{self.base};[{comps}]"
 
 
+# theta_identity's value per cell, kept, like lambda_cell's: an identity
+# held here keeps its lambda map alive too, so that is built once per cell
+_IDENTITIES: dict = {}
+
+
 def theta_identity(t: ThetaCell) -> ThetaMorphism:
-    comps = tuple(((i, i), theta_identity(t.children[i - 1])) for i in range(1, t.width + 1))
-    return ThetaMorphism(t, t, simplicial_identity(t.width), comps)
+    """The identity of t.  Built once per cell and kept, bottom-up from an
+    explicit stack, so deep cells do not recurse."""
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        if u in _IDENTITIES:
+            stack.pop()
+            continue
+        missing = [c for c in u.children if c not in _IDENTITIES]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        comps = tuple(((i, i), _IDENTITIES[c]) for i, c in enumerate(u.children, start=1))
+        _IDENTITIES[u] = ThetaMorphism(u, u, simplicial_identity(u.width), comps)
+    return _IDENTITIES[t]
 
 
+@cache
 def bang(source: ThetaCell) -> ThetaMorphism:
-    """The unique morphism to [0]."""
+    """The unique morphism to [0].  Built once per cell and kept."""
     return ThetaMorphism(source, POINT, SimplicialMap(source.width, 0, (0,) * (source.width + 1)), ())
 
 

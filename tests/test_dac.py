@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graycyl import dac
+from graycyl import dac, theta
+from graycyl.cli import main
 from graycyl.dac import (DAComplex, DAMorphism, MorphismError,
                          amalgamate_with_inclusions,
                          amalgamation_over_globular_sum, check_basis, find_isomorphism, gadd, globe_inclusion,
@@ -71,9 +72,27 @@ class TestLambda:
 
 class TestLambdaMap:
     def test_identity(self):
-        t = parse_cell("[2]([1],[0])")
-        m = lambda_map(theta_identity(t))
-        assert m.images == identity_morphism(lambda_cell(t)).images
+        for t in cells_up_to(6):
+            m = lambda_map(theta_identity(t))
+            assert m.images == identity_morphism(lambda_cell(t)).images
+
+    def test_hyperfaces_build_each_identity_once(self, monkeypatch, capsys):
+        built = Counter()      # by hash, so the count keeps no morphism alive
+        real = dac._lambda_map
+
+        def counted(f):
+            if f is theta_identity(f.source):
+                built[hash(f)] += 1
+            return real(f)
+
+        monkeypatch.setattr(dac, "_lambda_map", counted)
+        monkeypatch.setattr(dac, "_LAMBDA_MAPS", WeakKeyDictionary())
+        monkeypatch.setattr(theta, "_IDENTITIES", {})
+        for t in cells_up_to(5):
+            assert main(["verify", "hyperface", str(t)]) == 0
+        capsys.readouterr()
+        assert built
+        assert set(built.values()) == {1}
 
     def test_degeneracy_kills(self):
         f = theta_morphism(cell(1), POINT, codegeneracy(1, 0), {})

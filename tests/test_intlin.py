@@ -2,6 +2,8 @@ import ast
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graycyl import intlin
 
@@ -30,6 +32,135 @@ def _callers(name: str) -> set:
 def test_lattice_meets_go_through_one_helper(name):
     callers = _callers(name)
     assert len(callers) == 1, f"intlin.{name} is called from {sorted(callers)}"
+
+
+def test_predicates_reduce_through_one_echelon():
+    assert _callers("_echelon") == {"intlin.hnf", "intlin.rank", "intlin.kernel",
+                                    "intlin.spans_all"}
+
+
+# ---------------------------------------------------------------------------
+# an independent oracle: the column sweep, which reduces every remaining row
+# at each column down to one, then back-reduces the pivots top down
+# ---------------------------------------------------------------------------
+
+def _sweep(rows, width):
+    rows = [list(r) for r in rows]
+    pivot_row = 0
+    for col in range(width):
+        while True:
+            live = [r for r in range(pivot_row, len(rows)) if rows[r][col] != 0]
+            if len(live) <= 1:
+                break
+            live.sort(key=lambda r: abs(rows[r][col]))
+            small = live[0]
+            for r in live[1:]:
+                q = rows[r][col] // rows[small][col]
+                rows[r] = [a - q * b for a, b in zip(rows[r], rows[small])]
+        if not live:
+            continue
+        r = live[0]
+        rows[pivot_row], rows[r] = rows[r], rows[pivot_row]
+        if rows[pivot_row][col] < 0:
+            rows[pivot_row] = [-a for a in rows[pivot_row]]
+        pivot_row += 1
+    return rows, pivot_row
+
+
+def oracle_rank(rows, width):
+    return _sweep(rows, width)[1]
+
+
+def oracle_hnf(rows, width):
+    red, npiv = _sweep(rows, width)
+    red = red[:npiv]
+    pivots = [next(i for i, a in enumerate(r) if a != 0) for r in red]
+    for k, c in enumerate(pivots):
+        for up in range(k):
+            q = red[up][c] // red[k][c]
+            red[up] = [a - q * b for a, b in zip(red[up], red[k])]
+    return tuple(tuple(r) for r in red)
+
+
+def oracle_intersection(rows_a, rows_b, width):
+    stacked = list(rows_a) + list(rows_b)
+    n = len(stacked)
+    aug = [list(r) + [int(i == k) for i in range(n)] for k, r in enumerate(stacked)]
+    red, _ = _sweep(aug, width)
+    kern = [r[width:] for r in red if not any(r[:width])]
+    return [tuple(sum(c * row[p] for c, row in zip(v, rows_a)) for p in range(width))
+            for v in kern]
+
+
+@st.composite
+def matrices(draw, max_rows=5, max_width=5):
+    width = draw(st.integers(1, max_width))
+    rows = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * width), max_size=max_rows))
+    return rows, width
+
+
+class TestAgainstTheSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(matrices())
+    def test_hnf_and_rank(self, m):
+        rows, width = m
+        assert intlin.hnf(rows, width) == oracle_hnf(rows, width)
+        assert intlin.rank(rows, width) == oracle_rank(rows, width)
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices())
+    def test_spans_all(self, m):
+        rows, width = m
+        h = oracle_hnf(rows, width)
+        assert intlin.spans_all(rows, width) == (
+            len(h) == width and all(h[i][i] == 1 for i in range(width)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices(), st.lists(st.integers(-6, 6), min_size=5, max_size=5))
+    def test_in_span(self, m, v):
+        rows, width = m
+        v = tuple(v[:width])
+        member = oracle_hnf(rows + [v], width) == oracle_hnf(rows, width)
+        assert intlin.in_span(intlin.hnf(rows, width), v) == member
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices(max_rows=4, max_width=3), st.data())
+    def test_intersection(self, m, data):
+        rows_a, width = m
+        rows_b = data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * width), max_size=4))
+        inter = intlin.intersection(rows_a, rows_b, width)
+        assert intlin.same_subgroup(inter, oracle_intersection(rows_a, rows_b, width), width)
+        ha, hb = intlin.hnf(rows_a, width), intlin.hnf(rows_b, width)
+        assert all(intlin.in_span(ha, g) and intlin.in_span(hb, g) for g in inter)
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices())
+    def test_kernel(self, m):
+        rows, width = m
+        kern = intlin.kernel(rows, width)
+        assert len(kern) == len(rows) - oracle_rank(rows, width)
+        for v in kern:
+            assert all(sum(c * row[p] for c, row in zip(v, rows)) == 0 for p in range(width))
+
+
+class TestVerdictsCanFail:
+    def test_a_proper_sublattice_does_not_span(self):
+        assert not intlin.spans_all([(2, 0), (0, 1)], 2)
+        assert intlin.spans_all([(2, 1), (1, 1)], 2)
+
+    def test_dependent_rows_lose_rank(self):
+        rows = [(1, 2, 3), (2, 4, 6), (0, 1, 1), (1, 3, 4)]
+        assert intlin.rank(rows, 3) == 2 < len(rows)
+        assert len(intlin.kernel(rows, 3)) == 2
+
+    def test_one_lattice_has_one_form(self):
+        # two bases of one lattice; back-reducing the pivots bottom up
+        # leaves (1, 1, -1) in the first and (1, 1, 2) in the second
+        a = [(1, 3, 0), (0, 2, 1), (0, 0, 3)]
+        b = [(1, 1, 2), (0, 2, 1), (0, 0, 3)]
+        assert intlin.hnf(a, 3) == intlin.hnf(b, 3) == ((1, 1, 2), (0, 2, 1), (0, 0, 3))
+        assert intlin.same_subgroup(a, b, 3)
+        assert not intlin.same_subgroup(a, [(1, 0, 0), (0, 1, 0), (0, 0, 3)], 3)
 
 
 class TestIntersection:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from graycyl import theta
 from graycyl.theta import (MAX_DEPTH, CellSyntaxError, POINT, SimplicialMap, ThetaCell,
-                           cell, cells_up_to, coface, codegeneracy,
+                           bang, cell, cells_up_to, coface, codegeneracy,
                            gamma_image, globe, globular_sum, hyperfaces,
                            leaf_inclusion, meet_inclusion, mirror,
                            parse_cell, parse_morphism, reconstruct,
@@ -366,3 +366,28 @@ class TestInterning:
                 theta_morphism(src, src, base, wrong)
         assert len(theta._MORPHISMS) == before
         assert (src, src, base, tuple(wrong.items())) not in theta._MORPHISMS
+
+
+class TestIdentities:
+    """theta_identity and bang are built once per cell and kept."""
+
+    def test_deep_identity_does_not_recurse(self, monkeypatch):
+        monkeypatch.setattr(theta, "_IDENTITIES", {})     # drop the deep cells afterwards
+        g = globe(3000)
+        f = theta_identity(g)
+        assert f.source is f.target is g
+        for _ in range(3000):
+            assert f.base == simplicial_identity(f.source.width)
+            (key, f), = f.components
+            assert key == (1, 1)
+        assert f.source is POINT and f.components == ()
+
+    def test_built_once_per_cell(self):
+        for t in cells_up_to(5):
+            f = theta_identity(t)
+            assert theta_identity(t) is f and theta._IDENTITIES[t] is f
+            assert f is theta_morphism(t, t, simplicial_identity(t.width),
+                                       {(i, i): theta_identity(c)
+                                        for i, c in enumerate(t.children, start=1)})
+            assert bang(t) is bang(t)
+            assert bang(t).target is POINT and bang(t).source is t
