@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .dac import lambda_cell
 from .gray import (cylinder_complex, gray_cylinder, hyperface_cylinder,
@@ -30,28 +30,79 @@ class _OutputError(Exception):
     """The --out file could not be written: bad input, like other flags."""
 
 
-def _emit(text: str, out: str | None):
+def _emit(pieces, out: str | None):
+    """Write the pieces of one output, a string being a single piece, to
+    the file `out` or to stdout, and end it with a newline."""
+    if isinstance(pieces, str):
+        pieces = (pieces,)
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
+                _write(fh, pieces)
         except OSError as exc:
             raise _OutputError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        _write(sys.stdout, pieces)
+
+
+def _write(fh, pieces):
+    last = ""
+    for last in pieces:
+        fh.write(last)
+    if not last.endswith("\n"):
+        fh.write("\n")
+
+
+def _dump_pieces(view: NuView, indent: int | None):
+    """The JSON dump of a view, one piece per cell.
+
+    The pieces join to json.dumps(data, sort_keys=True, ensure_ascii=False,
+    indent=indent) of data = {"counts": [...], "nondegenerate": [...],
+    "cells": {str(d): [cell, ...]}}, where a cell is the list of its rows
+    and a row is [neg, pos], each entry a {name: 1} dict, but no such tree
+    is built: each entry mask's text is rendered once per dump, and each
+    row's text from them."""
+    # brk[level] opens a line at the indent of `level`: 0 the whole dump,
+    # 1 its values, 2 a dimension's list, 3 a cell, 4 a row, 5 an entry
+    if indent is None:
+        sep, brk = ", ", [""] * 7
+    else:
+        sep, brk = ",", ["\n" + " " * (indent * level) for level in range(7)]
+
+    def block(items, level: int, brackets: str = "[]") -> str:
+        if not items:
+            return brackets
+        inner = brk[level + 1]
+        return brackets[0] + inner + (sep + inner).join(items) + brk[level] + brackets[1]
+
+    entry = view.gen_index.rendering.entry
+
+    @cache
+    def mask_text(m: int) -> str:
+        names = sorted(set(entry(m).names))
+        return block([json.dumps(k, ensure_ascii=False) + ": 1" for k in names], 5, "{}")
+
+    @cache
+    def row_text(row: tuple) -> str:
+        return block([mask_text(row[0]), mask_text(row[1])], 4)
+
+    yield "{" + brk[1] + '"cells": {'
+    # every layer holds the identities of the 0-cells, so no list is empty
+    for i, key in enumerate(sorted(str(d) for d in range(view.max_dim + 1))):
+        yield (sep if i else "") + brk[2] + f'"{key}": ['
+        for j, c in enumerate(view.cells(int(key))):
+            yield (sep if j else "") + brk[3] + block([row_text(r) for r in c], 3)
+        yield brk[2] + "]"
+    yield (brk[1] + "}" + sep + brk[1] + '"counts": ' + block([str(n) for n in view.counts()], 1)
+           + sep + brk[1] + '"nondegenerate": '
+           + block([str(n) for n in view.nondegenerate_counts()], 1) + brk[0] + "}")
 
 
 def _dump_view(view: NuView, fmt: str, out):
     if fmt == "dot":
         _emit(skeleton_dot(view), out)
-        return
-    data = {
-        "counts": list(view.counts()),
-        "nondegenerate": list(view.nondegenerate_counts()),
-        "cells": {str(d): [view.to_json(c) for c in view.cells(d)]
-                  for d in range(view.max_dim + 1)},
-    }
-    _emit(json.dumps(data, sort_keys=True, ensure_ascii=False, indent=None if fmt == "json" else 1), out)
+    else:
+        _emit(_dump_pieces(view, None if fmt == "json" else 1), out)
 
 
 def _run_verify(suite: str, t) -> tuple[bool, dict]:

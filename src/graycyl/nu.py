@@ -326,11 +326,6 @@ class NuView:
         entry = self.gen_index.rendering.entry
         return "[" + " ".join(f"({entry(n).text};{entry(p).text})" for n, p in c) + "]"
 
-    def to_json(self, c: tuple):
-        entry = self.gen_index.rendering.entry
-        return [[dict.fromkeys(entry(n).names, 1), dict.fromkeys(entry(p).names, 1)]
-                for n, p in c]
-
 
 @dataclass
 class OmegaFunctor:

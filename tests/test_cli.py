@@ -1,21 +1,58 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from graycyl import nu
+from graycyl import cli, nu
 from graycyl.cli import main
 from graycyl.dac import lambda_cell
-from graycyl.gray import cylinder_complex
-from graycyl.theta import MAX_DEPTH
+from graycyl.gray import cylinder_complex, gray_cylinder
+from graycyl.nu import NuView
+from graycyl.theta import MAX_DEPTH, cells_up_to, parse_cell
 
 
 def run_cli(args):
     proc = subprocess.run([sys.executable, "-m", "graycyl.cli"] + args,
                           capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def cell_tree(view: NuView, c: tuple) -> list:
+    """A cell as the dump prints it: its rows as [neg, pos], each entry a
+    {name: 1} dict."""
+    entry = view.gen_index.rendering.entry
+    return [[dict.fromkeys(entry(n).names, 1), dict.fromkeys(entry(p).names, 1)] for n, p in c]
+
+
+def tree_dump(view: NuView, fmt: str) -> str:
+    """The nu/gray dump built as one tree and printed by one json.dumps:
+    the reference for the bytes of the streamed dump."""
+    data = {
+        "counts": list(view.counts()),
+        "nondegenerate": list(view.nondegenerate_counts()),
+        "cells": {str(d): [cell_tree(view, c) for c in view.cells(d)]
+                  for d in range(view.max_dim + 1)},
+    }
+    return json.dumps(data, sort_keys=True, ensure_ascii=False,
+                      indent=None if fmt == "json" else 1) + "\n"
+
+
+class Recorder:
+    """A stdout that keeps every write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, s: str) -> int:
+        self.writes.append(s)
+        return len(s)
+
+    def flush(self):
+        pass
 
 
 class TestSubcommands:
@@ -95,11 +132,16 @@ class TestSubcommands:
     @pytest.mark.parametrize("args", [
         ["nu", "[2]"], ["gray", "[2]"], ["counts", "[2]"], ["emit", "skeleton", "[2]"],
     ])
-    def test_closure_commands_honour_ceiling(self, capsys, args):
+    def test_closure_commands_honour_ceiling(self, capsys, tmp_path, args):
         assert main(args + ["--ceiling", "1"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        # the closure is built before the file is opened
+        target = tmp_path / "out.txt"
+        assert main(args + ["--ceiling", "1", "--out", str(target)]) == 3
+        assert capsys.readouterr().out == ""
+        assert not target.exists()
 
     @pytest.mark.parametrize("command", ["lambda", "tensor", "decompose"])
     def test_depth_cap(self, capsys, command):
@@ -133,11 +175,12 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("where", ["missing/x.json", "."])
     def test_unwritable_out_exit_two(self, tmp_path, where):
-        code, out, err = run_cli(["nu", "[1]", "--out", str(tmp_path / where)])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        for command in ("nu", "gray"):
+            code, out, err = run_cli([command, "[1]", "--out", str(tmp_path / where)])
+            assert code == 2, command
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "Traceback" not in err
 
 
 class TestRepeatedMain:
@@ -202,9 +245,67 @@ class TestDeterminism:
          "58ae4c269b2d46a248c940846ed9d23b190a41b194d9a0638389cbb86e5b8889"),
         (["nu", "[2]([1],[0])", "--format", "dot"],  # skeleton of a lambda view
          "4407f2959cb06fedec9b7a194a5e1ba01c547fbbd9d63e762c71fddb71c84713"),
+        (["gray", "G12", "--format", "text"],      # dimension keys "10" < "2"
+         "1979b075c69c4cae9a1af195af96f8ea6dea7cd698109b8ae9691c7adf0ffa31"),
     ])
     def test_pinned_output_bytes(self, capsys, args, digest):
         # cell order and rendering of the table dumps are part of the output
         assert main(args) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# the closure-wide items of the benchmark: closures of up to 672 cells per dimension
+CLOSURE_ITEMS = [("[2]([2],[2])", 4), ("[3]([0],[1]([1]),[0])", 4), ("[5]", 3), ("G4", 5)]
+
+
+class TestStreamedDump:
+    @pytest.mark.parametrize("command", ["nu", "gray"])
+    @pytest.mark.parametrize("cell, max_dim",
+                             [(str(t), None) for t in cells_up_to(5)] + CLOSURE_ITEMS
+                             + [("G12", None)])
+    def test_bytes_match_tree_dump(self, capsys, tmp_path, command, cell, max_dim):
+        t = parse_cell(cell)
+        args = [command, cell] + ([] if max_dim is None else ["--max-dim", str(max_dim)])
+        if max_dim is None:
+            max_dim = t.dimension() + 1
+        view = NuView(lambda_cell(t), max_dim) if command == "nu" else gray_cylinder(t, max_dim)
+        for fmt in ("json", "text"):
+            want = tree_dump(view, fmt)
+            assert main(args + ["--format", fmt]) == 0
+            assert capsys.readouterr().out == want
+            target = tmp_path / f"dump.{fmt}"
+            assert main(args + ["--format", fmt, "--out", str(target)]) == 0
+            assert capsys.readouterr().out == ""
+            assert target.read_bytes() == want.encode("utf-8")
+
+    def test_written_cell_by_cell(self, monkeypatch):
+        stdout = Recorder()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["gray", "[2]([2],[2])", "--max-dim", "4"]) == 0
+        monkeypatch.undo()
+        view = gray_cylinder(parse_cell("[2]([2],[2])"), 4)
+        assert "".join(stdout.writes) == tree_dump(view, "json")
+        longest_cell = max(len(json.dumps(cell_tree(view, c), sort_keys=True, ensure_ascii=False))
+                           for d in range(5) for c in view.cells(d))
+        header = '{"cells": {"0": ['
+        footer = (']}, "counts": ' + json.dumps(list(view.counts()))
+                  + ', "nondegenerate": ' + json.dumps(list(view.nondegenerate_counts())) + "}\n")
+        assert max(map(len, stdout.writes)) <= longest_cell + len(header) + len(footer)
+
+    def test_memory_is_bounded_by_the_view(self, monkeypatch):
+        # nu G40 prints 1.96 MB.  Built as one tree and printed by one
+        # json.dumps, the dump peaked 23.0 MB above the view; streamed, it
+        # peaks 0.68 MB above it (tracemalloc, CPython 3.11)
+        view = NuView(lambda_cell(parse_cell("G40")), 41)
+        with open(os.devnull, "w", encoding="utf-8") as devnull:
+            monkeypatch.setattr(sys, "stdout", devnull)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                cli._dump_view(view, "json", None)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+                monkeypatch.undo()
+        assert peak < 2_000_000

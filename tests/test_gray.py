@@ -11,8 +11,8 @@ from graycyl.gray import (cylinder_complex, cylinder_map, endpoint_inclusion,
                           lax_shuffle_diagram, shuffle_dot, verify_gluing,
                           verify_globular_preservation)
 from graycyl.nu import NuView, check_functors, nu_functor
-from graycyl.theta import (cell, cells_up_to, globe, hyperfaces, parse_cell,
-                           parse_morphism, theta_identity, vertex)
+from graycyl.theta import (cell, cells_up_to, cells_with_nodes, globe, hyperfaces,
+                           parse_cell, parse_morphism, theta_identity, vertex)
 
 
 class TestGrayCylinder:
@@ -185,6 +185,14 @@ class TestGluing:
     def test_corpus_up_to_six_nodes(self):
         for t in cells_up_to(6):
             assert verify_gluing(t).overall, str(t)
+
+    def test_corpus_of_eight_nodes(self):
+        # the corpus of TestVerifySpan::test_corpus_of_eight_nodes
+        cells = cells_with_nodes(8)
+        assert len(cells) == 429
+        for t in cells:
+            assert verify_gluing(t).overall, str(t)
+            assert verify_globular_preservation(t), str(t)
 
 
 class TestGlobularPreservation:

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from graycyl import dac, nu
+from graycyl.cli import _dump_pieces
 from graycyl.dac import (DAComplex, DAMorphism, identity_morphism,
                          lambda_cell, lambda_globe, lambda_map, render_name,
                          tensor)
@@ -415,6 +416,23 @@ def legacy_to_json(K: DAComplex, c: tuple):
     return [[side(entry(K, c, k, 0)), side(entry(K, c, k, 1))] for k in range(len(c))]
 
 
+def legacy_dump(K: DAComplex, view: NuView, indent) -> str:
+    """The view's JSON dump as a tree of legacy cells, sorted by the legacy
+    key, through json.dumps."""
+    data = {
+        "counts": list(view.counts()),
+        "nondegenerate": list(view.nondegenerate_counts()),
+        "cells": {str(d): [legacy_to_json(K, c)
+                           for c in sorted(view.layers[d], key=lambda c: legacy_sort_key(K, c))]
+                  for d in range(view.max_dim + 1)},
+    }
+    return json.dumps(data, sort_keys=True, ensure_ascii=False, indent=indent)
+
+
+def dump(view: NuView, indent=None) -> str:
+    return "".join(_dump_pieces(view, indent))
+
+
 def legacy_complex_to_json(K: DAComplex) -> dict:
     def by_name(kv):
         return render_name(kv[0])
@@ -442,8 +460,9 @@ class TestRenderingTable:
                 for c in view.layers[d]:
                     assert view.sort_key(c) == legacy_sort_key(K, c)
                     assert view.text(c) == legacy_str(K, c)
-                    assert ordered(view.to_json(c)) == ordered(legacy_to_json(K, c))
                     sizes.update(len(K.gen_index.names_of(m)) for row in c for m in row)
+            for indent in (None, 1):
+                assert dump(view, indent) == legacy_dump(K, view, indent)
         assert sizes[0] and sizes[1]        # empty and one-generator entries
         for K in (lambda_cell(t), cylinder_complex(t)):
             assert ordered(K.to_json()) == ordered(legacy_complex_to_json(K))
@@ -460,8 +479,9 @@ class TestRenderingTable:
         assert c in view.layers[1]
         assert view.text(c) == legacy_str(K, c) == "[(o0;o2) (2|o0+z;2|o0+z)]"
         assert view.sort_key(c) == legacy_sort_key(K, c)
-        assert ordered(view.to_json(c)) == ordered(legacy_to_json(K, c))
-        assert list(view.to_json(c)[1][0]) == ["z", "2|o0"]
+        # the dump sorts each entry's names as strings, whatever their repr order
+        assert dump(view) == legacy_dump(K, view, None)
+        assert '[{"2|o0": 1, "z": 1}, {"2|o0": 1, "z": 1}]' in dump(view)
 
     def test_each_name_rendered_once_per_index(self, monkeypatch):
         # a complex of its own, so no earlier test has rendered its names
@@ -481,13 +501,11 @@ class TestRenderingTable:
 
         monkeypatch.setattr(dac, "render_name", counting)
 
-        def dump():
-            return ([[view.to_json(c) for c in sorted(view.layers[d], key=view.sort_key)]
-                     for d in range(4)],
-                    [view.text(c) for c in view.cells(2)], K.to_json())
+        def render():
+            return dump(view), [view.text(c) for c in view.cells(2)], K.to_json()
 
-        first = dump()
+        first = render()
         assert Counter(calls) == Counter(K.gen_index.names)
         calls.clear()
-        assert dump() == first
+        assert render() == first
         assert calls == []
