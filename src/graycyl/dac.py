@@ -18,7 +18,8 @@ plus bare strings for the globe complexes ("b0", "t1", "v2", ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
@@ -133,12 +134,27 @@ class Rendering:
 
 
 class GenIndex:
-    """Bit i stands for the i-th generator of the flattened basis, so
-    complexes with equal bases give equal masks."""
+    """The one numbering of a complex's generators: the flattened basis,
+    degree by degree.  Generator g sits at position[g], bit position[g] of
+    an entry mask stands for it, and the generators of degree d hold the
+    positions from start[d] up to start[d + 1]."""
 
     def __init__(self, degrees):
-        self.names = tuple(g for b in degrees for g in b)
-        self.bit = {g: 1 << i for i, g in enumerate(self.names)}
+        position: dict = {}
+        start = [0]
+        for row in degrees:
+            for g in row:
+                if g in position:
+                    raise ComplexError(f"duplicate generator {g!r}")
+                position[g] = len(position)
+            start.append(len(position))
+        self.position = position
+        self.start = tuple(start)
+
+    @cached_property
+    def names(self) -> tuple:
+        """The generators by position, built on first use."""
+        return tuple(self.position)
 
     @cached_property
     def rendering(self) -> Rendering:
@@ -155,16 +171,9 @@ class DAComplex:
     degrees: tuple[tuple, ...]           # ordered basis per degree
     diff: dict                           # gen -> element one degree down
     aug: dict                            # degree-0 gen -> int
-    _degree_of: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        deg = {}
-        for d, gens in enumerate(self.degrees):
-            for g in gens:
-                if g in deg:
-                    raise ComplexError(f"duplicate generator {g!r}")
-                deg[g] = d
-        object.__setattr__(self, "_degree_of", deg)
+        self.gen_index                   # numbered now: a repeated generator raises here
 
     @property
     def top_degree(self) -> int:
@@ -174,35 +183,40 @@ class DAComplex:
         return self.degrees[d] if 0 <= d <= self.top_degree else ()
 
     def degree_of(self, g) -> int:
-        return self._degree_of[g]
+        return bisect_right(self.gen_index.start, self.gen_index.position[g]) - 1
 
     @cached_property
     def gen_index(self) -> GenIndex:
         return GenIndex(self.degrees)
 
     @cached_property
-    def atoms(self) -> dict:
-        """generator -> its atom table <g>, built once for check_basis and
-        the seeds of every nu closure of this complex.  The top row is
-        (g, g) and each row below takes d(-)_- of the negative entry and
-        d(-)_+ of the positive one.  Rows are (neg, pos) gen_index bitmask
-        pairs; a bitmask holds coefficients 0 and 1 only, as a table of nu
-        does, so an atom with another coefficient is not valid."""
-        bit = self.gen_index.bit
-        out = {}
-        for row in self.degrees:
+    def atoms(self) -> tuple:
+        """By generator position, the atom table <g>, built once for
+        check_basis and the seeds of every nu closure of this complex.  The
+        top row is (g, g) and each row below takes d(-)_- of the negative
+        entry and d(-)_+ of the positive one.  Rows are (neg, pos) bitmask
+        pairs from degree 0 up; a bitmask holds coefficients 0 and 1 only,
+        as a table of nu does, so an atom with another coefficient, or with
+        a bottom entry of augmentation other than 1, is not a table and is
+        held as None."""
+        position = self.gen_index.position
+
+        def mask(x: dict) -> int:
+            return sum(1 << position[h] for h in x)
+
+        out = []
+        for d, row in enumerate(self.degrees):
             for g in row:
                 neg = pos = {g: 1}
                 rows = [(neg, pos)]
-                for _ in range(self.degree_of(g)):
+                for _ in range(d):
                     neg, pos = sign_split(self.d(neg))[1], sign_split(self.d(pos))[0]
                     rows.append((neg, pos))
                 rows.reverse()
                 valid = (self.e(rows[0][0]) == 1 and self.e(rows[0][1]) == 1
                          and all(c == 1 for pair in rows for x in pair for c in x.values()))
-                out[g] = AtomTable(tuple(tuple(sum(bit[h] for h in x) for x in pair)
-                                         for pair in rows), valid)
-        return out
+                out.append(tuple((mask(n), mask(p)) for n, p in rows) if valid else None)
+        return tuple(out)
 
     def d(self, x: dict) -> dict:
         out: dict = {}
@@ -454,65 +468,52 @@ def _lambda_map(f: ThetaMorphism) -> DAMorphism:
 # atoms and basis conditions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AtomTable:
-    rows: tuple              # ((neg, pos), ...) gen_index bitmask pairs,
-                             # from degree 0 up to the generator's degree
-    valid: bool
-
-
-def _acyclic(nodes, edges) -> bool:
-    """No directed cycle through >= 2 distinct nodes (self-loops ignored)."""
-    adj: dict = {u: set() for u in nodes}
+def _acyclic(edges) -> bool:
+    """No directed cycle through two or more nodes (self-loops ignored).
+    Kahn's algorithm, with no recursion: strip the nodes that no edge enters
+    until none is left; the nodes still entered lie on or after a cycle."""
+    succ: dict = {}
+    indeg: dict = {}
     for u, v in edges:
-        if u != v:
-            adj[u].add(v)
-    state = dict.fromkeys(nodes, 0)
-
-    def dfs(u) -> bool:
-        state[u] = 1
-        for v in adj[u]:
-            if state[v] == 1:
-                return False
-            if state[v] == 0 and not dfs(v):
-                return False
-        state[u] = 2
-        return True
-
-    return all(state[u] != 0 or dfs(u) for u in nodes)
+        if u != v and v not in succ.setdefault(u, set()):
+            succ[u].add(v)
+            indeg[v] = indeg.get(v, 0) + 1
+    todo = [u for u in succ if u not in indeg]
+    while todo:
+        for v in succ.get(todo.pop(), ()):
+            indeg[v] -= 1
+            if not indeg[v]:
+                del indeg[v]
+                todo.append(v)
+    return not indeg
 
 
 def check_basis(K: DAComplex):
-    """(unital, loop_free, strongly_loop_free) for the basis of K.  An atom
-    with an entry coefficient other than 0 or 1, which no table of nu can
-    hold, counts as not unital."""
-    gens = [g for row in K.degrees for g in row]
+    """(unital, loop_free, strongly_loop_free) for the basis of K, on
+    generator positions.  An atom that is not a table of nu (None in
+    K.atoms) counts as not unital and has no rows for the loop-free test."""
     atoms = K.atoms
-    unital = all(atoms[g].valid for g in gens)
+    start = K.gen_index.start
+    unital = None not in atoms
 
     loop_free = True
-    for i in range(K.top_degree + 1):
-        hi = [g for g in gens if K.degree_of(g) > i]
+    for i in range(K.top_degree):
+        hi = [x for x in range(start[i + 1], len(atoms)) if atoms[x]]
         # x -> y when the positive row i of <x> meets the negative row i of <y>
         ends: dict = {}      # bit position -> atoms whose negative row i holds it
         for y in hi:
-            for z in _bit_positions(atoms[y].rows[i][0]):
+            for z in _bit_positions(atoms[y][i][0]):
                 ends.setdefault(z, []).append(y)
-        edges = [(x, y) for x in hi for z in _bit_positions(atoms[x].rows[i][1])
-                 for y in ends.get(z, ())]
-        if not _acyclic(hi, edges):
+        if not _acyclic((x, y) for x in hi for z in _bit_positions(atoms[x][i][1])
+                        for y in ends.get(z, ())):
             loop_free = False
             break
 
-    edges = []
-    for x in gens:
-        dx = K.d({x: 1}) if K.degree_of(x) > 0 else {}
-        dplus, dminus = sign_split(dx)
-        for y in dplus:
-            edges.append((x, y))
-        for y in dminus:
-            edges.append((y, x))
-    strongly_loop_free = _acyclic(gens, edges)
+    position = K.gen_index.position
+    # x -> y for y in d(x)_+, and y -> x for y in d(x)_-
+    strongly_loop_free = _acyclic(
+        (position[x], position[y]) if c > 0 else (position[y], position[x])
+        for row in K.degrees[1:] for x in row for y, c in K.diff.get(x, {}).items() if c)
     return unital, loop_free, strongly_loop_free
 
 

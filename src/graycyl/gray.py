@@ -195,14 +195,14 @@ def shuffle_dot(t: ThetaCell) -> str:
 def _image_table(f: DAMorphism) -> list:
     """Per degree of f's target, the images of f's source generators of that
     degree as rows over the target basis of that degree."""
+    position, start = f.target.gen_index.position, f.target.gen_index.start
     table = []
     for d, basis in enumerate(f.target.degrees):
-        place = {g: i for i, g in enumerate(basis)}
         rows = []
         for g in f.source.basis(d):
             row = [0] * len(basis)
             for h, c in f.images[g].items():
-                row[place[h]] = c
+                row[position[h] - start[d]] = c
             rows.append(tuple(row))
         table.append(rows)
     return table
@@ -302,11 +302,8 @@ def _factors_through(src_col: ShuffleColumn, tgt_cols, steiner: DAMorphism) -> b
     columns, in every degree?"""
     via = _image_table(src_col.embed.then(steiner))
     target = _joined([_image_table(c.embed) for c in tgt_cols])
-    for images, rows, w in zip(via, target, steiner.target.size_profile()):
-        h = intlin.hnf(rows, w)
-        if not all(intlin.in_span(h, v) for v in images):
-            return False
-    return True
+    return all(intlin.same_subgroup(rows, rows + images, w)
+               for images, rows, w in zip(via, target, steiner.target.size_profile()))
 
 
 def _face_between_o_cells(f: ThetaMorphism, js: int, jt: int) -> ThetaMorphism:

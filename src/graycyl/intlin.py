@@ -1,4 +1,4 @@
-"""Small exact integer linear algebra: Hermite forms, kernels, span tests.
+"""Small exact integer linear algebra: Hermite forms, kernels, lattice tests.
 
 Matrices are lists of row tuples, and a lattice is the subgroup of Z^width
 that its rows generate.  Every reduction runs through one routine,
@@ -16,7 +16,8 @@ subgroup as the input, and a row only ever moves on to later columns.
 equal to 1, `hnf` back-reduces the pivots to the canonical Hermite form,
 `kernel` reads the identity-augmented tails of the rows that reach zero,
 and `intersection` and `same_subgroup` are built on `kernel` and `hnf`.
-`in_span` reads a basis that `hnf` returned.
+A vector v lies in the lattice of rows exactly when
+`same_subgroup(rows, rows + [v], width)`.
 """
 
 from __future__ import annotations
@@ -78,21 +79,6 @@ def spans_all(rows, width: int) -> bool:
     unitriangular, and otherwise the index is the product of the pivots."""
     pivots, _ = _echelon(rows, width)
     return len(pivots) == width and all(row[c] == 1 for c, row in pivots.items())
-
-
-def in_span(rows_hnf, v) -> bool:
-    """Membership of v in the subgroup given by an HNF basis."""
-    v = list(v)
-    for row in rows_hnf:
-        c = next(i for i, a in enumerate(row) if a != 0)
-        if any(v[i] != 0 for i in range(c)):
-            return False
-        if v[c] % row[c] != 0:
-            return False
-        q = v[c] // row[c]
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    return all(a == 0 for a in v)
 
 
 def kernel(rows, width: int) -> list[tuple[int, ...]]:

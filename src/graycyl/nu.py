@@ -37,7 +37,7 @@ def _mask(index: GenIndex, x: dict) -> int:
         if c not in (0, 1):
             raise TableError(f"coefficient {c} of {render_name(g)} is not 0 or 1")
         if c:
-            m |= index.bit[g]
+            m |= 1 << index.position[g]
     return m
 
 
@@ -180,6 +180,7 @@ def enumerate_cells(K: DAComplex, max_dim: int, ceiling: int = DEFAULT_CEILING):
     every insertion, so it also bounds the work done."""
     if check_basis(K) != (True, True, True):
         raise EnumerationError("complex is not strong Steiner")
+    start = K.gen_index.start
     layers: list[set[tuple]] = []
     for d in range(max_dim + 1):
         cells: set[tuple] = set()
@@ -195,7 +196,7 @@ def enumerate_cells(K: DAComplex, max_dim: int, ceiling: int = DEFAULT_CEILING):
         identities = [nu_identity(c) for c in layers[-1]] if d else []
         for c in identities:
             insert(c)
-        atoms = [K.atoms[g].rows for g in K.basis(d)]
+        atoms = K.atoms[start[d]:start[d + 1]] if d <= K.top_degree else ()
         for a in atoms:
             insert(a)
         whiskered = _whisker(atoms, identities, d, insert)
@@ -350,7 +351,7 @@ def nu_functor(a: DAMorphism, max_dim: int, ceiling: int = DEFAULT_CEILING,
         # entry holds that generator
         return _mask(index, img) if all(c in (0, 1) for c in img.values()) else None
 
-    gen_image = [gen_mask(a.images[g]) for g in a.source.gen_index.names]  # by bit position
+    gen_image = [gen_mask(a.images[g]) for g in a.source.gen_index.position]  # by position
     entry_image = {0: 0}
 
     def image(m: int) -> int:

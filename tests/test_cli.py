@@ -92,6 +92,20 @@ class TestSubcommands:
             assert main(args) == 0, args
             capsys.readouterr()
 
+    def test_wide_cells_need_no_recursion(self, capsys):
+        # the strong loop-free check of [600] and of its cylinder walks a
+        # path through every generator
+        assert main(["counts", "[600]", "--max-dim", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["agree"] is True
+        for args in (["nu", "[500]", "--max-dim", "0"],
+                     ["emit", "skeleton", "[600]", "--max-dim", "0"]):
+            assert main(args) == 0, args
+            capsys.readouterr()
+
+    def test_deep_cell(self, capsys):
+        assert main(["nu", "G100", "--max-dim", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["counts"] == [2, 4]
+
     def test_parse_error_exit_two(self, capsys):
         assert main(["decompose", "[2]([1]"]) == 2
 

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from graycyl import dac, theta
 from graycyl.cli import main
-from graycyl.dac import (DAComplex, DAMorphism, MorphismError,
+from graycyl.dac import (ComplexError, DAComplex, DAMorphism, MorphismError,
                          amalgamate_with_inclusions,
                          amalgamation_over_globular_sum, check_basis, find_isomorphism, gadd, globe_inclusion,
                          identity_morphism, lambda_cell, lambda_globe,
                          lambda_map, point_complex, sign_split, tensor,
                          wreath_complex)
-from graycyl.gray import cylinder_map, hyperface_cylinder
+from graycyl.gray import (cylinder_complex, cylinder_map, hyperface_cylinder,
+                          lax_shuffle_diagram)
 from graycyl.theta import (POINT, cell, cells_up_to, coface, codegeneracy,
                            globe, hyperfaces, parse_cell, theta_identity,
                            theta_morphism, vertex)
@@ -218,36 +219,39 @@ class TestSignSplit:
         assert not plus.keys() & minus.keys()
 
 
+def atom(K, g):
+    """K's atom table <g>: its bitmask rows, or None."""
+    return K.atoms[K.gen_index.position[g]]
+
+
 def atom_rows(K, g):
     """The rows of K's atom table <g> as (neg, pos) lists of generators."""
     names_of = K.gen_index.names_of
-    return tuple((names_of(neg), names_of(pos)) for neg, pos in K.atoms[g].rows)
+    return tuple((names_of(neg), names_of(pos)) for neg, pos in atom(K, g))
 
 
 class TestAtoms:
     def test_interval_top(self):
         K = lambda_globe(1)
-        assert K.atoms["v1"].valid
         assert atom_rows(K, "v1") == ((["b0"], ["t0"]), (["v1"], ["v1"]))
 
     def test_two_globe_top(self):
         K = lambda_globe(2)
-        assert K.atoms["v2"].valid
         assert atom_rows(K, "v2") == ((["b0"], ["t0"]), (["b1"], ["t1"]), (["v2"], ["v2"]))
 
     def test_degree_zero(self):
         K = lambda_globe(2)
-        assert K.atoms["b0"].valid and atom_rows(K, "b0") == ((["b0"], ["b0"]),)
+        assert atom_rows(K, "b0") == ((["b0"], ["b0"]),)
 
     def test_unknown_generator(self):
         with pytest.raises(KeyError):
-            lambda_globe(1).atoms["zz"]
+            atom(lambda_globe(1), "zz")
 
     def test_complex_keeps_bitmask_rows(self):
         K = lambda_globe(2)
-        bit = K.gen_index.bit
-        assert K.atoms["v2"].rows == ((bit["b0"], bit["t0"]), (bit["b1"], bit["t1"]),
-                                      (bit["v2"], bit["v2"]))
+        bit = {g: 1 << i for g, i in K.gen_index.position.items()}
+        assert atom(K, "v2") == ((bit["b0"], bit["t0"]), (bit["b1"], bit["t1"]),
+                                 (bit["v2"], bit["v2"]))
 
     def test_square_top(self):
         # the top square of [1]⊗[1]: sources and targets of two paths
@@ -261,12 +265,89 @@ class TestAtoms:
     def test_coefficient_two_is_not_a_valid_atom(self):
         o0, o1, x = ("o", 0), ("o", 1), ("x", 0)
         K = DAComplex(((o0, o1), (x,)), {x: {o1: 2, o0: -2}}, {o0: 1, o1: 1}).validate()
-        bit = K.gen_index.bit
-        assert K.atoms[x] == dac.AtomTable(((bit[o0], bit[o1]), (bit[x], bit[x])), False)
+        assert atom(K, o0) is not None and atom(K, x) is None
         assert check_basis(K)[0] is False
 
 
+def named_atom(K, g):
+    """<g> by its definition on named elements: (neg, pos) generator sets
+    from degree 0 up, or None where it is not a table of nu."""
+    neg = pos = {g: 1}
+    rows = [(neg, pos)]
+    for _ in range(K.degree_of(g)):
+        neg, pos = sign_split(K.d(neg))[1], sign_split(K.d(pos))[0]
+        rows.append((neg, pos))
+    rows.reverse()
+    if K.e(rows[0][0]) != 1 or K.e(rows[0][1]) != 1:
+        return None
+    if any(c != 1 for pair in rows for x in pair for c in x.values()):
+        return None
+    return tuple((set(n), set(p)) for n, p in rows)
+
+
+def built_complexes(t):
+    """The complexes the builders make for t: lambda, the cylinder and the
+    complexes of the shuffle columns."""
+    yield lambda_cell(t)
+    yield cylinder_complex(t)
+    for column in lax_shuffle_diagram(t):
+        yield column.embed.source
+
+
+class TestGenIndex:
+    @pytest.mark.parametrize("t", cells_up_to(5), ids=str)
+    def test_one_numbering_per_complex(self, t):
+        for K in built_complexes(t):
+            index = K.gen_index
+            for d, row in enumerate(K.degrees):
+                assert [index.position[g] for g in row] == \
+                    list(range(index.start[d], index.start[d + 1]))
+                for g in row:
+                    assert index.names[index.position[g]] == g
+                    assert K.degree_of(g) == d
+            assert index.start[-1] == len(index.names) == len(K.atoms)
+            for g, a in zip(index.names, K.atoms):
+                want = named_atom(K, g)
+                assert (a is None) == (want is None)
+                if a is not None:
+                    assert [(set(index.names_of(n)), set(index.names_of(p))) for n, p in a] \
+                        == list(want)
+
+    def test_repeated_generator_raises(self):
+        o = ("o", 0)
+        with pytest.raises(ComplexError, match="duplicate"):
+            DAComplex(((o, o),), {}, {o: 1})
+        with pytest.raises(ComplexError, match="duplicate"):
+            DAComplex(((o,), (o,)), {o: {o: 0}}, {o: 1})
+
+
+def has_cycle(edges) -> bool:
+    """Does some node reach itself along edges that are not self-loops?"""
+    succ: dict = {}
+    for u, v in edges:
+        if u != v:
+            succ.setdefault(u, set()).add(v)
+    for start in succ:
+        seen, todo = set(), list(succ[start])
+        while todo:
+            u = todo.pop()
+            if u == start:
+                return True
+            if u not in seen:
+                seen.add(u)
+                todo.extend(succ.get(u, ()))
+    return False
+
+
 class TestCheckBasis:
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_acyclic_against_reachability(self, edges):
+        assert dac._acyclic(edges) == (not has_cycle(edges))
+
+    def test_deep_cell(self):
+        assert check_basis(lambda_cell(globe(100))) == (True, True, True)
+
     def test_globes(self):
         for n in range(5):
             assert check_basis(lambda_globe(n)) == (True, True, True)

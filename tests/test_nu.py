@@ -18,10 +18,10 @@ from graycyl.theta import (cell, cells_up_to, coface, globe, hyperfaces,
 
 
 def atom_cell(K, g) -> tuple:
-    a = K.atoms[g]
-    assert a.valid
+    a = K.atoms[K.gen_index.position[g]]
+    assert a is not None
     names_of = K.gen_index.names_of
-    return make_cell(K, [tuple(dict.fromkeys(names_of(x), 1) for x in pair) for pair in a.rows])
+    return make_cell(K, [tuple(dict.fromkeys(names_of(x), 1) for x in pair) for pair in a])
 
 
 def entry(K, c, k, eps) -> dict:
@@ -162,19 +162,21 @@ class TestEnumeration:
             assert extra <= cells
 
     def test_atoms_built_once_per_complex(self, monkeypatch):
+        # each row of an atom below its top takes one boundary of each
+        # entry, and nothing else in a closure takes one
         K = tensor(IV, lambda_globe(2))
-        built = []
-        real_table = dac.AtomTable
+        boundaries = []
+        real_d = DAComplex.d
 
-        def counting_table(rows, valid):
-            built.append(rows)
-            return real_table(rows, valid)
+        def counting_d(self, x):
+            boundaries.append(x)
+            return real_d(self, x)
 
-        monkeypatch.setattr(dac, "AtomTable", counting_table)
+        monkeypatch.setattr(DAComplex, "d", counting_d)
         NuView(K, 2)
         NuView(K, 3)
-        assert len(built) == sum(len(row) for row in K.degrees)
-        assert {table.rows for table in K.atoms.values()} == set(built)
+        assert len(K.atoms) == sum(len(row) for row in K.degrees)
+        assert len(boundaries) == 2 * sum(d * len(row) for d, row in enumerate(K.degrees))
 
     def test_cells_are_row_tuples(self):
         # a cell is the tuple of its (neg, pos) bitmask rows, with no wrapper,
@@ -187,8 +189,9 @@ class TestEnumeration:
                 assert all(type(row) is tuple and len(row) == 2
                            and all(type(m) is int for m in row) for row in c)
             stored = {c: c for c in layer}
-            for g in K.basis(d):
-                assert stored[K.atoms[g].rows] is K.atoms[g].rows
+            start = K.gen_index.start
+            for a in K.atoms[start[d]:start[d + 1]]:
+                assert stored[a] is a
 
     def test_ceiling(self):
         with pytest.raises(EnumerationError):
@@ -345,8 +348,8 @@ class TestTableGuards:
             make_cell(K, [(o, o), ({("x", 0): 2}, {("x", 0): 2})])
 
     def test_overlapping_composite_rejected(self):
-        index = IV.gen_index
-        b0, v1 = index.bit["b0"], index.bit["v1"]
+        position = IV.gen_index.position
+        b0, v1 = 1 << position["b0"], 1 << position["v1"]
         a = ((b0, b0), (v1, v1))
         assert nu_composable(0, a, a)
         with pytest.raises(TableError, match="coefficient 2"):
