@@ -30,10 +30,12 @@ def interval() -> DAComplex:
     return lambda_globe(1)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=11)
 def cylinder_complex(t: ThetaCell) -> DAComplex:
     """The complex of [1]⊗T.  Memoised per cell: the result is shared and
-    read-only."""
+    read-only.  The size covers the working set of one verify item: within
+    a hyperface item over a cell with at most 8 nodes, a cylinder is used
+    again after at most 10 others, so each is built once per item."""
     return tensor(interval(), lambda_cell(t))
 
 
@@ -103,7 +105,7 @@ def _o_embedding(t: ThetaCell, j: int, cyl: DAComplex) -> DAMorphism:
                 images[g] = {("t", H, ("o", j)): 1}
             else:
                 images[g] = {("t", R, ("s", i - 1, sub)): 1}
-    return DAMorphism(K, cyl, images).validate()
+    return DAMorphism(K, cyl, images)
 
 
 def _m_embedding(t: ThetaCell, k: int, cyl: DAComplex) -> DAMorphism:
@@ -127,7 +129,7 @@ def _m_embedding(t: ThetaCell, k: int, cyl: DAComplex) -> DAMorphism:
                 if a != H and child.degree_of(x) == 0:
                     # an end copy of an object of the child picks up a crossing
                     img[("t", H, ("o", k if a == L else k - 1))] = 1
-    return DAMorphism(K, cyl, images).validate()
+    return DAMorphism(K, cyl, images)
 
 
 def m_end_leg(t: ThetaCell, m: ShuffleColumn, eps: int) -> DAMorphism:
@@ -139,13 +141,20 @@ def m_end_leg(t: ThetaCell, m: ShuffleColumn, eps: int) -> DAMorphism:
     return wreath_morphism(lambda_cell(t), m.embed.source, simplicial_identity(t.width), comps)
 
 
+# the interned cells whose shuffle columns have passed validate() in this process
+_VALIDATED: set = set()
+
+
 @lru_cache(maxsize=4)
 def lax_shuffle_diagram(t: ThetaCell) -> tuple[ShuffleColumn, ...]:
     """The columns O_0, M_1, O_1, ..., M_n, O_n of the lax shuffle
     decomposition of [1]⊗T, in that order: O_j sits at 2j, M_k at 2k-1.
 
     Memoised per cell: every caller gets the same tuple, which is shared
-    and read-only.
+    and read-only.  Every column embedding is validated as a chain map the
+    first time the cell's diagram is built in the process; a rebuild after
+    eviction is the same value of the same interned cell, so it is not
+    validated again.
     """
     cyl = cylinder_complex(t)
     columns = []
@@ -153,6 +162,10 @@ def lax_shuffle_diagram(t: ThetaCell) -> tuple[ShuffleColumn, ...]:
         if j:
             columns.append(ShuffleColumn("M", j, _m_embedding(t, j, cyl)))
         columns.append(ShuffleColumn("O", j, _o_embedding(t, j, cyl)))
+    if t not in _VALIDATED:
+        for c in columns:
+            c.embed.validate()
+        _VALIDATED.add(t)
     return tuple(columns)
 
 

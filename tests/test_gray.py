@@ -5,7 +5,7 @@ import pytest
 
 from graycyl import dac, gray
 from graycyl.cli import main
-from graycyl.dac import DAMorphism, lambda_cell, lambda_map
+from graycyl.dac import DAMorphism, MorphismError, lambda_cell, lambda_map
 from graycyl.gray import (cylinder_complex, cylinder_map, endpoint_inclusion,
                           gray_cylinder, hyperface_cylinder, interval,
                           lax_shuffle_diagram, shuffle_dot, verify_gluing,
@@ -13,6 +13,13 @@ from graycyl.gray import (cylinder_complex, cylinder_map, endpoint_inclusion,
 from graycyl.nu import NuView, check_functors, nu_functor
 from graycyl.theta import (cell, cells_up_to, cells_with_nodes, globe, hyperfaces,
                            parse_cell, parse_morphism, theta_identity, vertex)
+
+
+def forget_diagrams():
+    """Drop the memoised shuffle diagrams and the record of validated cells,
+    so that the next diagram of every cell is built and validated anew."""
+    lax_shuffle_diagram.cache_clear()
+    gray._VALIDATED.clear()
 
 
 class TestGrayCylinder:
@@ -154,7 +161,7 @@ class TestShuffleDiagram:
 
         monkeypatch.setattr(gray, "m_end_leg", counted)
         t = parse_cell("[2]([1],[1])")
-        lax_shuffle_diagram.cache_clear()
+        forget_diagrams()
         assert main(["verify", "hyperface", str(t)]) == 0
         capsys.readouterr()
         assert calls == []
@@ -258,6 +265,13 @@ class TestHyperfaceCylinder:
             for f in hyperfaces(t):
                 assert hyperface_cylinder(f).agree, (str(t), f.kind, f.position)
 
+    def test_corpus_of_eight_nodes(self):
+        # the corpus of TestGluing::test_corpus_of_eight_nodes
+        faces = [f for t in cells_with_nodes(8) for f in hyperfaces(t)]
+        assert len(faces) == 5016
+        for f in faces:
+            assert hyperface_cylinder(f).agree, (str(f.map.target), f.kind, f.position)
+
     def test_steiner_functoriality(self):
         t = parse_cell("[2]([1],[0])")
         for face in hyperfaces(t):
@@ -283,7 +297,7 @@ class TestMemoisedDiagram:
     def test_hyperfaces_build_each_diagram_once(self):
         t = parse_cell("[2]([1],[1])")
         faces = hyperfaces(t)
-        lax_shuffle_diagram.cache_clear()
+        forget_diagrams()
         assert all(hyperface_cylinder(f).agree for f in faces)
         sources = {f.map.source for f in faces}
         assert lax_shuffle_diagram.cache_info().misses <= 1 + len(sources)
@@ -303,14 +317,37 @@ class TestOneCylinderBuilder:
 
         monkeypatch.setattr(dac, "tensor", counted)
         monkeypatch.setattr(gray, "tensor", counted)
-        for cache in (dac.lambda_cell, cylinder_complex, lax_shuffle_diagram):
-            cache.cache_clear()
+        dac.lambda_cell.cache_clear()
+        cylinder_complex.cache_clear()
+        forget_diagrams()
         faces = hyperfaces(parse_cell("[2]([1],[1])"))
         for f in faces:
             hyperface_cylinder(f)
         assert calls and len(calls) == cylinder_complex.cache_info().misses
         f = faces[0].map
         assert cylinder_map(f).source is cylinder_complex(f.source)
+
+    def test_one_tensor_per_cylinder_in_a_verify_item(self, monkeypatch, capsys):
+        builds, touched = [], set()
+        real_tensor, real_cylinder = dac.tensor, gray.cylinder_complex
+
+        def counted(K, L):
+            builds.append(L)
+            return real_tensor(K, L)
+
+        def cylinder(u):
+            touched.add(u)
+            return real_cylinder(u)
+
+        monkeypatch.setattr(gray, "tensor", counted)
+        monkeypatch.setattr(gray, "cylinder_complex", cylinder)
+        real_cylinder.cache_clear()
+        forget_diagrams()
+        # an 8-node item that uses a cylinder again after 10 others
+        assert main(["verify", "hyperface", "[2]([1],[1]([2]([0],[1])))"]) == 0
+        capsys.readouterr()
+        assert len(touched) == 13
+        assert len(builds) == len(touched)
 
     def test_maps_run_between_the_shared_complexes(self):
         for t in cells_up_to(6):
@@ -336,6 +373,54 @@ class TestOneCylinderBuilder:
             want = {("t", "b0", ("s", j, ("o", comp.base(a)))): 1
                     for (i, j), comp in f.components}
             assert img == want
+
+
+class TestColumnsValidatedOnce:
+    """A cell's column embeddings pass validate() on the first build of its
+    diagram in the process, and a rebuild of the same cell is not checked
+    again."""
+
+    def test_wrong_column_fails_on_first_build(self, monkeypatch, capsys):
+        t = parse_cell("[2]([1],[0])")
+        real = gray._o_embedding
+
+        def perturbed(u, j, cyl):
+            embed = real(u, j, cyl)
+            # object 0 of O_0 goes nowhere: the augmentation breaks
+            return _with_image(embed, ("o", 0), {}) if j == 0 else embed
+
+        monkeypatch.setattr(gray, "_o_embedding", perturbed)
+        for run in (lambda: lax_shuffle_diagram(t),
+                    lambda: main(["verify", "gray", str(t)]),
+                    lambda: main(["verify", "hyperface", str(t)])):
+            forget_diagrams()
+            with pytest.raises(MorphismError, match="augmentation"):
+                run()
+        monkeypatch.undo()
+        forget_diagrams()
+        assert main(["verify", "gray", str(t)]) == 0
+        capsys.readouterr()
+
+    def test_each_column_validated_once(self, monkeypatch, capsys):
+        t = parse_cell("[2]([1],[1])")
+        validated = []
+        real = DAMorphism.validate
+
+        def counted(m):
+            validated.append(m)
+            return real(m)
+
+        monkeypatch.setattr(DAMorphism, "validate", counted)
+        forget_diagrams()
+        for _ in range(2):
+            # every diagram is built again, and the record of checked cells stays
+            lax_shuffle_diagram.cache_clear()
+            assert main(["verify", "hyperface", str(t)]) == 0
+        capsys.readouterr()
+        cells = {t} | {f.map.source for f in hyperfaces(t)}
+        columns = [c.embed for u in cells for c in lax_shuffle_diagram(u)]
+        assert len(validated) == len(columns)
+        assert all(validated.count(c) == 1 for c in columns)
 
 
 class TestPerturbedInputsFail:
