@@ -8,8 +8,10 @@ verified degree-wise with exact integer linear algebra.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
+from weakref import WeakSet
 
 from . import intlin
 from .dac import (DAComplex, DAMorphism, lambda_cell, lambda_globe,
@@ -30,12 +32,42 @@ def interval() -> DAComplex:
     return lambda_globe(1)
 
 
-@lru_cache(maxsize=11)
+# the cylinders read inside the open holding_cylinders() block, or None
+_HELD: dict | None = None
+
+
+@contextmanager
+def holding_cylinders():
+    """Keep every cylinder read inside the block until the block ends, so
+    that the checks of one verify item build each cylinder once, in
+    whatever order they read them."""
+    global _HELD
+    outer, _HELD = _HELD, {}
+    try:
+        yield
+    finally:
+        _HELD = outer
+
+
 def cylinder_complex(t: ThetaCell) -> DAComplex:
     """The complex of [1]⊗T.  Memoised per cell: the result is shared and
-    read-only.  The size covers the working set of one verify item: within
-    a hyperface item over a cell with at most 8 nodes, a cylinder is used
-    again after at most 10 others, so each is built once per item."""
+    read-only.  Inside a holding_cylinders() block it is kept until the
+    block ends."""
+    if _HELD is None:
+        return _cylinder(t)
+    cyl = _HELD.get(t)
+    if cyl is None:
+        cyl = _HELD[t] = _cylinder(t)
+    return cyl
+
+
+@lru_cache(maxsize=11)
+def _cylinder(t: ThetaCell) -> DAComplex:
+    """The cylinder builder.  Its cache carries the cylinders of the small
+    cells, which every item reads, from one item to the next.  Its size is
+    the most cylinders that one verify gray or verify hyperface item over a
+    cell with at most 6 nodes reads, so it holds no more than such an item
+    holds anyway."""
     return tensor(interval(), lambda_cell(t))
 
 
@@ -141,8 +173,11 @@ def m_end_leg(t: ThetaCell, m: ShuffleColumn, eps: int) -> DAMorphism:
     return wreath_morphism(lambda_cell(t), m.embed.source, simplicial_identity(t.width), comps)
 
 
-# the interned cells whose shuffle columns have passed validate() in this process
-_VALIDATED: set = set()
+# the interned cells whose shuffle columns have passed validate() in this
+# process; it keeps no cell alive.  Code that replaces a column builder
+# must clear it together with the diagram cache, or the columns of the
+# replaced builder are never validated.
+_VALIDATED: WeakSet = WeakSet()
 
 
 @lru_cache(maxsize=4)

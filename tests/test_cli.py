@@ -7,10 +7,10 @@ import tracemalloc
 
 import pytest
 
-from graycyl import cli, nu
+from graycyl import cli, gray, nu
 from graycyl.cli import main
 from graycyl.dac import lambda_cell
-from graycyl.gray import cylinder_complex, gray_cylinder
+from graycyl.gray import gray_cylinder
 from graycyl.nu import NuView
 from graycyl.theta import MAX_DEPTH, cells_up_to, parse_cell
 
@@ -161,7 +161,7 @@ class TestSubcommands:
     def test_depth_cap(self, capsys, command):
         # the deepest call chain: nothing built for a shallower cell is cached
         lambda_cell.cache_clear()
-        cylinder_complex.cache_clear()
+        gray._cylinder.cache_clear()
         assert main([command, f"G{MAX_DEPTH}"]) == 0
         capsys.readouterr()
         assert main([command, f"G{MAX_DEPTH + 1}"]) == 2

@@ -94,10 +94,16 @@ class ClassInfo:
     methods: set = field(default_factory=set)        # names read as bound methods
 
 
+def _on_self(node) -> bool:
+    return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "self")
+
+
 def _class_info(cls: ast.ClassDef, module: str) -> ClassInfo:
     """Each method, property and field of a class: its non-dunder defs, its
-    dataclass or NamedTuple fields and what __init__ sets on self, with the
-    annotation of each value where there is one."""
+    dataclass or NamedTuple fields and every attribute that __init__ stores
+    on self, with the annotation of each value where there is one: that of
+    an annotated store, or of the parameter a plain store copies."""
     info = ClassInfo(cls, module)
     for node in cls.body:
         if isinstance(node, FUNCTION):
@@ -111,14 +117,13 @@ def _class_info(cls: ast.ClassDef, module: str) -> ClassInfo:
             if node.name == "__init__":
                 params = {a.arg: a.annotation for a in node.args.args}
                 for sub in ast.walk(node):
-                    if (isinstance(sub, ast.Assign) and len(sub.targets) == 1
-                            and isinstance(sub.targets[0], ast.Attribute)
-                            and isinstance(sub.targets[0].value, ast.Name)
-                            and sub.targets[0].value.id == "self"):
-                        attr = sub.targets[0].attr
-                        info.members.setdefault(attr, sub)
-                        if isinstance(sub.value, ast.Name):
-                            info.annotations.setdefault(attr, params.get(sub.value.id))
+                    if _on_self(sub) and isinstance(sub.ctx, ast.Store):
+                        info.members.setdefault(sub.attr, sub)
+                    if isinstance(sub, ast.AnnAssign) and _on_self(sub.target):
+                        info.annotations.setdefault(sub.target.attr, sub.annotation)
+                    elif isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Name):
+                        for t in filter(_on_self, sub.targets):
+                            info.annotations.setdefault(t.attr, params.get(sub.value.id))
         elif (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
               and (_is_dataclass(cls) or _is_named_tuple(cls))):
             info.members[node.target.id] = node
@@ -284,22 +289,23 @@ class Scope:
             for a in (args.vararg, args.kwarg):
                 if a is not None:
                     self.sources[a.arg].append(None)
-        if isinstance(node, COMPREHENSION):
-            for gen in node.generators:
-                self._bind(gen.target, ("iter", gen.iter))
-        for n in _own_nodes(self.roots()):
-            if isinstance(n, (ast.Assign, ast.AnnAssign)) and n.value is not None:
-                for t in (n.targets if isinstance(n, ast.Assign) else [n.target]):
-                    self._bind(t, ("annotation", n.annotation)
-                               if isinstance(n, ast.AnnAssign) else ("value", n.value))
+        own = list(_own_nodes(self.roots()))
+        # a name target of a plain or annotated assignment or of a loop is
+        # typed from its value; every other store binds a local of no type
+        typed = {}
+        for n in own + getattr(node, "generators", []):
+            if isinstance(n, ast.Assign):
+                typed.update((id(t), ("value", n.value)) for t in n.targets)
             elif isinstance(n, ast.AnnAssign):
-                self._bind(n.target, ("annotation", n.annotation))
-            elif isinstance(n, ast.For):
-                self._bind(n.target, ("iter", n.iter))
-            elif isinstance(n, (ast.AugAssign, ast.withitem)):
-                for t in ([n.target] if isinstance(n, ast.AugAssign) else [n.optional_vars]):
-                    if t is not None:
-                        self._bind(t, None)
+                typed[id(n.target)] = ("annotation", n.annotation)
+            elif isinstance(n, (ast.For, ast.comprehension)):
+                typed[id(n.target)] = ("iter", n.iter)
+        targets = [g.target for g in getattr(node, "generators", [])]
+        outer = {name for n in own if isinstance(n, (ast.Global, ast.Nonlocal))
+                 for name in n.names}
+        for n in own + [x for t in targets for x in ast.walk(t)]:
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store) and n.id not in outer:
+                self.sources[n.id].append(typed.get(id(n)))
             elif isinstance(n, ast.ExceptHandler) and n.name:
                 self.sources[n.name].append(None)
             elif isinstance(n, (ast.Import, ast.ImportFrom)):
@@ -307,9 +313,13 @@ class Scope:
                     self.sources[name].append(("key", _follow(binding)))
             elif isinstance(n, SCOPES) and hasattr(n, "name"):
                 self.sources[n.name].append(None)
-        for _ in range(2):       # a local may be assigned from one bound later
-            self.types = {name: _union(self._type(s) for s in srcs)
-                          for name, srcs in self.sources.items()}
+
+    def type_of(self, name: str):
+        """The type of a local of this scope, inferred on first use."""
+        if name not in self.types:
+            self.types[name] = None        # a local typed from itself has none
+            self.types[name] = _union(self._type(s) for s in self.sources[name])
+        return self.types[name]
 
     def roots(self) -> list:
         node = self.node
@@ -319,14 +329,6 @@ class Scope:
             elts = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
             return elts + [x for g in node.generators for x in [g.iter, *g.ifs]][1:]
         return node.body
-
-    def _bind(self, target, source):
-        if isinstance(target, ast.Name):
-            self.sources[target.id].append(source)
-        else:
-            for n in ast.walk(target):
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
-                    self.sources[n.id].append(None)
 
     def _type(self, source):
         if source is None:
@@ -357,7 +359,7 @@ class Scope:
             where, found = self.lookup(node.id)
             if where == "global":
                 return _from_key(found)
-            return found.types.get(node.id)
+            return found.type_of(node.id)
         if isinstance(node, ast.Call):
             return _union(_called(t) for t in self.infer(node.func) or [None])
         if isinstance(node, ast.Attribute):
@@ -486,9 +488,9 @@ for _path, _tree in TREES.items():
         READS[_read.target].append(_read)
 
 
-def _readers(target: tuple, definition) -> Counter:
+def _readers(target: tuple, definition, reads=READS) -> Counter:
     """Reads of target outside the definition node, by library and tests."""
-    return Counter("library" if r.library else "tests" for r in READS[target]
+    return Counter("library" if r.library else "tests" for r in reads[target]
                    if id(definition) not in r.inside)
 
 
@@ -529,15 +531,15 @@ def test_every_private_definition_is_read_by_library():
     assert not unread, f"private and never read by the library: {unread}"
 
 
+def _unread_members(keys, reads=READS) -> list:
+    """The members of the classes keys that no read reaches."""
+    return [f"{key}.{name}" for key in keys for name, node in CLASSES[key].members.items()
+            if not (_readers(("member", key, name), node, reads)
+                    or _readers(("any member", name), node, reads))]
+
+
 def test_every_member_is_read():
-    unread = []
-    for key, info in CLASSES.items():
-        if DEFS[key][0] not in LIBRARY:
-            continue
-        for name, node in info.members.items():
-            if not (_readers(("member", key, name), node)
-                    or _readers(("any member", name), node)):
-                unread.append(f"{key}.{name}")
+    unread = _unread_members(key for key in CLASSES if DEFS[key][0] in LIBRARY)
     assert not unread, f"never read as an attribute: {unread}"
 
 
@@ -567,15 +569,31 @@ def test_every_parameter_is_read():
 class TestResolution:
     """The guard resolves reads through bindings, not bare names."""
 
-    def _read_targets(self, source: str, module: str = "tests.probe") -> list:
+    def _probe(self, source: str):
+        """The reads of source, indexed as the test module tests.probe, and
+        the members of its classes that they leave unread."""
         tree = ast.parse(source)
-        BINDINGS[module] = {name: _follow(binding) for node in tree.body
-                            if isinstance(node, (ast.Import, ast.ImportFrom))
-                            for name, binding in _import_bindings(node).items()}
+        before = set(DEFS)
+        _index(Path("probe.py"), tree)
+        table = BINDINGS["tests.probe"]
+        table.update({name: _follow(binding) for name, binding in table.items()})
+        added = set(DEFS) - before
+        classes = sorted(added & set(CLASSES))
+        RELATED.update({key: {key} for key in classes})
         try:
-            return [r.target for r in _module_reads(tree, module, False)]
+            reads = defaultdict(list)
+            for r in _module_reads(tree, "tests.probe", False):
+                reads[r.target].append(r)
+            return reads, _unread_members(classes, reads)
         finally:
-            del BINDINGS[module]
+            del BINDINGS["tests.probe"]
+            for key in added:
+                for table in (DEFS, CLASSES, FUNCTIONS, RELATED):
+                    table.pop(key, None)
+
+    def _read_targets(self, source: str) -> list:
+        reads, _ = self._probe(source)
+        return [target for target, found in reads.items() for _ in found]
 
     def test_attribute_reaches_the_inferred_class(self):
         found = self._read_targets(
@@ -605,3 +623,19 @@ class TestResolution:
 
     def test_unknown_receiver_reads_every_member_of_the_name(self):
         assert self._read_targets("def f(x):\n    return x.kind\n") == [("any member", "kind")]
+
+    def test_every_store_on_self_in_init_is_a_member(self):
+        reads, unread = self._probe(
+            "from graycyl.theta import Hyperface\n"
+            "class C:\n"
+            "    def __init__(self, n: int, face: Hyperface):\n"
+            "        self.annotated: dict = {}\n"
+            "        self.left, self.right = n, n\n"
+            "        self.outer = self.inner = n\n"
+            "        self.total = 0\n"
+            "        self.total += n\n"
+            "        self.face: Hyperface = face\n"
+            "def f(c: C):\n"
+            "    return c.left, c.right, c.outer, c.inner, c.face.kind\n")
+        assert unread == ["tests.probe.C.annotated", "tests.probe.C.total"]
+        assert ("member", "theta.Hyperface", "kind") in reads

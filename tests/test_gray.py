@@ -1,9 +1,10 @@
 import dataclasses
 import re
+from functools import lru_cache
 
 import pytest
 
-from graycyl import dac, gray
+from graycyl import dac, gray, span
 from graycyl.cli import main
 from graycyl.dac import DAMorphism, MorphismError, lambda_cell, lambda_map
 from graycyl.gray import (cylinder_complex, cylinder_map, endpoint_inclusion,
@@ -318,18 +319,24 @@ class TestOneCylinderBuilder:
         monkeypatch.setattr(dac, "tensor", counted)
         monkeypatch.setattr(gray, "tensor", counted)
         dac.lambda_cell.cache_clear()
-        cylinder_complex.cache_clear()
+        gray._cylinder.cache_clear()
         forget_diagrams()
         faces = hyperfaces(parse_cell("[2]([1],[1])"))
         for f in faces:
             hyperface_cylinder(f)
-        assert calls and len(calls) == cylinder_complex.cache_info().misses
+        assert calls and len(calls) == gray._cylinder.cache_info().misses
         f = faces[0].map
         assert cylinder_map(f).source is cylinder_complex(f.source)
 
-    def test_one_tensor_per_cylinder_in_a_verify_item(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv", [
+        # an 8-node item that reads a cylinder again after 10 others
+        ["verify", "hyperface", "[2]([1],[1]([2]([0],[1])))"],
+        # a 7-node item that reads the cylinder of [1] again after 12 others
+        ["verify", "all", "[2]([0],[1]([2]([0],[1])))"],
+    ], ids=["hyperface", "all"])
+    def test_one_tensor_per_cylinder_in_a_verify_item(self, monkeypatch, capsys, argv):
         builds, touched = [], set()
-        real_tensor, real_cylinder = dac.tensor, gray.cylinder_complex
+        real_tensor, real_cylinder = gray.tensor, gray.cylinder_complex
 
         def counted(K, L):
             builds.append(L)
@@ -341,10 +348,11 @@ class TestOneCylinderBuilder:
 
         monkeypatch.setattr(gray, "tensor", counted)
         monkeypatch.setattr(gray, "cylinder_complex", cylinder)
-        real_cylinder.cache_clear()
+        monkeypatch.setattr(span, "cylinder_complex", cylinder)
+        # a cache of one cylinder: only the item's own hold keeps the others
+        monkeypatch.setattr(gray, "_cylinder", lru_cache(maxsize=1)(gray._cylinder.__wrapped__))
         forget_diagrams()
-        # an 8-node item that uses a cylinder again after 10 others
-        assert main(["verify", "hyperface", "[2]([1],[1]([2]([0],[1])))"]) == 0
+        assert main(argv) == 0
         capsys.readouterr()
         assert len(touched) == 13
         assert len(builds) == len(touched)
