@@ -166,8 +166,11 @@ class GenIndex:
         return [self.names[i] for i in _bit_positions(mask)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DAComplex:
+    """Complexes compare by identity.  lambda_cell, lambda_globe and
+    gray.cylinder_complex keep one complex per cell or dimension, and maps
+    compose only through the very same complex (DAMorphism.then)."""
     degrees: tuple[tuple, ...]           # ordered basis per degree
     diff: dict                           # gen -> element one degree down
     aug: dict                            # degree-0 gen -> int
@@ -262,8 +265,10 @@ def point_complex() -> DAComplex:
     return DAComplex((( ("o", 0), ),), {}, {("o", 0): 1})
 
 
+@lru_cache(maxsize=None)
 def lambda_globe(n: int) -> DAComplex:
-    """The globe complex: b_k, t_k below the top, v_n on top."""
+    """The globe complex: b_k, t_k below the top, v_n on top.  Memoised
+    per dimension: the result is shared and read-only."""
     if n == 0:
         return DAComplex((("b0",),), {}, {"b0": 1})
     degrees = tuple(
@@ -362,7 +367,7 @@ class DAMorphism:
         return gclean(out)
 
     def then(self, other: "DAMorphism") -> "DAMorphism":
-        if self.target is not other.source and self.target != other.source:
+        if self.target is not other.source:
             raise MorphismError("composition mismatch")
         return DAMorphism(self.source, other.target,
                           {g: other.apply(v) for g, v in self.images.items()})

@@ -8,7 +8,6 @@ verified degree-wise with exact integer linear algebra.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from weakref import WeakSet
@@ -26,48 +25,15 @@ from .theta import (POINT, Hyperface, SimplicialMap, ThetaCell, ThetaMorphism,
 L, R, H = "b0", "t0", "v1"          # interval complex generators
 
 
-@lru_cache(maxsize=1)
 def interval() -> DAComplex:
-    """The interval complex, built once: the result is shared and read-only."""
+    """The interval complex: the memoised globe complex of dimension 1."""
     return lambda_globe(1)
 
 
-# the cylinders read inside the open holding_cylinders() block, or None
-_HELD: dict | None = None
-
-
-@contextmanager
-def holding_cylinders():
-    """Keep every cylinder read inside the block until the block ends, so
-    that the checks of one verify item build each cylinder once, in
-    whatever order they read them."""
-    global _HELD
-    outer, _HELD = _HELD, {}
-    try:
-        yield
-    finally:
-        _HELD = outer
-
-
+@lru_cache(maxsize=None)
 def cylinder_complex(t: ThetaCell) -> DAComplex:
-    """The complex of [1]⊗T.  Memoised per cell: the result is shared and
-    read-only.  Inside a holding_cylinders() block it is kept until the
-    block ends."""
-    if _HELD is None:
-        return _cylinder(t)
-    cyl = _HELD.get(t)
-    if cyl is None:
-        cyl = _HELD[t] = _cylinder(t)
-    return cyl
-
-
-@lru_cache(maxsize=11)
-def _cylinder(t: ThetaCell) -> DAComplex:
-    """The cylinder builder.  Its cache carries the cylinders of the small
-    cells, which every item reads, from one item to the next.  Its size is
-    the most cylinders that one verify gray or verify hyperface item over a
-    cell with at most 6 nodes reads, so it holds no more than such an item
-    holds anyway."""
+    """The complex of [1]⊗T.  Memoised per cell, unbounded, as lambda_cell
+    is: every caller gets the same complex, which is shared and read-only."""
     return tensor(interval(), lambda_cell(t))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
+from itertools import product
 from types import MappingProxyType
 from weakref import WeakValueDictionary
 
@@ -581,17 +582,7 @@ def cells_with_nodes(n: int) -> tuple[ThetaCell, ...]:
 
     for width in range(1, n):
         for sizes in splits(n - 1, width):
-            pools = [cells_with_nodes(s) for s in sizes]
-
-            def combos(i):
-                if i == len(pools):
-                    yield ()
-                    return
-                for c in pools[i]:
-                    for rest in combos(i + 1):
-                        yield (c,) + rest
-
-            for kids in combos(0):
+            for kids in product(*(cells_with_nodes(s) for s in sizes)):
                 out.append(ThetaCell(kids))
     return tuple(out)
 

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from graycyl import cli, gray, nu
+from graycyl import cli, nu
 from graycyl.cli import main
 from graycyl.dac import lambda_cell
 from graycyl.gray import gray_cylinder
@@ -158,10 +158,9 @@ class TestSubcommands:
         assert not target.exists()
 
     @pytest.mark.parametrize("command", ["lambda", "tensor", "decompose"])
-    def test_depth_cap(self, capsys, command):
+    def test_depth_cap(self, capsys, forget_memos, command):
         # the deepest call chain: nothing built for a shallower cell is cached
-        lambda_cell.cache_clear()
-        gray._cylinder.cache_clear()
+        forget_memos()
         assert main([command, f"G{MAX_DEPTH}"]) == 0
         capsys.readouterr()
         assert main([command, f"G{MAX_DEPTH + 1}"]) == 2
@@ -205,6 +204,11 @@ class TestRepeatedMain:
         ["decompose", "[2]([1]"],              # cell syntax error: exit 2
         ["span", "[1]([1])"],
         ["counts", "[1]"],                     # no --max-dim or --format carried over
+        # complexes, lambda maps and shuffle diagrams memoised by one item
+        # are read again by the next
+        ["verify", "all", "[2]([0],[1]([2]([0],[1])))"],
+        ["verify", "hyperface", "[2]([1],[1]([2]([0],[1])))"],
+        ["verify", "all", "[2]([0],[1]([2]([0],[1])))"],
     ]
 
     def test_one_process_matches_separate_runs(self, capsys):
@@ -217,7 +221,7 @@ class TestRepeatedMain:
             in_process.append((code, capsys.readouterr().out))
         separate = [run_cli(args)[:2] for args in self.SEQUENCE]
         assert in_process == separate
-        assert [code for code, _ in separate] == [0, 2, 0, 2, 0, 0]
+        assert [code for code, _ in separate] == [0, 2, 0, 2, 0, 0, 0, 0, 0]
 
 
 class TestDeterminism:

@@ -115,6 +115,15 @@ class TestLambdaMap:
                 rhs = lambda_map(face2.map).then(lambda_map(face.map))
                 assert lhs.images == rhs.images
 
+    def test_composes_only_through_the_same_complex(self):
+        f = hyperfaces(parse_cell("[2]([1],[0])"))[0].map
+        K = lambda_cell(f.target)
+        copy = wreath_complex([lambda_cell(c) for c in f.target.children])
+        assert copy.to_json() == K.to_json()
+        assert lambda_map(f).then(identity_morphism(K)).images == lambda_map(f).images
+        with pytest.raises(MorphismError, match="composition mismatch"):
+            lambda_map(f).then(identity_morphism(copy))
+
     def test_all_face_maps_valid(self):
         for t in cells_up_to(6):
             for face in hyperfaces(t):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 from functools import lru_cache
 
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from graycyl import theta
 from graycyl.theta import (MAX_DEPTH, CellSyntaxError, POINT, SimplicialMap, ThetaCell,
-                           bang, cell, cells_up_to, coface, codegeneracy,
-                           gamma_image, globe, globular_sum, hyperfaces,
+                           bang, cell, cells_up_to, cells_with_nodes, coface,
+                           codegeneracy, gamma_image, globe, globular_sum, hyperfaces,
                            leaf_inclusion, meet_inclusion, mirror,
                            parse_cell, parse_morphism, reconstruct,
                            simplicial_identity, theta_identity,
@@ -272,6 +273,15 @@ class TestMisc:
     def test_vertex(self):
         v = vertex(cell(2), 1)
         assert v.source == POINT and v.base(0) == 1
+
+
+class TestCellsWithNodes:
+    def test_catalan_counts_in_a_pinned_order(self):
+        # seeded corpora draw cells in this order, so the order is pinned too
+        assert [len(cells_with_nodes(n)) for n in range(1, 9)] == [1, 1, 2, 5, 14, 42, 132, 429]
+        text = "\n".join(str(t) for t in cells_up_to(8))
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == "649b48bb6482c9c02c81eb6c683f6225dd67167cf97c7abb93282c9acbc4c845")
 
 
 class TestDeepCells:
