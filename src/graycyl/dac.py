@@ -5,54 +5,80 @@ of positive degree, and an augmentation on degree-0 generators satisfying
 e(d x) = 0.  The positivity sub-monoid of each degree is implicitly the set
 of nonnegative combinations of the basis.
 
-Group elements are plain dicts {generator name: int} with zero entries
-dropped.  Generator names are hashable structured tuples:
+Generators are numbered once, when a complex is made: its GenIndex lists
+them degree by degree, and every operation after that runs on positions.  A
+group element is a sparse row, the tuple of its (position, coefficient)
+pairs with nonzero coefficients in position order, so equal elements are
+equal tuples.  A complex holds the row of the boundary and the augmentation
+of each generator, by position; a morphism holds the row of the image of
+each source generator over the target's positions, by source position.
+
+Names are read where generators are stated (GenIndex, named_complex,
+named_morphism) and where output is rendered.  The builders name generators
+with hashable structured tuples:
 
     ("o", p)        object p of a wreath complex
     ("s", i, g)     suspension of child generator g over segment i
     ("t", a, b)     tensor generator a (x) b
-    ("A", g) / ("B", g)   amalgamation leg tags
 
-plus bare strings for the globe complexes ("b0", "t1", "v2", ...).
+plus bare strings for the globe complexes ("b0", "t1", "v2", ...).  A
+complex built from pieces records where each piece's generators went
+(DAComplex.parts), so a map between such complexes carries a piece's
+positions into the whole by that table, not by name.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
-from .theta import (SimplicialMap, ThetaCell, ThetaMorphism, gamma_image,
-                    globular_sum)
+from .theta import SimplicialMap, ThetaCell, ThetaMorphism, gamma_image
 
 
 # ---------------------------------------------------------------------------
 # group element helpers
 # ---------------------------------------------------------------------------
 
-def gclean(x: dict) -> dict:
-    return {k: v for k, v in x.items() if v != 0}
+def _sparse(acc: dict) -> tuple:
+    """The row of {position: coefficient}: its nonzero entries in position
+    order."""
+    return tuple(sorted(item for item in acc.items() if item[1]))
 
 
-def gadd(*xs) -> dict:
+def _combine(rows, x: tuple):
+    """The row of the sum of c * rows[g] over the entries (g, c) of x, or
+    None where some rows[g] is None."""
+    if len(x) == 1:
+        (g, c), = x
+        row = rows[g]
+        return row if c == 1 or row is None else tuple([(h, c * w) for h, w in row])
+    out: dict = {}
+    for g, c in x:
+        row = rows[g]
+        if row is None:
+            return None
+        for h, w in row:
+            out[h] = out.get(h, 0) + c * w
+    return _sparse(out)
+
+
+def gadd(*xs) -> tuple:
     out: dict = {}
     for x in xs:
-        for k, v in x.items():
-            out[k] = out.get(k, 0) + v
-    return gclean(out)
+        for g, c in x:
+            out[g] = out.get(g, 0) + c
+    return _sparse(out)
 
 
-def is_nonneg(x: dict) -> bool:
-    return all(v >= 0 for v in x.values())
+def is_nonneg(x: tuple) -> bool:
+    return all(c >= 0 for _, c in x)
 
 
-def sign_split(x: dict):
+def sign_split(x: tuple):
     """(positive part, negative part); x = plus - minus."""
-    plus = {k: v for k, v in x.items() if v > 0}
-    minus = {k: -v for k, v in x.items() if v < 0}
-    return plus, minus
+    return tuple([(g, c) for g, c in x if c > 0]), tuple([(g, -c) for g, c in x if c < 0])
 
 
 def render_name(g) -> str:
@@ -65,8 +91,6 @@ def render_name(g) -> str:
         return f"{g[1]}|{render_name(g[2])}"
     if tag == "t":
         return f"{render_name(g[1])}⊗{render_name(g[2])}"
-    if tag in ("A", "B"):
-        return f"{tag}.{render_name(g[1])}"
     return repr(g)
 
 
@@ -134,27 +158,30 @@ class Rendering:
 
 
 class GenIndex:
-    """The one numbering of a complex's generators: the flattened basis,
-    degree by degree.  Generator g sits at position[g], bit position[g] of
-    an entry mask stands for it, and the generators of degree d hold the
-    positions from start[d] up to start[d + 1]."""
+    """The one numbering of a complex's generators, made from their names
+    when the complex is made: the flattened basis, degree by degree.
+    Generator g sits at position[g], bit position[g] of an entry mask stands
+    for it, and the generators of degree d hold the positions from start[d]
+    up to start[d + 1]."""
 
     def __init__(self, degrees):
-        position: dict = {}
+        self.degrees = tuple(tuple(row) for row in degrees)
+        self.names = tuple(g for row in self.degrees for g in row)
         start = [0]
-        for row in degrees:
-            for g in row:
-                if g in position:
-                    raise ComplexError(f"duplicate generator {g!r}")
-                position[g] = len(position)
-            start.append(len(position))
-        self.position = position
+        for row in self.degrees:
+            start.append(start[-1] + len(row))
         self.start = tuple(start)
 
     @cached_property
-    def names(self) -> tuple:
-        """The generators by position, built on first use."""
-        return tuple(self.position)
+    def position(self) -> dict:
+        """Built on first use, where a generator is stated by name, so the
+        builders' complexes, whose names are distinct by construction, hash
+        no name; a repeated name raises here."""
+        position = {g: i for i, g in enumerate(self.names)}
+        if len(position) != len(self.names):
+            g = next(g for i, g in enumerate(self.names) if position[g] != i)
+            raise ComplexError(f"duplicate generator {g!r}")
+        return position
 
     @cached_property
     def rendering(self) -> Rendering:
@@ -165,32 +192,60 @@ class GenIndex:
     def names_of(self, mask: int) -> list:
         return [self.names[i] for i in _bit_positions(mask)]
 
+    def row(self, x: dict) -> tuple:
+        """The row of an element stated as {generator name: int}."""
+        position = self.position
+        return _sparse({position[g]: c for g, c in x.items()})
+
+
+# the rows ((x, 1),) by x, grown to the largest complex that asked for them
+_UNITS: list = []
+
 
 @dataclass(frozen=True, eq=False)
 class DAComplex:
-    """Complexes compare by identity.  lambda_cell, lambda_globe and
-    gray.cylinder_complex keep one complex per cell or dimension, and maps
-    compose only through the very same complex (DAMorphism.then)."""
-    degrees: tuple[tuple, ...]           # ordered basis per degree
-    diff: dict                           # gen -> element one degree down
-    aug: dict                            # degree-0 gen -> int
+    """A complex on generator positions.  diff[x] is the row of the
+    boundary of generator x (empty in degree 0) and aug[x] its augmentation
+    (0 above degree 0).  A complex built from pieces lists in parts, per
+    piece, the position of the generator made from each generator of the
+    piece; each such table is increasing, so it carries a row of the piece
+    to a row of the whole.  wreath_complex and tensor say what their pieces
+    are; other complexes have none.
 
-    def __post_init__(self):
-        self.gen_index                   # numbered now: a repeated generator raises here
+    Complexes compare by identity, and positions mean something only
+    within one complex.  lambda_cell, lambda_globe and gray.cylinder_complex
+    keep one complex per cell or dimension, and maps compose only through
+    the very same complex (DAMorphism.then)."""
+    gen_index: GenIndex
+    diff: tuple
+    aug: tuple
+    parts: tuple = ()
+
+    @property
+    def degrees(self) -> tuple:
+        """The generator names, degree by degree."""
+        return self.gen_index.degrees
 
     @property
     def top_degree(self) -> int:
-        return len(self.degrees) - 1
+        return len(self.gen_index.start) - 2
 
     def basis(self, d: int) -> tuple:
         return self.degrees[d] if 0 <= d <= self.top_degree else ()
 
-    def degree_of(self, g) -> int:
-        return bisect_right(self.gen_index.start, self.gen_index.position[g]) - 1
+    def positions(self, d: int) -> range:
+        """The positions of the generators of degree d."""
+        start = self.gen_index.start
+        return range(start[d], start[d + 1]) if 0 <= d < len(start) - 1 else range(0)
 
-    @cached_property
-    def gen_index(self) -> GenIndex:
-        return GenIndex(self.degrees)
+    @property
+    def units(self) -> list:
+        """units[x] is the row ((x, 1),) of generator x.  The rows are
+        shared by every image that is one generator, in every complex, and
+        must not be changed."""
+        while len(_UNITS) < len(self.diff):
+            _UNITS.append(((len(_UNITS), 1),))
+        return _UNITS
 
     @cached_property
     def atoms(self) -> tuple:
@@ -202,46 +257,38 @@ class DAComplex:
         as a table of nu does, so an atom with another coefficient, or with
         a bottom entry of augmentation other than 1, is not a table and is
         held as None."""
-        position = self.gen_index.position
-
-        def mask(x: dict) -> int:
-            return sum(1 << position[h] for h in x)
+        def mask(x: tuple) -> int:
+            return sum(1 << h for h, _ in x)
 
         out = []
-        for d, row in enumerate(self.degrees):
-            for g in row:
-                neg = pos = {g: 1}
+        for d in range(self.top_degree + 1):
+            for g in self.positions(d):
+                neg = pos = ((g, 1),)
                 rows = [(neg, pos)]
                 for _ in range(d):
                     neg, pos = sign_split(self.d(neg))[1], sign_split(self.d(pos))[0]
                     rows.append((neg, pos))
                 rows.reverse()
                 valid = (self.e(rows[0][0]) == 1 and self.e(rows[0][1]) == 1
-                         and all(c == 1 for pair in rows for x in pair for c in x.values()))
+                         and all(c == 1 for pair in rows for x in pair for _, c in x))
                 out.append(tuple((mask(n), mask(p)) for n, p in rows) if valid else None)
         return tuple(out)
 
-    def d(self, x: dict) -> dict:
-        out: dict = {}
-        for g, c in x.items():
-            for h, w in self.diff.get(g, {}).items():
-                out[h] = out.get(h, 0) + c * w
-        return gclean(out)
+    def d(self, x: tuple) -> tuple:
+        return _combine(self.diff, x)
 
-    def e(self, x: dict) -> int:
-        return sum(c * self.aug[g] for g, c in x.items())
+    def e(self, x: tuple) -> int:
+        return sum(c * self.aug[g] for g, c in x)
 
     def validate(self):
+        names = self.gen_index.names
         for d in range(2, self.top_degree + 1):
-            for g in self.basis(d):
-                if self.d(self.diff.get(g, {})):
-                    raise ComplexError(f"d∘d != 0 on {g!r}")
-        for g in self.basis(1):
-            if self.e(self.diff.get(g, {})) != 0:
-                raise ComplexError(f"e∘d != 0 on {g!r}")
-        for g in self.basis(0):
-            if g not in self.aug:
-                raise ComplexError(f"missing augmentation for {g!r}")
+            for g in self.positions(d):
+                if self.d(self.diff[g]):
+                    raise ComplexError(f"d∘d != 0 on {names[g]!r}")
+        for g in self.positions(1):
+            if self.e(self.diff[g]) != 0:
+                raise ComplexError(f"e∘d != 0 on {names[g]!r}")
         return self
 
     def size_profile(self) -> tuple[int, ...]:
@@ -249,20 +296,30 @@ class DAComplex:
 
     def to_json(self) -> dict:
         """Generator names as gen_index renders them, keys in rendered order."""
-        text = dict(zip(self.gen_index.names, self.gen_index.rendering.text))
+        text = self.gen_index.rendering.text
 
-        def rendered(x: dict) -> dict:
-            return {text[g]: c for g, c in sorted(x.items(), key=lambda kv: text[kv[0]])}
+        def rendered(pairs) -> dict:
+            return {text[g]: c for g, c in sorted(pairs, key=lambda gc: text[gc[0]])}
 
         return {
-            "degrees": [[text[g] for g in b] for b in self.degrees],
-            "d": rendered({g: rendered(v) for g, v in self.diff.items() if v}),
-            "e": rendered(self.aug),
+            "degrees": [[text[g] for g in self.positions(d)] for d in range(self.top_degree + 1)],
+            "d": rendered((g, rendered(row)) for g, row in enumerate(self.diff) if row),
+            "e": rendered((g, self.aug[g]) for g in self.positions(0)),
         }
 
 
-def point_complex() -> DAComplex:
-    return DAComplex((( ("o", 0), ),), {}, {("o", 0): 1})
+def named_complex(degrees, diff: dict, aug: dict) -> DAComplex:
+    """The complex stated by generator names: the basis per degree, the
+    boundary of each generator as a {name: int} element (0 where it is left
+    out) and the augmentation of each degree-0 generator."""
+    index = GenIndex(degrees)
+    index.position                   # numbered now: a repeated generator raises here
+    missing = [g for g in index.degrees[0] if g not in aug]
+    if missing:
+        raise ComplexError(f"missing augmentation for {missing[0]!r}")
+    return DAComplex(index, tuple(index.row(diff.get(g, {})) for g in index.names),
+                     tuple(aug.get(g, 0) if i < index.start[1] else 0
+                           for i, g in enumerate(index.names)))
 
 
 @lru_cache(maxsize=None)
@@ -270,7 +327,7 @@ def lambda_globe(n: int) -> DAComplex:
     """The globe complex: b_k, t_k below the top, v_n on top.  Memoised
     per dimension: the result is shared and read-only."""
     if n == 0:
-        return DAComplex((("b0",),), {}, {"b0": 1})
+        return named_complex((("b0",),), {}, {"b0": 1})
     degrees = tuple(
         (f"b{k}", f"t{k}") if k < n else (f"v{n}",) for k in range(n + 1)
     )
@@ -280,28 +337,40 @@ def lambda_globe(n: int) -> DAComplex:
         diff[f"b{k}"] = dict(step)
         diff[f"t{k}"] = dict(step)
     diff[f"v{n}"] = {f"t{n - 1}": 1, f"b{n - 1}": -1}
-    return DAComplex(degrees, diff, {"b0": 1, "t0": 1}).validate()
+    return named_complex(degrees, diff, {"b0": 1, "t0": 1}).validate()
 
 
 def wreath_complex(children: list[DAComplex]) -> DAComplex:
-    """[n];(K_1..K_n): objects in degree 0, suspended child bases above."""
+    """[n];(K_1..K_n): the objects ("o", p) in degree 0, and one degree up
+    the suspension ("s", i, g) of each generator g of K_i.  parts[0][p] is
+    the position of the object p and parts[i][x] that of the suspension of
+    the generator at position x of K_i."""
     n = len(children)
     top = 1 + max((k.top_degree for k in children), default=-1)
-    degrees: list[tuple] = [tuple(("o", p) for p in range(n + 1))]
-    diff: dict = {}
+    degrees = [[("o", p) for p in range(n + 1)]]
+    size = n + 1
+    parts = [list(range(n + 1))] + [[0] * len(k.diff) for k in children]
     for d in range(1, top + 1):
         row = []
         for i, k in enumerate(children, start=1):
-            for g in k.basis(d - 1):
-                name = ("s", i, g)
-                row.append(name)
-                if d == 1:
-                    diff[name] = {("o", i): 1, ("o", i - 1): -1}
-                else:
-                    diff[name] = {("s", i, h): c for h, c in k.diff[g].items()}
-        degrees.append(tuple(row))
-    aug = {("o", p): 1 for p in range(n + 1)}
-    return DAComplex(tuple(degrees), diff, aug)
+            names = k.gen_index.names
+            for x in k.positions(d - 1):
+                parts[i][x] = size + len(row)
+                row.append(("s", i, names[x]))
+        degrees.append(row)
+        size += len(row)
+    diff = [()] * size
+    for i, k in enumerate(children, start=1):
+        part, objects = parts[i], k.gen_index.start[1]
+        for x, row in enumerate(k.diff):
+            diff[part[x]] = (((i - 1, -1), (i, 1)) if x < objects
+                             else tuple([(part[h], c) for h, c in row]))
+    return DAComplex(GenIndex(degrees), tuple(diff), (1,) * (n + 1) + (0,) * (size - n - 1),
+                     tuple(map(tuple, parts)))
+
+
+def point_complex() -> DAComplex:
+    return wreath_complex([])
 
 
 @lru_cache(maxsize=None)
@@ -312,37 +381,32 @@ def lambda_cell(t: ThetaCell) -> DAComplex:
     is shared and read-only, so lambda_map(f).source is
     lambda_cell(f.source) for every f.
     """
-    if t.width == 0:
-        return point_complex()
     return wreath_complex([lambda_cell(c) for c in t.children])
 
 
 def tensor(K: DAComplex, L: DAComplex) -> DAComplex:
-    """K (x) L with d(a⊗b) = da⊗b + (-1)^{|a|} a⊗db and e(a⊗b) = e(a)e(b)."""
-    top = K.top_degree + L.top_degree
-    degrees = []
-    diff: dict = {}
-    for n in range(top + 1):
+    """K (x) L with d(a⊗b) = da⊗b + (-1)^{|a|} a⊗db and e(a⊗b) = e(a)e(b).
+    a⊗b is named ("t", a, b), and parts[a][b] is its position, for a and b
+    positions in K and L."""
+    k_names, l_names = K.gen_index.names, L.gen_index.names
+    degrees, pairs = [], []              # pairs: (a, b, (-1)^|a|) by position of a⊗b
+    parts = [[0] * len(l_names) for _ in k_names]
+    for n in range(K.top_degree + L.top_degree + 1):
         row = []
         for i in range(n + 1):
-            j = n - i
-            for a in K.basis(i):
-                for b in L.basis(j):
-                    name = ("t", a, b)
-                    row.append(name)
-                    dd: dict = {}
-                    if i > 0:
-                        for a2, c in K.diff[a].items():
-                            dd[("t", a2, b)] = dd.get(("t", a2, b), 0) + c
-                    if j > 0:
-                        s = 1 if i % 2 == 0 else -1
-                        for b2, c in L.diff[b].items():
-                            dd[("t", a, b2)] = dd.get(("t", a, b2), 0) + s * c
-                    if n > 0:
-                        diff[name] = gclean(dd)
-        degrees.append(tuple(row))
-    aug = {("t", a, b): K.aug[a] * L.aug[b] for a in K.basis(0) for b in L.basis(0)}
-    return DAComplex(tuple(degrees), diff, aug)
+            sign = 1 if i % 2 == 0 else -1
+            for a in K.positions(i):
+                for b in L.positions(n - i):
+                    parts[a][b] = len(pairs)
+                    row.append(("t", k_names[a], l_names[b]))
+                    pairs.append((a, b, sign))
+        degrees.append(row)
+    # a2⊗b and a⊗b2 are distinct generators, so the two sums never meet
+    diff = tuple(tuple(sorted([(parts[a2][b], c) for a2, c in K.diff[a]]
+                              + [(parts[a][b2], sign * c) for b2, c in L.diff[b]]))
+                 for a, b, sign in pairs)
+    aug = tuple(K.aug[a] * L.aug[b] for a, b, _ in pairs)
+    return DAComplex(GenIndex(degrees), diff, aug, tuple(map(tuple, parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -355,22 +419,24 @@ class MorphismError(ValueError):
 
 @dataclass(frozen=True)
 class DAMorphism:
+    """images[x] is the row of the image of source generator x over the
+    target's positions, or None where a statement by names gave it no
+    image (named_morphism)."""
     source: DAComplex
     target: DAComplex
-    images: dict                         # source gen -> target element
+    images: tuple
 
-    def apply(self, x: dict) -> dict:
-        out: dict = {}
-        for g, c in x.items():
-            for h, w in self.images[g].items():
-                out[h] = out.get(h, 0) + c * w
-        return gclean(out)
+    def apply(self, x: tuple):
+        """The image of the element x, or None where a generator of x has
+        no image."""
+        return _combine(self.images, x)
 
     def then(self, other: "DAMorphism") -> "DAMorphism":
         if self.target is not other.source:
             raise MorphismError("composition mismatch")
+        rows = other.images
         return DAMorphism(self.source, other.target,
-                          {g: other.apply(v) for g, v in self.images.items()})
+                          tuple([None if x is None else _combine(rows, x) for x in self.images]))
 
     def violations(self) -> list:
         """(kind, g) for each way a generator g of the source, in degree
@@ -379,26 +445,28 @@ class DAMorphism:
         coefficient), "degree" (a target generator of another degree),
         "augmentation" (degree 0) or "chain" (the image of g's boundary is
         not the boundary of g's image; unchecked while a generator of that
-        boundary has no image)."""
+        boundary has no image).  g is the generator's name."""
+        src, tgt = self.source, self.target
+        names = src.gen_index.names
         found = []
-        for d in range(self.source.top_degree + 1):
-            for g in self.source.basis(d):
-                img = self.images.get(g)
+        for d in range(src.top_degree + 1):
+            degree = tgt.positions(d)
+            for x in src.positions(d):
+                img = self.images[x]
                 if img is None:
-                    found.append(("missing", g))
+                    found.append(("missing", names[x]))
                     continue
                 if not is_nonneg(img):
-                    found.append(("negative", g))
-                if any(self.target.degree_of(h) != d for h in img):
-                    found.append(("degree", g))
+                    found.append(("negative", names[x]))
+                if any(h not in degree for h, _ in img):
+                    found.append(("degree", names[x]))
                 if d == 0:
-                    if self.target.e(img) != self.source.e({g: 1}):
-                        found.append(("augmentation", g))
+                    if tgt.e(img) != src.aug[x]:
+                        found.append(("augmentation", names[x]))
                 else:
-                    boundary = self.source.diff.get(g, {})
-                    if (all(h in self.images for h in boundary)
-                            and self.apply(boundary) != self.target.d(img)):
-                        found.append(("chain", g))
+                    boundary = self.apply(src.diff[x])
+                    if boundary is not None and boundary != tgt.d(img):
+                        found.append(("chain", names[x]))
         return found
 
     def validate(self):
@@ -417,32 +485,48 @@ _VIOLATION_TEXT = {
 }
 
 
+def named_morphism(source: DAComplex, target: DAComplex, images: dict) -> DAMorphism:
+    """The morphism stated by generator names, {source generator: {target
+    generator: int}}; a source generator left out has no image."""
+    row = target.gen_index.row
+    return DAMorphism(source, target, tuple(row(images[g]) if g in images else None
+                                            for g in source.gen_index.names))
+
+
 def morphisms_agree(a: DAMorphism, b: DAMorphism) -> bool:
-    """a and b send every generator of a's source to the same element."""
-    return all(a.images[g] == b.images[g] for row in a.source.degrees for g in row)
-
-
-def identity_morphism(K: DAComplex) -> DAMorphism:
-    return DAMorphism(K, K, {g: {g: 1} for b in K.degrees for g in b})
+    """a and b send every generator of their source to the same element.
+    Positions mean something only within one complex, so a and b must run
+    between the very same complexes."""
+    if a.source is not b.source or a.target is not b.target:
+        raise MorphismError("morphisms between different complexes")
+    return a.images == b.images
 
 
 def wreath_morphism(src: DAComplex, tgt: DAComplex, base: SimplicialMap,
                     comps: dict) -> DAMorphism:
     """Morphism of wreath complexes from a base map and child morphisms
-    comps[(i, j)] for j in F(base)(i)."""
-    fimg = gamma_image(base)
-    images: dict = {}
-    for p in range(base.source_width + 1):
-        images[("o", p)] = {("o", base(p)): 1}
-    for d in range(1, src.top_degree + 1):
-        for g in src.basis(d):
-            _, i, child_gen = g
-            out: dict = {}
-            for j in fimg[i]:
-                for h, c in comps[(i, j)].images[child_gen].items():
-                    out[("s", j, h)] = out.get(("s", j, h), 0) + c
-            images[g] = gclean(out)
-    return DAMorphism(src, tgt, images)
+    comps[(i, j)] for j in F(base)(i): the suspension over segment i of a
+    child generator goes to the sum over j of the suspensions over segment
+    j of its images under comps[(i, j)]."""
+    images = [None] * len(src.diff)
+    units, objects = tgt.units, tgt.parts[0]
+    for p, x in enumerate(src.parts[0]):
+        images[x] = units[objects[base(p)]]
+    for i, segments in gamma_image(base).items():
+        legs = [(tgt.parts[j], comps[(i, j)].images) for j in segments]
+        if len(legs) == 1:
+            (part, rows), = legs
+            for x, y in enumerate(src.parts[i]):
+                row = rows[x]
+                images[y] = (units[part[row[0][0]]] if len(row) == 1 and row[0][1] == 1
+                             else tuple([(part[h], c) for h, c in row]))
+        else:
+            # the segments' blocks of one degree follow each other, so
+            # sorting the joined rows only orders an image of mixed degrees
+            for x, y in enumerate(src.parts[i]):
+                images[y] = tuple(sorted([(part[h], c) for part, rows in legs
+                                          for h, c in rows[x]]))
+    return DAMorphism(src, tgt, tuple(images))
 
 
 # lambda_map's value per interned morphism, held only while the morphism lives
@@ -461,12 +545,8 @@ def lambda_map(f: ThetaMorphism) -> DAMorphism:
 
 
 def _lambda_map(f: ThetaMorphism) -> DAMorphism:
-    src = lambda_cell(f.source)
-    tgt = lambda_cell(f.target)
-    if f.source.width == 0:
-        return DAMorphism(src, tgt, {("o", 0): {("o", f.base(0)): 1}})
     comps = {(i, j): lambda_map(m) for (i, j), m in f.components}
-    return wreath_morphism(src, tgt, f.base, comps)
+    return wreath_morphism(lambda_cell(f.source), lambda_cell(f.target), f.base, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -514,149 +594,8 @@ def check_basis(K: DAComplex):
             loop_free = False
             break
 
-    position = K.gen_index.position
     # x -> y for y in d(x)_+, and y -> x for y in d(x)_-
     strongly_loop_free = _acyclic(
-        (position[x], position[y]) if c > 0 else (position[y], position[x])
-        for row in K.degrees[1:] for x in row for y, c in K.diff.get(x, {}).items() if c)
+        (x, y) if c > 0 else (y, x)
+        for x in range(start[1], len(atoms)) for y, c in K.diff[x])
     return unital, loop_free, strongly_loop_free
-
-
-# ---------------------------------------------------------------------------
-# amalgamation and isomorphism search
-# ---------------------------------------------------------------------------
-
-def _single_gen(x: dict):
-    if len(x) == 1:
-        ((g, c),) = x.items()
-        if c == 1:
-            return g
-    return None
-
-
-def amalgamate_with_inclusions(K: DAComplex, L: DAComplex, M: DAComplex,
-                               i: DAMorphism, j: DAMorphism):
-    """Glue K and L along M via generator-to-generator injections i, j.
-
-    Returns (result, inclusion of K, inclusion of L).  Names from K are
-    tagged ("A", g), unidentified names from L are tagged ("B", g).
-    """
-    for leg, name in ((i, "i"), (j, "j")):
-        seen = set()
-        for row in M.degrees:
-            for g in row:
-                h = _single_gen(leg.images[g])
-                if h is None:
-                    raise MorphismError(f"leg {name} is not prerigid at {g!r}")
-                if h in seen:
-                    raise MorphismError(f"leg {name} is not injective")
-                seen.add(h)
-    ident = {}
-    for row in M.degrees:
-        for g in row:
-            ident[_single_gen(j.images[g])] = ("A", _single_gen(i.images[g]))
-
-    def l_name(g):
-        return ident.get(g, ("B", g))
-
-    degrees = []
-    top = max(K.top_degree, L.top_degree)
-    for d in range(top + 1):
-        row = [("A", g) for g in K.basis(d)]
-        row += [l_name(g) for g in L.basis(d) if g not in ident]
-        degrees.append(tuple(row))
-    diff = {}
-    for g, v in K.diff.items():
-        diff[("A", g)] = {("A", h): c for h, c in v.items()}
-    for g, v in L.diff.items():
-        if g not in ident:
-            diff[l_name(g)] = {l_name(h): c for h, c in v.items()}
-    aug = {("A", g): c for g, c in K.aug.items()}
-    for g, c in L.aug.items():
-        if g not in ident:
-            aug[l_name(g)] = c
-    result = DAComplex(tuple(degrees), diff, aug).validate()
-    incl_k = DAMorphism(K, result, {g: {("A", g): 1} for row in K.degrees for g in row})
-    incl_l = DAMorphism(L, result, {g: {l_name(g): 1} for row in L.degrees for g in row})
-    return result, incl_k, incl_l
-
-
-def find_isomorphism(K: DAComplex, L: DAComplex):
-    """Backtracking search for a basis bijection commuting with d and e.
-
-    Returns the generator map or None.  Sizes here are tiny; matching is
-    pruned by degree and differential support size.
-    """
-    if K.size_profile() != L.size_profile():
-        return None
-    mapping: dict = {}
-    used: set = set()
-
-    def signature(C: DAComplex, g):
-        d = C.degree_of(g)
-        dx = C.diff.get(g, {})
-        return (d, tuple(sorted(dx.values())), C.aug.get(g, 0))
-
-    sig_l: dict = {}
-    for row in L.degrees:
-        for g in row:
-            sig_l.setdefault(signature(L, g), []).append(g)
-
-    order = [g for d in range(K.top_degree + 1) for g in K.basis(d)]
-
-    def consistent(g, h):
-        dg = K.diff.get(g, {})
-        dh = L.diff.get(h, {})
-        for x, c in dg.items():
-            if x in mapping and dh.get(mapping[x], 0) != c:
-                return False
-        if K.degree_of(g) == 0 and K.aug[g] != L.aug[h]:
-            return False
-        return True
-
-    def extend(idx) -> bool:
-        if idx == len(order):
-            return True
-        g = order[idx]
-        for h in sig_l.get(signature(K, g), []):
-            if h in used or not consistent(g, h):
-                continue
-            mapping[g] = h
-            used.add(h)
-            if extend(idx + 1):
-                return True
-            del mapping[g]
-            used.discard(h)
-        return False
-
-    return dict(mapping) if extend(0) else None
-
-
-def globe_inclusion(m: int, n: int, side: str) -> DAMorphism:
-    """Iterated source (side="s") or target (side="t") inclusion of the
-    m-globe complex into the n-globe complex, m <= n."""
-    src, tgt = lambda_globe(m), lambda_globe(n)
-    top = "b0" if m == 0 else f"v{m}"
-    images = {}
-    for row in src.degrees:
-        for g in row:
-            if g == top and m < n:
-                images[g] = {(f"t{m}" if side == "t" else f"b{m}"): 1}
-            else:
-                images[g] = {g: 1}
-    return DAMorphism(src, tgt, images).validate()
-
-
-def amalgamation_over_globular_sum(t: ThetaCell) -> DAComplex:
-    """Iterated pushout of globe complexes along the decomposition of t."""
-    dec = globular_sum(t)
-    acc = lambda_globe(dec.leaf_dims[0])
-    latest = identity_morphism(acc)      # inclusion of the newest leaf globe
-    for m, n_next in zip(dec.meet_dims, dec.leaf_dims[1:]):
-        meet = lambda_globe(m)
-        nxt = lambda_globe(n_next)
-        prev_n = latest.source.top_degree
-        t_leg = globe_inclusion(m, prev_n, "t").then(latest)
-        s_leg = globe_inclusion(m, n_next, "s")
-        acc, _, latest = amalgamate_with_inclusions(acc, nxt, meet, t_leg, s_leg)
-    return acc

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from weakref import WeakSet
 
 from . import intlin
 from .dac import (DAComplex, DAMorphism, lambda_cell, lambda_globe,
@@ -37,17 +36,25 @@ def cylinder_complex(t: ThetaCell) -> DAComplex:
     return tensor(interval(), lambda_cell(t))
 
 
+def lanes(cyl: DAComplex) -> tuple:
+    """The parts of a cylinder complex over L, R and H: lanes(cyl)[0][x]
+    is the position of L⊗x, and so on."""
+    position = interval().gen_index.position
+    return tuple(cyl.parts[position[a]] for a in (L, R, H))
+
+
 def cylinder_map(f: ThetaMorphism) -> DAMorphism:
     """[1]⊗f: the identity of the interval tensored with lambda(f), between
     the memoised cylinders of f's source and target."""
-    lam = lambda_map(f)
-    src = cylinder_complex(f.source)
-    images = {}
-    for row in src.degrees:
-        for name in row:
-            _, a, g = name
-            images[name] = {("t", a, h): c for h, c in lam.images[g].items()}
-    return DAMorphism(src, cylinder_complex(f.target), images)
+    lam = lambda_map(f).images
+    src, tgt = cylinder_complex(f.source), cylinder_complex(f.target)
+    images = [None] * len(src.diff)
+    units = tgt.units
+    for src_part, tgt_part in zip(src.parts, tgt.parts):
+        for y, row in zip(src_part, lam):
+            images[y] = (units[tgt_part[row[0][0]]] if len(row) == 1 and row[0][1] == 1
+                         else tuple([(tgt_part[h], c) for h, c in row]))
+    return DAMorphism(src, tgt, tuple(images))
 
 
 def gray_cylinder(t: ThetaCell, max_dim: int | None = None,
@@ -59,10 +66,8 @@ def gray_cylinder(t: ThetaCell, max_dim: int | None = None,
 
 def endpoint_inclusion(t: ThetaCell, eps: int) -> DAMorphism:
     """The complex-level end inclusion at vertex eps."""
-    K = lambda_cell(t)
     cyl = cylinder_complex(t)
-    end = L if eps == 0 else R
-    return DAMorphism(K, cyl, {g: {("t", end, g): 1} for row in K.degrees for g in row})
+    return DAMorphism(lambda_cell(t), cyl, tuple(cyl.units[y] for y in lanes(cyl)[eps]))
 
 
 # ---------------------------------------------------------------------------
@@ -86,48 +91,54 @@ class ShuffleColumn:
 
 
 def _o_embedding(t: ThetaCell, j: int, cyl: DAComplex) -> DAMorphism:
-    oc = o_cell(t, j)
-    K = lambda_cell(oc)
-    images = {}
-    for p in range(oc.width + 1):
-        if p <= j:
-            images[("o", p)] = {("t", L, ("o", p)): 1}
-        else:
-            images[("o", p)] = {("t", R, ("o", p - 1)): 1}
-    for d in range(1, K.top_degree + 1):
-        for g in K.basis(d):
-            _, i, sub = g
-            if i <= j:
-                images[g] = {("t", L, ("s", i, sub)): 1}
-            elif i == j + 1:
-                images[g] = {("t", H, ("o", j)): 1}
-            else:
-                images[g] = {("t", R, ("s", i - 1, sub)): 1}
-    return DAMorphism(K, cyl, images)
+    """o_p goes to L⊗o_p up to p = j and to R⊗o_{p-1} after; the unit slot
+    j+1 goes to the crossing H⊗o_j, and the slots around it to L or R of
+    the slot of t they copy."""
+    K = lambda_cell(o_cell(t, j))
+    slots = lambda_cell(t).parts
+    left, right, cross = lanes(cyl)
+    units = cyl.units
+    images = [None] * len(K.diff)
+    for p, x in enumerate(K.parts[0]):
+        images[x] = units[left[p] if p <= j else right[p - 1]]
+    for i in range(1, len(K.parts)):
+        if i == j + 1:
+            images[K.parts[i][0]] = units[cross[j]]
+            continue
+        lane, slot = (left, slots[i]) if i <= j else (right, slots[i - 1])
+        for x, y in enumerate(K.parts[i]):
+            images[y] = units[lane[slot[x]]]
+    return DAMorphism(K, cyl, tuple(images))
 
 
 def _m_embedding(t: ThetaCell, k: int, cyl: DAComplex) -> DAMorphism:
-    K = wreath_complex([cylinder_complex(c) if i == k else lambda_cell(c)
+    """o_p goes to L⊗o_p before p = k and to R⊗o_p from there on; slot i
+    goes to L or R of slot i of t as i < k or i > k, and a⊗x in the
+    cylinder of slot k to a⊗(k|x)."""
+    child = cylinder_complex(t.children[k - 1])
+    K = wreath_complex([child if i == k else lambda_cell(c)
                         for i, c in enumerate(t.children, start=1)])
-    child = lambda_cell(t.children[k - 1])
-    images = {}
-    for p in range(t.width + 1):
-        side = L if p < k else R
-        images[("o", p)] = {("t", side, ("o", p)): 1}
-    for d in range(1, K.top_degree + 1):
-        for g in K.basis(d):
-            _, i, sub = g
-            if i < k:
-                images[g] = {("t", L, ("s", i, sub)): 1}
-            elif i > k:
-                images[g] = {("t", R, ("s", i, sub)): 1}
-            else:
-                _, a, x = sub
-                img = images[g] = {("t", a, ("s", k, x)): 1}
-                if a != H and child.degree_of(x) == 0:
-                    # an end copy of an object of the child picks up a crossing
-                    img[("t", H, ("o", k if a == L else k - 1))] = 1
-    return DAMorphism(K, cyl, images)
+    slots = lambda_cell(t).parts
+    left, right, cross = lanes(cyl)
+    units = cyl.units
+    images = [None] * len(K.diff)
+    for p, x in enumerate(K.parts[0]):
+        images[x] = units[left[p] if p < k else right[p]]
+    for i in range(1, len(K.parts)):
+        if i != k:
+            lane = left if i < k else right
+            for x, y in enumerate(K.parts[i]):
+                images[y] = units[lane[slots[i][x]]]
+    # an end copy of an object of the child picks up a crossing
+    objects = lambda_cell(t.children[k - 1]).gen_index.start[1]
+    slot, copies = slots[k], K.parts[k]
+    for lane, child_lane, crossing in zip((left, right, cross), lanes(child),
+                                          (cross[k], cross[k - 1], None)):
+        for x, z in enumerate(child_lane):
+            y = lane[slot[x]]
+            images[copies[z]] = (units[y] if crossing is None or x >= objects
+                                 else tuple(sorted([(y, 1), (crossing, 1)])))
+    return DAMorphism(K, cyl, tuple(images))
 
 
 def m_end_leg(t: ThetaCell, m: ShuffleColumn, eps: int) -> DAMorphism:
@@ -139,23 +150,15 @@ def m_end_leg(t: ThetaCell, m: ShuffleColumn, eps: int) -> DAMorphism:
     return wreath_morphism(lambda_cell(t), m.embed.source, simplicial_identity(t.width), comps)
 
 
-# the interned cells whose shuffle columns have passed validate() in this
-# process; it keeps no cell alive.  Code that replaces a column builder
-# must clear it together with the diagram cache, or the columns of the
-# replaced builder are never validated.
-_VALIDATED: WeakSet = WeakSet()
-
-
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=None)
 def lax_shuffle_diagram(t: ThetaCell) -> tuple[ShuffleColumn, ...]:
     """The columns O_0, M_1, O_1, ..., M_n, O_n of the lax shuffle
     decomposition of [1]⊗T, in that order: O_j sits at 2j, M_k at 2k-1.
 
-    Memoised per cell: every caller gets the same tuple, which is shared
-    and read-only.  Every column embedding is validated as a chain map the
-    first time the cell's diagram is built in the process; a rebuild after
-    eviction is the same value of the same interned cell, so it is not
-    validated again.
+    Memoised per cell, unbounded, as cylinder_complex is: every caller gets
+    the same tuple, which is shared and read-only.  Every column embedding
+    is validated as a chain map when the diagram is built, so once per cell
+    in the process.
     """
     cyl = cylinder_complex(t)
     columns = []
@@ -163,10 +166,8 @@ def lax_shuffle_diagram(t: ThetaCell) -> tuple[ShuffleColumn, ...]:
         if j:
             columns.append(ShuffleColumn("M", j, _m_embedding(t, j, cyl)))
         columns.append(ShuffleColumn("O", j, _o_embedding(t, j, cyl)))
-    if t not in _VALIDATED:
-        for c in columns:
-            c.embed.validate()
-        _VALIDATED.add(t)
+    for c in columns:
+        c.embed.validate()
     return tuple(columns)
 
 
@@ -209,14 +210,14 @@ def shuffle_dot(t: ThetaCell) -> str:
 def _image_table(f: DAMorphism) -> list:
     """Per degree of f's target, the images of f's source generators of that
     degree as rows over the target basis of that degree."""
-    position, start = f.target.gen_index.position, f.target.gen_index.start
     table = []
-    for d, basis in enumerate(f.target.degrees):
+    for d in range(f.target.top_degree + 1):
+        degree = f.target.positions(d)
         rows = []
-        for g in f.source.basis(d):
-            row = [0] * len(basis)
-            for h, c in f.images[g].items():
-                row[position[h] - start[d]] = c
+        for x in f.source.positions(d):
+            row = [0] * len(degree)
+            for h, c in f.images[x]:
+                row[h - degree.start] = c
             rows.append(tuple(row))
         table.append(rows)
     return table

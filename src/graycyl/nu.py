@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .dac import (DAComplex, DAMorphism, GenIndex, check_basis, gadd, gclean,
+from .dac import (DAComplex, DAMorphism, GenIndex, check_basis, gadd,
                   is_nonneg, render_name, tuple_repr)
 
 
@@ -29,15 +29,14 @@ class TableError(ValueError):
 _MISS = object()   # a dict.get default that no stored value equals
 
 
-def _mask(index: GenIndex, x: dict) -> int:
+def _mask(index: GenIndex, x: tuple) -> int:
     """The bitmask of a {0,1} element; other coefficients are not tables
     this representation can hold."""
     m = 0
-    for g, c in x.items():
-        if c not in (0, 1):
-            raise TableError(f"coefficient {c} of {render_name(g)} is not 0 or 1")
-        if c:
-            m |= 1 << index.position[g]
+    for g, c in x:
+        if c != 1:
+            raise TableError(f"coefficient {c} of {render_name(index.names[g])} is not 0 or 1")
+        m |= 1 << g
     return m
 
 
@@ -50,14 +49,16 @@ def _is_identity(c: tuple) -> bool:
 
 
 def make_cell(K: DAComplex, entries) -> tuple:
-    """Validate and build a table from [(neg, pos), ...] dicts."""
+    """Validate and build a table from [(neg, pos), ...] elements stated
+    as {generator name: int}."""
+    entries = [(K.gen_index.row(neg), K.gen_index.row(pos)) for neg, pos in entries]
     i = len(entries) - 1
     for k, (neg, pos) in enumerate(entries):
         for x in (neg, pos):
             if not is_nonneg(x):
                 raise TableError(f"entry at level {k} not positive")
         if k > 0:
-            want = gadd(entries[k - 1][1], {g: -c for g, c in entries[k - 1][0].items()})
+            want = gadd(entries[k - 1][1], [(g, -c) for g, c in entries[k - 1][0]])
             for x in (neg, pos):
                 if K.d(x) != want:
                     raise TableError(f"boundary condition fails at level {k}")
@@ -254,9 +255,9 @@ def search_tables(K: DAComplex, max_dim: int, coeff_bound: int):
     """Independent oracle: exhaustive enumeration of valid tables whose
     entries have coefficients <= coeff_bound."""
     def vectors(d: int):
-        basis = K.basis(d)
+        basis = K.positions(d)
         for combo in iproduct(range(coeff_bound + 1), repeat=len(basis)):
-            yield gclean(dict(zip(basis, combo)))
+            yield tuple((g, c) for g, c in zip(basis, combo) if c)
 
     index = K.gen_index
     bottoms = [x for x in vectors(0) if K.e(x) == 1]
@@ -264,7 +265,7 @@ def search_tables(K: DAComplex, max_dim: int, coeff_bound: int):
     for d in range(1, max_dim + 1):
         table: dict = {}
         for x in vectors(d):
-            table.setdefault(frozenset(K.d(x).items()), []).append(x)
+            table.setdefault(K.d(x), []).append(x)
         by_boundary[d] = table
 
     layers: list[set[tuple]] = [{_table(index, [(x, x)]) for x in bottoms}]
@@ -274,7 +275,7 @@ def search_tables(K: DAComplex, max_dim: int, coeff_bound: int):
         nxt = []
         for rows in partial:
             neg_prev, pos_prev = rows[-1]
-            want = frozenset(gadd(pos_prev, {g: -c for g, c in neg_prev.items()}).items())
+            want = gadd(pos_prev, [(g, -c) for g, c in neg_prev])
             sols = by_boundary[d].get(want, [])
             for x in sols:
                 out.add(_table(index, rows + [(x, x)]))
@@ -346,12 +347,12 @@ def nu_functor(a: DAMorphism, max_dim: int, ceiling: int = DEFAULT_CEILING,
     tgt = target_view or NuView(a.target, max_dim, ceiling)
     index = a.target.gen_index
 
-    def gen_mask(img: dict):
+    def gen_mask(img: tuple):
         # None where a coefficient is not 0 or 1: an error only once an
         # entry holds that generator
-        return _mask(index, img) if all(c in (0, 1) for c in img.values()) else None
+        return _mask(index, img) if all(c == 1 for _, c in img) else None
 
-    gen_image = [gen_mask(a.images[g]) for g in a.source.gen_index.position]  # by position
+    gen_image = [gen_mask(row) for row in a.images]  # by position
     entry_image = {0: 0}
 
     def image(m: int) -> int:

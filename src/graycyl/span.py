@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dac import (DAMorphism, lambda_cell, lambda_map, morphisms_agree,
-                  point_complex, wreath_morphism)
+                  named_morphism, point_complex, wreath_morphism)
 from .gray import (H, L, R, cylinder_complex, endpoint_inclusion, interval,
-                   lax_shuffle_diagram, o_cell)
+                   lanes, lax_shuffle_diagram, o_cell)
 from .theta import (POINT, SimplicialMap, ThetaCell, bang, cell, coface,
                     codegeneracy, mirror, simplicial_identity, theta_identity,
                     theta_morphism, vertex)
@@ -36,36 +36,43 @@ def split_map(n: int, j: int) -> SimplicialMap:
     return SimplicialMap(n, 1, tuple(0 if i < j else 1 for i in range(n + 1)))
 
 
-def mirror_name(t: ThetaCell, g):
-    """The generator of lambda(mirror t) matching g under the reversal."""
-    if g[0] == "o":
-        return ("o", t.width - g[1])
-    _, i, sub = g
-    return ("s", t.width + 1 - i, mirror_name(t.children[i - 1], sub))
+def mirror_positions(t: ThetaCell) -> tuple:
+    """By position in lambda(t), the position of the generator of
+    lambda(mirror t) that matches it under the reversal: o_p goes to
+    o_{n-p}, and i|x to (n+1-i)|x' for the mirror x' of x."""
+    K, M = lambda_cell(t), lambda_cell(mirror(t))
+    n = t.width
+    out = [None] * len(K.diff)
+    for p, x in enumerate(K.parts[0]):
+        out[x] = M.parts[0][n - p]
+    for i, c in enumerate(t.children, start=1):
+        inner, slot = mirror_positions(c), M.parts[n + 1 - i]
+        for x, y in enumerate(K.parts[i]):
+            out[y] = slot[inner[x]]
+    return tuple(out)
 
 
 def projection_to_interval(t: ThetaCell) -> DAMorphism:
-    """cyl(T) -> interval: kill everything with a positive cell factor."""
-    cyl = cylinder_complex(t)
-    K = lambda_cell(t)
-    images = {}
-    for row in cyl.degrees:
-        for g in row:
-            _, a, x = g
-            images[g] = {a: 1} if K.degree_of(x) == 0 else {}
-    return DAMorphism(cyl, interval(), images)
+    """cyl(T) -> interval: kill everything with a positive cell factor.
+    The parts of the cylinder are its lanes over the interval's positions."""
+    cyl, iv = cylinder_complex(t), interval()
+    objects = lambda_cell(t).gen_index.start[1]
+    images = [None] * len(cyl.diff)
+    for a, lane in enumerate(cyl.parts):
+        for x, y in enumerate(lane):
+            images[y] = iv.units[a] if x < objects else ()
+    return DAMorphism(cyl, iv, tuple(images))
 
 
 def projection_to_cell(t: ThetaCell) -> DAMorphism:
     """cyl(T) -> lambda(T): kill everything with a positive interval factor."""
-    cyl = cylinder_complex(t)
-    iv = interval()
-    images = {}
-    for row in cyl.degrees:
-        for g in row:
-            _, a, x = g
-            images[g] = {x: 1} if iv.degree_of(a) == 0 else {}
-    return DAMorphism(cyl, lambda_cell(t), images)
+    cyl, K = cylinder_complex(t), lambda_cell(t)
+    ends = interval().gen_index.start[1]
+    images = [None] * len(cyl.diff)
+    for a, lane in enumerate(cyl.parts):
+        for x, y in enumerate(lane):
+            images[y] = K.units[x] if a < ends else ()
+    return DAMorphism(cyl, K, tuple(images))
 
 
 def shift_target_cell(t: ThetaCell) -> ThetaCell:
@@ -77,18 +84,15 @@ def shift_map(t: ThetaCell) -> DAMorphism:
     h⊗x goes to the suspended mirror of x."""
     cyl = cylinder_complex(t)
     tgt = lambda_cell(shift_target_cell(t))
-    K = lambda_cell(t)
-    images = {}
-    for row in cyl.degrees:
-        for g in row:
-            _, a, x = g
-            if a == H:
-                images[g] = {("s", 1, mirror_name(t, x)): 1}
-            elif K.degree_of(x) > 0:
-                images[g] = {}
-            else:
-                images[g] = {("o", 0 if a == L else 1): 1}
-    return DAMorphism(cyl, tgt, images)
+    objects = lambda_cell(t).gen_index.start[1]
+    left, right, cross = lanes(cyl)
+    images = [None] * len(cyl.diff)
+    for end, lane in zip(tgt.parts[0], (left, right)):
+        for x, y in enumerate(lane):
+            images[y] = tgt.units[end] if x < objects else ()
+    for x, y in zip(mirror_positions(t), cross):
+        images[y] = tgt.units[tgt.parts[1][x]]
+    return DAMorphism(cyl, tgt, tuple(images))
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +101,7 @@ def shift_map(t: ThetaCell) -> DAMorphism:
 
 def _interval_as_cell_iso() -> DAMorphism:
     """lambda([1];([0])) -> the interval complex, the evident renaming."""
-    K = lambda_cell(cell(1))
-    return DAMorphism(K, interval(), {
+    return named_morphism(lambda_cell(cell(1)), interval(), {
         ("o", 0): {L: 1}, ("o", 1): {R: 1}, ("s", 1, ("o", 0)): {H: 1},
     }).validate()
 
@@ -123,9 +126,9 @@ def kappa_column_expectations(t: ThetaCell):
         else:
             k = c.index
             child_cyl = cylinder_complex(t.children[k - 1])
-            collapse = DAMorphism(child_cyl, point_complex(), {
-                g: {("o", 0): 1} if child_cyl.degree_of(g) == 0 else {}
-                for row in child_cyl.degrees for g in row})
+            objects, pt = child_cyl.gen_index.start[1], point_complex()
+            collapse = DAMorphism(child_cyl, pt, tuple(
+                pt.units[0] if x < objects else () for x in range(len(child_cyl.diff))))
             p1_exp = wreath_morphism(c.embed.source, lambda_cell(cell(1)),
                                      split_map(n, k), {(k, 1): collapse}).then(iso)
             comps = {(i, i): lambda_map(theta_identity(cc)) if i != k

@@ -8,7 +8,6 @@ def _forget_memos():
     dac._LAMBDA_MAPS.clear()
     gray.cylinder_complex.cache_clear()
     gray.lax_shuffle_diagram.cache_clear()
-    gray._VALIDATED.clear()
 
 
 @pytest.fixture

@@ -265,6 +265,10 @@ class TestDeterminism:
          "4407f2959cb06fedec9b7a194a5e1ba01c547fbbd9d63e762c71fddb71c84713"),
         (["gray", "G12", "--format", "text"],      # dimension keys "10" < "2"
          "1979b075c69c4cae9a1af195af96f8ea6dea7cd698109b8ae9691c7adf0ffa31"),
+        (["lambda", "[2]([1],[1]([1]))"],          # DAComplex.to_json of a lambda complex
+         "6cf2dbc93fe48b067f9957b409a2684a701bd74dd55737364fa6a76d36b527c4"),
+        (["tensor", "G3"],                          # a cylinder three levels deep
+         "88c46d45a62a77c81921153ecb47b616dff3d3a586fe154b0a71f5829cba9552"),
     ])
     def test_pinned_output_bytes(self, capsys, args, digest):
         # cell order and rendering of the table dumps are part of the output

@@ -46,8 +46,6 @@ ORACLES = {
     "nu.nu_compose": "checked composition for hand-built cells",
     "nu.nu_functor": "nu of a morphism of complexes, the oracle of the span's complex-level legs",
     "nu.check_functors": "all-pairs functor check, run on nu_functor by the span's oracle test",
-    "dac.find_isomorphism": "compares the globular-sum amalgamation with lambda_cell",
-    "dac.amalgamation_over_globular_sum": "the complex of a cell built from its globular sum",
     "theta.reconstruct": "inverse of globular_sum, round-trips the decomposition",
     "theta.parse_morphism": "morphism literals of the tests",
     "theta.cells_up_to": "the corpora of the tests and the benchmark",

@@ -14,6 +14,8 @@ from graycyl.nu import NuView, check_functors, nu_functor
 from graycyl.theta import (cell, cells_up_to, cells_with_nodes, globe, hyperfaces,
                            parse_cell, parse_morphism, theta_identity, vertex)
 
+from oracles import element, image, with_image
+
 
 class TestGrayCylinder:
     def test_point_is_interval(self):
@@ -123,13 +125,13 @@ class TestShuffleDiagram:
     def test_corrected_degree_one_generators(self):
         # the cylinder column embeds its end copies with a crossing summand
         m1 = lax_shuffle_diagram(parse_cell("[1]([1])"))[1]
-        left_end = m1.embed.images[("s", 1, ("t", "b0", ("o", 0)))]
-        right_end = m1.embed.images[("s", 1, ("t", "t0", ("o", 0)))]
+        left_end = image(m1.embed, ("s", 1, ("t", "b0", ("o", 0))))
+        right_end = image(m1.embed, ("s", 1, ("t", "t0", ("o", 0))))
         assert left_end == {("t", "b0", ("s", 1, ("o", 0))): 1,
                             ("t", "v1", ("o", 1)): 1}
         assert right_end == {("t", "t0", ("s", 1, ("o", 0))): 1,
                              ("t", "v1", ("o", 0)): 1}
-        crossing = m1.embed.images[("s", 1, ("t", "v1", ("o", 0)))]
+        crossing = image(m1.embed, ("s", 1, ("t", "v1", ("o", 0))))
         assert crossing == {("t", "v1", ("s", 1, ("o", 0))): 1}
 
     def test_span_legs_commute(self):
@@ -138,8 +140,8 @@ class TestShuffleDiagram:
         for _, _, col_o, col_m, leg_o, leg_m in gray._spans(t, lax_shuffle_diagram(t)):
             via_o = leg_o.then(col_o.embed)
             via_m = leg_m.then(col_m.embed)
-            assert all(via_o.images[g] == via_m.images[g]
-                       for row in K.degrees for g in row)
+            assert via_o.source is via_m.source is K
+            assert all(image(via_o, g) == image(via_m, g) for g in K.gen_index.names)
 
     def test_dot_deterministic(self):
         assert shuffle_dot(cell(2)) == shuffle_dot(cell(2))
@@ -275,11 +277,6 @@ class TestHyperfaceCylinder:
                 assert lhs.images == rhs.images
 
 
-def _with_image(m: DAMorphism, g, image) -> DAMorphism:
-    """A copy of m that sends g to image."""
-    return DAMorphism(m.source, m.target, {**m.images, g: image})
-
-
 class TestMemoisedDiagram:
     def test_diagram_is_shared(self):
         t = parse_cell("[2]([1],[0])")
@@ -362,20 +359,19 @@ class TestOneCylinderBuilder:
         steiner = cylinder_map(f)
         # the crossing 1-cells h⊗o_p go to h⊗o_f(p)
         for p in (0, 1):
-            img = steiner.apply({("t", "v1", ("o", p)): 1})
-            assert img == {("t", "v1", ("o", f.base(p))): 1}
+            img = steiner.apply(steiner.source.gen_index.row({("t", "v1", ("o", p)): 1}))
+            assert element(steiner.target, img) == {("t", "v1", ("o", f.base(p))): 1}
         # the lane edges b0⊗(1|o_a) go to the path through the component images
         for a in range(f.source.children[0].width + 1):
-            img = steiner.apply({("t", "b0", ("s", 1, ("o", a))): 1})
+            img = steiner.apply(steiner.source.gen_index.row({("t", "b0", ("s", 1, ("o", a))): 1}))
             want = {("t", "b0", ("s", j, ("o", comp.base(a)))): 1
                     for (i, j), comp in f.components}
-            assert img == want
+            assert element(steiner.target, img) == want
 
 
 class TestColumnsValidatedOnce:
-    """A cell's column embeddings pass validate() on the first build of its
-    diagram in the process, and a rebuild of the same cell is not checked
-    again."""
+    """A cell's column embeddings pass validate() when its diagram is built,
+    and the diagram is built once per cell in the process."""
 
     def test_wrong_column_fails_on_first_build(self, monkeypatch, capsys, forget_memos):
         t = parse_cell("[2]([1],[0])")
@@ -384,7 +380,7 @@ class TestColumnsValidatedOnce:
         def perturbed(u, j, cyl):
             embed = real(u, j, cyl)
             # object 0 of O_0 goes nowhere: the augmentation breaks
-            return _with_image(embed, ("o", 0), {}) if j == 0 else embed
+            return with_image(embed, ("o", 0), {}) if j == 0 else embed
 
         monkeypatch.setattr(gray, "_o_embedding", perturbed)
         for run in (lambda: lax_shuffle_diagram(t),
@@ -410,18 +406,13 @@ class TestColumnsValidatedOnce:
         monkeypatch.setattr(DAMorphism, "validate", counted)
         forget_memos()
         for _ in range(2):
-            # every diagram is built again, and the record of checked cells stays
-            lax_shuffle_diagram.cache_clear()
             assert main(["verify", "hyperface", str(t)]) == 0
         capsys.readouterr()
-        # a rebuilt column is a new morphism from a new complex, so columns
-        # are told apart by cell and column name, not by equality
         cells = {t} | {f.map.source for f in hyperfaces(t)}
-        columns = {(u, c.name): c.embed for u in cells for c in lax_shuffle_diagram(u)}
-        keys = [key for m in validated for key, c in columns.items()
-                if m.target is c.target and m.images == c.images]
-        assert len(keys) == len(validated) == len(columns)
-        assert set(keys) == set(columns)
+        assert lax_shuffle_diagram.cache_info().misses == len(cells)
+        columns = [c.embed for u in cells for c in lax_shuffle_diagram(u)]
+        assert len(validated) == len(columns)
+        assert {id(m) for m in validated} == {id(m) for m in columns}
 
 
 class TestPerturbedInputsFail:
@@ -436,7 +427,7 @@ class TestPerturbedInputsFail:
             diag = real(u)
             col = diag[1]                       # M_1
             # send object 0 where object 1 goes: no longer injective
-            embed = _with_image(col.embed, ("o", 0), col.embed.images[("o", 1)])
+            embed = with_image(col.embed, ("o", 0), image(col.embed, ("o", 1)))
             return tuple(dataclasses.replace(c, embed=embed) if c is col else c
                          for c in diag)
 
@@ -453,7 +444,7 @@ class TestPerturbedInputsFail:
         def perturbed(u, m, eps):
             leg = real(u, m, eps)
             if (m.index, eps) == (1, 1):        # the leg of the first span
-                leg = _with_image(leg, ("o", 0), leg.images[("o", 1)])
+                leg = with_image(leg, ("o", 0), image(leg, ("o", 1)))
             return leg
 
         monkeypatch.setattr(gray, "m_end_leg", perturbed)
@@ -471,7 +462,7 @@ class TestPerturbedInputsFail:
             diag = real(u)
             col = diag[1]                       # M_1
             # only M_1 reaches the crossing generator h⊗(1|o0) of the cylinder
-            embed = _with_image(col.embed, crossing, {})
+            embed = with_image(col.embed, crossing, {})
             return tuple(dataclasses.replace(c, embed=embed) if c is col else c
                          for c in diag)
 
@@ -492,7 +483,7 @@ class TestPerturbedInputsFail:
             # both legs drop the same edge: the square still commutes, but
             # the span no longer maps onto the intersection of its columns
             return [(k, position, col_o, col_m,
-                     _with_image(leg_o, edge, {}), _with_image(leg_m, edge, {}))] + rest
+                     with_image(leg_o, edge, {}), with_image(leg_m, edge, {}))] + rest
 
         monkeypatch.setattr(gray, "_spans", perturbed)
         rep = verify_gluing(t)
@@ -526,7 +517,7 @@ class TestPerturbedInputsFail:
 
         def perturbed(*args):
             (col_s, col_t, m), *rest = real(*args)
-            return [(col_s, col_t, _with_image(m, ("o", 0), {}))] + rest
+            return [(col_s, col_t, with_image(m, ("o", 0), {}))] + rest
 
         monkeypatch.setattr(gray, "_column_maps", perturbed)
         rep = hyperface_cylinder(face)

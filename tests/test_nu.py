@@ -5,9 +5,8 @@ import pytest
 
 from graycyl import dac, nu
 from graycyl.cli import _dump_pieces
-from graycyl.dac import (DAComplex, DAMorphism, identity_morphism,
-                         lambda_cell, lambda_globe, lambda_map, render_name,
-                         tensor)
+from graycyl.dac import (DAComplex, lambda_cell, lambda_globe, lambda_map,
+                         named_complex, named_morphism, render_name, tensor)
 from graycyl.gray import cylinder_complex
 from graycyl.nu import (EnumerationError, NuView, OmegaFunctor, TableError,
                         check_functors, close_all_pairs, enumerate_cells,
@@ -15,6 +14,8 @@ from graycyl.nu import (EnumerationError, NuView, OmegaFunctor, TableError,
                         nu_functor, nu_identity, search_tables)
 from graycyl.theta import (cell, cells_up_to, coface, globe, hyperfaces,
                            parse_cell, theta_identity, theta_morphism)
+
+from oracles import augmentations, boundaries, identity_morphism
 
 
 def atom_cell(K, g) -> tuple:
@@ -208,8 +209,7 @@ class TestEnumeration:
             enumerate_cells(K, 2, ceiling=most - 1)
 
     def test_requires_strong_steiner(self):
-        from graycyl.dac import DAComplex
-        K = DAComplex(
+        K = named_complex(
             degrees=((("o", 0), ("o", 1)), (("x", 0),)),
             diff={("x", 0): {}},
             aug={("o", 0): 1, ("o", 1): 1},
@@ -340,7 +340,7 @@ class TestTableGuards:
 
     def test_coefficient_two_rejected(self):
         # a 1-generator with zero boundary lets 2x pass every other check
-        K = DAComplex(degrees=((("o", 0),), (("x", 0),)),
+        K = named_complex(degrees=((("o", 0),), (("x", 0),)),
                       diff={("x", 0): {}}, aug={("o", 0): 1})
         o, x = {("o", 0): 1}, {("x", 0): 1}
         assert len(make_cell(K, [(o, o), (x, x)])) - 1 == 1
@@ -363,7 +363,7 @@ class TestTableGuards:
         images = {("o", p): {("o", p): 1} for p in range(3)}
         images.update({s1: {s1: 1}, s2: {s1: 1}})
         view = NuView(K, 1)
-        F = nu_functor(DAMorphism(K, K, images), 1, source_view=view, target_view=view)
+        F = nu_functor(named_morphism(K, K, images), 1, source_view=view, target_view=view)
         long_edge = nu_compose(0, atom_cell(K, s1), atom_cell(K, s2))
         with pytest.raises(TableError, match="coefficient"):
             F(long_edge)
@@ -442,8 +442,8 @@ def legacy_complex_to_json(K: DAComplex) -> dict:
     return {
         "degrees": [[render_name(g) for g in b] for b in K.degrees],
         "d": {render_name(g): {render_name(h): c for h, c in sorted(v.items(), key=by_name)}
-              for g, v in sorted(K.diff.items(), key=by_name) if v},
-        "e": {render_name(g): c for g, c in sorted(K.aug.items(), key=by_name)},
+              for g, v in sorted(boundaries(K).items(), key=by_name)},
+        "e": {render_name(g): c for g, c in sorted(augmentations(K).items(), key=by_name)},
     }
 
 
@@ -474,7 +474,7 @@ class TestRenderingTable:
         # "z" comes first in repr order, "2|o0" first in rendered order
         o = [("o", p) for p in range(3)]
         z, s = "z", ("s", 2, o[0])
-        K = DAComplex(degrees=(tuple(o), (z, s)),
+        K = named_complex(degrees=(tuple(o), (z, s)),
                       diff={z: {o[1]: 1, o[0]: -1}, s: {o[2]: 1, o[1]: -1}},
                       aug=dict.fromkeys(o, 1))
         view = NuView(K, 1)

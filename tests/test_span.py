@@ -1,26 +1,29 @@
 import pytest
 
-from graycyl.dac import DAMorphism, MorphismError, lambda_cell
+from graycyl.dac import DAMorphism, MorphismError, lambda_cell, named_morphism
 from graycyl.gray import H, L, R, cylinder_complex, gray_cylinder
 from graycyl.nu import TableError, check_functors, nu_functor
-from graycyl.span import (_span_report, mirror_name, projection_to_cell,
+from graycyl.span import (_span_report, mirror_positions, projection_to_cell,
                           projection_to_interval, shift_map, shift_target_cell,
                           span_dot, split_map, verify_span)
-from graycyl.theta import cell, cells_up_to, cells_with_nodes, coface, parse_cell
+from graycyl.theta import (cell, cells_up_to, cells_with_nodes, coface, mirror,
+                           parse_cell)
+
+from oracles import degree_of, image, images, with_image
 
 
 def swapped_ends(q: DAMorphism) -> DAMorphism:
     """q with the two objects of its target exchanged: not a chain map."""
     ends = {("o", 0): ("o", 1), ("o", 1): ("o", 0)}
-    return DAMorphism(q.source, q.target,
-                      {g: {ends.get(h, h): c for h, c in img.items()}
-                       for g, img in q.images.items()})
+    return named_morphism(q.source, q.target,
+                          {g: {ends.get(h, h): c for h, c in img.items()}
+                           for g, img in images(q).items()})
 
 
 def doubled(m: DAMorphism) -> DAMorphism:
     """m with every coefficient doubled: it breaks the augmentation."""
-    return DAMorphism(m.source, m.target,
-                      {g: {h: 2 * c for h, c in img.items()} for g, img in m.images.items()})
+    return named_morphism(m.source, m.target,
+                          {g: {h: 2 * c for h, c in img.items()} for g, img in images(m).items()})
 
 
 def legs(t):
@@ -60,13 +63,18 @@ class TestShiftMap:
     def test_point_is_identity_shaped(self):
         t = parse_cell("[0]")
         q = shift_map(t)
-        assert q.images[("t", H, ("o", 0))] == {("s", 1, ("o", 0)): 1}
+        assert image(q, ("t", H, ("o", 0))) == {("s", 1, ("o", 0)): 1}
 
     def test_mirror_names(self):
         t = parse_cell("[2]([1],[0])")
-        assert mirror_name(t, ("o", 0)) == ("o", 2)
-        assert mirror_name(t, ("s", 1, ("o", 0))) == ("s", 2, ("o", 1))
-        assert mirror_name(t, ("s", 2, ("o", 0))) == ("s", 1, ("o", 0))
+        names = lambda_cell(t).gen_index.names
+        mirrored = lambda_cell(mirror(t)).gen_index.names
+        mirror_name = {g: mirrored[x] for g, x in zip(names, mirror_positions(t))}
+        assert mirror_name == {
+            ("o", 0): ("o", 2), ("o", 1): ("o", 1), ("o", 2): ("o", 0),
+            ("s", 1, ("o", 0)): ("s", 2, ("o", 1)), ("s", 1, ("o", 1)): ("s", 2, ("o", 0)),
+            ("s", 2, ("o", 0)): ("s", 1, ("o", 0)),
+            ("s", 1, ("s", 1, ("o", 0))): ("s", 2, ("s", 1, ("o", 0)))}
         assert shift_target_cell(t) == cell(1, parse_cell("[2]([0],[1])"))
 
     def test_is_chain_map_on_corpus(self):
@@ -79,17 +87,17 @@ class TestShiftMap:
         cyl = cylinder_complex(t)
         tgt = lambda_cell(cell(1, t))
         K = lambda_cell(t)
-        images = {}
+        named = {}
         for row in cyl.degrees:
             for g in row:
                 _, a, x = g
                 if a == H:
-                    images[g] = {("s", 1, x): 1}
-                elif K.degree_of(x) > 0:
-                    images[g] = {}
+                    named[g] = {("s", 1, x): 1}
+                elif degree_of(K, x) > 0:
+                    named[g] = {}
                 else:
-                    images[g] = {("o", 0 if a == L else 1): 1}
-        bad = DAMorphism(cyl, tgt, images)
+                    named[g] = {("o", 0 if a == L else 1): 1}
+        bad = named_morphism(cyl, tgt, named)
         with pytest.raises(MorphismError):
             bad.validate()
 
@@ -192,9 +200,9 @@ class TestVerifySpan:
         t = parse_cell("[2]([1],[0])")
         p1, p2, q = legs(t)
         ends = {L: R, R: L}
-        p1 = DAMorphism(p1.source, p1.target,
-                        {g: {ends.get(h, h): c for h, c in img.items()}
-                         for g, img in p1.images.items()})
+        p1 = named_morphism(p1.source, p1.target,
+                            {g: {ends.get(h, h): c for h, c in img.items()}
+                             for g, img in images(p1).items()})
         rep = _span_report(t, p1, p2, q)
         assert rep.kappa_functor and not rep.sigma_functor
         assert rep.kappa_columns and not any(ok for _, ok in rep.kappa_columns)
@@ -207,19 +215,15 @@ class TestVerifySpan:
         assert "color=green" in dot and "color=red" not in dot
 
 
-def _replaced(m: DAMorphism, g, img: dict) -> DAMorphism:
-    return DAMorphism(m.source, m.target, {**m.images, g: img})
-
-
 def _negative(m: DAMorphism) -> DAMorphism:
     """m with the image of its first 1-generator that has one negated."""
-    h = next(g for g in m.source.basis(1) if m.images[g])
-    return _replaced(m, h, {x: -c for x, c in m.images[h].items()})
+    h = next(g for g in m.source.basis(1) if image(m, g))
+    return with_image(m, h, {x: -c for x, c in image(m, h).items()})
 
 
 def _wrong_degree(m: DAMorphism) -> DAMorphism:
     """m with its first 1-generator sent to a 0-generator."""
-    return _replaced(m, m.source.basis(1)[0], {m.target.basis(0)[0]: 1})
+    return with_image(m, m.source.basis(1)[0], {m.target.basis(0)[0]: 1})
 
 
 class TestLegViolations:
