@@ -29,12 +29,11 @@ positions into the whole by that table, not by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+from operator import itemgetter
 from weakref import WeakKeyDictionary
 
-from .theta import SimplicialMap, ThetaCell, ThetaMorphism, gamma_image
+from .theta import Frozen, SimplicialMap, ThetaCell, ThetaMorphism, gamma_image
 
 
 # ---------------------------------------------------------------------------
@@ -61,14 +60,6 @@ def _combine(rows, x: tuple):
             return None
         for h, w in row:
             out[h] = out.get(h, 0) + c * w
-    return _sparse(out)
-
-
-def gadd(*xs) -> tuple:
-    out: dict = {}
-    for x in xs:
-        for g, c in x:
-            out[g] = out.get(g, 0) + c
     return _sparse(out)
 
 
@@ -124,14 +115,18 @@ def tuple_repr(items: list) -> str:
     return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
 
 
-class EntryText(NamedTuple):
-    """An entry mask as printed.  `key` is the repr of the tuple of its
-    (name, 1) pairs with the names in repr order, `names` the rendered names
-    in that order, `text` the rendered names joined by "+" in rendered
-    order, or "0" for the empty entry."""
-    key: str
-    names: tuple
-    text: str
+class EntryText(tuple):
+    """An entry mask as printed, the tuple (key, names, text).  `key` is the
+    repr of the tuple of its (name, 1) pairs with the names in repr order,
+    `names` the rendered names in that order, `text` the rendered names
+    joined by "+" in rendered order, or "0" for the empty entry.  The
+    fields are read by C getters, as a NamedTuple's are: sort_key reads a
+    key per entry of every cell it sorts."""
+
+    __slots__ = ()
+    key = property(itemgetter(0))
+    names = property(itemgetter(1))
+    text = property(itemgetter(2))
 
 
 class Rendering:
@@ -150,10 +145,11 @@ class Rendering:
         if out is None:
             bits = _bit_positions(mask)
             by_repr = sorted(bits, key=self.repr_rank.__getitem__)
-            out = self._entries[mask] = EntryText(
+            by_text = sorted(bits, key=self.text_rank.__getitem__)
+            out = self._entries[mask] = EntryText((
                 tuple_repr([self.pair[i] for i in by_repr]),
                 tuple(self.text[i] for i in by_repr),
-                "+".join(self.text[i] for i in sorted(bits, key=self.text_rank.__getitem__)) or "0")
+                "+".join(self.text[i] for i in by_text) or "0"))
         return out
 
 
@@ -202,8 +198,7 @@ class GenIndex:
 _UNITS: list = []
 
 
-@dataclass(frozen=True, eq=False)
-class DAComplex:
+class DAComplex(Frozen):
     """A complex on generator positions.  diff[x] is the row of the
     boundary of generator x (empty in degree 0) and aug[x] its augmentation
     (0 above degree 0).  A complex built from pieces lists in parts, per
@@ -216,10 +211,15 @@ class DAComplex:
     within one complex.  lambda_cell, lambda_globe and gray.cylinder_complex
     keep one complex per cell or dimension, and maps compose only through
     the very same complex (DAMorphism.then)."""
-    gen_index: GenIndex
-    diff: tuple
-    aug: tuple
-    parts: tuple = ()
+
+    # __dict__ holds the cached property atoms
+    __slots__ = ("gen_index", "diff", "aug", "parts", "__dict__")
+
+    def __init__(self, gen_index: GenIndex, diff: tuple, aug: tuple, parts: tuple = ()):
+        object.__setattr__(self, "gen_index", gen_index)
+        object.__setattr__(self, "diff", diff)
+        object.__setattr__(self, "aug", aug)
+        object.__setattr__(self, "parts", parts)
 
     @property
     def degrees(self) -> tuple:
@@ -417,14 +417,17 @@ class MorphismError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DAMorphism:
+class DAMorphism(Frozen):
     """images[x] is the row of the image of source generator x over the
     target's positions, or None where a statement by names gave it no
     image (named_morphism)."""
-    source: DAComplex
-    target: DAComplex
-    images: tuple
+
+    __slots__ = ("source", "target", "images")
+
+    def __init__(self, source: DAComplex, target: DAComplex, images: tuple):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "images", images)
 
     def apply(self, x: tuple):
         """The image of the element x, or None where a generator of x has

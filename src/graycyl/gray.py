@@ -8,7 +8,6 @@ verified degree-wise with exact integer linear algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import intlin
@@ -16,10 +15,10 @@ from .dac import (DAComplex, DAMorphism, lambda_cell, lambda_globe,
                   lambda_map, morphisms_agree, tensor, wreath_complex,
                   wreath_morphism)
 from .nu import DEFAULT_CEILING, NuView
-from .theta import (POINT, Hyperface, SimplicialMap, ThetaCell, ThetaMorphism,
-                    gamma_image, globular_sum, inner_face, leaf_inclusion,
-                    meet_inclusion, simplicial_identity, theta_identity,
-                    theta_morphism)
+from .theta import (POINT, Frozen, Hyperface, SimplicialMap, ThetaCell,
+                    ThetaMorphism, gamma_image, globular_sum, inner_face,
+                    leaf_inclusion, meet_inclusion, simplicial_identity,
+                    theta_identity, theta_morphism)
 
 L, R, H = "b0", "t0", "v1"          # interval complex generators
 
@@ -79,11 +78,16 @@ def o_cell(t: ThetaCell, j: int) -> ThetaCell:
     return ThetaCell(t.children[:j] + (POINT,) + t.children[j:])
 
 
-@dataclass(frozen=True)
-class ShuffleColumn:
-    kind: str                 # "O" or "M"
-    index: int
-    embed: DAMorphism         # from the column's complex into the cylinder complex
+class ShuffleColumn(Frozen):
+    """The column O_index or M_index (kind "O" or "M"); embed maps the
+    column's complex into the cylinder complex."""
+
+    __slots__ = ("kind", "index", "embed")
+
+    def __init__(self, kind: str, index: int, embed: DAMorphism):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "embed", embed)
 
     @property
     def name(self) -> str:
@@ -243,12 +247,14 @@ def _meet_in(a, b, m, widths) -> bool:
                for ra, rb, rm, w in zip(a, b, m, widths))
 
 
-@dataclass
 class GluingReport:
-    cell: ThetaCell
-    monos: dict = field(default_factory=dict)
-    coverage: dict = field(default_factory=dict)
-    spans: list = field(default_factory=list)
+    __slots__ = ("cell", "monos", "coverage", "spans")
+
+    def __init__(self, cell: ThetaCell, monos: dict, coverage: dict, spans: list):
+        self.cell = cell
+        self.monos = monos
+        self.coverage = coverage
+        self.spans = spans
 
     @property
     def overall(self) -> bool:
@@ -268,11 +274,10 @@ class GluingReport:
 def verify_gluing(t: ThetaCell) -> GluingReport:
     """Monomorphism, coverage and pullback checks for the shuffle pieces."""
     columns = lax_shuffle_diagram(t)
-    report = GluingReport(t)
     widths = cylinder_complex(t).size_profile()
     tables = {c.name: _image_table(c.embed) for c in columns}
-    report.monos = {name: _injective(table, widths) for name, table in tables.items()}
-    report.coverage = dict(enumerate(_covers(_joined(tables.values()), widths)))
+    report = GluingReport(t, {name: _injective(table, widths) for name, table in tables.items()},
+                          dict(enumerate(_covers(_joined(tables.values()), widths))), [])
     for level, position, col_o, col_m, leg_o, leg_m in _spans(t, columns):
         via_o = leg_o.then(col_o.embed)
         span = _image_table(via_o)
@@ -306,10 +311,12 @@ def verify_globular_preservation(t: ThetaCell) -> bool:
 # hyperface cylinders
 # ---------------------------------------------------------------------------
 
-@dataclass
 class HyperfaceCylinderReport:
-    column_results: list
-    agree: bool
+    __slots__ = ("column_results", "agree")
+
+    def __init__(self, column_results: list, agree: bool):
+        self.column_results = column_results
+        self.agree = agree
 
 
 def _factors_through(src_col: ShuffleColumn, tgt_cols, steiner: DAMorphism) -> bool:

@@ -9,39 +9,58 @@ cylinder over S, which is what the counting oracle cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .theta import ThetaCell
+from .theta import Frozen, ThetaCell
 
 
-class PRExpr:
-    pass
+class PRExpr(Frozen):
+    """An expression compares and hashes by its class and the tuple of its
+    fields, its __slots__; _count memoises on expressions."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
-@dataclass(frozen=True)
 class Empty(PRExpr):
+    __slots__ = ()
+
     def __str__(self):
         return "0"
 
 
-@dataclass(frozen=True)
 class Point(PRExpr):
+    __slots__ = ()
+
     def __str__(self):
         return "x"
 
 
-@dataclass(frozen=True)
 class Cell(PRExpr):
-    cell: ThetaCell
+    __slots__ = ("cell",)
+
+    def __init__(self, cell: ThetaCell):
+        object.__setattr__(self, "cell", cell)
 
     def __str__(self):
         return str(self.cell)
 
 
-@dataclass(frozen=True)
 class Product(PRExpr):
-    factors: tuple
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple):
+        object.__setattr__(self, "factors", factors)
 
     def __str__(self):
         if not self.factors:
@@ -49,9 +68,11 @@ class Product(PRExpr):
         return "*".join(str(f) for f in self.factors)
 
 
-@dataclass(frozen=True)
 class PR(PRExpr):
-    cells: tuple
+    __slots__ = ("cells",)
+
+    def __init__(self, cells: tuple):
+        object.__setattr__(self, "cells", cells)
 
     def __str__(self):
         return "PR(" + ",".join(str(c) for c in self.cells) + ")"

@@ -18,7 +18,7 @@ is an omega-functor between the table categories, and no table is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cache
 
 from .dac import (DAMorphism, lambda_cell, lambda_map, morphisms_agree,
                   named_morphism, point_complex, wreath_morphism)
@@ -171,15 +171,19 @@ def sigma_column_expectations(t: ThetaCell):
 # verification
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SpanReport:
-    cell: ThetaCell
-    kappa_functor: list = field(default_factory=list)   # (kind, g) of p1, then p2
-    sigma_functor: list = field(default_factory=list)   # (kind, g) of q
-    kappa_columns: list = field(default_factory=list)
-    sigma_columns: list = field(default_factory=list)
-    diamonds: dict = field(default_factory=dict)
-    split_identities: bool = True
+    __slots__ = ("cell", "kappa_functor", "sigma_functor", "kappa_columns",
+                 "sigma_columns", "diamonds", "split_identities")
+
+    def __init__(self, cell: ThetaCell, kappa_functor: list, sigma_functor: list,
+                 split_identities: bool):
+        self.cell = cell
+        self.kappa_functor = kappa_functor      # (kind, g) of p1, then p2
+        self.sigma_functor = sigma_functor      # (kind, g) of q
+        self.kappa_columns: list = []
+        self.sigma_columns: list = []
+        self.diamonds: dict = {}
+        self.split_identities = split_identities
 
     @property
     def passed(self) -> bool:
@@ -210,7 +214,8 @@ def _span_report(t: ThetaCell, p1: DAMorphism, p2: DAMorphism,
     """The report on the span with legs p1, p2 (kappa) and q (sigma).  A
     leg that is not a morphism of augmented directed complexes is recorded
     by its violations, not raised."""
-    report = SpanReport(t, p1.violations() + p2.violations(), q.violations())
+    report = SpanReport(t, p1.violations() + p2.violations(), q.violations(),
+                        _split_identities())
 
     for col, p1_exp, p2_exp in kappa_column_expectations(t):
         ok = (morphisms_agree(col.embed.then(p1), p1_exp)
@@ -230,8 +235,13 @@ def _span_report(t: ThetaCell, p1: DAMorphism, p2: DAMorphism,
             morphisms_agree(e.then(p1), p1_exp)
             and morphisms_agree(e.then(p2), lambda_map(theta_identity(t))))
         report.diamonds[f"sigma_e{eps}"] = morphisms_agree(e.then(q), q_exp)
+    return report
 
-    # split-map identities from the square sorts
+
+@cache
+def _split_identities() -> bool:
+    """The split-map identities from the square sorts.  They do not depend
+    on the cell, so they are checked once per process."""
     ok = True
     for n in range(5):
         for k in range(n + 2):
@@ -240,8 +250,7 @@ def _span_report(t: ThetaCell, p1: DAMorphism, p2: DAMorphism,
                 ok = False
             if coface(n + 1, k).then(split_map(n + 2, k + 1)) != lhs:
                 ok = False
-    report.split_identities = ok
-    return report
+    return ok
 
 
 def span_dot(t: ThetaCell) -> str:

@@ -7,11 +7,22 @@ indexed by the segment-image sets F(f)(i) = {j | f(i-1) < j <= f(i)}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import product
 from types import MappingProxyType
 from weakref import WeakValueDictionary
+
+
+class Frozen:
+    """Base of the shared, memoised values: assignment raises
+    AttributeError, so a value one caller holds cannot change under
+    another.  Constructors set their slots with object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only: "
+                             f"cannot assign {value!r:.40} to {name!r}")
 
 
 class CellSyntaxError(ValueError):
@@ -30,22 +41,20 @@ _CELLS: WeakValueDictionary = WeakValueDictionary()
 _MORPHISMS: WeakValueDictionary = WeakValueDictionary()
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class ThetaCell:
+class ThetaCell(Frozen):
     """A cell, interned: ThetaCell(children) is the one live cell with those
     children, so two cells are equal exactly when they are the same object."""
 
-    children: tuple["ThetaCell", ...]
-    _hash: int = field(repr=False)
+    __slots__ = ("children", "_hash", "__weakref__")
 
     def __new__(cls, children: tuple["ThetaCell", ...]):
         self = _CELLS.get(children)
         if self is None:
             self = object.__new__(cls)
             object.__setattr__(self, "children", children)
-            # the value of the dataclass hash, hash((children,)), taken once
-            # from the children's stored hashes, so hashing never recurses;
-            # set orders and the pinned CLI bytes rest on it
+            # hash((children,)), taken once from the children's stored
+            # hashes, so hashing never recurses; set orders and the pinned
+            # CLI bytes rest on this value
             object.__setattr__(self, "_hash", hash((children,)))
             _CELLS[children] = self
         return self
@@ -207,10 +216,12 @@ def parse_cell(text: str) -> ThetaCell:
 # globular sums
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GlobularSumDecomposition:
-    leaf_dims: tuple[int, ...]
-    meet_dims: tuple[int, ...]
+class GlobularSumDecomposition(Frozen):
+    __slots__ = ("leaf_dims", "meet_dims")
+
+    def __init__(self, leaf_dims: tuple[int, ...], meet_dims: tuple[int, ...]):
+        object.__setattr__(self, "leaf_dims", leaf_dims)
+        object.__setattr__(self, "meet_dims", meet_dims)
 
 
 def globular_sum(t: ThetaCell) -> GlobularSumDecomposition:
@@ -257,21 +268,31 @@ def reconstruct(d: GlobularSumDecomposition) -> ThetaCell:
 # simplicial maps and the functor F into Segal's category
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SimplicialMap:
-    """Monotone map [n] -> [m], stored as the n+1 vertex images."""
+class SimplicialMap(Frozen):
+    """Monotone map [n] -> [m], stored as the n+1 vertex images.  Maps
+    compare and hash by their three fields; gamma_image memoises on them."""
 
-    source_width: int
-    target_width: int
-    image: tuple[int, ...]
+    __slots__ = ("source_width", "target_width", "image")
 
-    def __post_init__(self):
-        if len(self.image) != self.source_width + 1:
+    def __init__(self, source_width: int, target_width: int, image: tuple[int, ...]):
+        if len(image) != source_width + 1:
             raise ValueError("image length must be source width + 1")
-        if any(v < 0 or v > self.target_width for v in self.image):
+        if any(v < 0 or v > target_width for v in image):
             raise ValueError("vertex image out of range")
-        if any(a > b for a, b in zip(self.image, self.image[1:])):
+        if any(a > b for a, b in zip(image, image[1:])):
             raise ValueError("map is not monotone")
+        object.__setattr__(self, "source_width", source_width)
+        object.__setattr__(self, "target_width", target_width)
+        object.__setattr__(self, "image", image)
+
+    def __eq__(self, other):
+        if type(other) is not SimplicialMap:
+            return NotImplemented
+        return ((self.source_width, self.target_width, self.image)
+                == (other.source_width, other.target_width, other.image))
+
+    def __hash__(self) -> int:
+        return hash((self.source_width, self.target_width, self.image))
 
     def __call__(self, v: int) -> int:
         return self.image[v]
@@ -313,17 +334,12 @@ def gamma_image(f: SimplicialMap) -> MappingProxyType:
 # morphisms of the wreath product
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False, init=False)
-class ThetaMorphism:
+class ThetaMorphism(Frozen):
     """A morphism, interned like ThetaCell: equal morphisms are one object.
     The checks run once, when a morphism is first built; a construction
     that fails raises and leaves nothing in the table."""
 
-    source: ThetaCell
-    target: ThetaCell
-    base: SimplicialMap
-    components: tuple[tuple[tuple[int, int], "ThetaMorphism"], ...]
-    _hash: int = field(repr=False)
+    __slots__ = ("source", "target", "base", "components", "_hash", "__weakref__")
 
     def __new__(cls, source: ThetaCell, target: ThetaCell, base: SimplicialMap,
                 components: tuple[tuple[tuple[int, int], "ThetaMorphism"], ...]):
@@ -347,7 +363,7 @@ class ThetaMorphism:
         self = object.__new__(cls)
         for name, value in zip(("source", "target", "base", "components"), key):
             object.__setattr__(self, name, value)
-        # the value of the dataclass hash, as before interning
+        # hash of the field tuple, taken once
         object.__setattr__(self, "_hash", hash(key))
         _MORPHISMS[key] = self
         return self
@@ -453,11 +469,13 @@ def parse_morphism(data, source: ThetaCell | None = None, target: ThetaCell | No
 # hyperfaces (codimension-1 faces with target T)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Hyperface:
-    kind: str  # "vertical" | "outer" | "inner"
-    position: tuple
-    map: ThetaMorphism
+class Hyperface(Frozen):
+    __slots__ = ("kind", "position", "map")
+
+    def __init__(self, kind: str, position: tuple, map: ThetaMorphism):
+        object.__setattr__(self, "kind", kind)          # "vertical" | "outer" | "inner"
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "map", map)
 
 
 def _outer_face(t: ThetaCell, k: int) -> ThetaMorphism:

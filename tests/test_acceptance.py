@@ -11,12 +11,12 @@ import time
 from graycyl.dac import (check_basis, lambda_cell, lambda_globe, tensor)
 from graycyl.gray import (gray_cylinder, hyperface_cylinder,
                           verify_globular_preservation, verify_gluing)
-from graycyl.nu import (NuView, nu_composable, nu_compose, search_tables)
+from graycyl.nu import NuView
 from graycyl.pr import pr_count
 from graycyl.span import verify_span
 from graycyl.theta import cell, cells_up_to, globe, hyperfaces, parse_cell
 
-from oracles import boundary
+from oracles import boundary, nu_composable, nu_compose, search_tables
 
 SIX_CELLS = ["[1]", "[2]", "[3]", "[1]([1])", "[1]([2])", "[2]([1],[0])"]
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +223,19 @@ class TestRepeatedMain:
         separate = [run_cli(args)[:2] for args in self.SEQUENCE]
         assert in_process == separate
         assert [code for code, _ in separate] == [0, 2, 0, 2, 0, 0, 0, 0, 0]
+
+
+class TestStartUp:
+    def test_cli_import_loads_no_dataclasses_inspect_or_typing(self):
+        # each CLI process pays for every module its import loads; these three
+        # cost several milliseconds and the library needs none of them
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import graycyl.cli; "
+                "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestDeterminism:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from graycyl import dac, theta
 from graycyl.cli import main
-from graycyl.dac import (ComplexError, DAMorphism, MorphismError, check_basis, gadd,
+from graycyl.dac import (ComplexError, DAMorphism, MorphismError, check_basis,
                          lambda_cell, lambda_globe, lambda_map, morphisms_agree,
                          named_complex, named_morphism, point_complex,
                          sign_split, tensor, wreath_complex)
@@ -19,7 +19,7 @@ from graycyl.theta import (POINT, cell, cells_up_to, coface, codegeneracy,
 
 from oracles import (amalgamate_with_inclusions, amalgamation_over_globular_sum,
                      augmentations, boundary, degree_of, element, find_isomorphism,
-                     globe_inclusion, identity_morphism, image, position)
+                     gadd, globe_inclusion, identity_morphism, image, position)
 
 
 def ordered_renaming_equal(K, L):

@@ -8,9 +8,12 @@ that an import binds (followed through ``graycyl/__init__.py``).  An
 attribute ``x.a`` reaches ``a`` of the module or class that ``x`` is; that
 class is inferred from ``self`` and ``cls``, parameter and field
 annotations, constructor calls, return annotations and iteration over an
-annotated sequence.  A member read counts for the class, its library bases
-and its library subclasses.  An attribute read whose receiver has no
-inferred class counts for every library class with a member of that name.
+annotated sequence.  A field is a dataclass or NamedTuple field, a name in
+``__slots__`` (typed by the constructor parameter of that name), a name the
+class body assigns, or an attribute that ``__init__`` stores on ``self``.
+A member read counts for the class, its library bases and its library
+subclasses.  An attribute read whose receiver has no inferred class counts
+for every library class with a member of that name.
 
 Five rules over the syntax trees of src/graycyl and tests:
 
@@ -40,12 +43,6 @@ PACKAGE = "graycyl"
 
 # Public names that only tests use, kept as independent checks of the library.
 ORACLES = {
-    "nu.search_tables": "exhaustive table search, the oracle of the closure",
-    "nu.close_all_pairs": "pair-walk closure, the oracle of enumerate_cells",
-    "nu.make_cell": "validating table constructor, builds tables the closure must find",
-    "nu.nu_compose": "checked composition for hand-built cells",
-    "nu.nu_functor": "nu of a morphism of complexes, the oracle of the span's complex-level legs",
-    "nu.check_functors": "all-pairs functor check, run on nu_functor by the span's oracle test",
     "theta.reconstruct": "inverse of globular_sum, round-trips the decomposition",
     "theta.parse_morphism": "morphism literals of the tests",
     "theta.cells_up_to": "the corpora of the tests and the benchmark",
@@ -97,13 +94,33 @@ def _on_self(node) -> bool:
             and node.value.id == "self")
 
 
+def _fields(node) -> list:
+    """The non-dunder names a class-body assignment binds, and those it
+    lists when it binds __slots__."""
+    if not isinstance(node, ast.Assign):
+        return []
+    names = _assigned_names(node)
+    if "__slots__" in names:
+        names += ast.literal_eval(node.value)
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
 def _class_info(cls: ast.ClassDef, module: str) -> ClassInfo:
     """Each method, property and field of a class: its non-dunder defs, its
-    dataclass or NamedTuple fields and every attribute that __init__ stores
-    on self, with the annotation of each value where there is one: that of
-    an annotated store, or of the parameter a plain store copies."""
+    dataclass or NamedTuple fields, its __slots__, the names its body
+    assigns (a property made by a call) and every attribute that __init__
+    stores on self, with the annotation of each value where there is one:
+    that of an annotated store, of the parameter a plain store copies, or,
+    for a slot, of the parameter of __init__ or __new__ with its name."""
     info = ClassInfo(cls, module)
+    constructor = {a.arg: a.annotation for node in cls.body
+                   if isinstance(node, FUNCTION) and node.name in ("__init__", "__new__")
+                   for a in node.args.args}
     for node in cls.body:
+        for name in _fields(node):
+            info.members.setdefault(name, node)
+            if constructor.get(name) is not None:
+                info.annotations.setdefault(name, constructor[name])
         if isinstance(node, FUNCTION):
             decorators = {getattr(d, "id", None) for d in node.decorator_list}
             if not (node.name.startswith("__") and node.name.endswith("__")):
@@ -636,4 +653,17 @@ class TestResolution:
             "def f(c: C):\n"
             "    return c.left, c.right, c.outer, c.inner, c.face.kind\n")
         assert unread == ["tests.probe.C.annotated", "tests.probe.C.total"]
+        assert ("member", "theta.Hyperface", "kind") in reads
+
+    def test_slots_are_members_typed_by_the_constructor(self):
+        reads, unread = self._probe(
+            "from graycyl.theta import Frozen, Hyperface\n"
+            "class C(Frozen):\n"
+            "    __slots__ = ('face', 'count', '__weakref__')\n"
+            "    def __init__(self, face: Hyperface, count: int):\n"
+            "        object.__setattr__(self, 'face', face)\n"
+            "        object.__setattr__(self, 'count', count)\n"
+            "def f(c: C):\n"
+            "    return c.face.kind\n")
+        assert unread == ["tests.probe.C.count"]
         assert ("member", "theta.Hyperface", "kind") in reads

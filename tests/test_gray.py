@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import pytest
@@ -6,15 +5,15 @@ import pytest
 from graycyl import dac, gray, span
 from graycyl.cli import main
 from graycyl.dac import DAMorphism, MorphismError, lambda_cell, lambda_map
-from graycyl.gray import (cylinder_complex, cylinder_map, endpoint_inclusion,
-                          gray_cylinder, hyperface_cylinder, interval,
-                          lax_shuffle_diagram, shuffle_dot, verify_gluing,
+from graycyl.gray import (ShuffleColumn, cylinder_complex, cylinder_map,
+                          endpoint_inclusion, gray_cylinder, hyperface_cylinder,
+                          interval, lax_shuffle_diagram, shuffle_dot, verify_gluing,
                           verify_globular_preservation)
-from graycyl.nu import NuView, check_functors, nu_functor
+from graycyl.nu import NuView
 from graycyl.theta import (cell, cells_up_to, cells_with_nodes, globe, hyperfaces,
                            parse_cell, parse_morphism, theta_identity, vertex)
 
-from oracles import element, image, with_image
+from oracles import check_functors, element, image, nu_functor, with_image
 
 
 class TestGrayCylinder:
@@ -281,7 +280,7 @@ class TestMemoisedDiagram:
     def test_diagram_is_shared(self):
         t = parse_cell("[2]([1],[0])")
         assert lax_shuffle_diagram(t) is lax_shuffle_diagram(t)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             lax_shuffle_diagram(t)[0].embed = None
 
     def test_hyperfaces_build_each_diagram_once(self, forget_memos):
@@ -428,7 +427,7 @@ class TestPerturbedInputsFail:
             col = diag[1]                       # M_1
             # send object 0 where object 1 goes: no longer injective
             embed = with_image(col.embed, ("o", 0), image(col.embed, ("o", 1)))
-            return tuple(dataclasses.replace(c, embed=embed) if c is col else c
+            return tuple(ShuffleColumn(c.kind, c.index, embed) if c is col else c
                          for c in diag)
 
         monkeypatch.setattr(gray, "lax_shuffle_diagram", perturbed)
@@ -463,7 +462,7 @@ class TestPerturbedInputsFail:
             col = diag[1]                       # M_1
             # only M_1 reaches the crossing generator h⊗(1|o0) of the cylinder
             embed = with_image(col.embed, crossing, {})
-            return tuple(dataclasses.replace(c, embed=embed) if c is col else c
+            return tuple(ShuffleColumn(c.kind, c.index, embed) if c is col else c
                          for c in diag)
 
         monkeypatch.setattr(gray, "lax_shuffle_diagram", perturbed)

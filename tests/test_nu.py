@@ -8,14 +8,14 @@ from graycyl.cli import _dump_pieces
 from graycyl.dac import (DAComplex, lambda_cell, lambda_globe, lambda_map,
                          named_complex, named_morphism, render_name, tensor)
 from graycyl.gray import cylinder_complex
-from graycyl.nu import (EnumerationError, NuView, OmegaFunctor, TableError,
-                        check_functors, close_all_pairs, enumerate_cells,
-                        make_cell, nu_boundary, nu_composable, nu_compose,
-                        nu_functor, nu_identity, search_tables)
+from graycyl.nu import (EnumerationError, NuView, TableError, enumerate_cells,
+                        nu_boundary, nu_identity)
 from graycyl.theta import (cell, cells_up_to, coface, globe, hyperfaces,
                            parse_cell, theta_identity, theta_morphism)
 
-from oracles import augmentations, boundaries, identity_morphism
+from oracles import (OmegaFunctor, augmentations, boundaries, check_functors,
+                     close_all_pairs, identity_morphism, make_cell, nu_composable,
+                     nu_compose, nu_functor, search_tables)
 
 
 def atom_cell(K, g) -> tuple:

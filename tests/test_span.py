@@ -2,14 +2,14 @@ import pytest
 
 from graycyl.dac import DAMorphism, MorphismError, lambda_cell, named_morphism
 from graycyl.gray import H, L, R, cylinder_complex, gray_cylinder
-from graycyl.nu import TableError, check_functors, nu_functor
-from graycyl.span import (_span_report, mirror_positions, projection_to_cell,
-                          projection_to_interval, shift_map, shift_target_cell,
-                          span_dot, split_map, verify_span)
+from graycyl.nu import TableError
+from graycyl.span import (_span_report, _split_identities, mirror_positions,
+                          projection_to_cell, projection_to_interval, shift_map,
+                          shift_target_cell, span_dot, split_map, verify_span)
 from graycyl.theta import (cell, cells_up_to, cells_with_nodes, coface, mirror,
                            parse_cell)
 
-from oracles import degree_of, image, images, with_image
+from oracles import check_functors, degree_of, image, images, nu_functor, with_image
 
 
 def swapped_ends(q: DAMorphism) -> DAMorphism:
@@ -53,6 +53,8 @@ class TestSplitMap:
                 lhs = split_map(n + 1, k)
                 assert coface(n + 1, k).then(split_map(n + 2, k)) == lhs
                 assert coface(n + 1, k).then(split_map(n + 2, k + 1)) == lhs
+        # every span report reads these identities from one check per process
+        assert _split_identities() and _split_identities.cache_info().currsize == 1
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graycyl import theta
+from graycyl import pr, theta
 from graycyl.theta import (MAX_DEPTH, CellSyntaxError, POINT, SimplicialMap, ThetaCell,
                            bang, cell, cells_up_to, cells_with_nodes, coface,
                            codegeneracy, gamma_image, globe, globular_sum, hyperfaces,
@@ -333,6 +333,39 @@ class TestDeepCells:
                 f = face.map
                 assert hash(f.source) == hash((f.source.children,))
                 assert hash(f) == hash((f.source, f.target, f.base, f.components))
+                b = f.base
+                assert hash(b) == hash((b.source_width, b.target_width, b.image))
+
+    def test_expression_hash_is_the_dataclass_hash(self):
+        # pr_count memoises on expressions, so they hash and compare by value
+        t = parse_cell("[2]([1],[0])")
+        exprs = [pr.EMPTY, pr.POINT_EXPR, pr.Cell(t), pr.product([pr.Cell(t), pr.Cell(t)]),
+                 pr.pr([t, t])]
+        assert [type(e).__name__ for e in exprs] == ["Empty", "Point", "Cell", "Product", "PR"]
+        assert [hash(e) for e in exprs] == [hash(()), hash(()), hash((t,)),
+                                            hash(((pr.Cell(t), pr.Cell(t)),)), hash(((t, t),))]
+        assert pr.Empty() == pr.EMPTY and pr.Cell(t) == pr.Cell(t)
+        assert pr.Product((pr.Cell(t),)) != pr.PR((t,)) and pr.Cell(t) != pr.PR((t,))
+        # the unit expressions hash alike and are told apart by class
+        assert pr.Empty() != pr.Point() and not pr.Empty() == pr.Point()
+        assert len({e for e in exprs} | {pr.Empty(), pr.Point()}) == 5
+        assert pr.Product((t,)) != pr.PR((t,)) and hash(pr.Product((t,))) == hash(pr.PR((t,)))
+
+    def test_shared_values_are_read_only(self):
+        t = parse_cell("[2]([1],[0])")
+        face = hyperfaces(t)[0]
+        for value, name in ((t, "children"), (face.map, "base"), (face.map.base, "image"),
+                            (face, "map"), (globular_sum(t), "leaf_dims"),
+                            (pr.Cell(t), "cell"), (pr.PR((t,)), "cells")):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+        assert t.children == (cell(1), POINT)
+
+    def test_simplicial_maps_compare_by_value(self):
+        a, b = coface(2, 1), SimplicialMap(2, 3, (0, 2, 3))
+        assert a == b and a is not b and not a != b
+        assert a != coface(2, 0) and a != (2, 3, (0, 2, 3))
+        assert len({a, b, coface(2, 0)}) == 2
 
     def test_printing_and_dimension_do_not_recurse(self):
         g = globe(1000)
