@@ -75,7 +75,7 @@ def _dump_pieces(view: NuView, indent: int | None):
         inner = brk[level + 1]
         return brackets[0] + inner + (sep + inner).join(items) + brk[level] + brackets[1]
 
-    entry = view.gen_index.rendering.entry
+    entry = view.complex.rendering.entry
 
     @cache
     def mask_text(m: int) -> str:

@@ -5,16 +5,16 @@ of positive degree, and an augmentation on degree-0 generators satisfying
 e(d x) = 0.  The positivity sub-monoid of each degree is implicitly the set
 of nonnegative combinations of the basis.
 
-Generators are numbered once, when a complex is made: its GenIndex lists
-them degree by degree, and every operation after that runs on positions.  A
+Generators are numbered once, when a complex is made: it lists their names
+degree by degree, and every operation after that runs on positions.  A
 group element is a sparse row, the tuple of its (position, coefficient)
 pairs with nonzero coefficients in position order, so equal elements are
 equal tuples.  A complex holds the row of the boundary and the augmentation
 of each generator, by position; a morphism holds the row of the image of
 each source generator over the target's positions, by source position.
 
-Names are read where generators are stated (GenIndex, named_complex,
-named_morphism) and where output is rendered.  The builders name generators
+A complex names its generators when it is built, and names are read back
+only to print them or to name a violation.  The builders name generators
 with hashable structured tuples:
 
     ("o", p)        object p of a wreath complex
@@ -130,7 +130,7 @@ class EntryText(tuple):
 
 
 class Rendering:
-    """The printed forms of the generators of one GenIndex, by bit
+    """The printed forms of the generators of one complex, by bit
     position: each name is rendered once, and each entry mask once."""
 
     def __init__(self, names):
@@ -153,53 +153,15 @@ class Rendering:
         return out
 
 
-class GenIndex:
-    """The one numbering of a complex's generators, made from their names
-    when the complex is made: the flattened basis, degree by degree.
-    Generator g sits at position[g], bit position[g] of an entry mask stands
-    for it, and the generators of degree d hold the positions from start[d]
-    up to start[d + 1]."""
-
-    def __init__(self, degrees):
-        self.degrees = tuple(tuple(row) for row in degrees)
-        self.names = tuple(g for row in self.degrees for g in row)
-        start = [0]
-        for row in self.degrees:
-            start.append(start[-1] + len(row))
-        self.start = tuple(start)
-
-    @cached_property
-    def position(self) -> dict:
-        """Built on first use, where a generator is stated by name, so the
-        builders' complexes, whose names are distinct by construction, hash
-        no name; a repeated name raises here."""
-        position = {g: i for i, g in enumerate(self.names)}
-        if len(position) != len(self.names):
-            g = next(g for i, g in enumerate(self.names) if position[g] != i)
-            raise ComplexError(f"duplicate generator {g!r}")
-        return position
-
-    @cached_property
-    def rendering(self) -> Rendering:
-        """Built on first use, so complexes that are never printed pay
-        nothing."""
-        return Rendering(self.names)
-
-    def names_of(self, mask: int) -> list:
-        return [self.names[i] for i in _bit_positions(mask)]
-
-    def row(self, x: dict) -> tuple:
-        """The row of an element stated as {generator name: int}."""
-        position = self.position
-        return _sparse({position[g]: c for g, c in x.items()})
-
-
 # the rows ((x, 1),) by x, grown to the largest complex that asked for them
 _UNITS: list = []
 
 
 class DAComplex(Frozen):
-    """A complex on generator positions.  diff[x] is the row of the
+    """A complex on generator positions, made from the names of its
+    generators degree by degree: names[x] is the name of generator x, bit x
+    of an entry mask stands for it, and the generators of degree d hold the
+    positions from start[d] up to start[d + 1].  diff[x] is the row of the
     boundary of generator x (empty in degree 0) and aug[x] its augmentation
     (0 above degree 0).  A complex built from pieces lists in parts, per
     piece, the position of the generator made from each generator of the
@@ -212,31 +174,38 @@ class DAComplex(Frozen):
     keep one complex per cell or dimension, and maps compose only through
     the very same complex (DAMorphism.then)."""
 
-    # __dict__ holds the cached property atoms
-    __slots__ = ("gen_index", "diff", "aug", "parts", "__dict__")
+    # __dict__ holds the cached properties atoms and rendering
+    __slots__ = ("names", "start", "diff", "aug", "parts", "__dict__")
 
-    def __init__(self, gen_index: GenIndex, diff: tuple, aug: tuple, parts: tuple = ()):
-        object.__setattr__(self, "gen_index", gen_index)
+    def __init__(self, degrees, diff: tuple, aug: tuple, parts: tuple = ()):
+        names, start = [], [0]
+        for row in degrees:
+            names.extend(row)
+            start.append(len(names))
+        object.__setattr__(self, "names", tuple(names))
+        object.__setattr__(self, "start", tuple(start))
         object.__setattr__(self, "diff", diff)
         object.__setattr__(self, "aug", aug)
         object.__setattr__(self, "parts", parts)
 
     @property
-    def degrees(self) -> tuple:
-        """The generator names, degree by degree."""
-        return self.gen_index.degrees
-
-    @property
     def top_degree(self) -> int:
-        return len(self.gen_index.start) - 2
+        return len(self.start) - 2
 
     def basis(self, d: int) -> tuple:
-        return self.degrees[d] if 0 <= d <= self.top_degree else ()
+        """The names of the generators of degree d."""
+        return self.names[self.start[d]:self.start[d + 1]] if 0 <= d <= self.top_degree else ()
 
     def positions(self, d: int) -> range:
         """The positions of the generators of degree d."""
-        start = self.gen_index.start
+        start = self.start
         return range(start[d], start[d + 1]) if 0 <= d < len(start) - 1 else range(0)
+
+    @cached_property
+    def rendering(self) -> Rendering:
+        """Built on first use, so complexes that are never printed pay
+        nothing."""
+        return Rendering(self.names)
 
     @property
     def units(self) -> list:
@@ -281,7 +250,7 @@ class DAComplex(Frozen):
         return sum(c * self.aug[g] for g, c in x)
 
     def validate(self):
-        names = self.gen_index.names
+        names = self.names
         for d in range(2, self.top_degree + 1):
             for g in self.positions(d):
                 if self.d(self.diff[g]):
@@ -292,11 +261,11 @@ class DAComplex(Frozen):
         return self
 
     def size_profile(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.degrees)
+        return tuple(b - a for a, b in zip(self.start, self.start[1:]))
 
     def to_json(self) -> dict:
-        """Generator names as gen_index renders them, keys in rendered order."""
-        text = self.gen_index.rendering.text
+        """Generator names as printed by rendering, keys in rendered order."""
+        text = self.rendering.text
 
         def rendered(pairs) -> dict:
             return {text[g]: c for g, c in sorted(pairs, key=lambda gc: text[gc[0]])}
@@ -308,36 +277,17 @@ class DAComplex(Frozen):
         }
 
 
-def named_complex(degrees, diff: dict, aug: dict) -> DAComplex:
-    """The complex stated by generator names: the basis per degree, the
-    boundary of each generator as a {name: int} element (0 where it is left
-    out) and the augmentation of each degree-0 generator."""
-    index = GenIndex(degrees)
-    index.position                   # numbered now: a repeated generator raises here
-    missing = [g for g in index.degrees[0] if g not in aug]
-    if missing:
-        raise ComplexError(f"missing augmentation for {missing[0]!r}")
-    return DAComplex(index, tuple(index.row(diff.get(g, {})) for g in index.names),
-                     tuple(aug.get(g, 0) if i < index.start[1] else 0
-                           for i, g in enumerate(index.names)))
-
-
 @lru_cache(maxsize=None)
 def lambda_globe(n: int) -> DAComplex:
-    """The globe complex: b_k, t_k below the top, v_n on top.  Memoised
-    per dimension: the result is shared and read-only."""
-    if n == 0:
-        return named_complex((("b0",),), {}, {"b0": 1})
-    degrees = tuple(
-        (f"b{k}", f"t{k}") if k < n else (f"v{n}",) for k in range(n + 1)
-    )
-    diff = {}
-    for k in range(1, n):
-        step = {f"t{k - 1}": 1, f"b{k - 1}": -1}
-        diff[f"b{k}"] = dict(step)
-        diff[f"t{k}"] = dict(step)
-    diff[f"v{n}"] = {f"t{n - 1}": 1, f"b{n - 1}": -1}
-    return named_complex(degrees, diff, {"b0": 1, "t0": 1}).validate()
+    """The globe complex: b_k at position 2k and t_k at 2k + 1 below the
+    top, v_n on top at 2n; a generator of degree k > 0 has the boundary
+    t_{k-1} - b_{k-1}.  Memoised per dimension: the result is shared and
+    read-only."""
+    degrees = [(f"b{k}", f"t{k}") for k in range(n)] + [(f"v{n}",) if n else ("b0",)]
+    diff = tuple(((2 * k - 2, -1), (2 * k - 1, 1)) if k else ()
+                 for k, row in enumerate(degrees) for _ in row)
+    aug = tuple(0 if k else 1 for k, row in enumerate(degrees) for _ in row)
+    return DAComplex(degrees, diff, aug).validate()
 
 
 def wreath_complex(children: list[DAComplex]) -> DAComplex:
@@ -353,7 +303,7 @@ def wreath_complex(children: list[DAComplex]) -> DAComplex:
     for d in range(1, top + 1):
         row = []
         for i, k in enumerate(children, start=1):
-            names = k.gen_index.names
+            names = k.names
             for x in k.positions(d - 1):
                 parts[i][x] = size + len(row)
                 row.append(("s", i, names[x]))
@@ -361,16 +311,12 @@ def wreath_complex(children: list[DAComplex]) -> DAComplex:
         size += len(row)
     diff = [()] * size
     for i, k in enumerate(children, start=1):
-        part, objects = parts[i], k.gen_index.start[1]
+        part, objects = parts[i], k.start[1]
         for x, row in enumerate(k.diff):
             diff[part[x]] = (((i - 1, -1), (i, 1)) if x < objects
                              else tuple([(part[h], c) for h, c in row]))
-    return DAComplex(GenIndex(degrees), tuple(diff), (1,) * (n + 1) + (0,) * (size - n - 1),
+    return DAComplex(degrees, tuple(diff), (1,) * (n + 1) + (0,) * (size - n - 1),
                      tuple(map(tuple, parts)))
-
-
-def point_complex() -> DAComplex:
-    return wreath_complex([])
 
 
 @lru_cache(maxsize=None)
@@ -388,7 +334,7 @@ def tensor(K: DAComplex, L: DAComplex) -> DAComplex:
     """K (x) L with d(a⊗b) = da⊗b + (-1)^{|a|} a⊗db and e(a⊗b) = e(a)e(b).
     a⊗b is named ("t", a, b), and parts[a][b] is its position, for a and b
     positions in K and L."""
-    k_names, l_names = K.gen_index.names, L.gen_index.names
+    k_names, l_names = K.names, L.names
     degrees, pairs = [], []              # pairs: (a, b, (-1)^|a|) by position of a⊗b
     parts = [[0] * len(l_names) for _ in k_names]
     for n in range(K.top_degree + L.top_degree + 1):
@@ -406,7 +352,7 @@ def tensor(K: DAComplex, L: DAComplex) -> DAComplex:
                               + [(parts[a][b2], sign * c) for b2, c in L.diff[b]]))
                  for a, b, sign in pairs)
     aug = tuple(K.aug[a] * L.aug[b] for a, b, _ in pairs)
-    return DAComplex(GenIndex(degrees), diff, aug, tuple(map(tuple, parts)))
+    return DAComplex(degrees, diff, aug, tuple(map(tuple, parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +365,8 @@ class MorphismError(ValueError):
 
 class DAMorphism(Frozen):
     """images[x] is the row of the image of source generator x over the
-    target's positions, or None where a statement by names gave it no
-    image (named_morphism)."""
+    target's positions, or None where x was given no image (violations
+    reports it as "missing")."""
 
     __slots__ = ("source", "target", "images")
 
@@ -450,7 +396,7 @@ class DAMorphism(Frozen):
         not the boundary of g's image; unchecked while a generator of that
         boundary has no image).  g is the generator's name."""
         src, tgt = self.source, self.target
-        names = src.gen_index.names
+        names = src.names
         found = []
         for d in range(src.top_degree + 1):
             degree = tgt.positions(d)
@@ -486,14 +432,6 @@ _VIOLATION_TEXT = {
     "augmentation": "augmentation broken at {!r}",
     "chain": "chain condition broken at {!r}",
 }
-
-
-def named_morphism(source: DAComplex, target: DAComplex, images: dict) -> DAMorphism:
-    """The morphism stated by generator names, {source generator: {target
-    generator: int}}; a source generator left out has no image."""
-    row = target.gen_index.row
-    return DAMorphism(source, target, tuple(row(images[g]) if g in images else None
-                                            for g in source.gen_index.names))
 
 
 def morphisms_agree(a: DAMorphism, b: DAMorphism) -> bool:
@@ -581,7 +519,7 @@ def check_basis(K: DAComplex):
     generator positions.  An atom that is not a table of nu (None in
     K.atoms) counts as not unital and has no rows for the loop-free test."""
     atoms = K.atoms
-    start = K.gen_index.start
+    start = K.start
     unital = None not in atoms
 
     loop_free = True

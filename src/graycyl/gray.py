@@ -20,26 +20,21 @@ from .theta import (POINT, Frozen, Hyperface, SimplicialMap, ThetaCell,
                     leaf_inclusion, meet_inclusion, simplicial_identity,
                     theta_identity, theta_morphism)
 
-L, R, H = "b0", "t0", "v1"          # interval complex generators
-
 
 def interval() -> DAComplex:
-    """The interval complex: the memoised globe complex of dimension 1."""
+    """The interval complex: the memoised globe complex of dimension 1,
+    whose generators L = b0, R = t0 and H = v1 sit at positions 0, 1 and 2,
+    as the objects and the edge of lambda([1]) do."""
     return lambda_globe(1)
 
 
 @lru_cache(maxsize=None)
 def cylinder_complex(t: ThetaCell) -> DAComplex:
     """The complex of [1]⊗T.  Memoised per cell, unbounded, as lambda_cell
-    is: every caller gets the same complex, which is shared and read-only."""
+    is: every caller gets the same complex, which is shared and read-only.
+    Its parts are its lanes over L, R and H: parts[0][x] is the position of
+    L⊗x, parts[1][x] that of R⊗x and parts[2][x] that of H⊗x."""
     return tensor(interval(), lambda_cell(t))
-
-
-def lanes(cyl: DAComplex) -> tuple:
-    """The parts of a cylinder complex over L, R and H: lanes(cyl)[0][x]
-    is the position of L⊗x, and so on."""
-    position = interval().gen_index.position
-    return tuple(cyl.parts[position[a]] for a in (L, R, H))
 
 
 def cylinder_map(f: ThetaMorphism) -> DAMorphism:
@@ -66,7 +61,7 @@ def gray_cylinder(t: ThetaCell, max_dim: int | None = None,
 def endpoint_inclusion(t: ThetaCell, eps: int) -> DAMorphism:
     """The complex-level end inclusion at vertex eps."""
     cyl = cylinder_complex(t)
-    return DAMorphism(lambda_cell(t), cyl, tuple(cyl.units[y] for y in lanes(cyl)[eps]))
+    return DAMorphism(lambda_cell(t), cyl, tuple(cyl.units[y] for y in cyl.parts[eps]))
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +95,7 @@ def _o_embedding(t: ThetaCell, j: int, cyl: DAComplex) -> DAMorphism:
     the slot of t they copy."""
     K = lambda_cell(o_cell(t, j))
     slots = lambda_cell(t).parts
-    left, right, cross = lanes(cyl)
+    left, right, cross = cyl.parts
     units = cyl.units
     images = [None] * len(K.diff)
     for p, x in enumerate(K.parts[0]):
@@ -123,7 +118,7 @@ def _m_embedding(t: ThetaCell, k: int, cyl: DAComplex) -> DAMorphism:
     K = wreath_complex([child if i == k else lambda_cell(c)
                         for i, c in enumerate(t.children, start=1)])
     slots = lambda_cell(t).parts
-    left, right, cross = lanes(cyl)
+    left, right, cross = cyl.parts
     units = cyl.units
     images = [None] * len(K.diff)
     for p, x in enumerate(K.parts[0]):
@@ -134,9 +129,9 @@ def _m_embedding(t: ThetaCell, k: int, cyl: DAComplex) -> DAMorphism:
             for x, y in enumerate(K.parts[i]):
                 images[y] = units[lane[slots[i][x]]]
     # an end copy of an object of the child picks up a crossing
-    objects = lambda_cell(t.children[k - 1]).gen_index.start[1]
+    objects = lambda_cell(t.children[k - 1]).start[1]
     slot, copies = slots[k], K.parts[k]
-    for lane, child_lane, crossing in zip((left, right, cross), lanes(child),
+    for lane, child_lane, crossing in zip((left, right, cross), child.parts,
                                           (cross[k], cross[k - 1], None)):
         for x, z in enumerate(child_lane):
             y = lane[slot[x]]

@@ -4,8 +4,8 @@ An i-cell is a table of pairs (x_k^0, x_k^1) of nonnegative elements,
 0 <= k <= i, with d(x_k^e) = x_{k-1}^1 - x_{k-1}^0, e(x_0^e) = 1 and equal
 top entries.  Composition x *_j y is read left to right: x first, then y.
 Every entry met so far has coefficients in {0,1}, so an entry is held as a
-bitmask over the complex's generators (DAComplex.gen_index); an entry that
-would leave {0,1} raises TableError.
+bitmask over the complex's generator positions (bit x for generator x); an
+entry that would leave {0,1} raises TableError.
 
 A cell is the tuple of its rows ((x_0^0, x_0^1), ..., (x_i^0, x_i^1)) of
 bitmasks, so its dimension is len(c) - 1, and it is hashed and compared as
@@ -125,7 +125,7 @@ def enumerate_cells(K: DAComplex, max_dim: int, ceiling: int = DEFAULT_CEILING):
     every insertion, so it also bounds the work done."""
     if check_basis(K) != (True, True, True):
         raise EnumerationError("complex is not strong Steiner")
-    start = K.gen_index.start
+    start = K.start
     layers: list[set[tuple]] = []
     for d in range(max_dim + 1):
         cells: set[tuple] = set()
@@ -168,11 +168,11 @@ def enumerate_cells(K: DAComplex, max_dim: int, ceiling: int = DEFAULT_CEILING):
 
 class NuView:
     """The cells of nu(K) up to max_dim, enumerated once, and their printed
-    forms, with the bits named by K.gen_index."""
+    forms, with the bits named by K."""
 
     def __init__(self, K: DAComplex, max_dim: int, ceiling: int = DEFAULT_CEILING):
         self.max_dim = max_dim
-        self.gen_index = K.gen_index
+        self.complex = K
         self.layers = enumerate_cells(K, max_dim, ceiling)
         self._sorted = {}
 
@@ -194,11 +194,11 @@ class NuView:
         """repr of the rows as tuples of (name, 1) pairs, names in repr
         order, built from the cached pair reprs.  Cell listings and JSON
         dumps sort by it and their bytes are pinned, so it must not change."""
-        entry = self.gen_index.rendering.entry
+        entry = self.complex.rendering.entry
         return tuple_repr([f"({entry(n).key}, {entry(p).key})" for n, p in c])
 
     def text(self, c: tuple) -> str:
-        entry = self.gen_index.rendering.entry
+        entry = self.complex.rendering.entry
         return "[" + " ".join(f"({entry(n).text};{entry(p).text})" for n, p in c) + "]"
 
 

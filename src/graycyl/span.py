@@ -1,8 +1,9 @@
 """The span from the cylinder to the cartesian cylinder and the shift.
 
 kappa projects tables entrywise to the two tensor factors and lands in the
-product of the interval with the cell.  It is kept as its two projections,
-since a map into a product is a functor exactly when both projections are.
+product [1]×T of the cell [1] with the cell T.  It is kept as its two
+projections, since a map into a product is a functor exactly when both
+projections are; the first lands in lambda([1]).
 sigma collapses the two ends and sends every crossing generator h⊗x to the
 suspension of the mirrored x; its codomain is the suspension of the
 left-right mirror of the cell (for the left-right symmetric cells of the
@@ -20,10 +21,9 @@ from __future__ import annotations
 
 from functools import cache
 
-from .dac import (DAMorphism, lambda_cell, lambda_map, morphisms_agree,
-                  named_morphism, point_complex, wreath_morphism)
-from .gray import (H, L, R, cylinder_complex, endpoint_inclusion, interval,
-                   lanes, lax_shuffle_diagram, o_cell)
+from .dac import DAMorphism, lambda_cell, lambda_map, morphisms_agree, wreath_morphism
+from .gray import (cylinder_complex, endpoint_inclusion, interval,
+                   lax_shuffle_diagram, o_cell)
 from .theta import (POINT, SimplicialMap, ThetaCell, bang, cell, coface,
                     codegeneracy, mirror, simplicial_identity, theta_identity,
                     theta_morphism, vertex)
@@ -53,21 +53,22 @@ def mirror_positions(t: ThetaCell) -> tuple:
 
 
 def projection_to_interval(t: ThetaCell) -> DAMorphism:
-    """cyl(T) -> interval: kill everything with a positive cell factor.
-    The parts of the cylinder are its lanes over the interval's positions."""
-    cyl, iv = cylinder_complex(t), interval()
-    objects = lambda_cell(t).gen_index.start[1]
+    """cyl(T) -> lambda([1]): kill everything with a positive cell factor.
+    The parts of the cylinder are its lanes over the interval's positions,
+    which are those of the objects o0, o1 and the edge of lambda([1])."""
+    cyl, tgt = cylinder_complex(t), lambda_cell(cell(1))
+    objects = lambda_cell(t).start[1]
     images = [None] * len(cyl.diff)
     for a, lane in enumerate(cyl.parts):
         for x, y in enumerate(lane):
-            images[y] = iv.units[a] if x < objects else ()
-    return DAMorphism(cyl, iv, tuple(images))
+            images[y] = tgt.units[a] if x < objects else ()
+    return DAMorphism(cyl, tgt, tuple(images))
 
 
 def projection_to_cell(t: ThetaCell) -> DAMorphism:
     """cyl(T) -> lambda(T): kill everything with a positive interval factor."""
     cyl, K = cylinder_complex(t), lambda_cell(t)
-    ends = interval().gen_index.start[1]
+    ends = interval().start[1]
     images = [None] * len(cyl.diff)
     for a, lane in enumerate(cyl.parts):
         for x, y in enumerate(lane):
@@ -84,8 +85,8 @@ def shift_map(t: ThetaCell) -> DAMorphism:
     h⊗x goes to the suspended mirror of x."""
     cyl = cylinder_complex(t)
     tgt = lambda_cell(shift_target_cell(t))
-    objects = lambda_cell(t).gen_index.start[1]
-    left, right, cross = lanes(cyl)
+    objects = lambda_cell(t).start[1]
+    left, right, cross = cyl.parts
     images = [None] * len(cyl.diff)
     for end, lane in zip(tgt.parts[0], (left, right)):
         for x, y in enumerate(lane):
@@ -99,16 +100,8 @@ def shift_map(t: ThetaCell) -> DAMorphism:
 # the expected column maps of the defining diagram
 # ---------------------------------------------------------------------------
 
-def _interval_as_cell_iso() -> DAMorphism:
-    """lambda([1];([0])) -> the interval complex, the evident renaming."""
-    return named_morphism(lambda_cell(cell(1)), interval(), {
-        ("o", 0): {L: 1}, ("o", 1): {R: 1}, ("s", 1, ("o", 0)): {H: 1},
-    }).validate()
-
-
 def kappa_column_expectations(t: ThetaCell):
     """(column, expected p1 composite, expected p2 composite) triples."""
-    iso = _interval_as_cell_iso()
     out = []
     n = t.width
     for c in lax_shuffle_diagram(t):
@@ -122,15 +115,13 @@ def kappa_column_expectations(t: ThetaCell):
                 oc, t, codegeneracy(n + 1, j),
                 {(i, i if i <= j else i - 1): theta_identity(oc.children[i - 1])
                  for i in range(1, n + 2) if i != j + 1})
-            out.append((c, lambda_map(collapse).then(iso), lambda_map(to_t)))
+            out.append((c, lambda_map(collapse), lambda_map(to_t)))
         else:
             k = c.index
-            child_cyl = cylinder_complex(t.children[k - 1])
-            objects, pt = child_cyl.gen_index.start[1], point_complex()
-            collapse = DAMorphism(child_cyl, pt, tuple(
-                pt.units[0] if x < objects else () for x in range(len(child_cyl.diff))))
+            child = t.children[k - 1]
+            collapse = projection_to_cell(child).then(lambda_map(bang(child)))
             p1_exp = wreath_morphism(c.embed.source, lambda_cell(cell(1)),
-                                     split_map(n, k), {(k, 1): collapse}).then(iso)
+                                     split_map(n, k), {(k, 1): collapse})
             comps = {(i, i): lambda_map(theta_identity(cc)) if i != k
                      else projection_to_cell(cc)
                      for i, cc in enumerate(t.children, start=1)}
@@ -226,10 +217,9 @@ def _span_report(t: ThetaCell, p1: DAMorphism, p2: DAMorphism,
 
     # folding diamonds: each end of the cylinder goes to that end of the
     # interval and of the shift, and identically to the cell
-    iso = _interval_as_cell_iso()
     for eps in (0, 1):
         e = endpoint_inclusion(t, eps)
-        p1_exp = lambda_map(bang(t).then(vertex(cell(1), eps))).then(iso)
+        p1_exp = lambda_map(bang(t).then(vertex(cell(1), eps)))
         q_exp = lambda_map(bang(t).then(vertex(shift_target_cell(t), eps)))
         report.diamonds[f"kappa_e{eps}"] = (
             morphisms_agree(e.then(p1), p1_exp)

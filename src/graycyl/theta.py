@@ -242,28 +242,6 @@ def globular_sum(t: ThetaCell) -> GlobularSumDecomposition:
     return GlobularSumDecomposition(tuple(leaves), tuple(meets))
 
 
-def reconstruct(d: GlobularSumDecomposition) -> ThetaCell:
-    """Inverse of globular_sum."""
-    leaves = list(d.leaf_dims)
-    meets = list(d.meet_dims)
-
-    def build(idx_lo: int, idx_hi: int, depth: int) -> ThetaCell:
-        # leaves[idx_lo:idx_hi] all have depth > `depth` unless single leaf at depth
-        if idx_hi - idx_lo == 1 and leaves[idx_lo] == depth:
-            return POINT
-        # split at meets equal to `depth`
-        kids = []
-        lo = idx_lo
-        for k in range(idx_lo, idx_hi - 1):
-            if meets[k] == depth:
-                kids.append(build(lo, k + 1, depth + 1))
-                lo = k + 1
-        kids.append(build(lo, idx_hi, depth + 1))
-        return ThetaCell(tuple(kids))
-
-    return build(0, len(leaves), 0)
-
-
 # ---------------------------------------------------------------------------
 # simplicial maps and the functor F into Segal's category
 # ---------------------------------------------------------------------------
@@ -441,28 +419,6 @@ def theta_morphism(source, target, base, comp_map) -> ThetaMorphism:
 def vertex(t: ThetaCell, p: int) -> ThetaMorphism:
     """The object inclusion [0] -> T picking vertex p."""
     return ThetaMorphism(POINT, t, SimplicialMap(0, t.width, (p,)), ())
-
-
-def parse_morphism(data, source: ThetaCell | None = None, target: ThetaCell | None = None) -> ThetaMorphism:
-    """Morphism literal: {"source": .., "target": .., "base": [v0..vn],
-    "components": {"i,j": literal}}.  Cells are literals in the cell grammar."""
-    src = parse_cell(data["source"]) if "source" in data else source
-    tgt = parse_cell(data["target"]) if "target" in data else target
-    base = SimplicialMap(src.width, tgt.width, tuple(data["base"]))
-    comp_map = {}
-    for i in range(1, src.width + 1):
-        for j in gamma_image(base)[i]:
-            a, b = src.children[i - 1], tgt.children[j - 1]
-            sub = data.get("components", {}).get(f"{i},{j}")
-            if sub is not None:
-                comp_map[(i, j)] = parse_morphism(sub, a, b)
-            elif b == POINT:
-                comp_map[(i, j)] = bang(a)
-            elif a == b:
-                comp_map[(i, j)] = theta_identity(a)
-            else:
-                raise KeyError(f"component {i},{j} required for {a} -> {b}")
-    return theta_morphism(src, tgt, base, comp_map)
 
 
 # ---------------------------------------------------------------------------

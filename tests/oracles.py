@@ -2,8 +2,10 @@
 the oracles that check the library from outside it.
 
 The library numbers a complex's generators once and then works on
-positions.  Tests state generators by name through dac.named_complex,
-dac.named_morphism and GenIndex.row, and read them back by name here.
+positions; it reads a name only to print it or to name a violation.  Tests
+state complexes, morphisms and elements by generator name through
+named_complex, named_morphism and row, and read them back by name, all
+here.
 
 The oracles build the complex of a cell a second way, by gluing globe
 complexes along its globular sum, and compare it with lambda_cell up to a
@@ -17,32 +19,66 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iproduct
 
-from graycyl.dac import (DAComplex, DAMorphism, GenIndex, MorphismError, _sparse,
-                         is_nonneg, lambda_globe, named_complex, named_morphism,
-                         render_name)
+from graycyl.dac import (ComplexError, DAComplex, DAMorphism, MorphismError, _bit_positions,
+                         _sparse, is_nonneg, lambda_globe, render_name)
 from graycyl.nu import (DEFAULT_CEILING, EnumerationError, NuView, TableError, _compose,
                         _pair_key, nu_boundary, nu_identity)
-from graycyl.theta import ThetaCell, globular_sum
+from graycyl.theta import (POINT, GlobularSumDecomposition, SimplicialMap, ThetaCell,
+                           ThetaMorphism, bang, gamma_image, globular_sum, parse_cell,
+                           theta_identity, theta_morphism)
 
 
 # ---------------------------------------------------------------------------
 # reading by name
 # ---------------------------------------------------------------------------
 
+def _numbering(names) -> dict:
+    """{generator name: position}; a repeated name raises."""
+    position = {g: i for i, g in enumerate(names)}
+    if len(position) != len(names):
+        g = next(g for i, g in enumerate(names) if position[g] != i)
+        raise ComplexError(f"duplicate generator {g!r}")
+    return position
+
+
+@lru_cache(maxsize=256)
+def positions_by_name(K: DAComplex) -> dict:
+    """_numbering of K's names, kept for the complexes read most lately
+    (complexes hash by identity)."""
+    return _numbering(K.names)
+
+
 def position(K: DAComplex, g) -> int:
-    return K.gen_index.position[g]
+    return positions_by_name(K)[g]
+
+
+def row(K: DAComplex, x: dict) -> tuple:
+    """The row of an element stated as {generator name: int}."""
+    position = positions_by_name(K)
+    return _sparse({position[g]: c for g, c in x.items()})
+
+
+def degrees(K: DAComplex) -> tuple:
+    """The generator names of K, degree by degree."""
+    return tuple(K.basis(d) for d in range(K.top_degree + 1))
 
 
 def degree_of(K: DAComplex, g) -> int:
-    return bisect_right(K.gen_index.start, position(K, g)) - 1
+    return bisect_right(K.start, position(K, g)) - 1
 
 
-def element(K: DAComplex, row) -> dict:
-    """The row of an element of K as {generator name: int}."""
-    names = K.gen_index.names
-    return {names[h]: c for h, c in row}
+def names_of(K: DAComplex, mask: int) -> list:
+    """The names of the generators whose bits the entry mask holds."""
+    return [K.names[i] for i in _bit_positions(mask)]
+
+
+def element(K: DAComplex, x: tuple) -> dict:
+    """The row x of an element of K as {generator name: int}."""
+    names = K.names
+    return {names[h]: c for h, c in x}
 
 
 def boundary(K: DAComplex, g) -> dict:
@@ -51,23 +87,23 @@ def boundary(K: DAComplex, g) -> dict:
 
 def boundaries(K: DAComplex) -> dict:
     """{g: d g} over the generators g with a nonzero boundary."""
-    return {g: element(K, row) for g, row in zip(K.gen_index.names, K.diff) if row}
+    return {g: element(K, r) for g, r in zip(K.names, K.diff) if r}
 
 
 def augmentations(K: DAComplex) -> dict:
     """{g: e g} over the generators of degree 0."""
-    return {K.gen_index.names[x]: K.aug[x] for x in K.positions(0)}
+    return {K.names[x]: K.aug[x] for x in K.positions(0)}
 
 
 def image(m: DAMorphism, g):
     """The image of g as {generator name: int}, or None where g has none."""
-    row = m.images[position(m.source, g)]
-    return None if row is None else element(m.target, row)
+    img = m.images[position(m.source, g)]
+    return None if img is None else element(m.target, img)
 
 
 def images(m: DAMorphism) -> dict:
     """{g: image of g} over every generator of the source."""
-    return {g: image(m, g) for g in m.source.gen_index.names}
+    return {g: image(m, g) for g in m.source.names}
 
 
 def gadd(*xs) -> tuple:
@@ -82,8 +118,80 @@ def gadd(*xs) -> tuple:
 def with_image(m: DAMorphism, g, img) -> DAMorphism:
     """A copy of m that sends g to the element img, stated by names."""
     rows = list(m.images)
-    rows[position(m.source, g)] = m.target.gen_index.row(img)
+    rows[position(m.source, g)] = row(m.target, img)
     return DAMorphism(m.source, m.target, tuple(rows))
+
+
+def named_complex(degrees, diff: dict, aug: dict) -> DAComplex:
+    """The complex stated by generator names: the basis per degree, the
+    boundary of each generator as a {name: int} element (0 where it is left
+    out) and the augmentation of each degree-0 generator."""
+    names = [g for basis in degrees for g in basis]
+    position = _numbering(names)
+    objects = len(degrees[0])
+    missing = [g for g in names[:objects] if g not in aug]
+    if missing:
+        raise ComplexError(f"missing augmentation for {missing[0]!r}")
+    return DAComplex(degrees,
+                     tuple(_sparse({position[h]: c for h, c in diff.get(g, {}).items()})
+                           for g in names),
+                     tuple(aug[g] if i < objects else 0 for i, g in enumerate(names)))
+
+
+def named_morphism(source: DAComplex, target: DAComplex, images: dict) -> DAMorphism:
+    """The morphism stated by generator names, {source generator: {target
+    generator: int}}; a source generator left out has no image (None)."""
+    return DAMorphism(source, target, tuple(row(target, images[g]) if g in images else None
+                                            for g in source.names))
+
+
+# ---------------------------------------------------------------------------
+# Theta: morphism literals and the inverse of the globular sum
+# ---------------------------------------------------------------------------
+
+def parse_morphism(data, source: ThetaCell | None = None,
+                   target: ThetaCell | None = None) -> ThetaMorphism:
+    """Morphism literal: {"source": .., "target": .., "base": [v0..vn],
+    "components": {"i,j": literal}}.  Cells are literals in the cell grammar."""
+    src = parse_cell(data["source"]) if "source" in data else source
+    tgt = parse_cell(data["target"]) if "target" in data else target
+    base = SimplicialMap(src.width, tgt.width, tuple(data["base"]))
+    comp_map = {}
+    for i in range(1, src.width + 1):
+        for j in gamma_image(base)[i]:
+            a, b = src.children[i - 1], tgt.children[j - 1]
+            sub = data.get("components", {}).get(f"{i},{j}")
+            if sub is not None:
+                comp_map[(i, j)] = parse_morphism(sub, a, b)
+            elif b == POINT:
+                comp_map[(i, j)] = bang(a)
+            elif a == b:
+                comp_map[(i, j)] = theta_identity(a)
+            else:
+                raise KeyError(f"component {i},{j} required for {a} -> {b}")
+    return theta_morphism(src, tgt, base, comp_map)
+
+
+def reconstruct(d: GlobularSumDecomposition) -> ThetaCell:
+    """Inverse of globular_sum."""
+    leaves = list(d.leaf_dims)
+    meets = list(d.meet_dims)
+
+    def build(idx_lo: int, idx_hi: int, depth: int) -> ThetaCell:
+        # leaves[idx_lo:idx_hi] all have depth > `depth` unless single leaf at depth
+        if idx_hi - idx_lo == 1 and leaves[idx_lo] == depth:
+            return POINT
+        # split at meets equal to `depth`
+        kids = []
+        lo = idx_lo
+        for k in range(idx_lo, idx_hi - 1):
+            if meets[k] == depth:
+                kids.append(build(lo, k + 1, depth + 1))
+                lo = k + 1
+        kids.append(build(lo, idx_hi, depth + 1))
+        return ThetaCell(tuple(kids))
+
+    return build(0, len(leaves), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +217,7 @@ def amalgamate_with_inclusions(K: DAComplex, L: DAComplex, M: DAComplex,
     named ("A", g) in the result, and a generator g of L that M does not
     identify with one of K is named ("B", g).
     """
-    m_names = M.gen_index.names
+    m_names = M.names
     for leg, name in ((i, "i"), (j, "j")):
         seen = set()
         for x, row in enumerate(leg.images):
@@ -119,7 +227,7 @@ def amalgamate_with_inclusions(K: DAComplex, L: DAComplex, M: DAComplex,
             if h in seen:
                 raise MorphismError(f"leg {name} is not injective")
             seen.add(h)
-    k_names, l_names = K.gen_index.names, L.gen_index.names
+    k_names, l_names = K.names, L.names
     l_name = [("B", g) for g in l_names]
     identified = set()
     for x in range(len(m_names)):
@@ -133,8 +241,8 @@ def amalgamate_with_inclusions(K: DAComplex, L: DAComplex, M: DAComplex,
         row = [("A", g) for g in K.basis(d)]
         row += [l_name[y] for y in L.positions(d) if y not in identified]
         degrees.append(tuple(row))
-    diff = {("A", g): {("A", k_names[h]): c for h, c in row}
-            for g, row in zip(k_names, K.diff)}
+    diff = {("A", g): {("A", k_names[h]): c for h, c in r}
+            for g, r in zip(k_names, K.diff)}
     diff.update({l_name[y]: {l_name[h]: c for h, c in L.diff[y]} for y in kept})
     aug = {("A", k_names[x]): K.aug[x] for x in K.positions(0)}
     aug.update({l_name[y]: L.aug[y] for y in kept if y in L.positions(0)})
@@ -157,7 +265,7 @@ def find_isomorphism(K: DAComplex, L: DAComplex):
     used: set = set()
 
     def signature(C: DAComplex, x: int):
-        d = bisect_right(C.gen_index.start, x) - 1
+        d = bisect_right(C.start, x) - 1
         return (d, tuple(sorted(c for _, c in C.diff[x])), C.aug[x])
 
     sig_l: dict = {}
@@ -191,7 +299,7 @@ def globe_inclusion(m: int, n: int, side: str) -> DAMorphism:
     src, tgt = lambda_globe(m), lambda_globe(n)
     top = "b0" if m == 0 else f"v{m}"
     images = {}
-    for g in src.gen_index.names:
+    for g in src.names:
         if g == top and m < n:
             images[g] = {(f"t{m}" if side == "t" else f"b{m}"): 1}
         else:
@@ -221,25 +329,25 @@ def amalgamation_over_globular_sum(t: ThetaCell) -> DAComplex:
 _MISS = object()   # a dict.get default that no stored value equals
 
 
-def _mask(index: GenIndex, x: tuple) -> int:
+def _mask(K: DAComplex, x: tuple) -> int:
     """The bitmask of a {0,1} element; other coefficients are not tables
     this representation can hold."""
     m = 0
     for g, c in x:
         if c != 1:
-            raise TableError(f"coefficient {c} of {render_name(index.names[g])} is not 0 or 1")
+            raise TableError(f"coefficient {c} of {render_name(K.names[g])} is not 0 or 1")
         m |= 1 << g
     return m
 
 
-def _table(index: GenIndex, rows) -> tuple:
-    return tuple((_mask(index, n), _mask(index, p)) for n, p in rows)
+def _table(K: DAComplex, rows) -> tuple:
+    return tuple((_mask(K, n), _mask(K, p)) for n, p in rows)
 
 
 def make_cell(K: DAComplex, entries) -> tuple:
     """Validate and build a table from [(neg, pos), ...] elements stated
     as {generator name: int}."""
-    entries = [(K.gen_index.row(neg), K.gen_index.row(pos)) for neg, pos in entries]
+    entries = [(row(K, neg), row(K, pos)) for neg, pos in entries]
     i = len(entries) - 1
     for k, (neg, pos) in enumerate(entries):
         for x in (neg, pos):
@@ -255,7 +363,7 @@ def make_cell(K: DAComplex, entries) -> tuple:
             raise TableError("augmentation of bottom entries must be 1")
     if entries[i][0] != entries[i][1]:
         raise TableError("top entries must agree")
-    return _table(K.gen_index, entries)
+    return _table(K, entries)
 
 
 def nu_composable(j: int, a: tuple, b: tuple) -> bool:
@@ -311,7 +419,6 @@ def search_tables(K: DAComplex, max_dim: int, coeff_bound: int):
         for combo in iproduct(range(coeff_bound + 1), repeat=len(basis)):
             yield tuple((g, c) for g, c in zip(basis, combo) if c)
 
-    index = K.gen_index
     bottoms = [x for x in vectors(0) if K.e(x) == 1]
     by_boundary: dict[int, dict] = {}
     for d in range(1, max_dim + 1):
@@ -320,7 +427,7 @@ def search_tables(K: DAComplex, max_dim: int, coeff_bound: int):
             table.setdefault(K.d(x), []).append(x)
         by_boundary[d] = table
 
-    layers: list[set[tuple]] = [{_table(index, [(x, x)]) for x in bottoms}]
+    layers: list[set[tuple]] = [{_table(K, [(x, x)]) for x in bottoms}]
     partial = [[(x, y)] for x in bottoms for y in bottoms]
     for d in range(1, max_dim + 1):
         out: set[tuple] = set()
@@ -330,7 +437,7 @@ def search_tables(K: DAComplex, max_dim: int, coeff_bound: int):
             want = gadd(pos_prev, [(g, -c) for g, c in neg_prev])
             sols = by_boundary[d].get(want, [])
             for x in sols:
-                out.add(_table(index, rows + [(x, x)]))
+                out.add(_table(K, rows + [(x, x)]))
             for x in sols:
                 for y in sols:
                     nxt.append(rows + [(x, y)])
@@ -361,12 +468,10 @@ def nu_functor(a: DAMorphism, max_dim: int, ceiling: int = DEFAULT_CEILING,
     """Entrywise application of a morphism of complexes to tables."""
     src = source_view or NuView(a.source, max_dim, ceiling)
     tgt = target_view or NuView(a.target, max_dim, ceiling)
-    index = a.target.gen_index
-
     def gen_mask(img: tuple):
         # None where a coefficient is not 0 or 1: an error only once an
         # entry holds that generator
-        return _mask(index, img) if all(c == 1 for _, c in img) else None
+        return _mask(a.target, img) if all(c == 1 for _, c in img) else None
 
     gen_image = [gen_mask(row) for row in a.images]  # by position
     entry_image = {0: 0}

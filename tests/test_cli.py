@@ -25,7 +25,7 @@ def run_cli(args):
 def cell_tree(view: NuView, c: tuple) -> list:
     """A cell as the dump prints it: its rows as [neg, pos], each entry a
     {name: 1} dict."""
-    entry = view.gen_index.rendering.entry
+    entry = view.complex.rendering.entry
     return [[dict.fromkeys(entry(n).names, 1), dict.fromkeys(entry(p).names, 1)] for n, p in c]
 
 

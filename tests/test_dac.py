@@ -9,7 +9,6 @@ from graycyl import dac, theta
 from graycyl.cli import main
 from graycyl.dac import (ComplexError, DAMorphism, MorphismError, check_basis,
                          lambda_cell, lambda_globe, lambda_map, morphisms_agree,
-                         named_complex, named_morphism, point_complex,
                          sign_split, tensor, wreath_complex)
 from graycyl.gray import (cylinder_complex, cylinder_map, hyperface_cylinder,
                           lax_shuffle_diagram)
@@ -18,8 +17,10 @@ from graycyl.theta import (POINT, cell, cells_up_to, coface, codegeneracy,
                            theta_morphism, vertex)
 
 from oracles import (amalgamate_with_inclusions, amalgamation_over_globular_sum,
-                     augmentations, boundary, degree_of, element, find_isomorphism,
-                     gadd, globe_inclusion, identity_morphism, image, position)
+                     augmentations, boundaries, boundary, degree_of, degrees, element,
+                     find_isomorphism, gadd, globe_inclusion, identity_morphism, image,
+                     named_complex, named_morphism, names_of, position, positions_by_name,
+                     row)
 
 
 def ordered_renaming_equal(K, L):
@@ -31,11 +32,31 @@ def ordered_renaming_equal(K, L):
     return K.diff == L.diff and K.aug == L.aug
 
 
+def globe_by_names(n: int):
+    """The globe complex stated by generator names: the oracle of
+    lambda_globe, which builds it from position rows."""
+    if n == 0:
+        return named_complex((("b0",),), {}, {"b0": 1})
+    bases = tuple((f"b{k}", f"t{k}") if k < n else (f"v{n}",) for k in range(n + 1))
+    diff = {}
+    for k in range(1, n):
+        diff[f"b{k}"] = diff[f"t{k}"] = {f"t{k - 1}": 1, f"b{k - 1}": -1}
+    diff[f"v{n}"] = {f"t{n - 1}": 1, f"b{n - 1}": -1}
+    return named_complex(bases, diff, {"b0": 1, "t0": 1})
+
+
 class TestLambdaGlobe:
+    def test_matches_statement_by_names(self):
+        for n in range(7):
+            K, want = lambda_globe(n), globe_by_names(n)
+            assert K.names == want.names and K.start == want.start
+            assert K.diff == want.diff and K.aug == want.aug
+            assert boundaries(K) == boundaries(want)
+
     def test_zero(self):
         K = lambda_globe(0)
         assert K.size_profile() == (1,)
-        assert K.e(K.gen_index.row({"b0": 1})) == 1
+        assert K.e(row(K, {"b0": 1})) == 1
 
     def test_one(self):
         K = lambda_globe(1)
@@ -174,7 +195,7 @@ class TestMissingImage:
     def test_missing_generator_is_reported_and_skips_its_coboundary(self):
         K = lambda_cell(cell(3))
         o1, e1, e3 = ("o", 1), ("s", 1, ("o", 0)), ("s", 3, ("o", 0))
-        images = {g: {g: 1} for g in K.gen_index.names if g != o1}
+        images = {g: {g: 1} for g in K.names if g != o1}
         # both edges go to the middle edge: neither is a chain map there
         images[e1] = images[e3] = {("s", 2, ("o", 0)): 1}
         m = named_morphism(K, K, images)
@@ -186,7 +207,7 @@ class TestMissingImage:
 
     def test_complete_statement_has_no_missing_image(self):
         K = lambda_cell(cell(3))
-        m = named_morphism(K, K, {g: {g: 1} for g in K.gen_index.names})
+        m = named_morphism(K, K, {g: {g: 1} for g in K.names})
         assert m.violations() == []
         assert m.images == identity_morphism(K).images
 
@@ -196,11 +217,10 @@ class TestTensor:
         K = lambda_globe(1)
         T = tensor(K, lambda_globe(0))
         assert T.size_profile() == K.size_profile()
-        for row in T.degrees:
-            for g in row:
-                assert g[2] == "b0"
-                d_renamed = {h[1]: c for h, c in boundary(T, g).items()}
-                assert d_renamed == boundary(K, g[1])
+        for g in T.names:
+            assert g[2] == "b0"
+            d_renamed = {h[1]: c for h, c in boundary(T, g).items()}
+            assert d_renamed == boundary(K, g[1])
 
     def test_interval_times_two_globe(self):
         T = tensor(lambda_globe(1), lambda_globe(2)).validate()
@@ -229,14 +249,13 @@ class TestTensor:
                 for z in gl:
                     left = tensor(tensor(x, y), z)
                     right = tensor(x, tensor(y, z))
-                    for row in left.degrees:
-                        for g in row:
-                            h = reassoc(g)
-                            assert degree_of(right, h) == degree_of(left, g)
-                            moved = {reassoc(k): v for k, v in boundary(left, g).items()}
-                            assert moved == boundary(right, h)
-                            if degree_of(left, g) == 0:
-                                assert augmentations(left)[g] == augmentations(right)[h]
+                    for g in left.names:
+                        h = reassoc(g)
+                        assert degree_of(right, h) == degree_of(left, g)
+                        moved = {reassoc(k): v for k, v in boundary(left, g).items()}
+                        assert moved == boundary(right, h)
+                        if degree_of(left, g) == 0:
+                            assert augmentations(left)[g] == augmentations(right)[h]
 
     def test_tensor_of_morphisms_chain(self):
         f = next(h.map for h in hyperfaces(cell(2)) if h.kind == "inner")
@@ -268,13 +287,12 @@ class TestSignSplit:
 
 def atom(K, g):
     """K's atom table <g>: its bitmask rows, or None."""
-    return K.atoms[K.gen_index.position[g]]
+    return K.atoms[position(K, g)]
 
 
 def atom_rows(K, g):
     """The rows of K's atom table <g> as (neg, pos) lists of generators."""
-    names_of = K.gen_index.names_of
-    return tuple((names_of(neg), names_of(pos)) for neg, pos in atom(K, g))
+    return tuple((names_of(K, neg), names_of(K, pos)) for neg, pos in atom(K, g))
 
 
 class TestAtoms:
@@ -296,7 +314,7 @@ class TestAtoms:
 
     def test_complex_keeps_bitmask_rows(self):
         K = lambda_globe(2)
-        bit = {g: 1 << i for g, i in K.gen_index.position.items()}
+        bit = {g: 1 << i for g, i in positions_by_name(K).items()}
         assert atom(K, "v2") == ((bit["b0"], bit["t0"]), (bit["b1"], bit["t1"]),
                                  (bit["v2"], bit["v2"]))
 
@@ -319,7 +337,7 @@ class TestAtoms:
 def named_atom(K, g):
     """<g> by its definition on elements: (neg, pos) sets of generator
     names from degree 0 up, or None where it is not a table of nu."""
-    neg = pos = K.gen_index.row({g: 1})
+    neg = pos = row(K, {g: 1})
     rows = [(neg, pos)]
     for _ in range(degree_of(K, g)):
         neg, pos = sign_split(K.d(neg))[1], sign_split(K.d(pos))[0]
@@ -342,22 +360,23 @@ def built_complexes(t):
 
 
 class TestGenIndex:
+    """The one numbering of a complex's generators: names by position, and
+    the positions of degree d from start[d] up to start[d + 1]."""
+
     @pytest.mark.parametrize("t", cells_up_to(5), ids=str)
     def test_one_numbering_per_complex(self, t):
         for K in built_complexes(t):
-            index = K.gen_index
-            for d, row in enumerate(K.degrees):
-                assert [index.position[g] for g in row] == \
-                    list(range(index.start[d], index.start[d + 1]))
-                for g in row:
-                    assert index.names[index.position[g]] == g
+            for d, basis in enumerate(degrees(K)):
+                assert [position(K, g) for g in basis] == list(range(K.start[d], K.start[d + 1]))
+                for g in basis:
+                    assert K.names[position(K, g)] == g
                     assert degree_of(K, g) == d
-            assert index.start[-1] == len(index.names) == len(K.atoms)
-            for g, a in zip(index.names, K.atoms):
+            assert K.start[-1] == len(K.names) == len(K.atoms)
+            for g, a in zip(K.names, K.atoms):
                 want = named_atom(K, g)
                 assert (a is None) == (want is None)
                 if a is not None:
-                    assert [(set(index.names_of(n)), set(index.names_of(p))) for n, p in a] \
+                    assert [(set(names_of(K, n)), set(names_of(K, p))) for n, p in a] \
                         == list(want)
 
     def test_repeated_generator_raises(self):
@@ -460,7 +479,7 @@ class TestInvariants:
             K.validate()
 
     def test_wreath_of_points_is_simplex(self):
-        K = wreath_complex([point_complex()] * 3)
+        K = wreath_complex([lambda_cell(POINT)] * 3)
         assert K.size_profile() == (4, 3)
 
     def test_lambda_map_of_vertex(self):

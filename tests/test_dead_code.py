@@ -43,8 +43,6 @@ PACKAGE = "graycyl"
 
 # Public names that only tests use, kept as independent checks of the library.
 ORACLES = {
-    "theta.reconstruct": "inverse of globular_sum, round-trips the decomposition",
-    "theta.parse_morphism": "morphism literals of the tests",
     "theta.cells_up_to": "the corpora of the tests and the benchmark",
 }
 

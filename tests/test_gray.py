@@ -11,9 +11,10 @@ from graycyl.gray import (ShuffleColumn, cylinder_complex, cylinder_map,
                           verify_globular_preservation)
 from graycyl.nu import NuView
 from graycyl.theta import (cell, cells_up_to, cells_with_nodes, globe, hyperfaces,
-                           parse_cell, parse_morphism, theta_identity, vertex)
+                           parse_cell, theta_identity, vertex)
 
-from oracles import check_functors, element, image, nu_functor, with_image
+from oracles import (check_functors, element, image, nu_functor, parse_morphism, row,
+                     with_image)
 
 
 class TestGrayCylinder:
@@ -140,7 +141,7 @@ class TestShuffleDiagram:
             via_o = leg_o.then(col_o.embed)
             via_m = leg_m.then(col_m.embed)
             assert via_o.source is via_m.source is K
-            assert all(image(via_o, g) == image(via_m, g) for g in K.gen_index.names)
+            assert all(image(via_o, g) == image(via_m, g) for g in K.names)
 
     def test_dot_deterministic(self):
         assert shuffle_dot(cell(2)) == shuffle_dot(cell(2))
@@ -296,6 +297,21 @@ class TestOneCylinderBuilder:
     def test_interval_is_shared(self):
         assert interval() is interval()
 
+    def test_interval_is_lambda_of_the_one_simplex(self):
+        # L, R and H sit where the objects and the edge of lambda([1]) do,
+        # so a map into either complex is read off by position alone
+        iv, K = interval(), lambda_cell(cell(1))
+        assert iv.names == ("b0", "t0", "v1")
+        assert (iv.diff, iv.aug, iv.start) == (K.diff, K.aug, K.start)
+
+    def test_cylinder_parts_are_its_lanes(self):
+        for t in cells_up_to(6):
+            cyl, names = cylinder_complex(t), lambda_cell(t).names
+            assert len(cyl.parts) == 3
+            for a, lane in enumerate(cyl.parts):
+                assert [cyl.names[y] for y in lane] == \
+                    [("t", ("b0", "t0", "v1")[a], g) for g in names]
+
     def test_hyperfaces_tensor_only_through_cylinder_complex(self, monkeypatch, forget_memos):
         calls = []
         real = dac.tensor
@@ -358,11 +374,11 @@ class TestOneCylinderBuilder:
         steiner = cylinder_map(f)
         # the crossing 1-cells h⊗o_p go to h⊗o_f(p)
         for p in (0, 1):
-            img = steiner.apply(steiner.source.gen_index.row({("t", "v1", ("o", p)): 1}))
+            img = steiner.apply(row(steiner.source, {("t", "v1", ("o", p)): 1}))
             assert element(steiner.target, img) == {("t", "v1", ("o", f.base(p))): 1}
         # the lane edges b0⊗(1|o_a) go to the path through the component images
         for a in range(f.source.children[0].width + 1):
-            img = steiner.apply(steiner.source.gen_index.row({("t", "b0", ("s", 1, ("o", a))): 1}))
+            img = steiner.apply(row(steiner.source, {("t", "b0", ("s", 1, ("o", a))): 1}))
             want = {("t", "b0", ("s", j, ("o", comp.base(a)))): 1
                     for (i, j), comp in f.components}
             assert element(steiner.target, img) == want

@@ -5,8 +5,7 @@ import pytest
 
 from graycyl import dac, nu
 from graycyl.cli import _dump_pieces
-from graycyl.dac import (DAComplex, lambda_cell, lambda_globe, lambda_map,
-                         named_complex, named_morphism, render_name, tensor)
+from graycyl.dac import DAComplex, lambda_cell, lambda_globe, lambda_map, render_name, tensor
 from graycyl.gray import cylinder_complex
 from graycyl.nu import (EnumerationError, NuView, TableError, enumerate_cells,
                         nu_boundary, nu_identity)
@@ -14,20 +13,20 @@ from graycyl.theta import (cell, cells_up_to, coface, globe, hyperfaces,
                            parse_cell, theta_identity, theta_morphism)
 
 from oracles import (OmegaFunctor, augmentations, boundaries, check_functors,
-                     close_all_pairs, identity_morphism, make_cell, nu_composable,
-                     nu_compose, nu_functor, search_tables)
+                     close_all_pairs, degrees, identity_morphism, make_cell, named_complex,
+                     named_morphism, names_of, nu_composable, nu_compose, nu_functor,
+                     position, search_tables)
 
 
 def atom_cell(K, g) -> tuple:
-    a = K.atoms[K.gen_index.position[g]]
+    a = K.atoms[position(K, g)]
     assert a is not None
-    names_of = K.gen_index.names_of
-    return make_cell(K, [tuple(dict.fromkeys(names_of(x), 1) for x in pair) for pair in a])
+    return make_cell(K, [tuple(dict.fromkeys(names_of(K, x), 1) for x in pair) for pair in a])
 
 
 def entry(K, c, k, eps) -> dict:
     """Entry (k, eps) of the cell c of nu(K), as an element."""
-    return dict.fromkeys(K.gen_index.names_of(c[k][eps]), 1)
+    return dict.fromkeys(names_of(K, c[k][eps]), 1)
 
 
 IV = lambda_globe(1)
@@ -176,8 +175,8 @@ class TestEnumeration:
         monkeypatch.setattr(DAComplex, "d", counting_d)
         NuView(K, 2)
         NuView(K, 3)
-        assert len(K.atoms) == sum(len(row) for row in K.degrees)
-        assert len(boundaries) == 2 * sum(d * len(row) for d, row in enumerate(K.degrees))
+        assert len(K.atoms) == sum(len(row) for row in degrees(K))
+        assert len(boundaries) == 2 * sum(d * len(row) for d, row in enumerate(degrees(K)))
 
     def test_cells_are_row_tuples(self):
         # a cell is the tuple of its (neg, pos) bitmask rows, with no wrapper,
@@ -190,7 +189,7 @@ class TestEnumeration:
                 assert all(type(row) is tuple and len(row) == 2
                            and all(type(m) is int for m in row) for row in c)
             stored = {c: c for c in layer}
-            start = K.gen_index.start
+            start = K.start
             for a in K.atoms[start[d]:start[d + 1]]:
                 assert stored[a] is a
 
@@ -348,8 +347,7 @@ class TestTableGuards:
             make_cell(K, [(o, o), ({("x", 0): 2}, {("x", 0): 2})])
 
     def test_overlapping_composite_rejected(self):
-        position = IV.gen_index.position
-        b0, v1 = 1 << position["b0"], 1 << position["v1"]
+        b0, v1 = 1 << position(IV, "b0"), 1 << position(IV, "v1")
         a = ((b0, b0), (v1, v1))
         assert nu_composable(0, a, a)
         with pytest.raises(TableError, match="coefficient 2"):
@@ -403,7 +401,7 @@ def legacy_render_element(x: dict) -> str:
 
 def legacy_sort_key(K: DAComplex, c: tuple) -> str:
     def pairs(m):
-        return tuple((g, 1) for g in sorted(K.gen_index.names_of(m), key=repr))
+        return tuple((g, 1) for g in sorted(names_of(K, m), key=repr))
     return repr(tuple((pairs(n), pairs(p)) for n, p in c))
 
 
@@ -440,7 +438,7 @@ def legacy_complex_to_json(K: DAComplex) -> dict:
     def by_name(kv):
         return render_name(kv[0])
     return {
-        "degrees": [[render_name(g) for g in b] for b in K.degrees],
+        "degrees": [[render_name(g) for g in b] for b in degrees(K)],
         "d": {render_name(g): {render_name(h): c for h, c in sorted(v.items(), key=by_name)}
               for g, v in sorted(boundaries(K).items(), key=by_name)},
         "e": {render_name(g): c for g, c in sorted(augmentations(K).items(), key=by_name)},
@@ -463,7 +461,7 @@ class TestRenderingTable:
                 for c in view.layers[d]:
                     assert view.sort_key(c) == legacy_sort_key(K, c)
                     assert view.text(c) == legacy_str(K, c)
-                    sizes.update(len(K.gen_index.names_of(m)) for row in c for m in row)
+                    sizes.update(len(names_of(K, m)) for row in c for m in row)
             for indent in (None, 1):
                 assert dump(view, indent) == legacy_dump(K, view, indent)
         assert sizes[0] and sizes[1]        # empty and one-generator entries
@@ -508,7 +506,7 @@ class TestRenderingTable:
             return dump(view), [view.text(c) for c in view.cells(2)], K.to_json()
 
         first = render()
-        assert Counter(calls) == Counter(K.gen_index.names)
+        assert Counter(calls) == Counter(K.names)
         calls.clear()
         assert render() == first
         assert calls == []

@@ -6,6 +6,8 @@ from graycyl.pr import (EMPTY, POINT_EXPR, Cell, Product, hom_cell, pr,
                         pr_count, pr_hom, pr_objects, product, theta_count)
 from graycyl.theta import cells_up_to, parse_cell
 
+from oracles import names_of
+
 
 ONE = parse_cell("[1]")
 TWO = parse_cell("[2]")
@@ -131,12 +133,12 @@ class TestCounting:
         view = gray_cylinder(t, 4)
         lo = [("t", "b0", ("o", 0))]
         hi = [("t", "t0", ("o", 2))]
-        names_of = view.gen_index.names_of
+        K = view.complex
         expr = pr([ONE, ONE])
         for d in range(4):
             restricted = sum(
                 1 for c in view.layers[d + 1]
-                if names_of(c[0][0]) == lo and names_of(c[0][1]) == hi)
+                if names_of(K, c[0][0]) == lo and names_of(K, c[0][1]) == hi)
             assert pr_count(expr, d) == restricted
 
     def test_monotone_emptiness(self):

@@ -1,7 +1,7 @@
 import pytest
 
-from graycyl.dac import DAMorphism, MorphismError, lambda_cell, named_morphism
-from graycyl.gray import H, L, R, cylinder_complex, gray_cylinder
+from graycyl.dac import DAMorphism, MorphismError, lambda_cell
+from graycyl.gray import cylinder_complex, gray_cylinder
 from graycyl.nu import TableError
 from graycyl.span import (_span_report, _split_identities, mirror_positions,
                           projection_to_cell, projection_to_interval, shift_map,
@@ -9,11 +9,14 @@ from graycyl.span import (_span_report, _split_identities, mirror_positions,
 from graycyl.theta import (cell, cells_up_to, cells_with_nodes, coface, mirror,
                            parse_cell)
 
-from oracles import check_functors, degree_of, image, images, nu_functor, with_image
+from oracles import (check_functors, degree_of, image, images, named_morphism, nu_functor,
+                     with_image)
 
 
 def swapped_ends(q: DAMorphism) -> DAMorphism:
-    """q with the two objects of its target exchanged: not a chain map."""
+    """q with the objects o0 and o1 of its target exchanged: not a chain
+    map.  The legs p1 and q land in lambda([1]) and lambda([1];(mirror T)),
+    whose objects these are."""
     ends = {("o", 0): ("o", 1), ("o", 1): ("o", 0)}
     return named_morphism(q.source, q.target,
                           {g: {ends.get(h, h): c for h, c in img.items()}
@@ -65,12 +68,12 @@ class TestShiftMap:
     def test_point_is_identity_shaped(self):
         t = parse_cell("[0]")
         q = shift_map(t)
-        assert image(q, ("t", H, ("o", 0))) == {("s", 1, ("o", 0)): 1}
+        assert image(q, ("t", "v1", ("o", 0))) == {("s", 1, ("o", 0)): 1}
 
     def test_mirror_names(self):
         t = parse_cell("[2]([1],[0])")
-        names = lambda_cell(t).gen_index.names
-        mirrored = lambda_cell(mirror(t)).gen_index.names
+        names = lambda_cell(t).names
+        mirrored = lambda_cell(mirror(t)).names
         mirror_name = {g: mirrored[x] for g, x in zip(names, mirror_positions(t))}
         assert mirror_name == {
             ("o", 0): ("o", 2), ("o", 1): ("o", 1), ("o", 2): ("o", 0),
@@ -90,15 +93,14 @@ class TestShiftMap:
         tgt = lambda_cell(cell(1, t))
         K = lambda_cell(t)
         named = {}
-        for row in cyl.degrees:
-            for g in row:
-                _, a, x = g
-                if a == H:
-                    named[g] = {("s", 1, x): 1}
-                elif degree_of(K, x) > 0:
-                    named[g] = {}
-                else:
-                    named[g] = {("o", 0 if a == L else 1): 1}
+        for g in cyl.names:
+            _, a, x = g
+            if a == "v1":
+                named[g] = {("s", 1, x): 1}
+            elif degree_of(K, x) > 0:
+                named[g] = {}
+            else:
+                named[g] = {("o", 0 if a == "b0" else 1): 1}
         bad = named_morphism(cyl, tgt, named)
         with pytest.raises(MorphismError):
             bad.validate()
@@ -201,11 +203,9 @@ class TestVerifySpan:
     def test_swapped_kappa_fails_every_square(self):
         t = parse_cell("[2]([1],[0])")
         p1, p2, q = legs(t)
-        ends = {L: R, R: L}
-        p1 = named_morphism(p1.source, p1.target,
-                            {g: {ends.get(h, h): c for h, c in img.items()}
-                             for g, img in images(p1).items()})
-        rep = _span_report(t, p1, p2, q)
+        # p1 lands in lambda([1]), so its ends are the objects o0 and o1
+        assert p1.target is lambda_cell(cell(1))
+        rep = _span_report(t, swapped_ends(p1), p2, q)
         assert rep.kappa_functor and not rep.sigma_functor
         assert rep.kappa_columns and not any(ok for _, ok in rep.kappa_columns)
         assert not rep.diamonds["kappa_e0"] and not rep.diamonds["kappa_e1"]

@@ -12,9 +12,10 @@ from graycyl.theta import (MAX_DEPTH, CellSyntaxError, POINT, SimplicialMap, The
                            bang, cell, cells_up_to, cells_with_nodes, coface,
                            codegeneracy, gamma_image, globe, globular_sum, hyperfaces,
                            leaf_inclusion, meet_inclusion, mirror,
-                           parse_cell, parse_morphism, reconstruct,
-                           simplicial_identity, theta_identity,
+                           parse_cell, simplicial_identity, theta_identity,
                            theta_morphism, vertex)
+
+from oracles import parse_morphism, reconstruct
 
 
 def cells_strategy(max_width=3, max_height=3):
