@@ -79,8 +79,8 @@ def _dump_pieces(view: NuView, indent: int | None):
 
     @cache
     def mask_text(m: int) -> str:
-        names = sorted(set(entry(m).names))
-        return block([json.dumps(k, ensure_ascii=False) + ": 1" for k in names], 5, "{}")
+        return block([json.dumps(k, ensure_ascii=False) + ": 1" for k in entry(m).names],
+                     5, "{}")
 
     @cache
     def row_text(row: tuple) -> str:

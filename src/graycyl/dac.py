@@ -102,14 +102,6 @@ def _bit_positions(mask: int) -> list:
     return out
 
 
-def _ranks(keys: list) -> list:
-    """rank[i] = place of keys[i] in sorted order, ties by position."""
-    rank = [0] * len(keys)
-    for r, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
-        rank[i] = r
-    return rank
-
-
 def tuple_repr(items: list) -> str:
     """repr of a tuple whose items have the reprs `items`."""
     return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
@@ -117,11 +109,11 @@ def tuple_repr(items: list) -> str:
 
 class EntryText(tuple):
     """An entry mask as printed, the tuple (key, names, text).  `key` is the
-    repr of the tuple of its (name, 1) pairs with the names in repr order,
-    `names` the rendered names in that order, `text` the rendered names
-    joined by "+" in rendered order, or "0" for the empty entry.  The
-    fields are read by C getters, as a NamedTuple's are: sort_key reads a
-    key per entry of every cell it sorts."""
+    repr of the tuple of its (name, 1) pairs in repr order, `names` the
+    rendered names in rendered order, `text` those names joined by "+", or
+    "0" for the empty entry.  The fields are read by C getters, as a
+    NamedTuple's are: sort_key reads a key per entry of every cell it
+    sorts."""
 
     __slots__ = ()
     key = property(itemgetter(0))
@@ -131,25 +123,26 @@ class EntryText(tuple):
 
 class Rendering:
     """The printed forms of the generators of one complex, by bit
-    position: each name is rendered once, and each entry mask once."""
+    position: each name is rendered once, and each entry mask once.
+
+    A name's repr is a balanced tuple or a quoted string, so no repr is a
+    proper prefix of another, and the pair reprs sort as strings in the
+    names' repr order.  Rendered names are distinct, so they too sort as
+    strings."""
 
     def __init__(self, names):
         self.text = [render_name(g) for g in names]
         self.pair = [repr((g, 1)) for g in names]
-        self.repr_rank = _ranks([repr(g) for g in names])
-        self.text_rank = _ranks(self.text)
         self._entries: dict = {}
 
     def entry(self, mask: int) -> EntryText:
         out = self._entries.get(mask)
         if out is None:
             bits = _bit_positions(mask)
-            by_repr = sorted(bits, key=self.repr_rank.__getitem__)
-            by_text = sorted(bits, key=self.text_rank.__getitem__)
+            names = tuple(sorted([self.text[i] for i in bits]))
             out = self._entries[mask] = EntryText((
-                tuple_repr([self.pair[i] for i in by_repr]),
-                tuple(self.text[i] for i in by_repr),
-                "+".join(self.text[i] for i in by_text) or "0"))
+                tuple_repr(sorted([self.pair[i] for i in bits])),
+                names, "+".join(names) or "0"))
         return out
 
 

@@ -16,7 +16,7 @@ from .dac import (DAComplex, DAMorphism, lambda_cell, lambda_globe,
                   wreath_morphism)
 from .nu import DEFAULT_CEILING, NuView
 from .theta import (POINT, Frozen, Hyperface, SimplicialMap, ThetaCell,
-                    ThetaMorphism, gamma_image, globular_sum, inner_face,
+                    ThetaMorphism, coface_map, gamma_image, globular_sum,
                     leaf_inclusion, meet_inclusion, simplicial_identity,
                     theta_identity, theta_morphism)
 
@@ -173,13 +173,13 @@ def lax_shuffle_diagram(t: ThetaCell) -> tuple[ShuffleColumn, ...]:
 def _spans(t: ThetaCell, columns):
     """(k, position, O column, M_k, leg into O, leg into M_k) per span of the
     decomposition: at each M_k an "upper" span on the O_{k-1} side and a
-    "lower" one on the O_k side.  The legs into the O columns are the inner
-    faces d^k of those cells."""
+    "lower" one on the O_k side.  The leg into O_j is the face d^k of that
+    cell that drops its unit slot j+1."""
     for k in range(1, t.width + 1):
         m = columns[2 * k - 1]
-        for position, j, eps, side in (("upper", k - 1, 1, "before"), ("lower", k, 0, "after")):
+        for position, j, eps in (("upper", k - 1, 1), ("lower", k, 0)):
             yield (k, position, columns[2 * j], m,
-                   lambda_map(inner_face(o_cell(t, j), k, side)), m_end_leg(t, m, eps))
+                   lambda_map(coface_map(o_cell(t, j), k, j + 1)), m_end_leg(t, m, eps))
 
 
 def shuffle_dot(t: ThetaCell) -> str:

@@ -202,7 +202,7 @@ class NuView:
         return "[" + " ".join(f"({entry(n).text};{entry(p).text})" for n, p in c) + "]"
 
 
-def skeleton_dot(view: NuView, name: str = "skeleton") -> str:
+def skeleton_dot(view: NuView) -> str:
     """0/1/2-skeleton: nodes are 0-cells, edges nondegenerate 1-cells,
     one comment line per nondegenerate 2-cell."""
     text = view.text
@@ -210,7 +210,7 @@ def skeleton_dot(view: NuView, name: str = "skeleton") -> str:
     def node_id(c):
         return '"' + text(c).replace('"', "'") + '"'
 
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph skeleton {"]
     for c in view.cells(0):
         lines.append(f"  {node_id(c)};")
     for c in view.cells(1):

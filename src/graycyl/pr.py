@@ -10,6 +10,7 @@ cylinder over S, which is what the counting oracle cross-checks.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product as cartesian
 
 from .theta import Frozen, ThetaCell
 
@@ -52,6 +53,12 @@ class Cell(PRExpr):
     def __init__(self, cell: ThetaCell):
         object.__setattr__(self, "cell", cell)
 
+    def objects(self):
+        return self.cell.objects()
+
+    def hom(self, z: int, w: int) -> PRExpr:
+        return hom_cell(self.cell, z, w)
+
     def __str__(self):
         return str(self.cell)
 
@@ -73,6 +80,12 @@ class PR(PRExpr):
 
     def __init__(self, cells: tuple):
         object.__setattr__(self, "cells", cells)
+
+    def objects(self) -> set:
+        return pr_objects(self.cells)
+
+    def hom(self, src, tgt) -> PRExpr:
+        return pr_hom(self.cells, src, tgt)
 
     def __str__(self):
         return "PR(" + ",".join(str(c) for c in self.cells) + ")"
@@ -123,20 +136,8 @@ def hom_cell(s: ThetaCell, z: int, w: int) -> PRExpr:
 
 def pr_objects(cells) -> set:
     cells = tuple(cells)
-    out = set()
-
-    def coords(i):
-        if i == len(cells):
-            yield ()
-            return
-        for p in cells[i].objects():
-            for rest in coords(i + 1):
-                yield (p,) + rest
-
-    for level in range(len(cells) + 1):
-        for c in coords(0):
-            out.add((level, c))
-    return out
+    coords = list(cartesian(*(c.objects() for c in cells)))
+    return {(level, c) for level in range(len(cells) + 1) for c in coords}
 
 
 def pr_hom(cells, src, tgt) -> PRExpr:
@@ -161,46 +162,23 @@ def pr_hom(cells, src, tgt) -> PRExpr:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def theta_count(t: ThetaCell, d: int) -> int:
-    """Total d-cells (degenerate included) of a cell, by the enriched
-    recursion over the tree."""
-    if d == 0:
-        return t.width + 1
-    total = 0
-    for z in range(t.width + 1):
-        for w in range(z, t.width + 1):
-            h = 1
-            for q in range(z, w):
-                h *= theta_count(t.children[q], d - 1)
-            total += h
-    return total
-
-
-@lru_cache(maxsize=None)
 def _count(expr: PRExpr, d: int) -> int:
+    """A product multiplies its factors' counts; a cell or a PR expression
+    has its objects as 0-cells, and above that the (d-1)-cells of its homs."""
     if isinstance(expr, Empty):
         return 0
     if isinstance(expr, Point):
         return 1
-    if isinstance(expr, Cell):
-        return theta_count(expr.cell, d)
     if isinstance(expr, Product):
         out = 1
         for f in expr.factors:
             out *= _count(f, d)
         return out
-    if isinstance(expr, PR):
+    if isinstance(expr, (Cell, PR)):
+        objs = expr.objects()
         if d == 0:
-            out = len(expr.cells) + 1
-            for c in expr.cells:
-                out *= c.width + 1
-            return out
-        objs = sorted(pr_objects(expr.cells))
-        total = 0
-        for src in objs:
-            for tgt in objs:
-                total += _count(pr_hom(expr.cells, src, tgt), d - 1)
-        return total
+            return len(objs)
+        return sum(_count(expr.hom(x, y), d - 1) for x in objs for y in objs)
     raise TypeError(f"unknown expression {expr!r}")
 
 

@@ -25,8 +25,8 @@ from .dac import DAMorphism, lambda_cell, lambda_map, morphisms_agree, wreath_mo
 from .gray import (cylinder_complex, endpoint_inclusion, interval,
                    lax_shuffle_diagram, o_cell)
 from .theta import (POINT, SimplicialMap, ThetaCell, bang, cell, coface,
-                    codegeneracy, mirror, simplicial_identity, theta_identity,
-                    theta_morphism, vertex)
+                    codegeneracy, mirror, segment_map, simplicial_identity,
+                    theta_identity, theta_morphism, vertex)
 
 
 def split_map(n: int, j: int) -> SimplicialMap:
@@ -149,9 +149,7 @@ def sigma_column_expectations(t: ThetaCell):
         else:
             k = c.index
             mirrored = mt.children[n - k]        # mirror of the k-th child
-            slot = theta_morphism(ThetaCell((mirrored,)), mt,
-                                  SimplicialMap(1, n, (n - k, n + 1 - k)),
-                                  {(1, n + 1 - k): theta_identity(mirrored)})
+            slot = segment_map(mt, n + 1 - k, theta_identity(mirrored))
             into_slot = shift_map(t.children[k - 1]).then(lambda_map(slot))
             out.append((c, wreath_morphism(c.embed.source, tgt, split_map(n, k),
                                            {(k, 1): into_slot})))

@@ -421,6 +421,12 @@ def vertex(t: ThetaCell, p: int) -> ThetaMorphism:
     return ThetaMorphism(POINT, t, SimplicialMap(0, t.width, (p,)), ())
 
 
+def segment_map(t: ThetaCell, s: int, g: ThetaMorphism) -> ThetaMorphism:
+    """[1];(g.source) -> t through segment s: g into slot s."""
+    return ThetaMorphism(ThetaCell((g.source,)), t,
+                         SimplicialMap(1, t.width, (s - 1, s)), (((1, s), g),))
+
+
 # ---------------------------------------------------------------------------
 # hyperfaces (codimension-1 faces with target T)
 # ---------------------------------------------------------------------------
@@ -434,40 +440,16 @@ class Hyperface(Frozen):
         object.__setattr__(self, "map", map)
 
 
-def _outer_face(t: ThetaCell, k: int) -> ThetaMorphism:
-    """d^0 (k = 0, drops slot 1) or d^n (k = n, drops slot n)."""
-    n = t.width
-    if k == 0:
-        src = ThetaCell(t.children[1:])
-        base = coface(n - 1, 0)
-        comp_map = {(i, i + 1): theta_identity(src.children[i - 1]) for i in range(1, n)}
-    else:
-        src = ThetaCell(t.children[:-1])
-        base = coface(n - 1, n)
-        comp_map = {(i, i): theta_identity(src.children[i - 1]) for i in range(1, n)}
-    return theta_morphism(src, t, base, comp_map)
-
-
-def inner_face(t: ThetaCell, k: int, variant: str) -> ThetaMorphism:
-    """d^k with the unit slot at k+1 (variant "after") or k (variant "before")."""
-    n = t.width
-    drop = k + 1 if variant == "after" else k
+def coface_map(t: ThetaCell, k: int, drop: int) -> ThetaMorphism:
+    """d^k into t from t without slot `drop`.  Each slot keeps its child by
+    the identity into the slot of t it copies; the slot sent over two
+    segments reaches the other one, a unit, by bang."""
     src = ThetaCell(t.children[:drop - 1] + t.children[drop:])
-    base = coface(n - 1, k)
-    comp_map = {}
-    for i in range(1, n):
-        if i < k:
-            comp_map[(i, i)] = theta_identity(src.children[i - 1])
-        elif i == k:
-            if variant == "after":
-                comp_map[(k, k)] = theta_identity(src.children[k - 1])
-                comp_map[(k, k + 1)] = bang(src.children[k - 1])
-            else:
-                comp_map[(k, k)] = bang(src.children[k - 1])
-                comp_map[(k, k + 1)] = theta_identity(src.children[k - 1])
-        else:
-            comp_map[(i, i + 1)] = theta_identity(src.children[i - 1])
-    return theta_morphism(src, t, base, comp_map)
+    base = coface(src.width, k)
+    image = gamma_image(base)
+    comps = tuple(((i, j), theta_identity(c) if j == (i if i < drop else i + 1) else bang(c))
+                  for i, c in enumerate(src.children, start=1) for j in image[i])
+    return ThetaMorphism(src, t, base, comps)
 
 
 def hyperfaces(t: ThetaCell) -> list[Hyperface]:
@@ -487,13 +469,13 @@ def hyperfaces(t: ThetaCell) -> list[Hyperface]:
             m = theta_morphism(src, t, simplicial_identity(n), comp_map)
             out.append(Hyperface("vertical", (k,) + sub.position, m))
     if n >= 1:
-        out.append(Hyperface("outer", (0,), _outer_face(t, 0)))
-        out.append(Hyperface("outer", (n,), _outer_face(t, n)))
+        out.append(Hyperface("outer", (0,), coface_map(t, 0, 1)))
+        out.append(Hyperface("outer", (n,), coface_map(t, n, n)))
     for k in range(1, n):
         if t.children[k] == POINT:
-            out.append(Hyperface("inner", (k, "after"), inner_face(t, k, "after")))
+            out.append(Hyperface("inner", (k, "after"), coface_map(t, k, k + 1)))
         if t.children[k - 1] == POINT:
-            out.append(Hyperface("inner", (k, "before"), inner_face(t, k, "before")))
+            out.append(Hyperface("inner", (k, "before"), coface_map(t, k, k)))
     return out
 
 
@@ -517,9 +499,7 @@ def leaf_inclusion(t: ThetaCell, leaf: int) -> ThetaMorphism:
     if t.width == 0:
         return theta_identity(t)
     s, i, _ = _leaf_segment(t, leaf)
-    inner = leaf_inclusion(t.children[s - 1], i)
-    base = SimplicialMap(1, t.width, (s - 1, s))
-    return theta_morphism(ThetaCell((inner.source,)), t, base, {(1, s): inner})
+    return segment_map(t, s, leaf_inclusion(t.children[s - 1], i))
 
 
 def meet_inclusion(t: ThetaCell, gap: int) -> ThetaMorphism:
@@ -530,9 +510,7 @@ def meet_inclusion(t: ThetaCell, gap: int) -> ThetaMorphism:
     if i == n - 1:
         # the meet sits between segment s and s+1: the shared object
         return vertex(t, s)
-    inner = meet_inclusion(t.children[s - 1], i)
-    base = SimplicialMap(1, t.width, (s - 1, s))
-    return theta_morphism(ThetaCell((inner.source,)), t, base, {(1, s): inner})
+    return segment_map(t, s, meet_inclusion(t.children[s - 1], i))
 
 
 # ---------------------------------------------------------------------------

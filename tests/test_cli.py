@@ -79,6 +79,16 @@ class TestSubcommands:
         assert data["rows"][1] == {"dim": 1, "nu": 10, "pr": 10}
         assert data["agree"]
 
+    def test_counts_can_fail(self, monkeypatch, capsys):
+        real = cli.pr_count
+        monkeypatch.setattr(cli, "pr_count", lambda cells, d: real(cells, d) + (d == 1))
+        assert main(["counts", "[1]", "--max-dim", "2"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["rows"][1] == {"dim": 1, "nu": 10, "pr": 11}
+        assert data["agree"] is False
+        assert main(["counts", "[1]", "--max-dim", "2", "--format", "text"]) == 1
+        assert capsys.readouterr().out.endswith("agree: False\n")
+
     def test_verify_gray_exit_zero(self, capsys):
         assert main(["verify", "gray", "[3]"]) == 0
 

@@ -1,9 +1,10 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graycyl.gray import gray_cylinder
-from graycyl.pr import (EMPTY, POINT_EXPR, Cell, Product, hom_cell, pr,
-                        pr_count, pr_hom, pr_objects, product, theta_count)
+from graycyl.pr import (EMPTY, POINT_EXPR, Cell, PRExpr, Product, hom_cell, pr,
+                        pr_count, pr_hom, pr_objects, product)
 from graycyl.theta import cells_up_to, parse_cell
 
 from oracles import names_of
@@ -91,6 +92,15 @@ class TestCounting:
         assert pr_count([ONE], 0) == 4
         assert pr_count([ONE], 1) == 10
 
+    def test_units_and_unknown_expressions(self):
+        class Unknown(PRExpr):
+            __slots__ = ()
+
+        assert [pr_count(EMPTY, d) for d in range(3)] == [0, 0, 0]
+        assert [pr_count(POINT_EXPR, d) for d in range(3)] == [1, 1, 1]
+        with pytest.raises(TypeError):
+            pr_count(Unknown(), 0)
+
     def test_theta_count_matches_nu(self):
         from graycyl.dac import lambda_cell
         from graycyl.nu import NuView
@@ -98,7 +108,7 @@ class TestCounting:
             t = parse_cell(s)
             view = NuView(lambda_cell(t), 3)
             for d in range(4):
-                assert theta_count(t, d) == len(view.layers[d])
+                assert pr_count(Cell(t), d) == len(view.layers[d])
 
     def test_cross_oracle_small(self):
         for s in ("[1]", "[2]", "[1]([1])"):

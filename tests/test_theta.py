@@ -243,6 +243,17 @@ class TestHyperfaces:
         assert len(by_kind["outer"]) == 2
         assert len(by_kind["inner"]) == 1
 
+    def test_inner_faces_keep_the_child_on_its_own_side(self):
+        # on a unit child bang and the identity are one morphism, so only a
+        # positive child shows which segment keeps it
+        one = cell(1)
+        after, = [h for h in hyperfaces(parse_cell("[2]([1],[0])")) if h.kind == "inner"]
+        assert after.position == (1, "after")
+        assert after.map.components == (((1, 1), theta_identity(one)), ((1, 2), bang(one)))
+        before, = [h for h in hyperfaces(parse_cell("[2]([0],[1])")) if h.kind == "inner"]
+        assert before.position == (1, "before")
+        assert before.map.components == (((1, 1), bang(one)), ((1, 2), theta_identity(one)))
+
 
 class TestMisc:
     def test_mirror_involution(self):
@@ -259,6 +270,20 @@ class TestMisc:
             for g, m in enumerate(d.meet_dims):
                 inc = meet_inclusion(t, g)
                 assert inc.source == globe(m)
+
+    def test_faces_and_globe_inclusions_are_pinned(self):
+        lines = []
+        for t in cells_up_to(7):
+            for h in hyperfaces(t):
+                lines.append((h.kind, h.position, h.map))
+            d = globular_sum(t)
+            lines += [("leaf", (i,), leaf_inclusion(t, i)) for i in range(len(d.leaf_dims))]
+            lines += [("meet", (g,), meet_inclusion(t, g)) for g in range(len(d.meet_dims))]
+        text = "\n".join(f"{kind} {position} {f.source} {f.target} {f}"
+                         for kind, position, f in lines)
+        assert len(lines) == 2925
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == "f5f714bdef7cfedd197da7a339776e2ebe049c1ffc01e02592c02aad461b6ab3")
 
     def test_morphism_literal(self):
         data = {"source": "[1]([2])", "target": "[2]([1],[1])", "base": [0, 2],
