@@ -112,8 +112,8 @@ class EntryText(tuple):
     repr of the tuple of its (name, 1) pairs in repr order, `names` the
     rendered names in rendered order, `text` those names joined by "+", or
     "0" for the empty entry.  The fields are read by C getters, as a
-    NamedTuple's are: sort_key reads a key per entry of every cell it
-    sorts."""
+    NamedTuple's are.  A key is a balanced tuple repr, so no key is a
+    proper prefix of another (NuView.cells ranks them)."""
 
     __slots__ = ()
     key = property(itemgetter(0))
@@ -252,9 +252,6 @@ class DAComplex(Frozen):
             if self.e(self.diff[g]) != 0:
                 raise ComplexError(f"e∘d != 0 on {names[g]!r}")
         return self
-
-    def size_profile(self) -> tuple[int, ...]:
-        return tuple(b - a for a, b in zip(self.start, self.start[1:]))
 
     def to_json(self) -> dict:
         """Generator names as printed by rendering, keys in rendered order."""

@@ -3,7 +3,9 @@
 The cylinder is computed as the table category of the tensor of the
 interval complex with the cell's complex.  The shuffle decomposition, the
 gluing checks, globular-sum preservation and the hyperface formulas are
-verified degree-wise with exact integer linear algebra.
+verified with exact integer linear algebra on the rows of the images,
+whose lattices are direct sums over degrees, so one echelon answers every
+degree.
 """
 
 from __future__ import annotations
@@ -206,40 +208,20 @@ def shuffle_dot(t: ThetaCell) -> str:
 # gluing verification
 # ---------------------------------------------------------------------------
 
-def _image_table(f: DAMorphism) -> list:
-    """Per degree of f's target, the images of f's source generators of that
-    degree as rows over the target basis of that degree."""
-    table = []
-    for d in range(f.target.top_degree + 1):
-        degree = f.target.positions(d)
-        rows = []
-        for x in f.source.positions(d):
-            row = [0] * len(degree)
-            for h, c in f.images[x]:
-                row[h - degree.start] = c
-            rows.append(tuple(row))
-        table.append(rows)
-    return table
+def _injective(rows, width: int) -> bool:
+    return intlin.rank(rows, width) == len(rows)
 
 
-def _joined(tables) -> list:
-    """The table of all the rows of several tables into one target."""
-    return [[row for rows in per_degree for row in rows] for per_degree in zip(*tables)]
+def _covers(rows, K: DAComplex) -> dict:
+    """Per degree d of K, do the rows span that degree's lattice?  Each row
+    lies in one degree, so one echelon holds every degree's pivots."""
+    pivots = intlin.pivots(rows, len(K.diff))
+    return {d: all(pivots.get(x) == 1 for x in K.positions(d)) for d in range(K.top_degree + 1)}
 
 
-def _injective(table, widths) -> bool:
-    return all(intlin.rank(rows, w) == len(rows) for rows, w in zip(table, widths))
-
-
-def _covers(table, widths) -> list:
-    """Per degree, do the rows span the whole target lattice?"""
-    return [intlin.spans_all(rows, w) for rows, w in zip(table, widths)]
-
-
-def _meet_in(a, b, m, widths) -> bool:
-    """Do the lattices of a and b meet exactly in that of m, in every degree?"""
-    return all(intlin.same_subgroup(intlin.intersection(ra, rb, w), rm, w)
-               for ra, rb, rm, w in zip(a, b, m, widths))
+def _meet_in(a, b, m, width: int) -> bool:
+    """Do the lattices of a and b meet exactly in that of m?"""
+    return intlin.same_subgroup(intlin.intersection(a, b, width), m, width)
 
 
 class GluingReport:
@@ -269,19 +251,18 @@ class GluingReport:
 def verify_gluing(t: ThetaCell) -> GluingReport:
     """Monomorphism, coverage and pullback checks for the shuffle pieces."""
     columns = lax_shuffle_diagram(t)
-    widths = cylinder_complex(t).size_profile()
-    tables = {c.name: _image_table(c.embed) for c in columns}
-    report = GluingReport(t, {name: _injective(table, widths) for name, table in tables.items()},
-                          dict(enumerate(_covers(_joined(tables.values()), widths))), [])
+    cyl = cylinder_complex(t)
+    width = len(cyl.diff)
+    report = GluingReport(t, {c.name: _injective(c.embed.images, width) for c in columns},
+                          _covers([row for c in columns for row in c.embed.images], cyl), [])
     for level, position, col_o, col_m, leg_o, leg_m in _spans(t, columns):
         via_o = leg_o.then(col_o.embed)
-        span = _image_table(via_o)
         report.spans.append({
             "level": level, "position": position,
             "commutes": morphisms_agree(via_o, leg_m.then(col_m.embed)),
             # the span maps injectively onto the intersection of its columns
-            "pullback": (_meet_in(tables[col_o.name], tables[col_m.name], span, widths)
-                         and _injective(span, widths))})
+            "pullback": (_meet_in(col_o.embed.images, col_m.embed.images, via_o.images, width)
+                         and _injective(via_o.images, width))})
     return report
 
 
@@ -293,13 +274,12 @@ def verify_globular_preservation(t: ThetaCell) -> bool:
     """Cylinders over the leaf globes cover the cylinder and meet exactly
     in the cylinders over the meet globes."""
     dec = globular_sum(t)
-    widths = cylinder_complex(t).size_profile()
-    pieces = [_image_table(cylinder_map(leaf_inclusion(t, i)))
-              for i in range(len(dec.leaf_dims))]
-    meets = [_image_table(cylinder_map(meet_inclusion(t, g)))
-             for g in range(len(dec.meet_dims))]
-    return (all(_covers(_joined(pieces), widths))
-            and all(_meet_in(pieces[g], pieces[g + 1], m, widths) for g, m in enumerate(meets)))
+    cyl = cylinder_complex(t)
+    pieces = [cylinder_map(leaf_inclusion(t, i)).images for i in range(len(dec.leaf_dims))]
+    meets = [cylinder_map(meet_inclusion(t, g)).images for g in range(len(dec.meet_dims))]
+    return (all(_covers([row for piece in pieces for row in piece], cyl).values())
+            and all(_meet_in(pieces[g], pieces[g + 1], m, len(cyl.diff))
+                    for g, m in enumerate(meets)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +296,10 @@ class HyperfaceCylinderReport:
 
 def _factors_through(src_col: ShuffleColumn, tgt_cols, steiner: DAMorphism) -> bool:
     """Does the cylinder map send the column into the lattice of the target
-    columns, in every degree?"""
-    via = _image_table(src_col.embed.then(steiner))
-    target = _joined([_image_table(c.embed) for c in tgt_cols])
-    return all(intlin.same_subgroup(rows, rows + images, w)
-               for images, rows, w in zip(via, target, steiner.target.size_profile()))
+    columns?"""
+    target = [row for c in tgt_cols for row in c.embed.images]
+    return intlin.same_subgroup(target, target + list(src_col.embed.then(steiner).images),
+                                len(steiner.target.diff))
 
 
 def _face_between_o_cells(f: ThetaMorphism, js: int, jt: int) -> ThetaMorphism:

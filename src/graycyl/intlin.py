@@ -1,111 +1,117 @@
-"""Small exact integer linear algebra: Hermite forms, kernels, lattice tests.
+"""Small exact integer linear algebra on sparse rows: Hermite forms, ranks,
+pivots, lattice equality and meets.
 
-Matrices are lists of row tuples, and a lattice is the subgroup of Z^width
-that its rows generate.  Every reduction runs through one routine,
-`_echelon`, the incremental Hermite reduction (Cohen, "A Course in
-Computational Algebraic Number Theory", §2.4): the rows are inserted one
-at a time into an echelon keyed by pivot column.  A row is walked to its
-first nonzero entry among the first `width` coordinates; if no pivot sits
-in that column it becomes one, and if one does, Euclid on the two rows
-leaves the gcd row as the pivot and carries the remainder row, now zero
-there, on to the next column.  Each step is a unimodular operation on a
-pair of rows, so the pivots and the rows that reach zero generate the same
-subgroup as the input, and a row only ever moves on to later columns.
+A row is a tuple of (position, coefficient) pairs with nonzero coefficients
+in position order, as dac holds them, and a lattice is the subgroup of
+Z^width that its rows generate; entries from position `width` on ride along.
+Every reduction runs through `_echelon`, the incremental Hermite reduction
+(Cohen, "A Course in Computational Algebraic Number Theory", §2.4): rows go
+one at a time into an echelon keyed by pivot position.  A row whose first
+position is free becomes its pivot as it is; on a clash, Euclid on the two
+rows leaves the gcd row as the pivot and carries the remainder, which no
+longer holds that position, on to its next.  Each step is unimodular, so the
+pivots and the rows that reach zero generate the input's subgroup.  Rows over
+disjoint ranges of positions never meet in Euclid, so one echelon of all of
+them is the echelon of each range.
 
-`rank` counts the pivots, `spans_all` asks that every column hold a pivot
-equal to 1, `hnf` back-reduces the pivots to the canonical Hermite form,
-`kernel` reads the identity-augmented tails of the rows that reach zero,
-and `intersection` and `same_subgroup` are built on `kernel` and `hnf`.
-A vector v lies in the lattice of rows exactly when
-`same_subgroup(rows, rows + [v], width)`.
+`rank` counts the pivots and `pivots` reads them, `hnf` back-reduces them to
+the canonical Hermite form, `intersection` is Zassenhaus's meet, and
+`same_subgroup` compares Hermite forms: v lies in the lattice of rows exactly
+when `same_subgroup(rows, rows + [v], width)`.
 """
 
 from __future__ import annotations
 
 
+def _minus(a, q: int, b) -> tuple:
+    """The row a - q·b, by a merge of the two rows (a itself if q = 0)."""
+    if not q:
+        return a
+    out, i, j, la, lb = [], 0, 0, len(a), len(b)
+    while i < la and j < lb:
+        (p, c), (r, e) = a[i], b[j]
+        if p < r:
+            out.append(a[i])
+            i += 1
+        elif r < p:
+            out.append((r, -q * e))
+            j += 1
+        else:
+            if c != q * e:
+                out.append((p, c - q * e))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend([(r, -q * e) for r, e in b[j:]])
+    return tuple(out)
+
+
+def _positive(row) -> tuple:
+    """The row, negated if its first coefficient is negative."""
+    return row if row[0][1] > 0 else tuple([(p, -c) for p, c in row])
+
+
 def _echelon(rows, width: int) -> tuple[dict, list]:
-    """({column: row}, zero rows): the pivot rows of `rows` by the column of
-    their first nonzero entry, which is positive, and the rows whose first
-    `width` entries all reduce to zero.  The input rows are never changed
-    in place; entries past `width` ride along with their row."""
+    """({position: row}, zero rows): the pivot rows of `rows` by their first
+    position, whose coefficient is positive, and the rows left with no
+    position below `width`.  The input rows are never changed in place."""
     pivots: dict = {}
     zero: list = []
     for row in rows:
-        col = 0
-        while True:
-            while col < width and not row[col]:
-                col += 1
-            if col == width:
-                zero.append(row)
-                break
-            piv = pivots.get(col)
+        while row and row[0][0] < width:
+            p = row[0][0]
+            piv = pivots.get(p)
             if piv is None:
-                pivots[col] = row if row[col] > 0 else [-a for a in row]
+                pivots[p] = _positive(row)
                 break
-            # Euclid at col: piv keeps the gcd, row is left zero there
-            while row[col]:
-                q = piv[col] // row[col]
-                piv, row = row, [a - q * b for a, b in zip(piv, row)]
-            pivots[col] = piv if piv[col] > 0 else [-a for a in piv]
-            col += 1
+            # Euclid at p: piv keeps the gcd, row is left without p
+            while row and row[0][0] == p:
+                piv, row = row, _minus(piv, piv[0][1] // row[0][1], row)
+            pivots[p] = _positive(piv)
+        else:
+            zero.append(row)
     return pivots, zero
 
 
-def hnf(rows, width: int) -> tuple[tuple[int, ...], ...]:
+def hnf(rows, width: int) -> tuple[tuple, ...]:
     """Canonical (row-style) Hermite normal form of the subgroup generated
     by `rows` inside Z^width: pivots positive, every entry above a pivot
     in [0, pivot)."""
     pivots, _ = _echelon(rows, width)
-    cols = sorted(pivots)
-    red = [pivots[c] for c in cols]
-    # reduce above each pivot from the top down: subtracting row k changes
-    # only columns from cols[k] on, so the columns already reduced hold
-    for k, c in enumerate(cols):
-        p = red[k][c]
-        for up in range(k):
-            q = red[up][c] // p
-            if q:
-                red[up] = [a - q * b for a, b in zip(red[up], red[k])]
-    return tuple(tuple(r) for r in red)
+    out = []
+    # the top-down back-reduction, row by row: reduce at each later pivot,
+    # left to right, by the pivot row as the echelon left it; a step changes
+    # only positions from that pivot on, so those already reduced hold
+    for p in sorted(pivots):
+        row, i = pivots[p], 1
+        while i < len(row):
+            r, e = row[i]
+            piv = pivots.get(r)
+            if piv is not None:
+                row = _minus(row, e // piv[0][1], piv)
+            if i < len(row) and row[i][0] == r:
+                i += 1
+        out.append(row)
+    return tuple(out)
 
 
 def rank(rows, width: int) -> int:
     return len(_echelon(rows, width)[0])
 
 
-def spans_all(rows, width: int) -> bool:
-    """Do the rows generate the full lattice Z^width?  Exactly when every
-    column holds a pivot and every pivot is 1: the echelon is then
-    unitriangular, and otherwise the index is the product of the pivots."""
-    pivots, _ = _echelon(rows, width)
-    return len(pivots) == width and all(row[c] == 1 for c, row in pivots.items())
+def pivots(rows, width: int) -> dict:
+    """{position: pivot} over the positions below `width` that hold one.  The
+    rows span Z^width exactly when every position holds a pivot equal to 1."""
+    return {p: row[0][1] for p, row in _echelon(rows, width)[0].items()}
 
 
-def kernel(rows, width: int) -> list[tuple[int, ...]]:
-    """Integer kernel of the map Z^len(rows) -> Z^width sending the k-th
-    unit vector to rows[k]: the identity tails of the stacked rows that
-    reduce to zero in their first `width` entries."""
-    n = len(rows)
-    stacked = []
-    for k, row in enumerate(rows):
-        tail = [0] * n
-        tail[k] = 1
-        stacked.append(list(row) + tail)
-    return [tuple(r[width:]) for r in _echelon(stacked, width)[1]]
-
-
-def intersection(rows_a, rows_b, width: int) -> list[tuple[int, ...]]:
-    """Generators of the intersection of the subgroups of Z^width spanned
-    by rows_a and by rows_b: each kernel vector (x, y) of the stacked rows
-    gives the common element x·A = -y·B."""
-    out = []
-    for v in kernel(list(rows_a) + list(rows_b), width):
-        acc = [0] * width
-        for c, row in zip(v, rows_a):
-            if c:
-                acc = [a + c * b for a, b in zip(acc, row)]
-        out.append(tuple(acc))
-    return out
+def intersection(rows_a, rows_b, width: int) -> list[tuple]:
+    """Generators of the meet of the lattices of rows_a and rows_b
+    (Zassenhaus): the rows (a | a) and (b | 0) span the (x + y | x) for x, y
+    in the two lattices, and those that reach zero span the (0 | x), x in both."""
+    heads = [a + tuple([(p + width, c) for p, c in a]) for a in rows_a]
+    _, zero = _echelon(heads + list(rows_b), width)
+    return [tuple([(p - width, c) for p, c in row]) for row in zero]
 
 
 def same_subgroup(rows_a, rows_b, width: int) -> bool:

@@ -15,7 +15,7 @@ cells of its complex.
 
 from __future__ import annotations
 
-from .dac import DAComplex, check_basis, tuple_repr
+from .dac import DAComplex, check_basis
 
 
 class TableError(ValueError):
@@ -177,10 +177,17 @@ class NuView:
         self._sorted = {}
 
     def cells(self, d: int):
+        """The d-cells sorted by their entries' ranks among the layer's
+        entry keys (EntryText.key).  A layer's cells have d + 1 rows each and
+        no key is a prefix of another, so this is the order of the reprs of
+        the cells as rows of (name, 1) pairs, which pinned bytes keep."""
         if d > self.max_dim:
             return ()
         if d not in self._sorted:
-            self._sorted[d] = sorted(self.layers[d], key=self.sort_key)
+            layer, entry = self.layers[d], self.complex.rendering.entry
+            masks = sorted({m for c in layer for row in c for m in row}, key=lambda m: entry(m).key)
+            rank = {m: i for i, m in enumerate(masks)}
+            self._sorted[d] = sorted(layer, key=lambda c: tuple([rank[m] for r in c for m in r]))
         return self._sorted[d]
 
     def counts(self):
@@ -189,13 +196,6 @@ class NuView:
     def nondegenerate_counts(self):
         return tuple(sum(1 for c in self.layers[d] if not _is_identity(c))
                      for d in range(self.max_dim + 1))
-
-    def sort_key(self, c: tuple) -> str:
-        """repr of the rows as tuples of (name, 1) pairs, names in repr
-        order, built from the cached pair reprs.  Cell listings and JSON
-        dumps sort by it and their bytes are pinned, so it must not change."""
-        entry = self.complex.rendering.entry
-        return tuple_repr([f"({entry(n).key}, {entry(p).key})" for n, p in c])
 
     def text(self, c: tuple) -> str:
         entry = self.complex.rendering.entry

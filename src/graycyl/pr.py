@@ -56,6 +56,10 @@ class Cell(PRExpr):
     def objects(self):
         return self.cell.objects()
 
+    def pairs(self) -> list:
+        """The pairs of objects z <= w: every other hom is empty."""
+        return _ordered_pairs(self.cell.width)
+
     def hom(self, z: int, w: int) -> PRExpr:
         return hom_cell(self.cell, z, w)
 
@@ -83,6 +87,14 @@ class PR(PRExpr):
 
     def objects(self) -> set:
         return pr_objects(self.cells)
+
+    def pairs(self) -> list:
+        """The pairs of objects (x, zs), (y, ws) with x <= y and zs <= ws
+        coordinatewise: every other hom is empty."""
+        coords = [tuple(zip(*zw)) or ((), ())
+                  for zw in cartesian(*[_ordered_pairs(c.width) for c in self.cells])]
+        return [((x, zs), (y, ws)) for x, y in _ordered_pairs(len(self.cells))
+                for zs, ws in coords]
 
     def hom(self, src, tgt) -> PRExpr:
         return pr_hom(self.cells, src, tgt)
@@ -120,6 +132,11 @@ def pr(cells) -> PRExpr:
     if not cells:
         return POINT_EXPR
     return PR(cells)
+
+
+def _ordered_pairs(n: int) -> list:
+    """The pairs (z, w) with z <= w in {0..n}."""
+    return [(z, w) for w in range(n + 1) for z in range(w + 1)]
 
 
 def hom_cell(s: ThetaCell, z: int, w: int) -> PRExpr:
@@ -164,7 +181,8 @@ def pr_hom(cells, src, tgt) -> PRExpr:
 @lru_cache(maxsize=None)
 def _count(expr: PRExpr, d: int) -> int:
     """A product multiplies its factors' counts; a cell or a PR expression
-    has its objects as 0-cells, and above that the (d-1)-cells of its homs."""
+    has its objects as 0-cells, and above that the (d-1)-cells of its homs,
+    read over the pairs of objects whose hom can be nonempty."""
     if isinstance(expr, Empty):
         return 0
     if isinstance(expr, Point):
@@ -175,10 +193,9 @@ def _count(expr: PRExpr, d: int) -> int:
             out *= _count(f, d)
         return out
     if isinstance(expr, (Cell, PR)):
-        objs = expr.objects()
         if d == 0:
-            return len(objs)
-        return sum(_count(expr.hom(x, y), d - 1) for x in objs for y in objs)
+            return len(expr.objects())
+        return sum(_count(expr.hom(x, y), d - 1) for x, y in expr.pairs())
     raise TypeError(f"unknown expression {expr!r}")
 
 

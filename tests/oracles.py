@@ -66,6 +66,11 @@ def degrees(K: DAComplex) -> tuple:
     return tuple(K.basis(d) for d in range(K.top_degree + 1))
 
 
+def size_profile(K: DAComplex) -> tuple:
+    """The number of generators of K in each degree."""
+    return tuple(b - a for a, b in zip(K.start, K.start[1:]))
+
+
 def degree_of(K: DAComplex, g) -> int:
     return bisect_right(K.start, position(K, g)) - 1
 
@@ -259,7 +264,7 @@ def find_isomorphism(K: DAComplex, L: DAComplex):
     here are tiny; matching is pruned by degree and differential support
     size.
     """
-    if K.size_profile() != L.size_profile():
+    if size_profile(K) != size_profile(L):
         return None
     mapping: dict = {}
     used: set = set()

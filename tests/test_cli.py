@@ -300,6 +300,18 @@ class TestDeterminism:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+    def test_verify_all_up_to_seven_nodes_is_pinned(self, capsys):
+        # every verdict of the 197 cells: gluing coverage per degree, the
+        # pullbacks, globular sums, both hyperface modes and the span, at
+        # deeper lattices than the benchmark corpora reach
+        out = []
+        for t in cells_up_to(7):
+            assert main(["verify", "all", str(t)]) == 0
+            out.append(capsys.readouterr().out)
+        assert len(out) == 197
+        assert hashlib.sha256("".join(out).encode("utf-8")).hexdigest() == \
+            "19b37d1dbc864eb2eede234d4d3bdb858ba06fa5a3e2ed947811fc47a444be46"
+
 
 # the closure-wide items of the benchmark: closures of up to 672 cells per dimension
 CLOSURE_ITEMS = [("[2]([2],[2])", 4), ("[3]([0],[1]([1]),[0])", 4), ("[5]", 3), ("G4", 5)]

@@ -42,8 +42,14 @@ def test_lattice_meets_go_through_one_helper(name):
 
 
 def test_predicates_reduce_through_one_echelon():
-    assert _callers("_echelon") == {"intlin.hnf", "intlin.rank", "intlin.kernel",
-                                    "intlin.spans_all"}
+    assert _callers("_echelon") == {"intlin.hnf", "intlin.rank", "intlin.pivots",
+                                    "intlin.intersection"}
+
+
+def sparse(rows):
+    """Dense rows as the rows intlin reads: their (position, coefficient)
+    pairs with nonzero coefficients, in position order."""
+    return [tuple([(p, c) for p, c in enumerate(r) if c]) for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -111,15 +117,19 @@ class TestAgainstTheSweep:
     @given(matrices())
     def test_hnf_and_rank(self, m):
         rows, width = m
-        assert intlin.hnf(rows, width) == oracle_hnf(rows, width)
-        assert intlin.rank(rows, width) == oracle_rank(rows, width)
+        assert intlin.hnf(sparse(rows), width) == tuple(sparse(oracle_hnf(rows, width)))
+        assert intlin.rank(sparse(rows), width) == oracle_rank(rows, width)
 
     @settings(max_examples=300, deadline=None)
     @given(matrices())
     def test_spans_all(self, m):
+        # the pivots are those of the Hermite form, and the rows span the
+        # whole lattice exactly when every position holds a pivot equal to 1
         rows, width = m
         h = oracle_hnf(rows, width)
-        assert intlin.spans_all(rows, width) == (
+        pivots = intlin.pivots(sparse(rows), width)
+        assert pivots == {r[0][0]: r[0][1] for r in sparse(h)}
+        assert (len(pivots) == width and set(pivots.values()) <= {1}) == (
             len(h) == width and all(h[i][i] == 1 for i in range(width)))
 
     @settings(max_examples=300, deadline=None)
@@ -129,63 +139,103 @@ class TestAgainstTheSweep:
         rows, width = m
         v = tuple(v[:width])
         member = oracle_hnf(rows + [v], width) == oracle_hnf(rows, width)
-        assert intlin.same_subgroup(rows, rows + [v], width) == member
+        assert intlin.same_subgroup(sparse(rows), sparse(rows + [v]), width) == member
 
     @settings(max_examples=200, deadline=None)
     @given(matrices(max_rows=4, max_width=3), st.data())
     def test_intersection(self, m, data):
         rows_a, width = m
         rows_b = data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * width), max_size=4))
-        inter = intlin.intersection(rows_a, rows_b, width)
-        assert intlin.same_subgroup(inter, oracle_intersection(rows_a, rows_b, width), width)
-        assert intlin.same_subgroup(rows_a, rows_a + inter, width)
-        assert intlin.same_subgroup(rows_b, rows_b + inter, width)
+        a, b = sparse(rows_a), sparse(rows_b)
+        inter = intlin.intersection(a, b, width)
+        assert intlin.same_subgroup(inter, sparse(oracle_intersection(rows_a, rows_b, width)),
+                                    width)
+        assert intlin.same_subgroup(a, a + inter, width)
+        assert intlin.same_subgroup(b, b + inter, width)
 
     @settings(max_examples=200, deadline=None)
-    @given(matrices())
-    def test_kernel(self, m):
-        rows, width = m
-        kern = intlin.kernel(rows, width)
-        assert len(kern) == len(rows) - oracle_rank(rows, width)
-        for v in kern:
-            assert all(sum(c * row[p] for c, row in zip(v, rows)) == 0 for p in range(width))
+    @given(matrices(max_rows=4, max_width=3), st.data())
+    def test_intersection_rank(self, m, data):
+        # rank(A ∩ B) = rank A + rank B - rank(A + B); with B = 0 the rows
+        # that reach zero are the relations of A, and each meets in 0
+        rows_a, width = m
+        rows_b = data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * width), max_size=4))
+        inter = intlin.intersection(sparse(rows_a), sparse(rows_b), width)
+        assert intlin.rank(inter, width) == (oracle_rank(rows_a, width) + oracle_rank(rows_b, width)
+                                             - oracle_rank(rows_a + rows_b, width))
+        relations = intlin.intersection(sparse(rows_a), [], width)
+        assert relations == [()] * (len(rows_a) - oracle_rank(rows_a, width))
+
+
+def shifted(rows, offset):
+    return [tuple([(p + offset, c) for p, c in r]) for r in rows]
+
+
+class TestDegreesAtOnce:
+    """Rows drawn in several degrees, on disjoint ranges of positions: one
+    echelon of all of them gives each degree the pivots, and so the rank
+    and coverage, and the meet of separate calls per degree.  gray's lattice
+    checks read every degree of a cylinder from one echelon this way."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(matrices(max_rows=4, max_width=3), st.data()),
+                    min_size=1, max_size=3), st.randoms())
+    def test_one_echelon_per_block(self, blocks, rnd):
+        offset, rows_a, rows_b, pivots, meets = 0, [], [], {}, []
+        for (dense_a, width), data in blocks:
+            a = sparse(dense_a)
+            b = sparse(data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * width),
+                                          max_size=4)))
+            rows_a += shifted(a, offset)
+            rows_b += shifted(b, offset)
+            pivots.update({p + offset: v for p, v in intlin.pivots(a + b, width).items()})
+            meets += shifted(intlin.hnf(intlin.intersection(a, b, width), width), offset)
+            offset += width
+        rnd.shuffle(rows_a)
+        rnd.shuffle(rows_b)
+        assert intlin.pivots(rows_a + rows_b, offset) == pivots
+        assert intlin.rank(rows_a + rows_b, offset) == len(pivots)
+        assert intlin.hnf(intlin.intersection(rows_a, rows_b, offset), offset) == tuple(meets)
 
 
 class TestVerdictsCanFail:
     def test_a_proper_sublattice_does_not_span(self):
-        assert not intlin.spans_all([(2, 0), (0, 1)], 2)
-        assert intlin.spans_all([(2, 1), (1, 1)], 2)
+        assert intlin.pivots(sparse([(2, 0), (0, 1)]), 2) == {0: 2, 1: 1}
+        assert intlin.pivots(sparse([(2, 1), (1, 1)]), 2) == {0: 1, 1: 1}
 
     def test_dependent_rows_lose_rank(self):
-        rows = [(1, 2, 3), (2, 4, 6), (0, 1, 1), (1, 3, 4)]
+        rows = sparse([(1, 2, 3), (2, 4, 6), (0, 1, 1), (1, 3, 4)])
         assert intlin.rank(rows, 3) == 2 < len(rows)
-        assert len(intlin.kernel(rows, 3)) == 2
+        # two relations, each meeting the zero lattice in 0
+        assert intlin.intersection(rows, [], 3) == [(), ()]
 
     def test_one_lattice_has_one_form(self):
         # two bases of one lattice; back-reducing the pivots bottom up
         # leaves (1, 1, -1) in the first and (1, 1, 2) in the second
-        a = [(1, 3, 0), (0, 2, 1), (0, 0, 3)]
-        b = [(1, 1, 2), (0, 2, 1), (0, 0, 3)]
-        assert intlin.hnf(a, 3) == intlin.hnf(b, 3) == ((1, 1, 2), (0, 2, 1), (0, 0, 3))
+        a = sparse([(1, 3, 0), (0, 2, 1), (0, 0, 3)])
+        b = sparse([(1, 1, 2), (0, 2, 1), (0, 0, 3)])
+        assert intlin.hnf(a, 3) == intlin.hnf(b, 3) == tuple(sparse([(1, 1, 2), (0, 2, 1),
+                                                                     (0, 0, 3)]))
         assert intlin.same_subgroup(a, b, 3)
-        assert not intlin.same_subgroup(a, [(1, 0, 0), (0, 1, 0), (0, 0, 3)], 3)
+        assert not intlin.same_subgroup(a, sparse([(1, 0, 0), (0, 1, 0), (0, 0, 3)]), 3)
 
 
 class TestIntersection:
     def test_known_lattices(self):
         # 2Z x Z meets Z x 3Z in 2Z x 3Z
-        inter = intlin.intersection([(2, 0), (0, 1)], [(1, 0), (0, 3)], 2)
-        assert intlin.same_subgroup(inter, [(2, 0), (0, 3)], 2)
+        inter = intlin.intersection(sparse([(2, 0), (0, 1)]), sparse([(1, 0), (0, 3)]), 2)
+        assert intlin.same_subgroup(inter, sparse([(2, 0), (0, 3)]), 2)
 
     def test_skew_generators(self):
         # the same lattices on other bases: Z(2,1) + Z(0,1) and Z(1,3) + Z(0,3)
-        inter = intlin.intersection([(2, 1), (0, 1)], [(1, 3), (0, 3)], 2)
-        assert intlin.same_subgroup(inter, [(2, 0), (0, 3)], 2)
+        inter = intlin.intersection(sparse([(2, 1), (0, 1)]), sparse([(1, 3), (0, 3)]), 2)
+        assert intlin.same_subgroup(inter, sparse([(2, 0), (0, 3)]), 2)
 
     def test_disjoint_lines(self):
-        assert not any(any(v) for v in intlin.intersection([(1, 0)], [(0, 1)], 2))
+        assert not any(intlin.intersection(sparse([(1, 0)]), sparse([(0, 1)]), 2))
 
     def test_inside_ambient_coordinates(self):
         # two planes of Z^3 meet in a line of the ambient space
-        inter = intlin.intersection([(1, 0, 0), (0, 1, 0)], [(0, 2, 0), (0, 0, 1)], 3)
-        assert intlin.same_subgroup(inter, [(0, 2, 0)], 3)
+        inter = intlin.intersection(sparse([(1, 0, 0), (0, 1, 0)]),
+                                    sparse([(0, 2, 0), (0, 0, 1)]), 3)
+        assert intlin.same_subgroup(inter, sparse([(0, 2, 0)]), 3)

@@ -458,8 +458,8 @@ class TestRenderingTable:
         for K in (cylinder_complex(t), lambda_cell(t)):
             view = NuView(K, dim + 1)
             for d in range(view.max_dim + 1):
+                assert view.cells(d) == sorted(view.layers[d], key=lambda c: legacy_sort_key(K, c))
                 for c in view.layers[d]:
-                    assert view.sort_key(c) == legacy_sort_key(K, c)
                     assert view.text(c) == legacy_str(K, c)
                     sizes.update(len(names_of(K, m)) for row in c for m in row)
             for indent in (None, 1):
@@ -479,7 +479,7 @@ class TestRenderingTable:
         c = make_cell(K, [({o[0]: 1}, {o[2]: 1}), ({z: 1, s: 1}, {z: 1, s: 1})])
         assert c in view.layers[1]
         assert view.text(c) == legacy_str(K, c) == "[(o0;o2) (2|o0+z;2|o0+z)]"
-        assert view.sort_key(c) == legacy_sort_key(K, c)
+        assert view.cells(1) == sorted(view.layers[1], key=lambda c: legacy_sort_key(K, c))
         # the dump sorts each entry's names as strings, whatever their repr order
         assert dump(view) == legacy_dump(K, view, None)
         assert '[{"2|o0": 1, "z": 1}, {"2|o0": 1, "z": 1}]' in dump(view)

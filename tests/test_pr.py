@@ -160,3 +160,13 @@ class TestCounting:
                 h = pr_hom([t], src, tgt)
                 assert (h is EMPTY) == (dec_level or dec_coord)
 
+
+    def test_counted_pairs_are_the_nonempty_homs(self):
+        # _count reads the homs over pairs() only, so those must be every
+        # pair of objects whose hom is not EMPTY
+        for t in cells_up_to(5):
+            for expr in (Cell(t), pr([t]), pr([t, ONE])):
+                objs = expr.objects()
+                nonempty = {(x, y) for x in objs for y in objs if expr.hom(x, y) is not EMPTY}
+                assert len(expr.pairs()) == len(nonempty)
+                assert set(expr.pairs()) == nonempty
