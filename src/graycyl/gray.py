@@ -20,7 +20,7 @@ from .nu import DEFAULT_CEILING, NuView
 from .theta import (POINT, Frozen, Hyperface, SimplicialMap, ThetaCell,
                     ThetaMorphism, coface_map, gamma_image, globular_sum,
                     leaf_inclusion, meet_inclusion, simplicial_identity,
-                    theta_identity, theta_morphism)
+                    theta_identity)
 
 
 def interval() -> DAComplex:
@@ -302,9 +302,11 @@ def _factors_through(src_col: ShuffleColumn, tgt_cols, steiner: DAMorphism) -> b
                                 len(steiner.target.diff))
 
 
-def _face_between_o_cells(f: ThetaMorphism, js: int, jt: int) -> ThetaMorphism:
-    """The face with the shuffle unit slot inserted at source position
-    js+1 and target position jt+1 (requires f.base(js) == jt)."""
+def _face_between_o_cells(f: ThetaMorphism, js: int, jt: int) -> DAMorphism:
+    """Wreath morphism O_js(source) -> O_jt(target) induced by the face: the
+    face with the shuffle unit slot inserted at source position js+1 and
+    target position jt+1 (requires f.base(js) == jt), built from the lambda
+    maps of f's components and the identity of [0] on the unit slot."""
     src_cell = o_cell(f.source, js)
     tgt_cell = o_cell(f.target, jt)
     if f.base(js) != jt:
@@ -314,16 +316,16 @@ def _face_between_o_cells(f: ThetaMorphism, js: int, jt: int) -> ThetaMorphism:
         else f.base(v - 1) + 1
         for v in range(src_cell.width + 1))
     base = SimplicialMap(src_cell.width, tgt_cell.width, base_imgs)
-    comp_map = {}
+    comps = {}
     for i in range(1, src_cell.width + 1):
         for jj in gamma_image(base)[i]:
             if i == js + 1:
-                comp_map[(i, jj)] = theta_identity(POINT)
+                comps[(i, jj)] = lambda_map(theta_identity(POINT))
             else:
                 i0 = i if i <= js else i - 1
                 j0 = jj if jj <= jt else jj - 1
-                comp_map[(i, jj)] = f.component(i0, j0)
-    return theta_morphism(src_cell, tgt_cell, base, comp_map)
+                comps[(i, jj)] = lambda_map(f.component(i0, j0))
+    return wreath_morphism(lambda_cell(src_cell), lambda_cell(tgt_cell), base, comps)
 
 
 def _face_between_m_columns(f: ThetaMorphism, src, tgt, i: int, i2: int) -> DAMorphism:
@@ -350,8 +352,7 @@ def _column_maps(f: ThetaMorphism, src, tgt):
     own column) has no column map: it is claimed to factor through the
     target columns [M_k, O_k, M_{k+1}], and its map is None."""
     for j in range(f.source.width + 1):
-        yield (src[2 * j], tgt[2 * f.base(j)],
-               lambda_map(_face_between_o_cells(f, j, f.base(j))))
+        yield src[2 * j], tgt[2 * f.base(j)], _face_between_o_cells(f, j, f.base(j))
     for i, segments in gamma_image(f.base).items():
         if len(segments) == 1:
             j, = segments

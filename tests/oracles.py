@@ -13,6 +13,8 @@ renaming of generators.  Tables of nu are built a second way too: by an
 exhaustive search (search_tables) and by composing every composable pair
 (close_all_pairs), and nu_functor with check_functors checks that a
 morphism of complexes acts on tables as an omega-functor.
+o_face_morphism assembles, as a Theta morphism, the face that the
+hyperface check maps between O columns straight from lambda maps.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from itertools import product as iproduct
 
 from graycyl.dac import (ComplexError, DAComplex, DAMorphism, MorphismError, _bit_positions,
                          _sparse, is_nonneg, lambda_globe, render_name)
+from graycyl.gray import o_cell
 from graycyl.nu import (DEFAULT_CEILING, EnumerationError, NuView, TableError, _compose,
                         _pair_key, nu_boundary, nu_identity)
 from graycyl.theta import (POINT, GlobularSumDecomposition, SimplicialMap, ThetaCell,
@@ -175,6 +178,32 @@ def parse_morphism(data, source: ThetaCell | None = None,
             else:
                 raise KeyError(f"component {i},{j} required for {a} -> {b}")
     return theta_morphism(src, tgt, base, comp_map)
+
+
+def o_face_morphism(f: ThetaMorphism, js: int, jt: int) -> ThetaMorphism:
+    """The face f with the shuffle unit slot inserted at source position
+    js+1 and target position jt+1 (requires f.base(js) == jt), assembled as
+    a Theta morphism: the oracle of gray._face_between_o_cells, whose value
+    is its lambda map."""
+    src_cell = o_cell(f.source, js)
+    tgt_cell = o_cell(f.target, jt)
+    if f.base(js) != jt:
+        raise ValueError("unit slots are not aligned")
+    base_imgs = tuple(
+        (f.base(v) if f.base(v) <= jt else f.base(v) + 1) if v <= js
+        else f.base(v - 1) + 1
+        for v in range(src_cell.width + 1))
+    base = SimplicialMap(src_cell.width, tgt_cell.width, base_imgs)
+    comp_map = {}
+    for i in range(1, src_cell.width + 1):
+        for jj in gamma_image(base)[i]:
+            if i == js + 1:
+                comp_map[(i, jj)] = theta_identity(POINT)
+            else:
+                i0 = i if i <= js else i - 1
+                j0 = jj if jj <= jt else jj - 1
+                comp_map[(i, jj)] = f.component(i0, j0)
+    return theta_morphism(src_cell, tgt_cell, base, comp_map)
 
 
 def reconstruct(d: GlobularSumDecomposition) -> ThetaCell:

@@ -185,7 +185,7 @@ class TestLambdaMap:
             if f not in reachable:
                 reachable.add(f)
                 todo.extend(m for _, m in f.components)
-        assert reachable < set(built)
+        assert reachable == set(built)
         assert set(built.values()) == {1}
 
 

@@ -13,8 +13,8 @@ from graycyl.nu import NuView
 from graycyl.theta import (cell, cells_up_to, cells_with_nodes, globe, hyperfaces,
                            parse_cell, theta_identity, vertex)
 
-from oracles import (check_functors, element, image, nu_functor, parse_morphism, row,
-                     with_image)
+from oracles import (check_functors, element, image, nu_functor, o_face_morphism,
+                     parse_morphism, row, with_image)
 
 
 class TestGrayCylinder:
@@ -266,6 +266,22 @@ class TestHyperfaceCylinder:
         assert len(faces) == 5016
         for f in faces:
             assert hyperface_cylinder(f).agree, (str(f.map.target), f.kind, f.position)
+
+    def test_o_column_maps_match_the_theta_oracle(self):
+        # the expected O-column maps are wreath morphisms of the face's own
+        # component maps; the oracle assembles the Theta morphism and takes
+        # its lambda map
+        maps = 0
+        for t in cells_up_to(7):
+            for face in hyperfaces(t):
+                f = face.map
+                for j in range(f.source.width + 1):
+                    got = gray._face_between_o_cells(f, j, f.base(j))
+                    want = lambda_map(o_face_morphism(f, j, f.base(j)))
+                    assert got.source is want.source and got.target is want.target
+                    assert got.images == want.images, (str(t), face.position, j)
+                    maps += 1
+        assert maps == 5220
 
     def test_steiner_functoriality(self):
         t = parse_cell("[2]([1],[0])")
@@ -537,6 +553,31 @@ class TestPerturbedInputsFail:
         monkeypatch.setattr(gray, "_column_maps", perturbed)
         rep = hyperface_cylinder(face)
         assert not rep.agree and not rep.column_results[0]["ok"]
+        monkeypatch.undo()
+        assert hyperface_cylinder(face).agree
+
+    def test_hyperface_o_column_builder(self, monkeypatch):
+        # the builder of O1's map reads the component [0] -> [1] at the
+        # wrong vertex; the cylinder map and the M columns are left alone
+        face = next(f for f in hyperfaces(parse_cell("[2]([1],[0])"))
+                    if f.position == (1, 0))
+        right = face.map.component(1, 1)
+        assert right is vertex(cell(1), 1)
+        wrong = lambda_map(vertex(cell(1), 0))
+        real = gray._face_between_o_cells
+
+        def perturbed(f, js, jt):
+            if js != 1:
+                return real(f, js, jt)
+            with monkeypatch.context() as m:
+                m.setattr(gray, "lambda_map", lambda g: wrong if g is right else lambda_map(g))
+                return real(f, js, jt)
+
+        monkeypatch.setattr(gray, "_face_between_o_cells", perturbed)
+        rep = hyperface_cylinder(face)
+        assert not rep.agree
+        assert [(r["column"], r["ok"]) for r in rep.column_results] == [
+            ("O0", True), ("O1", False), ("O2", True), ("M1", True), ("M2", True)]
         monkeypatch.undo()
         assert hyperface_cylinder(face).agree
 
