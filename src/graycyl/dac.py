@@ -433,29 +433,56 @@ def morphisms_agree(a: DAMorphism, b: DAMorphism) -> bool:
     return a.images == b.images
 
 
+def composites_agree(a: DAMorphism, b: DAMorphism, c: DAMorphism, d: DAMorphism) -> bool:
+    """morphisms_agree(a.then(b), c.then(d)), read row by row with neither
+    composite built: it stops at the first generator whose two images
+    differ.  A row that is None, or that meets a None row, composes to None,
+    as in then, and the maps must run between the same complexes as there."""
+    if a.target is not b.source or c.target is not d.source:
+        raise MorphismError("composition mismatch")
+    if a.source is not c.source or b.target is not d.target:
+        raise MorphismError("morphisms between different complexes")
+    rows_b, rows_d = b.images, d.images
+    for x, y in zip(a.images, c.images):
+        if ((None if x is None else _combine(rows_b, x))
+                != (None if y is None else _combine(rows_d, y))):
+            return False
+    return True
+
+
 def wreath_morphism(src: DAComplex, tgt: DAComplex, base: SimplicialMap,
                     comps: dict) -> DAMorphism:
     """Morphism of wreath complexes from a base map and child morphisms
-    comps[(i, j)] for j in F(base)(i): the suspension over segment i of a
-    child generator goes to the sum over j of the suspensions over segment
-    j of its images under comps[(i, j)]."""
+    comps[(i, j)] for j in F(base)(i): wreath_map with the base's vertex
+    images and, per segment i, the pairs (j, comps[(i, j)])."""
+    return wreath_map(src, tgt, base.image,
+                      [[(j, comps[(i, j)]) for j in segments]
+                       for i, segments in gamma_image(base).items()])
+
+
+def wreath_map(src: DAComplex, tgt: DAComplex, objects, legs) -> DAMorphism:
+    """Morphism of wreath complexes that sends the object p to the object
+    objects[p], and the suspension over segment i of a child generator to
+    the sum, over the pairs (j, m) of legs[i - 1], of the suspensions over
+    segment j of its images under the child morphism m."""
     images = [None] * len(src.diff)
-    units, objects = tgt.units, tgt.parts[0]
-    for p, x in enumerate(src.parts[0]):
-        images[x] = units[objects[base(p)]]
-    for i, segments in gamma_image(base).items():
-        legs = [(tgt.parts[j], comps[(i, j)].images) for j in segments]
-        if len(legs) == 1:
-            (part, rows), = legs
-            for x, y in enumerate(src.parts[i]):
+    units, parts = tgt.units, tgt.parts
+    for x, p in zip(src.parts[0], objects):
+        images[x] = units[parts[0][p]]
+    for src_part, leg in zip(src.parts[1:], legs):
+        if len(leg) == 1:
+            (j, m), = leg
+            part, rows = parts[j], m.images
+            for x, y in enumerate(src_part):
                 row = rows[x]
                 images[y] = (units[part[row[0][0]]] if len(row) == 1 and row[0][1] == 1
                              else tuple([(part[h], c) for h, c in row]))
         else:
             # the segments' blocks of one degree follow each other, so
             # sorting the joined rows only orders an image of mixed degrees
-            for x, y in enumerate(src.parts[i]):
-                images[y] = tuple(sorted([(part[h], c) for part, rows in legs
+            blocks = [(parts[j], m.images) for j, m in leg]
+            for x, y in enumerate(src_part):
+                images[y] = tuple(sorted([(part[h], c) for part, rows in blocks
                                           for h, c in rows[x]]))
     return DAMorphism(src, tgt, tuple(images))
 

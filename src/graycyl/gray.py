@@ -13,14 +13,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import intlin
-from .dac import (DAComplex, DAMorphism, lambda_cell, lambda_globe,
-                  lambda_map, morphisms_agree, tensor, wreath_complex,
-                  wreath_morphism)
+from .dac import (DAComplex, DAMorphism, composites_agree, lambda_cell,
+                  lambda_globe, lambda_map, morphisms_agree, tensor,
+                  wreath_complex, wreath_map, wreath_morphism)
 from .nu import DEFAULT_CEILING, NuView
-from .theta import (POINT, Frozen, Hyperface, SimplicialMap, ThetaCell,
-                    ThetaMorphism, coface_map, gamma_image, globular_sum,
-                    leaf_inclusion, meet_inclusion, simplicial_identity,
-                    theta_identity)
+from .theta import (POINT, Frozen, Hyperface, ThetaCell, ThetaMorphism,
+                    coface_map, gamma_image, globular_sum, leaf_inclusion,
+                    meet_inclusion, simplicial_identity, theta_identity)
 
 
 def interval() -> DAComplex:
@@ -42,12 +41,18 @@ def cylinder_complex(t: ThetaCell) -> DAComplex:
 def cylinder_map(f: ThetaMorphism) -> DAMorphism:
     """[1]⊗f: the identity of the interval tensored with lambda(f), between
     the memoised cylinders of f's source and target."""
-    lam = lambda_map(f).images
-    src, tgt = cylinder_complex(f.source), cylinder_complex(f.target)
+    return _interval_tensor(lambda_map(f), cylinder_complex(f.source),
+                            cylinder_complex(f.target))
+
+
+def _interval_tensor(lam: DAMorphism, src: DAComplex, tgt: DAComplex) -> DAMorphism:
+    """The interval tensored with the lambda map lam, from src to tgt, the
+    cylinders over lam's source and target cells."""
+    rows = lam.images
     images = [None] * len(src.diff)
     units = tgt.units
     for src_part, tgt_part in zip(src.parts, tgt.parts):
-        for y, row in zip(src_part, lam):
+        for y, row in zip(src_part, rows):
             images[y] = (units[tgt_part[row[0][0]]] if len(row) == 1 and row[0][1] == 1
                          else tuple([(tgt_part[h], c) for h, c in row]))
     return DAMorphism(src, tgt, tuple(images))
@@ -297,52 +302,60 @@ class HyperfaceCylinderReport:
 def _factors_through(src_col: ShuffleColumn, tgt_cols, steiner: DAMorphism) -> bool:
     """Does the cylinder map send the column into the lattice of the target
     columns?"""
-    target = [row for c in tgt_cols for row in c.embed.images]
-    return intlin.same_subgroup(target, target + list(src_col.embed.then(steiner).images),
-                                len(steiner.target.diff))
+    return intlin.contains([row for c in tgt_cols for row in c.embed.images],
+                           src_col.embed.then(steiner).images, len(steiner.target.diff))
 
 
-def _face_between_o_cells(f: ThetaMorphism, js: int, jt: int) -> DAMorphism:
-    """Wreath morphism O_js(source) -> O_jt(target) induced by the face: the
-    face with the shuffle unit slot inserted at source position js+1 and
-    target position jt+1 (requires f.base(js) == jt), built from the lambda
-    maps of f's components and the identity of [0] on the unit slot."""
-    src_cell = o_cell(f.source, js)
-    tgt_cell = o_cell(f.target, jt)
-    if f.base(js) != jt:
+def _face_table(f: ThetaMorphism) -> dict:
+    """The lambda maps every column map of the face f reads: at (i, j) that
+    of f's component (i, j), and at (0, 0) that of the identity of [0], for
+    the unit slot of an O column.  Each distinct map is looked up once per
+    face."""
+    unit = theta_identity(POINT)
+    lams = {c: lambda_map(c) for c in {unit}.union(c for _, c in f.components)}
+    table = {key: lams[c] for key, c in f.components}
+    table[(0, 0)] = lams[unit]
+    return table
+
+
+def _legs(image: tuple, table: dict, segments: range, shift: int = 0) -> list:
+    """Per source segment i in `segments`, the pairs (j + shift, table[(i, j)])
+    over the segments j that the base map with vertex images `image` sends
+    i over."""
+    return [[(j + shift, table[(i, j)]) for j in range(image[i - 1] + 1, image[i] + 1)]
+            for i in segments]
+
+
+def _face_between_o_cells(f: ThetaMorphism, table: dict, src, tgt, js: int,
+                          jt: int) -> DAMorphism:
+    """The map O_js(source) -> O_jt(target) induced by the face, between the
+    columns of the shuffle diagrams src and tgt: f with the shuffle unit slot
+    inserted at source position js+1 and target position jt+1 (requires
+    f.base(js) == jt).  Vertices after js and segments after the unit slot
+    move up by one, and the unit slot goes to the unit slot by the identity
+    of [0]."""
+    image = f.base.image
+    if image[js] != jt:
         raise ValueError("unit slots are not aligned")
-    base_imgs = tuple(
-        (f.base(v) if f.base(v) <= jt else f.base(v) + 1) if v <= js
-        else f.base(v - 1) + 1
-        for v in range(src_cell.width + 1))
-    base = SimplicialMap(src_cell.width, tgt_cell.width, base_imgs)
-    comps = {}
-    for i in range(1, src_cell.width + 1):
-        for jj in gamma_image(base)[i]:
-            if i == js + 1:
-                comps[(i, jj)] = lambda_map(theta_identity(POINT))
-            else:
-                i0 = i if i <= js else i - 1
-                j0 = jj if jj <= jt else jj - 1
-                comps[(i, jj)] = lambda_map(f.component(i0, j0))
-    return wreath_morphism(lambda_cell(src_cell), lambda_cell(tgt_cell), base, comps)
+    legs = (_legs(image, table, range(1, js + 1)) + [[(jt + 1, table[(0, 0)])]]
+            + _legs(image, table, range(js + 1, len(image)), 1))
+    return wreath_map(src[2 * js].embed.source, tgt[2 * jt].embed.source,
+                      image[:js + 1] + tuple([v + 1 for v in image[js:]]), legs)
 
 
-def _face_between_m_columns(f: ThetaMorphism, src, tgt, i: int, i2: int) -> DAMorphism:
-    """Wreath morphism M_i(source) -> M_{i2}(target) induced by the face,
-    between the columns of the shuffle diagrams src and tgt."""
-    fimg = gamma_image(f.base)
-    comps = {}
-    for q in range(1, f.source.width + 1):
-        for jj in fimg[q]:
-            if q == i:
-                if jj != i2:
-                    raise ValueError("cylinder slot must map to the cylinder slot")
-                comps[(q, jj)] = cylinder_map(f.component(q, jj))
-            else:
-                comps[(q, jj)] = lambda_map(f.component(q, jj))
-    return wreath_morphism(src[2 * i - 1].embed.source, tgt[2 * i2 - 1].embed.source,
-                           f.base, comps)
+def _face_between_m_columns(f: ThetaMorphism, table: dict, src, tgt, i: int,
+                            i2: int) -> DAMorphism:
+    """The map M_i(source) -> M_i2(target) induced by the face, between the
+    columns of the shuffle diagrams src and tgt: the table's lambda maps,
+    and on the cylinder slot i the interval tensored with the component's."""
+    image = f.base.image
+    legs = _legs(image, table, range(1, len(image)))
+    if any(j != i2 for j, _ in legs[i - 1]):
+        raise ValueError("cylinder slot must map to the cylinder slot")
+    child = cylinder_complex(f.source.children[i - 1])
+    legs[i - 1] = [(j, _interval_tensor(m, child, cylinder_complex(f.target.children[j - 1])))
+                   for j, m in legs[i - 1]]
+    return wreath_map(src[2 * i - 1].embed.source, tgt[2 * i2 - 1].embed.source, image, legs)
 
 
 def _column_maps(f: ThetaMorphism, src, tgt):
@@ -350,14 +363,16 @@ def _column_maps(f: ThetaMorphism, src, tgt):
     cylinder over f: O_j goes to O_f(j), and M_i to the column over the
     segment F(f)(i).  An M_i over two segments {k, k+1} (the inner face's
     own column) has no column map: it is claimed to factor through the
-    target columns [M_k, O_k, M_{k+1}], and its map is None."""
-    for j in range(f.source.width + 1):
-        yield src[2 * j], tgt[2 * f.base(j)], _face_between_o_cells(f, j, f.base(j))
+    target columns [M_k, O_k, M_{k+1}], and its map is None.  Every map
+    reads one table of the face's lambda maps."""
+    table = _face_table(f)
+    for j, jt in enumerate(f.base.image):
+        yield src[2 * j], tgt[2 * jt], _face_between_o_cells(f, table, src, tgt, j, jt)
     for i, segments in gamma_image(f.base).items():
         if len(segments) == 1:
             j, = segments
             yield (src[2 * i - 1], tgt[2 * j - 1],
-                   _face_between_m_columns(f, src, tgt, i, j))
+                   _face_between_m_columns(f, table, src, tgt, i, j))
         else:
             k, _ = segments
             yield src[2 * i - 1], tgt[2 * k - 1:2 * k + 2], None
@@ -375,7 +390,6 @@ def hyperface_cylinder(face: Hyperface) -> HyperfaceCylinderReport:
         if m is None:
             ok, mode = _factors_through(col_s, col_t, steiner), "span"
         else:
-            ok = morphisms_agree(col_s.embed.then(steiner), m.then(col_t.embed))
-            mode = "exact"
+            ok, mode = composites_agree(col_s.embed, steiner, m, col_t.embed), "exact"
         results.append({"column": col_s.name, "mode": mode, "ok": ok})
     return HyperfaceCylinderReport(results, all(r["ok"] for r in results))

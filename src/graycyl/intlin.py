@@ -15,9 +15,11 @@ disjoint ranges of positions never meet in Euclid, so one echelon of all of
 them is the echelon of each range.
 
 `rank` counts the pivots and `pivots` reads them, `hnf` back-reduces them to
-the canonical Hermite form, `intersection` is Zassenhaus's meet, and
-`same_subgroup` compares Hermite forms: v lies in the lattice of rows exactly
-when `same_subgroup(rows, rows + [v], width)`.
+the canonical Hermite form, `intersection` is Zassenhaus's meet,
+`same_subgroup` compares Hermite forms, and `contains` reduces vectors by the
+pivots: v lies in the lattice of rows exactly when
+`contains(rows, [v], width)`, the verdict of
+`same_subgroup(rows, rows + [v], width)` from one echelon.
 """
 
 from __future__ import annotations
@@ -116,3 +118,20 @@ def intersection(rows_a, rows_b, width: int) -> list[tuple]:
 
 def same_subgroup(rows_a, rows_b, width: int) -> bool:
     return hnf(rows_a, width) == hnf(rows_b, width)
+
+
+def contains(rows, vectors, width: int) -> bool:
+    """Does every vector lie in the lattice of rows?  The pivot rows are a
+    basis of that lattice with distinct first positions, so a vector lies in
+    it exactly when its first position holds a pivot that divides its entry
+    there, and what is left after subtracting that multiple lies in it too.
+    Positions from `width` on are not read."""
+    pivots, _ = _echelon(rows, width)
+    for v in vectors:
+        while v and v[0][0] < width:
+            p, c = v[0]
+            piv = pivots.get(p)
+            if piv is None or c % piv[0][1]:
+                return False
+            v = _minus(v, c // piv[0][1], piv)
+    return True

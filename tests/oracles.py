@@ -14,7 +14,9 @@ exhaustive search (search_tables) and by composing every composable pair
 (close_all_pairs), and nu_functor with check_functors checks that a
 morphism of complexes acts on tables as an omega-functor.
 o_face_morphism assembles, as a Theta morphism, the face that the
-hyperface check maps between O columns straight from lambda maps.
+hyperface check maps between O columns straight from lambda maps, and
+m_face_map builds the map between M columns one column at a time, from the
+face's components.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 from graycyl.dac import (ComplexError, DAComplex, DAMorphism, MorphismError, _bit_positions,
-                         _sparse, is_nonneg, lambda_globe, render_name)
-from graycyl.gray import o_cell
+                         _sparse, is_nonneg, lambda_globe, lambda_map, render_name,
+                         wreath_morphism)
+from graycyl.gray import cylinder_map, o_cell
 from graycyl.nu import (DEFAULT_CEILING, EnumerationError, NuView, TableError, _compose,
                         _pair_key, nu_boundary, nu_identity)
 from graycyl.theta import (POINT, GlobularSumDecomposition, SimplicialMap, ThetaCell,
@@ -204,6 +207,26 @@ def o_face_morphism(f: ThetaMorphism, js: int, jt: int) -> ThetaMorphism:
                 j0 = jj if jj <= jt else jj - 1
                 comp_map[(i, jj)] = f.component(i0, j0)
     return theta_morphism(src_cell, tgt_cell, base, comp_map)
+
+
+def m_face_map(f: ThetaMorphism, src, tgt, i: int, i2: int) -> DAMorphism:
+    """The map M_i(source) -> M_i2(target) induced by the face f, between
+    the columns of the shuffle diagrams src and tgt, built for this one
+    column from f's components: cylinder_map of the component on the
+    cylinder slot i and lambda_map of every other.  The oracle of
+    gray._face_between_m_columns, which reads one table per face."""
+    fimg = gamma_image(f.base)
+    comps = {}
+    for q in range(1, f.source.width + 1):
+        for jj in fimg[q]:
+            if q == i:
+                if jj != i2:
+                    raise ValueError("cylinder slot must map to the cylinder slot")
+                comps[(q, jj)] = cylinder_map(f.component(q, jj))
+            else:
+                comps[(q, jj)] = lambda_map(f.component(q, jj))
+    return wreath_morphism(src[2 * i - 1].embed.source, tgt[2 * i2 - 1].embed.source,
+                           f.base, comps)
 
 
 def reconstruct(d: GlobularSumDecomposition) -> ThetaCell:

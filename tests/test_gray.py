@@ -10,11 +10,11 @@ from graycyl.gray import (ShuffleColumn, cylinder_complex, cylinder_map,
                           interval, lax_shuffle_diagram, shuffle_dot, verify_gluing,
                           verify_globular_preservation)
 from graycyl.nu import NuView
-from graycyl.theta import (cell, cells_up_to, cells_with_nodes, globe, hyperfaces,
-                           parse_cell, theta_identity, vertex)
+from graycyl.theta import (POINT, cell, cells_up_to, cells_with_nodes, gamma_image, globe,
+                           hyperfaces, parse_cell, theta_identity, vertex)
 
-from oracles import (check_functors, element, image, nu_functor, o_face_morphism,
-                     parse_morphism, row, with_image)
+from oracles import (check_functors, element, image, m_face_map, nu_functor,
+                     o_face_morphism, parse_morphism, row, with_image)
 
 
 class TestGrayCylinder:
@@ -268,20 +268,70 @@ class TestHyperfaceCylinder:
             assert hyperface_cylinder(f).agree, (str(f.map.target), f.kind, f.position)
 
     def test_o_column_maps_match_the_theta_oracle(self):
-        # the expected O-column maps are wreath morphisms of the face's own
-        # component maps; the oracle assembles the Theta morphism and takes
-        # its lambda map
+        # the expected O-column maps are wreath maps of the face's own
+        # component maps, read from one table per face; the oracle assembles
+        # the Theta morphism and takes its lambda map
         maps = 0
         for t in cells_up_to(7):
             for face in hyperfaces(t):
                 f = face.map
+                table = gray._face_table(f)
+                src, tgt = lax_shuffle_diagram(f.source), lax_shuffle_diagram(f.target)
                 for j in range(f.source.width + 1):
-                    got = gray._face_between_o_cells(f, j, f.base(j))
+                    got = gray._face_between_o_cells(f, table, src, tgt, j, f.base(j))
                     want = lambda_map(o_face_morphism(f, j, f.base(j)))
                     assert got.source is want.source and got.target is want.target
                     assert got.images == want.images, (str(t), face.position, j)
                     maps += 1
         assert maps == 5220
+
+    def test_m_column_maps_match_the_per_column_oracle(self):
+        # the M-column maps read the same per-face table; the oracle builds
+        # each from the face's components, one column at a time
+        maps = 0
+        for t in cells_up_to(7):
+            for face in hyperfaces(t):
+                f = face.map
+                table = gray._face_table(f)
+                src, tgt = lax_shuffle_diagram(f.source), lax_shuffle_diagram(f.target)
+                for i, segments in gamma_image(f.base).items():
+                    if len(segments) != 1:
+                        continue
+                    got = gray._face_between_m_columns(f, table, src, tgt, i, segments[0])
+                    want = m_face_map(f, src, tgt, i, segments[0])
+                    assert got.source is want.source and got.target is want.target
+                    assert got.images == want.images, (str(t), face.position, i)
+                    maps += 1
+        assert maps == 3112
+
+    def test_one_table_per_face(self, monkeypatch):
+        # over a face, the check reads no O cell and looks each distinct
+        # lambda map up once: the face's own, for its cylinder map, and
+        # those of its components and of the identity of [0], for its table
+        cells = cells_up_to(6)
+        faces = [face for t in cells for face in hyperfaces(t)]
+        for face in faces:
+            lax_shuffle_diagram(face.map.source)
+            lax_shuffle_diagram(face.map.target)
+        looked_up = []
+
+        def counted(g):
+            looked_up.append(g)
+            return lambda_map(g)
+
+        def no_o_cell(t, j):
+            raise AssertionError("o_cell read by the hyperface check")
+
+        monkeypatch.setattr(gray, "lambda_map", counted)
+        monkeypatch.setattr(gray, "o_cell", no_o_cell)
+        for face in faces:
+            looked_up.clear()
+            assert hyperface_cylinder(face).agree
+            f = face.map
+            allowed = {f, theta_identity(POINT)} | {c for _, c in f.components}
+            assert len(looked_up) == len(set(looked_up)) == len(allowed)
+            assert set(looked_up) == allowed
+        assert len(faces) == 502
 
     def test_steiner_functoriality(self):
         t = parse_cell("[2]([1],[0])")
@@ -558,20 +608,18 @@ class TestPerturbedInputsFail:
 
     def test_hyperface_o_column_builder(self, monkeypatch):
         # the builder of O1's map reads the component [0] -> [1] at the
-        # wrong vertex; the cylinder map and the M columns are left alone
+        # wrong vertex from the face's table; the cylinder map, the other
+        # O columns and the M columns read the table as it is
         face = next(f for f in hyperfaces(parse_cell("[2]([1],[0])"))
                     if f.position == (1, 0))
-        right = face.map.component(1, 1)
-        assert right is vertex(cell(1), 1)
+        assert face.map.component(1, 1) is vertex(cell(1), 1)
         wrong = lambda_map(vertex(cell(1), 0))
         real = gray._face_between_o_cells
 
-        def perturbed(f, js, jt):
-            if js != 1:
-                return real(f, js, jt)
-            with monkeypatch.context() as m:
-                m.setattr(gray, "lambda_map", lambda g: wrong if g is right else lambda_map(g))
-                return real(f, js, jt)
+        def perturbed(f, table, src, tgt, js, jt):
+            if js == 1:
+                table = {**table, (1, 1): wrong}
+            return real(f, table, src, tgt, js, jt)
 
         monkeypatch.setattr(gray, "_face_between_o_cells", perturbed)
         rep = hyperface_cylinder(face)
@@ -602,12 +650,14 @@ class TestFacePreconditions:
     def test_misaligned_unit_slots(self):
         face = next(f for f in hyperfaces(cell(2)) if f.position == (0,))
         assert face.map.base(0) == 1
+        src = lax_shuffle_diagram(face.map.source)
+        tgt = lax_shuffle_diagram(face.map.target)
         with pytest.raises(ValueError, match="unit slots"):
-            gray._face_between_o_cells(face.map, 0, 0)
+            gray._face_between_o_cells(face.map, gray._face_table(face.map), src, tgt, 0, 0)
 
     def test_cylinder_slot_elsewhere(self):
         face = next(f for f in hyperfaces(cell(2)) if f.position == (0,))
         src = lax_shuffle_diagram(face.map.source)
         tgt = lax_shuffle_diagram(face.map.target)
         with pytest.raises(ValueError, match="cylinder slot"):
-            gray._face_between_m_columns(face.map, src, tgt, 1, 1)
+            gray._face_between_m_columns(face.map, gray._face_table(face.map), src, tgt, 1, 1)

@@ -28,11 +28,13 @@ def _callers(name: str) -> set:
     return out
 
 
-# the meet of two lattices is read only by gray._meet_in, and lattice
-# membership is asked only as an equality of subgroups
+# the meet of two lattices is read only by gray._meet_in, which compares it
+# with a lattice as an equality of subgroups, and lattice membership is asked
+# only by gray._factors_through
 LATTICE_CALLERS = {
+    "contains": {"gray._factors_through"},
     "intersection": {"gray._meet_in"},
-    "same_subgroup": {"gray._meet_in", "gray._factors_through"},
+    "same_subgroup": {"gray._meet_in"},
 }
 
 
@@ -43,7 +45,7 @@ def test_lattice_meets_go_through_one_helper(name):
 
 def test_predicates_reduce_through_one_echelon():
     assert _callers("_echelon") == {"intlin.hnf", "intlin.rank", "intlin.pivots",
-                                    "intlin.intersection"}
+                                    "intlin.intersection", "intlin.contains"}
 
 
 def sparse(rows):
@@ -135,11 +137,25 @@ class TestAgainstTheSweep:
     @settings(max_examples=300, deadline=None)
     @given(matrices(), st.lists(st.integers(-6, 6), min_size=5, max_size=5))
     def test_in_span(self, m, v):
-        # membership, as gray._factors_through asks it
+        # membership as an equality of subgroups
         rows, width = m
         v = tuple(v[:width])
         member = oracle_hnf(rows + [v], width) == oracle_hnf(rows, width)
         assert intlin.same_subgroup(sparse(rows), sparse(rows + [v]), width) == member
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices(), st.lists(st.lists(st.integers(-6, 6), min_size=5, max_size=5),
+                                max_size=3))
+    def test_contains(self, m, vs):
+        # membership from one echelon, as gray._factors_through asks it: the
+        # verdict of the equality of subgroups, vector by vector and for all
+        rows, width = m
+        vs = [tuple(v[:width]) for v in vs]
+        members = [oracle_hnf(rows + [v], width) == oracle_hnf(rows, width) for v in vs]
+        for v, member in zip(vs, members):
+            assert intlin.contains(sparse(rows), sparse([v]), width) == member
+            assert intlin.same_subgroup(sparse(rows), sparse(rows + [v]), width) == member
+        assert intlin.contains(sparse(rows), sparse(vs), width) == all(members)
 
     @settings(max_examples=200, deadline=None)
     @given(matrices(max_rows=4, max_width=3), st.data())
@@ -208,6 +224,14 @@ class TestVerdictsCanFail:
         assert intlin.rank(rows, 3) == 2 < len(rows)
         # two relations, each meeting the zero lattice in 0
         assert intlin.intersection(rows, [], 3) == [(), ()]
+
+    def test_a_rational_multiple_is_not_a_member(self):
+        # (1, 0) lies in the rational span of (2, 0) but not in its lattice
+        rows = [((0, 2),)]
+        assert intlin.rank(rows + [((0, 1),)], 2) == intlin.rank(rows, 2)
+        assert not intlin.contains(rows, [((0, 1),)], 2)
+        assert not intlin.same_subgroup(rows, rows + [((0, 1),)], 2)
+        assert intlin.contains(rows, [((0, 4),), ((0, -2),), ()], 2)
 
     def test_one_lattice_has_one_form(self):
         # two bases of one lattice; back-reducing the pivots bottom up

@@ -1,13 +1,15 @@
+from itertools import product
+
 import pytest
 
-from graycyl.dac import DAMorphism, MorphismError, lambda_cell
+from graycyl.dac import DAMorphism, MorphismError, lambda_cell, lambda_map
 from graycyl.gray import cylinder_complex, gray_cylinder
 from graycyl.nu import TableError
 from graycyl.span import (_span_report, _split_identities, mirror_positions,
                           projection_to_cell, projection_to_interval, shift_map,
                           shift_target_cell, span_dot, split_map, verify_span)
-from graycyl.theta import (cell, cells_up_to, cells_with_nodes, coface, mirror,
-                           parse_cell)
+from graycyl.theta import (bang, cell, cells_up_to, cells_with_nodes, coface, mirror,
+                           parse_cell, vertex)
 
 from oracles import (check_functors, degree_of, image, images, named_morphism, nu_functor,
                      with_image)
@@ -33,10 +35,28 @@ def legs(t):
     return projection_to_interval(t), projection_to_cell(t), shift_map(t)
 
 
-def leg_functors(t, max_dim=None):
-    """nu of p1, p2 and q out of one cylinder view: the oracle's functors."""
+def leg_functors(t, max_dim=None, maps=None):
+    """nu of p1, p2 and q (or of the given maps) out of one cylinder view:
+    the oracle's functors."""
     view = gray_cylinder(t, max_dim)
-    return view, [nu_functor(m, view.max_dim, source_view=view) for m in legs(t)]
+    return view, [nu_functor(m, view.max_dim, source_view=view) for m in maps or legs(t)]
+
+
+def not_onto(view, Fs) -> list:
+    """The (leg, d) pairs where nu of the span is not onto the d-cells of its
+    targets: "kappa" where the pairs (nu p1, nu p2) of the cylinder's
+    d-cells miss a pair in nu([1])_d × nu(T)_d, "sigma" where nu q misses a
+    cell of nu(Σ mirror T)_d."""
+    p1, p2, q = Fs
+    out = []
+    for d in range(view.max_dim + 1):
+        cells = view.layers[d]
+        if ({(p1(c), p2(c)) for c in cells}
+                != set(product(p1.target_view.layers[d], p2.target_view.layers[d]))):
+            out.append(("kappa", d))
+        if {q(c) for c in cells} != q.target_view.layers[d]:
+            out.append(("sigma", d))
+    return out
 
 
 class TestSplitMap:
@@ -265,3 +285,33 @@ class TestFunctorOracle:
         for t in cells_up_to(6):
             view, Fs = leg_functors(t, min(t.dimension() + 1, 4))
             assert check_functors(Fs, view.max_dim) == [[], [], []], str(t)
+
+
+class TestSpanIsOnto:
+    """A d-cell of nu([1]) × nu(T) is a pair of d-cells, so the span should
+    be onto on cells: (nu p1, nu p2) maps the d-cells of the cylinder onto
+    nu([1])_d × nu(T)_d, and nu q onto nu(Σ mirror T)_d.  PAPER.md quotes
+    only the abstract, so this is a property of the span checked on the
+    tables, not a quoted theorem."""
+
+    def test_kappa_and_sigma_are_onto_up_to_six_nodes(self):
+        pairs = 0
+        for t in cells_up_to(6):
+            view, Fs = leg_functors(t, min(t.dimension() + 1, 4))
+            assert not_onto(view, Fs) == [], str(t)
+            pairs += view.max_dim + 1
+        assert pairs == 286
+
+    def test_a_collapsed_first_leg_is_not_onto(self):
+        # p1 replaced by p2 ; lambda(T -> [0] -> [1] at vertex 0): every
+        # cell goes to the vertex 0 end of the interval, so kappa misses the
+        # pairs over vertex 1 in every dimension, and sigma is untouched
+        pairs = 0
+        for t in cells_up_to(5):
+            p1, p2, q = legs(t)
+            collapse = lambda_map(bang(t).then(vertex(cell(1), 0)))
+            view, Fs = leg_functors(t, min(t.dimension() + 1, 4),
+                                    (p2.then(collapse), p2, q))
+            assert not_onto(view, Fs) == [("kappa", d) for d in range(view.max_dim + 1)], str(t)
+            pairs += view.max_dim + 1
+        assert pairs == 93
