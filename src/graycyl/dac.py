@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 from operator import itemgetter
 from weakref import WeakKeyDictionary
 
-from .theta import Frozen, SimplicialMap, ThetaCell, ThetaMorphism, gamma_image
+from .theta import Frozen, ThetaCell, ThetaMorphism
 
 
 # ---------------------------------------------------------------------------
@@ -450,16 +450,6 @@ def composites_agree(a: DAMorphism, b: DAMorphism, c: DAMorphism, d: DAMorphism)
     return True
 
 
-def wreath_morphism(src: DAComplex, tgt: DAComplex, base: SimplicialMap,
-                    comps: dict) -> DAMorphism:
-    """Morphism of wreath complexes from a base map and child morphisms
-    comps[(i, j)] for j in F(base)(i): wreath_map with the base's vertex
-    images and, per segment i, the pairs (j, comps[(i, j)])."""
-    return wreath_map(src, tgt, base.image,
-                      [[(j, comps[(i, j)]) for j in segments]
-                       for i, segments in gamma_image(base).items()])
-
-
 def wreath_map(src: DAComplex, tgt: DAComplex, objects, legs) -> DAMorphism:
     """Morphism of wreath complexes that sends the object p to the object
     objects[p], and the suspension over segment i of a child generator to
@@ -503,8 +493,10 @@ def lambda_map(f: ThetaMorphism) -> DAMorphism:
 
 
 def _lambda_map(f: ThetaMorphism) -> DAMorphism:
-    comps = {(i, j): lambda_map(m) for (i, j), m in f.components}
-    return wreath_morphism(lambda_cell(f.source), lambda_cell(f.target), f.base, comps)
+    legs = [[] for _ in f.source.children]
+    for (i, j), m in f.components:
+        legs[i - 1].append((j, lambda_map(m)))
+    return wreath_map(lambda_cell(f.source), lambda_cell(f.target), f.base.image, legs)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,11 @@ from functools import lru_cache
 from . import intlin
 from .dac import (DAComplex, DAMorphism, composites_agree, lambda_cell,
                   lambda_globe, lambda_map, morphisms_agree, tensor,
-                  wreath_complex, wreath_map, wreath_morphism)
+                  wreath_complex, wreath_map)
 from .nu import DEFAULT_CEILING, NuView
-from .theta import (POINT, Frozen, Hyperface, ThetaCell, ThetaMorphism,
-                    coface_map, gamma_image, globular_sum, leaf_inclusion,
-                    meet_inclusion, simplicial_identity, theta_identity)
+from .theta import (POINT, Frozen, Hyperface, ThetaCell, ThetaMorphism, bang,
+                    gamma_image, globular_sum, leaf_inclusion, meet_inclusion,
+                    theta_identity)
 
 
 def interval() -> DAComplex:
@@ -151,9 +151,24 @@ def m_end_leg(t: ThetaCell, m: ShuffleColumn, eps: int) -> DAMorphism:
     """lambda(T) -> the complex of the column m = M_k, the end-eps inclusion
     on the k-th slot."""
     k = m.index
-    comps = {(i, i): endpoint_inclusion(c, eps) if i == k else lambda_map(theta_identity(c))
-             for i, c in enumerate(t.children, start=1)}
-    return wreath_morphism(lambda_cell(t), m.embed.source, simplicial_identity(t.width), comps)
+    legs = [[(i, endpoint_inclusion(c, eps) if i == k else lambda_map(theta_identity(c)))]
+            for i, c in enumerate(t.children, start=1)]
+    return wreath_map(lambda_cell(t), m.embed.source, range(t.width + 1), legs)
+
+
+def _o_leg(t: ThetaCell, j: int, k: int, tgt: DAComplex, ids: list) -> DAMorphism:
+    """lambda(T) -> tgt, the complex of o_cell(t, j): lambda of the face d^k
+    that skips the unit slot j+1, built from positions.  Each slot keeps its
+    child by the identity (its lambda map in ids) into the slot it copies,
+    and the slot sent over two segments reaches the other one, the unit, by
+    bang."""
+    objects = tuple(range(k)) + tuple(range(k + 1, t.width + 2))
+    legs = []
+    for i, (c, same) in enumerate(zip(t.children, ids), start=1):
+        copy = i if i <= j else i + 1
+        legs.append([(s, same if s == copy else lambda_map(bang(c)))
+                     for s in range(objects[i - 1] + 1, objects[i] + 1)])
+    return wreath_map(lambda_cell(t), tgt, objects, legs)
 
 
 @lru_cache(maxsize=None)
@@ -182,11 +197,12 @@ def _spans(t: ThetaCell, columns):
     decomposition: at each M_k an "upper" span on the O_{k-1} side and a
     "lower" one on the O_k side.  The leg into O_j is the face d^k of that
     cell that drops its unit slot j+1."""
+    ids = [lambda_map(theta_identity(c)) for c in t.children]
     for k in range(1, t.width + 1):
         m = columns[2 * k - 1]
         for position, j, eps in (("upper", k - 1, 1), ("lower", k, 0)):
-            yield (k, position, columns[2 * j], m,
-                   lambda_map(coface_map(o_cell(t, j), k, j + 1)), m_end_leg(t, m, eps))
+            o = columns[2 * j]
+            yield k, position, o, m, _o_leg(t, j, k, o.embed.source, ids), m_end_leg(t, m, eps)
 
 
 def shuffle_dot(t: ThetaCell) -> str:

@@ -21,12 +21,9 @@ from __future__ import annotations
 
 from functools import cache
 
-from .dac import DAMorphism, lambda_cell, lambda_map, morphisms_agree, wreath_morphism
-from .gray import (cylinder_complex, endpoint_inclusion, interval,
-                   lax_shuffle_diagram, o_cell)
-from .theta import (POINT, SimplicialMap, ThetaCell, bang, cell, coface,
-                    codegeneracy, mirror, segment_map, simplicial_identity,
-                    theta_identity, theta_morphism, vertex)
+from .dac import DAComplex, DAMorphism, lambda_cell, lambda_map, morphisms_agree, wreath_map
+from .gray import cylinder_complex, endpoint_inclusion, interval, lax_shuffle_diagram
+from .theta import POINT, SimplicialMap, ThetaCell, cell, coface, mirror, theta_identity
 
 
 def split_map(n: int, j: int) -> SimplicialMap:
@@ -52,17 +49,28 @@ def mirror_positions(t: ThetaCell) -> tuple:
     return tuple(out)
 
 
+def _ends_to(t: ThetaCell, tgt: DAComplex, ends, cross=()) -> DAMorphism:
+    """cyl(T) -> tgt: a⊗x goes to the generator ends[a] of tgt for x an
+    object of T (to 0 where ends[a] is None), h⊗x to the generator cross[x]
+    where cross is given, and every other generator to 0."""
+    cyl = cylinder_complex(t)
+    objects = lambda_cell(t).start[1]
+    units = tgt.units
+    images = [()] * len(cyl.diff)
+    for lane, end in zip(cyl.parts, ends):
+        if end is not None:
+            for y in lane[:objects]:
+                images[y] = units[end]
+    for y, z in zip(cyl.parts[2], cross):
+        images[y] = units[z]
+    return DAMorphism(cyl, tgt, tuple(images))
+
+
 def projection_to_interval(t: ThetaCell) -> DAMorphism:
     """cyl(T) -> lambda([1]): kill everything with a positive cell factor.
     The parts of the cylinder are its lanes over the interval's positions,
     which are those of the objects o0, o1 and the edge of lambda([1])."""
-    cyl, tgt = cylinder_complex(t), lambda_cell(cell(1))
-    objects = lambda_cell(t).start[1]
-    images = [None] * len(cyl.diff)
-    for a, lane in enumerate(cyl.parts):
-        for x, y in enumerate(lane):
-            images[y] = tgt.units[a] if x < objects else ()
-    return DAMorphism(cyl, tgt, tuple(images))
+    return _ends_to(t, lambda_cell(cell(1)), (0, 1, 2))
 
 
 def projection_to_cell(t: ThetaCell) -> DAMorphism:
@@ -83,76 +91,85 @@ def shift_target_cell(t: ThetaCell) -> ThetaCell:
 def shift_map(t: ThetaCell) -> DAMorphism:
     """cyl(T) -> lambda([1];(mirror T)): ends collapse to the two objects,
     h⊗x goes to the suspended mirror of x."""
-    cyl = cylinder_complex(t)
     tgt = lambda_cell(shift_target_cell(t))
-    objects = lambda_cell(t).start[1]
-    left, right, cross = cyl.parts
-    images = [None] * len(cyl.diff)
-    for end, lane in zip(tgt.parts[0], (left, right)):
-        for x, y in enumerate(lane):
-            images[y] = tgt.units[end] if x < objects else ()
-    for x, y in zip(mirror_positions(t), cross):
-        images[y] = tgt.units[tgt.parts[1][x]]
-    return DAMorphism(cyl, tgt, tuple(images))
+    slot = tgt.parts[1]
+    return _ends_to(t, tgt, (*tgt.parts[0], None), [slot[x] for x in mirror_positions(t)])
 
 
 # ---------------------------------------------------------------------------
-# the expected column maps of the defining diagram
+# the expected column maps of the defining diagram, built from positions
 # ---------------------------------------------------------------------------
+
+def _through(src: DAComplex, tgt: DAComplex, s: int, leg: DAMorphism) -> DAMorphism:
+    """The wreath map from src, the complex of a cell of width n, to tgt,
+    that of a cell [1];(A): the objects before s go to o0 and the rest to
+    o1, segment s goes over the one segment by the child map leg into
+    lambda(A), and every other segment collapses."""
+    width = len(src.parts) - 1
+    legs = [[]] * width
+    legs[s - 1] = [(1, leg)]
+    return wreath_map(src, tgt, (0,) * s + (1,) * (width + 1 - s), legs)
+
+
+def _constant(src: DAComplex, tgt: DAComplex, p: int) -> DAMorphism:
+    """The wreath map that sends every object of src to the object p of tgt
+    and every other generator to 0: lambda of S -> [0] -> T at vertex p."""
+    return wreath_map(src, tgt, (p,) * len(src.parts[0]), [[]] * (len(src.parts) - 1))
+
+
+def _codegeneracy(src: DAComplex, tgt: DAComplex, j: int, ids: list) -> DAMorphism:
+    """lambda of the codegeneracy s^j from o_cell(T, j), whose complex is
+    src, onto T, whose complex is tgt: the vertices after j move down by
+    one, the unit slot j+1 collapses, and the slots around it copy the
+    slots of T by the legs ids, the children's identities."""
+    return wreath_map(src, tgt, tuple(range(j + 1)) + tuple(range(j, len(ids) + 1)),
+                      ids[:j] + [[]] + ids[j:])
+
 
 def kappa_column_expectations(t: ThetaCell):
-    """(column, expected p1 composite, expected p2 composite) triples."""
+    """(column, expected p1 composite, expected p2 composite) triples.  O_j
+    goes over the edge of [1] through its unit slot j+1, and onto T by the
+    codegeneracy s^j.  M_k goes over the edge through its cylinder slot k,
+    whose child collapses onto the point, and onto T by the identity, with
+    the cylinder slot projected to the child."""
+    edge, K = lambda_cell(cell(1)), lambda_cell(t)
+    unit = lambda_map(theta_identity(POINT))
+    ids = [[(i, lambda_map(theta_identity(c)))] for i, c in enumerate(t.children, start=1)]
     out = []
-    n = t.width
     for c in lax_shuffle_diagram(t):
+        src, k = c.embed.source, c.index
         if c.kind == "O":
-            j = c.index
-            oc = o_cell(t, j)
-            collapse = theta_morphism(
-                oc, cell(1), split_map(n + 1, j + 1),
-                {(j + 1, 1): theta_identity(POINT)})
-            to_t = theta_morphism(
-                oc, t, codegeneracy(n + 1, j),
-                {(i, i if i <= j else i - 1): theta_identity(oc.children[i - 1])
-                 for i in range(1, n + 2) if i != j + 1})
-            out.append((c, lambda_map(collapse), lambda_map(to_t)))
+            out.append((c, _through(src, edge, k + 1, unit), _codegeneracy(src, K, k, ids)))
         else:
-            k = c.index
             child = t.children[k - 1]
-            collapse = projection_to_cell(child).then(lambda_map(bang(child)))
-            p1_exp = wreath_morphism(c.embed.source, lambda_cell(cell(1)),
-                                     split_map(n, k), {(k, 1): collapse})
-            comps = {(i, i): lambda_map(theta_identity(cc)) if i != k
-                     else projection_to_cell(cc)
-                     for i, cc in enumerate(t.children, start=1)}
-            p2_exp = wreath_morphism(c.embed.source, lambda_cell(t),
-                                     simplicial_identity(n), comps)
-            out.append((c, p1_exp, p2_exp))
+            legs = list(ids)
+            legs[k - 1] = [(k, projection_to_cell(child))]
+            collapse = _ends_to(child, lambda_cell(POINT), (0, 0, None))
+            out.append((c, _through(src, edge, k, collapse),
+                        wreath_map(src, K, range(t.width + 1), legs)))
     return out
 
 
 def sigma_column_expectations(t: ThetaCell):
-    """(column, expected sigma composite) pairs.  O_j collapses to the
-    suspended vertex n-j of the mirrored cell; M_k maps through the child's
-    shift into the suspended slot n+1-k of the mirrored cell."""
+    """(column, expected sigma composite) pairs.  O_j goes over the edge of
+    the shift through its unit slot j+1, onto the object n-j of the mirrored
+    cell.  M_k goes over it through its cylinder slot k: the ends of the
+    child go to the objects n-k and n+1-k of the mirrored cell, and its
+    crossing generators into the slot n+1-k, read from t's mirror table."""
     n = t.width
-    mt = mirror(t)
-    shift = shift_target_cell(t)
-    tgt = lambda_cell(shift)
+    tgt = lambda_cell(shift_target_cell(t))
+    M, K, point = lambda_cell(mirror(t)), lambda_cell(t), lambda_cell(POINT)
+    mirrored = mirror_positions(t)
     out = []
     for c in lax_shuffle_diagram(t):
+        src, k = c.embed.source, c.index
         if c.kind == "O":
-            j = c.index
-            collapse = theta_morphism(o_cell(t, j), shift, split_map(n + 1, j + 1),
-                                      {(j + 1, 1): vertex(mt, n - j)})
-            out.append((c, lambda_map(collapse)))
+            leg = _constant(point, M, n - k)
+            out.append((c, _through(src, tgt, k + 1, leg)))
         else:
-            k = c.index
-            mirrored = mt.children[n - k]        # mirror of the k-th child
-            slot = segment_map(mt, n + 1 - k, theta_identity(mirrored))
-            into_slot = shift_map(t.children[k - 1]).then(lambda_map(slot))
-            out.append((c, wreath_morphism(c.embed.source, tgt, split_map(n, k),
-                                           {(k, 1): into_slot})))
+            leg = _ends_to(t.children[k - 1], M, (M.parts[0][n - k], M.parts[0][n + 1 - k], None),
+                           [mirrored[y] for y in K.parts[k]])
+            out.append((c, _through(src, tgt, k, leg)))
     return out
 
 
@@ -215,14 +232,14 @@ def _span_report(t: ThetaCell, p1: DAMorphism, p2: DAMorphism,
 
     # folding diamonds: each end of the cylinder goes to that end of the
     # interval and of the shift, and identically to the cell
+    K = lambda_cell(t)
+    edge, shift = lambda_cell(cell(1)), lambda_cell(shift_target_cell(t))
     for eps in (0, 1):
         e = endpoint_inclusion(t, eps)
-        p1_exp = lambda_map(bang(t).then(vertex(cell(1), eps)))
-        q_exp = lambda_map(bang(t).then(vertex(shift_target_cell(t), eps)))
         report.diamonds[f"kappa_e{eps}"] = (
-            morphisms_agree(e.then(p1), p1_exp)
+            morphisms_agree(e.then(p1), _constant(K, edge, eps))
             and morphisms_agree(e.then(p2), lambda_map(theta_identity(t))))
-        report.diamonds[f"sigma_e{eps}"] = morphisms_agree(e.then(q), q_exp)
+        report.diamonds[f"sigma_e{eps}"] = morphisms_agree(e.then(q), _constant(K, shift, eps))
     return report
 
 

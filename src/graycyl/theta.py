@@ -294,11 +294,6 @@ def coface(n: int, k: int) -> SimplicialMap:
     return SimplicialMap(n, n + 1, tuple(i if i < k else i + 1 for i in range(n + 1)))
 
 
-def codegeneracy(n: int, k: int) -> SimplicialMap:
-    """s^k: [n] -> [n-1], repeating vertex k."""
-    return SimplicialMap(n, n - 1, tuple(i if i <= k else i - 1 for i in range(n + 1)))
-
-
 @cache
 def gamma_image(f: SimplicialMap) -> MappingProxyType:
     """F(f)(i) = {j | f(i-1) < j <= f(i)} for each source segment i.
@@ -348,29 +343,6 @@ class ThetaMorphism(Frozen):
 
     def __hash__(self) -> int:
         return self._hash
-
-    def component(self, i: int, j: int) -> "ThetaMorphism":
-        for k, f in self.components:
-            if k == (i, j):
-                return f
-        raise KeyError((i, j))
-
-    def then(self, other: "ThetaMorphism") -> "ThetaMorphism":
-        """Composite self;other (self first)."""
-        if self.target != other.source:
-            raise ValueError("source/target mismatch")
-        base = self.base.then(other.base)
-        comps = []
-        g_self = gamma_image(self.base)
-        g_other = gamma_image(other.base)
-        for i in range(1, self.source.width + 1):
-            for j in gamma_image(base)[i]:
-                # unique k in F(self.base)(i) with j in F(other.base)(k)
-                ks = [k for k in g_self[i] if j in g_other[k]]
-                if len(ks) != 1:
-                    raise ValueError(f"segment {j} of the composite has {len(ks)} preimages")
-                comps.append(((i, j), self.component(i, ks[0]).then(other.component(ks[0], j))))
-        return ThetaMorphism(self.source, other.target, base, tuple(comps))
 
     def __str__(self) -> str:
         comps = ",".join(f"({i},{j}):{f}" for (i, j), f in self.components)

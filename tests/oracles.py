@@ -16,7 +16,10 @@ morphism of complexes acts on tables as an omega-functor.
 o_face_morphism assembles, as a Theta morphism, the face that the
 hyperface check maps between O columns straight from lambda maps, and
 m_face_map builds the map between M columns one column at a time, from the
-face's components.
+face's components.  The span's expected column maps, its diamonds and the
+gluing legs into the O columns, which the library builds from positions,
+are assembled here as Theta morphisms (or, on the M columns, from the
+child's own legs), with compose, the composite of Theta morphisms.
 """
 
 from __future__ import annotations
@@ -27,14 +30,16 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 from graycyl.dac import (ComplexError, DAComplex, DAMorphism, MorphismError, _bit_positions,
-                         _sparse, is_nonneg, lambda_globe, lambda_map, render_name,
-                         wreath_morphism)
+                         _sparse, is_nonneg, lambda_cell, lambda_globe, lambda_map,
+                         render_name, wreath_map)
 from graycyl.gray import cylinder_map, o_cell
 from graycyl.nu import (DEFAULT_CEILING, EnumerationError, NuView, TableError, _compose,
                         _pair_key, nu_boundary, nu_identity)
+from graycyl.span import projection_to_cell, shift_map, shift_target_cell, split_map
 from graycyl.theta import (POINT, GlobularSumDecomposition, SimplicialMap, ThetaCell,
-                           ThetaMorphism, bang, gamma_image, globular_sum, parse_cell,
-                           theta_identity, theta_morphism)
+                           ThetaMorphism, bang, cell, coface_map, gamma_image, globular_sum,
+                           mirror, parse_cell, segment_map, simplicial_identity,
+                           theta_identity, theta_morphism, vertex)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +210,7 @@ def o_face_morphism(f: ThetaMorphism, js: int, jt: int) -> ThetaMorphism:
             else:
                 i0 = i if i <= js else i - 1
                 j0 = jj if jj <= jt else jj - 1
-                comp_map[(i, jj)] = f.component(i0, j0)
+                comp_map[(i, jj)] = component(f, i0, j0)
     return theta_morphism(src_cell, tgt_cell, base, comp_map)
 
 
@@ -222,11 +227,109 @@ def m_face_map(f: ThetaMorphism, src, tgt, i: int, i2: int) -> DAMorphism:
             if q == i:
                 if jj != i2:
                     raise ValueError("cylinder slot must map to the cylinder slot")
-                comps[(q, jj)] = cylinder_map(f.component(q, jj))
+                comps[(q, jj)] = cylinder_map(component(f, q, jj))
             else:
-                comps[(q, jj)] = lambda_map(f.component(q, jj))
+                comps[(q, jj)] = lambda_map(component(f, q, jj))
     return wreath_morphism(src[2 * i - 1].embed.source, tgt[2 * i2 - 1].embed.source,
                            f.base, comps)
+
+
+# ---------------------------------------------------------------------------
+# Theta: composition, and the span's and gluing's maps as Theta morphisms
+# ---------------------------------------------------------------------------
+
+def codegeneracy(n: int, k: int) -> SimplicialMap:
+    """s^k: [n] -> [n-1], repeating vertex k."""
+    return SimplicialMap(n, n - 1, tuple(i if i <= k else i - 1 for i in range(n + 1)))
+
+
+def component(f: ThetaMorphism, i: int, j: int) -> ThetaMorphism:
+    """The component (i, j) of f; KeyError where f has none."""
+    return dict(f.components)[(i, j)]
+
+
+def compose(f: ThetaMorphism, g: ThetaMorphism) -> ThetaMorphism:
+    """The composite f;g (f first)."""
+    if f.target != g.source:
+        raise ValueError("source/target mismatch")
+    base = f.base.then(g.base)
+    comps = []
+    g_f, g_g = gamma_image(f.base), gamma_image(g.base)
+    for i in range(1, f.source.width + 1):
+        for j in gamma_image(base)[i]:
+            # unique k in F(f.base)(i) with j in F(g.base)(k)
+            ks = [k for k in g_f[i] if j in g_g[k]]
+            if len(ks) != 1:
+                raise ValueError(f"segment {j} of the composite has {len(ks)} preimages")
+            comps.append(((i, j), compose(component(f, i, ks[0]), component(g, ks[0], j))))
+    return ThetaMorphism(f.source, g.target, base, tuple(comps))
+
+
+def wreath_morphism(src: DAComplex, tgt: DAComplex, base: SimplicialMap,
+                    comps: dict) -> DAMorphism:
+    """Morphism of wreath complexes from a base map and child morphisms
+    comps[(i, j)] for j in F(base)(i)."""
+    return wreath_map(src, tgt, base.image,
+                      [[(j, comps[(i, j)]) for j in segments]
+                       for i, segments in gamma_image(base).items()])
+
+
+def kappa_o_morphisms(t: ThetaCell, j: int) -> tuple:
+    """(collapse, to_t): O_j = o_cell(t, j) onto [1] through its unit slot,
+    and onto t by the codegeneracy s^j.  The oracles of kappa's expected
+    maps on O_j."""
+    n = t.width
+    oc = o_cell(t, j)
+    collapse = theta_morphism(oc, cell(1), split_map(n + 1, j + 1),
+                              {(j + 1, 1): theta_identity(POINT)})
+    to_t = theta_morphism(oc, t, codegeneracy(n + 1, j),
+                          {(i, i if i <= j else i - 1): theta_identity(oc.children[i - 1])
+                           for i in range(1, n + 2) if i != j + 1})
+    return collapse, to_t
+
+
+def kappa_m_maps(t: ThetaCell, column) -> tuple:
+    """kappa's (p1, p2) expected on the column M_k: through the child's
+    projection to the cell, then bang, and the child's projection in slot
+    k beside the identities."""
+    n, k = t.width, column.index
+    child = t.children[k - 1]
+    collapse = projection_to_cell(child).then(lambda_map(bang(child)))
+    p1 = wreath_morphism(column.embed.source, lambda_cell(cell(1)), split_map(n, k),
+                         {(k, 1): collapse})
+    comps = {(i, i): projection_to_cell(c) if i == k else lambda_map(theta_identity(c))
+             for i, c in enumerate(t.children, start=1)}
+    return p1, wreath_morphism(column.embed.source, lambda_cell(t), simplicial_identity(n), comps)
+
+
+def sigma_o_morphism(t: ThetaCell, j: int) -> ThetaMorphism:
+    """O_j onto the shift [1];(mirror t) through its unit slot, at the
+    vertex n-j of the mirrored cell."""
+    n = t.width
+    return theta_morphism(o_cell(t, j), shift_target_cell(t), split_map(n + 1, j + 1),
+                          {(j + 1, 1): vertex(mirror(t), n - j)})
+
+
+def sigma_m_map(t: ThetaCell, column) -> DAMorphism:
+    """sigma expected on the column M_k: the child's own shift, then its
+    slot n+1-k in the mirrored cell."""
+    n, k = t.width, column.index
+    mt = mirror(t)
+    slot = segment_map(mt, n + 1 - k, theta_identity(mt.children[n - k]))
+    into_slot = shift_map(t.children[k - 1]).then(lambda_map(slot))
+    return wreath_morphism(column.embed.source, lambda_cell(shift_target_cell(t)),
+                           split_map(n, k), {(k, 1): into_slot})
+
+
+def constant_morphism(t: ThetaCell, target: ThetaCell, p: int) -> ThetaMorphism:
+    """t -> [0] -> target at vertex p, the expected map of a diamond."""
+    return compose(bang(t), vertex(target, p))
+
+
+def o_leg_morphism(t: ThetaCell, j: int, k: int) -> ThetaMorphism:
+    """The face d^k from t into o_cell(t, j) that drops its unit slot j+1:
+    the gluing leg of a span into the column O_j."""
+    return coface_map(o_cell(t, j), k, j + 1)
 
 
 def reconstruct(d: GlobularSumDecomposition) -> ThetaCell:

@@ -12,15 +12,14 @@ from graycyl.dac import (ComplexError, DAMorphism, MorphismError, check_basis,
                          sign_split, tensor, wreath_complex)
 from graycyl.gray import (cylinder_complex, cylinder_map, hyperface_cylinder,
                           lax_shuffle_diagram)
-from graycyl.theta import (POINT, cell, cells_up_to, coface, codegeneracy,
-                           globe, hyperfaces, parse_cell, theta_identity,
-                           theta_morphism, vertex)
+from graycyl.theta import (POINT, cell, cells_up_to, coface, globe, hyperfaces, parse_cell,
+                           theta_identity, theta_morphism, vertex)
 
 from oracles import (amalgamate_with_inclusions, amalgamation_over_globular_sum,
-                     augmentations, boundaries, boundary, degree_of, degrees, element,
-                     find_isomorphism, gadd, globe_inclusion, identity_morphism, image,
-                     named_complex, named_morphism, names_of, position, positions_by_name,
-                     row, size_profile)
+                     augmentations, boundaries, boundary, codegeneracy, compose, degree_of,
+                     degrees, element, find_isomorphism, gadd, globe_inclusion,
+                     identity_morphism, image, named_complex, named_morphism, names_of,
+                     position, positions_by_name, row, size_profile)
 
 
 def ordered_renaming_equal(K, L):
@@ -129,7 +128,7 @@ class TestLambdaMap:
     def test_functorial_on_faces(self):
         for face in hyperfaces(parse_cell("[2]([1],[0])")):
             for face2 in hyperfaces(face.map.source):
-                comp = face2.map.then(face.map)
+                comp = compose(face2.map, face.map)
                 lhs = lambda_map(comp)
                 rhs = lambda_map(face2.map).then(lambda_map(face.map))
                 assert lhs.images == rhs.images

@@ -13,8 +13,9 @@ from graycyl.nu import NuView
 from graycyl.theta import (POINT, cell, cells_up_to, cells_with_nodes, gamma_image, globe,
                            hyperfaces, parse_cell, theta_identity, vertex)
 
-from oracles import (check_functors, element, image, m_face_map, nu_functor,
-                     o_face_morphism, parse_morphism, row, with_image)
+from oracles import (check_functors, component, compose, element, image, m_face_map,
+                     nu_functor, o_face_morphism, o_leg_morphism, parse_morphism, row,
+                     with_image)
 
 
 class TestGrayCylinder:
@@ -142,6 +143,18 @@ class TestShuffleDiagram:
             via_m = leg_m.then(col_m.embed)
             assert via_o.source is via_m.source is K
             assert all(image(via_o, g) == image(via_m, g) for g in K.names)
+
+    def test_o_legs_match_the_theta_oracle(self):
+        # the leg into O_j is a wreath map built from positions; the oracle
+        # assembles the face d^k as a Theta morphism and takes its lambda map
+        legs = 0
+        for t in cells_up_to(7):
+            for k, position, col_o, _, leg_o, _ in gray._spans(t, lax_shuffle_diagram(t)):
+                want = lambda_map(o_leg_morphism(t, col_o.index, k))
+                assert leg_o.source is want.source and leg_o.target is want.target
+                assert leg_o.images == want.images, (str(t), k, position)
+                legs += 1
+        assert legs == 856
 
     def test_dot_deterministic(self):
         assert shuffle_dot(cell(2)) == shuffle_dot(cell(2))
@@ -337,7 +350,7 @@ class TestHyperfaceCylinder:
         t = parse_cell("[2]([1],[0])")
         for face in hyperfaces(t):
             for face2 in hyperfaces(face.map.source):
-                comp = face2.map.then(face.map)
+                comp = compose(face2.map, face.map)
                 lhs = cylinder_map(comp)
                 rhs = cylinder_map(face2.map).then(cylinder_map(face.map))
                 assert lhs.images == rhs.images
@@ -534,6 +547,24 @@ class TestPerturbedInputsFail:
         monkeypatch.undo()
         assert verify_gluing(t).overall
 
+    def test_gluing_o_leg_builder(self, monkeypatch):
+        # the leg of the first span skips vertex 0 of O_0 in place of vertex
+        # 1: a face of the same cells, so only that span fails
+        t = parse_cell("[2]([1],[0])")
+        real = gray._o_leg
+
+        def perturbed(u, j, k, tgt, ids):
+            return real(u, j, 0 if (j, k) == (0, 1) else k, tgt, ids)
+
+        monkeypatch.setattr(gray, "_o_leg", perturbed)
+        rep = verify_gluing(t)
+        assert not rep.overall and all(rep.monos.values()) and all(rep.coverage.values())
+        assert [(s["level"], s["position"], s["commutes"], s["pullback"]) for s in rep.spans] == [
+            (1, "upper", False, False), (1, "lower", True, True),
+            (2, "upper", True, True), (2, "lower", True, True)]
+        monkeypatch.undo()
+        assert verify_gluing(t).overall
+
     def test_gluing_coverage(self, monkeypatch):
         t = parse_cell("[2]([1],[0])")
         real = gray.lax_shuffle_diagram
@@ -612,7 +643,7 @@ class TestPerturbedInputsFail:
         # O columns and the M columns read the table as it is
         face = next(f for f in hyperfaces(parse_cell("[2]([1],[0])"))
                     if f.position == (1, 0))
-        assert face.map.component(1, 1) is vertex(cell(1), 1)
+        assert component(face.map, 1, 1) is vertex(cell(1), 1)
         wrong = lambda_map(vertex(cell(1), 0))
         real = gray._face_between_o_cells
 

@@ -2,17 +2,21 @@ from itertools import product
 
 import pytest
 
+from graycyl import span
 from graycyl.dac import DAMorphism, MorphismError, lambda_cell, lambda_map
-from graycyl.gray import cylinder_complex, gray_cylinder
+from graycyl.gray import cylinder_complex, gray_cylinder, verify_gluing
 from graycyl.nu import TableError
-from graycyl.span import (_span_report, _split_identities, mirror_positions,
-                          projection_to_cell, projection_to_interval, shift_map,
-                          shift_target_cell, span_dot, split_map, verify_span)
-from graycyl.theta import (bang, cell, cells_up_to, cells_with_nodes, coface, mirror,
-                           parse_cell, vertex)
+from graycyl.span import (_span_report, _split_identities, kappa_column_expectations,
+                          mirror_positions, projection_to_cell, projection_to_interval,
+                          shift_map, shift_target_cell, sigma_column_expectations, span_dot,
+                          split_map, verify_span)
+from graycyl.theta import (POINT, SimplicialMap, ThetaMorphism, bang, cell, cells_up_to,
+                           cells_with_nodes, coface, mirror, parse_cell, theta_identity,
+                           vertex)
 
-from oracles import (check_functors, degree_of, image, images, named_morphism, nu_functor,
-                     with_image)
+from oracles import (check_functors, compose, constant_morphism, degree_of, image, images,
+                     kappa_m_maps, kappa_o_morphisms, named_morphism, nu_functor,
+                     sigma_m_map, sigma_o_morphism, with_image)
 
 
 def swapped_ends(q: DAMorphism) -> DAMorphism:
@@ -237,6 +241,134 @@ class TestVerifySpan:
         assert "color=green" in dot and "color=red" not in dot
 
 
+def assert_same_map(got: DAMorphism, want: DAMorphism, where):
+    assert got.source is want.source and got.target is want.target, where
+    assert got.images == want.images, where
+
+
+class TestExpectationsMatchTheThetaOracles:
+    """The span's expected maps are wreath maps built from positions; the
+    oracles assemble the Theta morphisms they stand for and take their
+    lambda maps, or build the M columns' maps from the child's own legs."""
+
+    def test_kappa_columns(self):
+        columns = 0
+        for t in cells_up_to(7):
+            for c, p1_exp, p2_exp in kappa_column_expectations(t):
+                want = ([lambda_map(f) for f in kappa_o_morphisms(t, c.index)]
+                        if c.kind == "O" else kappa_m_maps(t, c))
+                assert_same_map(p1_exp, want[0], (str(t), c.name, "p1"))
+                assert_same_map(p2_exp, want[1], (str(t), c.name, "p2"))
+                columns += 1
+        assert columns == 1053
+
+    def test_sigma_columns(self):
+        columns = 0
+        for t in cells_up_to(7):
+            for c, q_exp in sigma_column_expectations(t):
+                want = (lambda_map(sigma_o_morphism(t, c.index)) if c.kind == "O"
+                        else sigma_m_map(t, c))
+                assert_same_map(q_exp, want, (str(t), c.name))
+                columns += 1
+        assert columns == 1053
+
+    def test_diamonds(self):
+        maps = 0
+        for t in cells_up_to(7):
+            for target in (cell(1), shift_target_cell(t)):
+                for eps in (0, 1):
+                    got = span._constant(lambda_cell(t), lambda_cell(target), eps)
+                    assert_same_map(got, lambda_map(constant_morphism(t, target, eps)),
+                                    (str(t), str(target), eps))
+                    maps += 1
+        assert maps == 788
+
+
+class TestPerturbedExpectationsFail:
+    """Each expected-map builder, fed one wrong input, fails the columns or
+    diamonds that read it and no other; undone, the span passes."""
+
+    T = parse_cell("[2]([1],[0])")
+
+    def test_kappa_o_column_builder(self, monkeypatch):
+        # the codegeneracy onto T reads a constant map [1] -> [1] in place of
+        # the identity of slot 1, on O1 only
+        wrong = lambda_map(compose(bang(cell(1)), vertex(cell(1), 0)))
+        real = span._codegeneracy
+
+        def perturbed(src, tgt, j, ids):
+            return real(src, tgt, j, [[(1, wrong)]] + ids[1:] if j == 1 else ids)
+
+        monkeypatch.setattr(span, "_codegeneracy", perturbed)
+        rep = verify_span(self.T)
+        assert not rep.passed
+        assert rep.kappa_columns == [("O0", True), ("M1", True), ("O1", False), ("M2", True),
+                                     ("O2", True)]
+        assert all(ok for _, ok in rep.sigma_columns) and all(rep.diamonds.values())
+        monkeypatch.undo()
+        assert verify_span(self.T).passed
+
+    def test_sigma_o_column_builder(self, monkeypatch):
+        # sigma's O_j reads the vertex j of the mirrored cell in place of
+        # n-j: O1 sits in the middle of [2], so only O0 and O2 fail
+        n, point = self.T.width, lambda_cell(POINT)
+        real = span._constant
+
+        def perturbed(src, tgt, p):
+            return real(src, tgt, n - p if src is point else p)
+
+        monkeypatch.setattr(span, "_constant", perturbed)
+        rep = verify_span(self.T)
+        assert not rep.passed
+        assert rep.sigma_columns == [("O0", False), ("M1", True), ("O1", True), ("M2", True),
+                                     ("O2", False)]
+        assert all(ok for _, ok in rep.kappa_columns) and all(rep.diamonds.values())
+        monkeypatch.undo()
+        assert verify_span(self.T).passed
+
+    def test_kappa_diamond_builder(self, monkeypatch):
+        # the 0-end of the cell is expected at the 1-end of the interval
+        edge = lambda_cell(cell(1))
+        real = span._constant
+
+        def perturbed(src, tgt, p):
+            return real(src, tgt, 1 if tgt is edge and p == 0 else p)
+
+        monkeypatch.setattr(span, "_constant", perturbed)
+        rep = verify_span(self.T)
+        assert rep.diamonds == {"kappa_e0": False, "sigma_e0": True, "kappa_e1": True,
+                                "sigma_e1": True}
+        assert all(ok for _, ok in rep.kappa_columns + rep.sigma_columns)
+        monkeypatch.undo()
+        assert verify_span(self.T).passed
+
+
+class TestBuiltFromPositions:
+    def test_no_theta_morphism_or_simplicial_map_per_column(self, monkeypatch):
+        # once the identities and bangs of a cell's children exist, the span
+        # and the gluing build every map they compare from positions
+        cells = cells_up_to(6)
+        _split_identities()
+        for t in cells:
+            theta_identity(t)
+            for c in t.children:
+                bang(c)
+
+        def refuse(*args):
+            raise AssertionError("a Theta morphism or simplicial map was built")
+
+        monkeypatch.setattr(ThetaMorphism, "__new__", refuse)
+        monkeypatch.setattr(SimplicialMap, "__init__", refuse)
+        for t in cells:
+            assert verify_span(t).passed and verify_gluing(t).overall, str(t)
+        # the guard sees a build
+        with pytest.raises(AssertionError, match="was built"):
+            vertex(cell(1), 0)
+        with pytest.raises(AssertionError, match="was built"):
+            split_map(1, 1)
+        assert len(cells) == 65
+
+
 def _negative(m: DAMorphism) -> DAMorphism:
     """m with the image of its first 1-generator that has one negated."""
     h = next(g for g in m.source.basis(1) if image(m, g))
@@ -309,7 +441,7 @@ class TestSpanIsOnto:
         pairs = 0
         for t in cells_up_to(5):
             p1, p2, q = legs(t)
-            collapse = lambda_map(bang(t).then(vertex(cell(1), 0)))
+            collapse = lambda_map(compose(bang(t), vertex(cell(1), 0)))
             view, Fs = leg_functors(t, min(t.dimension() + 1, 4),
                                     (p2.then(collapse), p2, q))
             assert not_onto(view, Fs) == [("kappa", d) for d in range(view.max_dim + 1)], str(t)
