@@ -40,31 +40,36 @@ from .theta import Frozen, ThetaCell, ThetaMorphism
 # group element helpers
 # ---------------------------------------------------------------------------
 
-def _sparse(acc: dict) -> tuple:
-    """The row of {position: coefficient}: its nonzero entries in position
-    order."""
-    return tuple(sorted(item for item in acc.items() if item[1]))
-
-
 def _combine(rows, x: tuple):
     """The row of the sum of c * rows[g] over the entries (g, c) of x, or
-    None where some rows[g] is None."""
+    None where some rows[g] is None.  The scaled rows are joined and sorted
+    (each is a sorted run, which list.sort merges), and the entries of one
+    position, now adjacent, are added up, a zero sum dropping out."""
     if len(x) == 1:
         (g, c), = x
         row = rows[g]
         return row if c == 1 or row is None else tuple([(h, c * w) for h, w in row])
-    out: dict = {}
+    joined: list = []
     for g, c in x:
         row = rows[g]
         if row is None:
             return None
-        for h, w in row:
-            out[h] = out.get(h, 0) + c * w
-    return _sparse(out)
-
-
-def is_nonneg(x: tuple) -> bool:
-    return all(c >= 0 for _, c in x)
+        joined += row if c == 1 else [(h, c * w) for h, w in row]
+    joined.sort()
+    out: list = []
+    last = -1
+    for pair in joined:
+        if pair[0] != last:
+            out.append(pair)
+            last = pair[0]
+        else:
+            w = out[-1][1] + pair[1]
+            if w:
+                out[-1] = (last, w)
+            else:
+                out.pop()
+                last = -1
+    return tuple(out)
 
 
 def sign_split(x: tuple):
@@ -365,17 +370,14 @@ class DAMorphism(Frozen):
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "images", images)
 
-    def apply(self, x: tuple):
-        """The image of the element x, or None where a generator of x has
-        no image."""
-        return _combine(self.images, x)
-
     def then(self, other: "DAMorphism") -> "DAMorphism":
+        """self, then other.  A unit row ((g, 1),) composes to rows[g]."""
         if self.target is not other.source:
             raise MorphismError("composition mismatch")
         rows = other.images
-        return DAMorphism(self.source, other.target,
-                          tuple([None if x is None else _combine(rows, x) for x in self.images]))
+        return DAMorphism(self.source, other.target, tuple([
+            None if x is None else rows[x[0][0]] if len(x) == 1 and x[0][1] == 1
+            else _combine(rows, x) for x in self.images]))
 
     def violations(self) -> list:
         """(kind, g) for each way a generator g of the source, in degree
@@ -384,28 +386,44 @@ class DAMorphism(Frozen):
         coefficient), "degree" (a target generator of another degree),
         "augmentation" (degree 0) or "chain" (the image of g's boundary is
         not the boundary of g's image; unchecked while a generator of that
-        boundary has no image).  g is the generator's name."""
+        boundary has no image).  g is the generator's name.  A one-entry
+        image is read straight from its pair."""
         src, tgt = self.source, self.target
-        names = src.names
+        names, images, src_aug, src_diff = src.names, self.images, src.aug, src.diff
+        tgt_start, tgt_aug, tgt_diff = tgt.start, tgt.aug, tgt.diff
         found = []
         for d in range(src.top_degree + 1):
-            degree = tgt.positions(d)
+            # a degree above the target's top has no generators
+            lo, hi = (tgt_start[d], tgt_start[d + 1]) if d < len(tgt_start) - 1 else (0, 0)
             for x in src.positions(d):
-                img = self.images[x]
+                img = images[x]
                 if img is None:
                     found.append(("missing", names[x]))
                     continue
-                if not is_nonneg(img):
-                    found.append(("negative", names[x]))
-                if any(h not in degree for h, _ in img):
-                    found.append(("degree", names[x]))
-                if d == 0:
-                    if tgt.e(img) != src.aug[x]:
-                        found.append(("augmentation", names[x]))
+                if len(img) == 1:
+                    (h, c), = img
+                    if c < 0:
+                        found.append(("negative", names[x]))
+                    if not lo <= h < hi:
+                        found.append(("degree", names[x]))
+                    if d == 0:
+                        if c * tgt_aug[h] != src_aug[x]:
+                            found.append(("augmentation", names[x]))
+                        continue
+                    image_boundary = tgt_diff[h] if c == 1 else _combine(tgt_diff, img)
                 else:
-                    boundary = self.apply(src.diff[x])
-                    if boundary is not None and boundary != tgt.d(img):
-                        found.append(("chain", names[x]))
+                    if any(c < 0 for _, c in img):
+                        found.append(("negative", names[x]))
+                    if any(not lo <= h < hi for h, _ in img):
+                        found.append(("degree", names[x]))
+                    if d == 0:
+                        if sum(c * tgt_aug[h] for h, c in img) != src_aug[x]:
+                            found.append(("augmentation", names[x]))
+                        continue
+                    image_boundary = _combine(tgt_diff, img)
+                boundary = _combine(images, src_diff[x])
+                if boundary is not None and boundary != image_boundary:
+                    found.append(("chain", names[x]))
         return found
 
     def validate(self):
@@ -444,8 +462,10 @@ def composites_agree(a: DAMorphism, b: DAMorphism, c: DAMorphism, d: DAMorphism)
         raise MorphismError("morphisms between different complexes")
     rows_b, rows_d = b.images, d.images
     for x, y in zip(a.images, c.images):
-        if ((None if x is None else _combine(rows_b, x))
-                != (None if y is None else _combine(rows_d, y))):
+        if ((None if x is None else rows_b[x[0][0]] if len(x) == 1 and x[0][1] == 1
+             else _combine(rows_b, x))
+                != (None if y is None else rows_d[y[0][0]] if len(y) == 1 and y[0][1] == 1
+                    else _combine(rows_d, y))):
             return False
     return True
 

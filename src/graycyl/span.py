@@ -88,12 +88,13 @@ def shift_target_cell(t: ThetaCell) -> ThetaCell:
     return ThetaCell((mirror(t),))
 
 
-def shift_map(t: ThetaCell) -> DAMorphism:
+def shift_map(t: ThetaCell, mirrored: tuple) -> DAMorphism:
     """cyl(T) -> lambda([1];(mirror T)): ends collapse to the two objects,
-    h⊗x goes to the suspended mirror of x."""
+    h⊗x goes to the suspended mirror of x, read from mirrored, which is
+    mirror_positions(t)."""
     tgt = lambda_cell(shift_target_cell(t))
     slot = tgt.parts[1]
-    return _ends_to(t, tgt, (*tgt.parts[0], None), [slot[x] for x in mirror_positions(t)])
+    return _ends_to(t, tgt, (*tgt.parts[0], None), [slot[x] for x in mirrored])
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +151,16 @@ def kappa_column_expectations(t: ThetaCell):
     return out
 
 
-def sigma_column_expectations(t: ThetaCell):
+def sigma_column_expectations(t: ThetaCell, mirrored: tuple):
     """(column, expected sigma composite) pairs.  O_j goes over the edge of
     the shift through its unit slot j+1, onto the object n-j of the mirrored
     cell.  M_k goes over it through its cylinder slot k: the ends of the
     child go to the objects n-k and n+1-k of the mirrored cell, and its
-    crossing generators into the slot n+1-k, read from t's mirror table."""
+    crossing generators into the slot n+1-k, read from t's mirror table
+    mirrored, which is mirror_positions(t)."""
     n = t.width
     tgt = lambda_cell(shift_target_cell(t))
     M, K, point = lambda_cell(mirror(t)), lambda_cell(t), lambda_cell(POINT)
-    mirrored = mirror_positions(t)
     out = []
     for c in lax_shuffle_diagram(t):
         src, k = c.embed.source, c.index
@@ -212,14 +213,17 @@ class SpanReport:
 
 
 def verify_span(t: ThetaCell) -> SpanReport:
-    return _span_report(t, projection_to_interval(t), projection_to_cell(t), shift_map(t))
+    mirrored = mirror_positions(t)
+    return _span_report(t, projection_to_interval(t), projection_to_cell(t),
+                        shift_map(t, mirrored), mirrored)
 
 
 def _span_report(t: ThetaCell, p1: DAMorphism, p2: DAMorphism,
-                 q: DAMorphism) -> SpanReport:
-    """The report on the span with legs p1, p2 (kappa) and q (sigma).  A
-    leg that is not a morphism of augmented directed complexes is recorded
-    by its violations, not raised."""
+                 q: DAMorphism, mirrored: tuple) -> SpanReport:
+    """The report on the span with legs p1, p2 (kappa) and q (sigma), where
+    mirrored is mirror_positions(t).  A leg that is not a morphism of
+    augmented directed complexes is recorded by its violations, not
+    raised."""
     report = SpanReport(t, p1.violations() + p2.violations(), q.violations(),
                         _split_identities())
 
@@ -227,7 +231,7 @@ def _span_report(t: ThetaCell, p1: DAMorphism, p2: DAMorphism,
         ok = (morphisms_agree(col.embed.then(p1), p1_exp)
               and morphisms_agree(col.embed.then(p2), p2_exp))
         report.kappa_columns.append((col.name, ok))
-    for col, q_exp in sigma_column_expectations(t):
+    for col, q_exp in sigma_column_expectations(t, mirrored):
         report.sigma_columns.append((col.name, morphisms_agree(col.embed.then(q), q_exp)))
 
     # folding diamonds: each end of the cylinder goes to that end of the

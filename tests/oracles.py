@@ -7,6 +7,10 @@ state complexes, morphisms and elements by generator name through
 named_complex, named_morphism and row, and read them back by name, all
 here.
 
+combine adds rows up in a dict, the oracle of the library's sort-and-merge
+row kernel, and then_by_dict and violations_by_dict compose maps and check
+morphisms through it, reading every image row the same way.
+
 The oracles build the complex of a cell a second way, by gluing globe
 complexes along its globular sum, and compare it with lambda_cell up to a
 renaming of generators.  Tables of nu are built a second way too: by an
@@ -30,16 +34,77 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 from graycyl.dac import (ComplexError, DAComplex, DAMorphism, MorphismError, _bit_positions,
-                         _sparse, is_nonneg, lambda_cell, lambda_globe, lambda_map,
-                         render_name, wreath_map)
+                         lambda_cell, lambda_globe, lambda_map, render_name, wreath_map)
 from graycyl.gray import cylinder_map, o_cell
 from graycyl.nu import (DEFAULT_CEILING, EnumerationError, NuView, TableError, _compose,
                         _pair_key, nu_boundary, nu_identity)
-from graycyl.span import projection_to_cell, shift_map, shift_target_cell, split_map
+from graycyl.span import (mirror_positions, projection_to_cell, shift_map, shift_target_cell,
+                          split_map)
 from graycyl.theta import (POINT, GlobularSumDecomposition, SimplicialMap, ThetaCell,
                            ThetaMorphism, bang, cell, coface_map, gamma_image, globular_sum,
                            mirror, parse_cell, segment_map, simplicial_identity,
                            theta_identity, theta_morphism, vertex)
+
+
+# ---------------------------------------------------------------------------
+# row arithmetic through a dict: the oracle of the library's row kernel
+# ---------------------------------------------------------------------------
+
+def sparse(acc: dict) -> tuple:
+    """The row of {position: coefficient}: its nonzero entries in position
+    order."""
+    return tuple(sorted(item for item in acc.items() if item[1]))
+
+
+def is_nonneg(x: tuple) -> bool:
+    return all(c >= 0 for _, c in x)
+
+
+def combine(rows, x: tuple):
+    """The row of the sum of c * rows[g] over the entries (g, c) of x, or
+    None where some rows[g] is None, added up in a dict: the oracle of
+    dac._combine, which sorts and merges."""
+    out: dict = {}
+    for g, c in x:
+        row = rows[g]
+        if row is None:
+            return None
+        for h, w in row:
+            out[h] = out.get(h, 0) + c * w
+    return sparse(out)
+
+
+def then_by_dict(a: DAMorphism, b: DAMorphism) -> DAMorphism:
+    """a, then b, every image row built by combine: the oracle of
+    DAMorphism.then and dac.composites_agree."""
+    return DAMorphism(a.source, b.target,
+                      tuple(None if x is None else combine(b.images, x) for x in a.images))
+
+
+def violations_by_dict(m: DAMorphism) -> list:
+    """The oracle of DAMorphism.violations: every image is read through
+    combine and tested entry by entry, whatever its length."""
+    src, tgt = m.source, m.target
+    found = []
+    for d in range(src.top_degree + 1):
+        degree = tgt.positions(d)
+        for x in src.positions(d):
+            img, g = m.images[x], src.names[x]
+            if img is None:
+                found.append(("missing", g))
+                continue
+            if not is_nonneg(img):
+                found.append(("negative", g))
+            if any(h not in degree for h, _ in img):
+                found.append(("degree", g))
+            if d == 0:
+                if sum(c * tgt.aug[h] for h, c in img) != src.aug[x]:
+                    found.append(("augmentation", g))
+            else:
+                boundary = combine(m.images, src.diff[x])
+                if boundary is not None and boundary != combine(tgt.diff, img):
+                    found.append(("chain", g))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +134,7 @@ def position(K: DAComplex, g) -> int:
 def row(K: DAComplex, x: dict) -> tuple:
     """The row of an element stated as {generator name: int}."""
     position = positions_by_name(K)
-    return _sparse({position[g]: c for g, c in x.items()})
+    return sparse({position[g]: c for g, c in x.items()})
 
 
 def degrees(K: DAComplex) -> tuple:
@@ -128,7 +193,7 @@ def gadd(*xs) -> tuple:
     for x in xs:
         for g, c in x:
             out[g] = out.get(g, 0) + c
-    return _sparse(out)
+    return sparse(out)
 
 
 def with_image(m: DAMorphism, g, img) -> DAMorphism:
@@ -149,7 +214,7 @@ def named_complex(degrees, diff: dict, aug: dict) -> DAComplex:
     if missing:
         raise ComplexError(f"missing augmentation for {missing[0]!r}")
     return DAComplex(degrees,
-                     tuple(_sparse({position[h]: c for h, c in diff.get(g, {}).items()})
+                     tuple(sparse({position[h]: c for h, c in diff.get(g, {}).items()})
                            for g in names),
                      tuple(aug[g] if i < objects else 0 for i, g in enumerate(names)))
 
@@ -316,7 +381,8 @@ def sigma_m_map(t: ThetaCell, column) -> DAMorphism:
     n, k = t.width, column.index
     mt = mirror(t)
     slot = segment_map(mt, n + 1 - k, theta_identity(mt.children[n - k]))
-    into_slot = shift_map(t.children[k - 1]).then(lambda_map(slot))
+    child = t.children[k - 1]
+    into_slot = shift_map(child, mirror_positions(child)).then(lambda_map(slot))
     return wreath_morphism(column.embed.source, lambda_cell(shift_target_cell(t)),
                            split_map(n, k), {(k, 1): into_slot})
 

@@ -13,7 +13,7 @@ from graycyl.cli import main
 from graycyl.dac import lambda_cell
 from graycyl.gray import gray_cylinder
 from graycyl.nu import NuView
-from graycyl.theta import MAX_DEPTH, cells_up_to, parse_cell
+from graycyl.theta import MAX_DEPTH, cells_up_to, cells_with_nodes, parse_cell
 
 
 def run_cli(args):
@@ -311,6 +311,20 @@ class TestDeterminism:
         assert len(out) == 197
         assert hashlib.sha256("".join(out).encode("utf-8")).hexdigest() == \
             "19b37d1dbc864eb2eede234d4d3bdb858ba06fa5a3e2ed947811fc47a444be46"
+
+
+class TestNineNodeCorpus:
+    def test_verify_all_passes_on_every_cell(self, capsys, forget_memos):
+        # one process, as the corpus is timed; the memos of 1,430 cells are
+        # dropped afterwards, so later tests start from what they build
+        try:
+            cells = cells_with_nodes(9)
+            assert len(cells) == 1430
+            for t in cells:
+                assert main(["verify", "all", str(t)]) == 0, str(t)
+                assert json.loads(capsys.readouterr().out)["ok"] is True, str(t)
+        finally:
+            forget_memos()
 
 
 # the closure-wide items of the benchmark: closures of up to 672 cells per dimension

@@ -5,21 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graycyl import dac, theta
+from graycyl import dac, gray, theta
 from graycyl.cli import main
 from graycyl.dac import (ComplexError, DAMorphism, MorphismError, check_basis,
-                         lambda_cell, lambda_globe, lambda_map, morphisms_agree,
-                         sign_split, tensor, wreath_complex)
+                         composites_agree, lambda_cell, lambda_globe, lambda_map,
+                         morphisms_agree, sign_split, tensor, wreath_complex)
 from graycyl.gray import (cylinder_complex, cylinder_map, hyperface_cylinder,
                           lax_shuffle_diagram)
+from graycyl.span import mirror_positions, projection_to_cell, projection_to_interval, shift_map
 from graycyl.theta import (POINT, cell, cells_up_to, coface, globe, hyperfaces, parse_cell,
                            theta_identity, theta_morphism, vertex)
 
 from oracles import (amalgamate_with_inclusions, amalgamation_over_globular_sum,
-                     augmentations, boundaries, boundary, codegeneracy, compose, degree_of,
-                     degrees, element, find_isomorphism, gadd, globe_inclusion,
+                     augmentations, boundaries, boundary, codegeneracy, combine, compose,
+                     degree_of, degrees, element, find_isomorphism, gadd, globe_inclusion,
                      identity_morphism, image, named_complex, named_morphism, names_of,
-                     position, positions_by_name, row, size_profile)
+                     position, positions_by_name, row, size_profile, then_by_dict,
+                     violations_by_dict)
 
 
 def ordered_renaming_equal(K, L):
@@ -209,6 +211,157 @@ class TestMissingImage:
         m = named_morphism(K, K, {g: {g: 1} for g in K.names})
         assert m.violations() == []
         assert m.images == identity_morphism(K).images
+
+
+O0, O1, O2 = ("o", 0), ("o", 1), ("o", 2)
+S1, S2 = ("s", 1, ("o", 0)), ("s", 2, ("o", 0))
+# interval -> lambda([2]) with every image one entry, and with the edge
+# sent over both segments; both are morphisms
+ONE_ENTRY = {"b0": {O0: 1}, "t0": {O1: 1}, "v1": {S1: 1}}
+MULTI_ENTRY = {"b0": {O0: 1}, "t0": {O2: 1}, "v1": {S1: 1, S2: 1}}
+# the 2-globe -> lambda([2]), whose top degree is 1: the top goes to 0
+ABOVE_TOP = {"b0": {O0: 1}, "t0": {O2: 1}, "b1": {S1: 1, S2: 1}, "t1": {S1: 1, S2: 1},
+             "v2": {}}
+
+
+class TestViolations:
+    """violations reads a one-entry image from its pair and a longer one
+    entry by entry; both paths report the same kinds, in the same order,
+    as the dict oracle, which reads every image one way."""
+
+    @pytest.mark.parametrize("statement, changes, want", [
+        (ONE_ENTRY, {"t0": None}, [("missing", "t0")]),
+        (MULTI_ENTRY, {"t0": None}, [("missing", "t0")]),
+        (ONE_ENTRY, {"v1": {S1: -1}}, [("negative", "v1"), ("chain", "v1")]),
+        (MULTI_ENTRY, {"b0": {O0: 1, O1: 1, O2: -1}}, [("negative", "b0"), ("chain", "v1")]),
+        (ONE_ENTRY, {"b0": {S1: 1}},
+         [("degree", "b0"), ("augmentation", "b0"), ("chain", "v1")]),
+        (MULTI_ENTRY, {"v1": {O1: 1, S2: 1}}, [("degree", "v1"), ("chain", "v1")]),
+        (ABOVE_TOP, {"v2": {S1: 1}}, [("degree", "v2"), ("chain", "v2")]),
+        (ABOVE_TOP, {"v2": {S1: 1, S2: 1}}, [("degree", "v2"), ("chain", "v2")]),
+        (ONE_ENTRY, {"b0": {O0: 2}}, [("augmentation", "b0"), ("chain", "v1")]),
+        (ONE_ENTRY, {"b0": {}}, [("augmentation", "b0"), ("chain", "v1")]),
+        (MULTI_ENTRY, {"t0": {O1: 1, O2: 1}}, [("augmentation", "t0"), ("chain", "v1")]),
+        (ONE_ENTRY, {"v1": {S2: 1}}, [("chain", "v1")]),
+        (MULTI_ENTRY, {"t0": {O1: 1}}, [("chain", "v1")]),
+        (ONE_ENTRY, {}, []),
+        (MULTI_ENTRY, {}, []),
+        (ABOVE_TOP, {}, []),
+    ], ids=["missing-one", "missing-multi", "negative-one", "negative-multi", "degree-one",
+            "degree-multi", "degree-above-top-one", "degree-above-top-multi",
+            "augmentation-one", "augmentation-empty", "augmentation-multi", "chain-one",
+            "chain-multi", "morphism-one", "morphism-multi", "morphism-above-top"])
+    def test_each_kind_on_both_paths(self, statement, changes, want):
+        src = lambda_globe(2 if statement is ABOVE_TOP else 1)
+        images = {g: img for g, img in {**statement, **changes}.items() if img is not None}
+        m = named_morphism(src, lambda_cell(cell(2)), images)
+        assert m.violations() == want
+        assert violations_by_dict(m) == want
+
+    def test_corpus_matches_the_oracle(self):
+        # the column embeddings, the span's legs and the face maps, as
+        # built and with every coefficient doubled
+        maps = 0
+        for t in cells_up_to(6):
+            legs = (projection_to_interval(t), projection_to_cell(t),
+                    shift_map(t, mirror_positions(t)))
+            faces = tuple(lambda_map(face.map) for face in hyperfaces(t))
+            for m in tuple(c.embed for c in lax_shuffle_diagram(t)) + legs + faces:
+                assert m.violations() == violations_by_dict(m) == []
+                bad = doubled(m)
+                assert bad.violations() == violations_by_dict(bad) != []
+                maps += 1
+        assert maps == 1024
+
+
+def doubled(m: DAMorphism) -> DAMorphism:
+    """m with every coefficient doubled."""
+    return DAMorphism(m.source, m.target, tuple(
+        None if x is None else tuple([(h, 2 * c) for h, c in x]) for x in m.images))
+
+
+def sorted_rows(rows):
+    """{position: coefficient} dicts (or None) as sparse rows."""
+    return tuple(None if r is None else tuple(sorted(r.items())) for r in rows)
+
+
+ROWS = st.lists(st.one_of(st.none(), st.dictionaries(st.integers(0, 9),
+                                                     st.integers(-4, 4).filter(bool),
+                                                     max_size=6)),
+                min_size=1, max_size=6).map(sorted_rows)
+
+
+class TestCombine:
+    """The row kernel sorts the scaled rows together and merges equal
+    positions; the oracle adds them up in a dict."""
+
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_dict_oracle(self, data):
+        rows = data.draw(ROWS)
+        x = data.draw(st.dictionaries(st.integers(0, len(rows) - 1),
+                                      st.integers(-3, 3).filter(bool), max_size=6))
+        x = tuple(sorted(x.items()))
+        assert dac._combine(rows, x) == combine(rows, x)
+
+    def test_cancellation(self):
+        rows = (((0, 1), (3, 2)), ((0, 1), (3, 2)), ((4, 1),), ((4, -1),), ((4, 2),))
+        assert dac._combine(rows, ((0, 1), (1, -1))) == ()
+        assert dac._combine(rows, ((0, 2), (1, -1))) == ((0, 1), (3, 2))
+        # a position that cancels to zero and then comes back
+        assert dac._combine(rows, ((2, 1), (3, 1), (4, 1))) == ((4, 2),)
+        assert dac._combine(rows, ((0, -3), (2, 1), (3, 1))) == ((0, -3), (3, -6))
+
+    def test_none_row(self):
+        rows = (None, ((0, 1),), ((1, 2),))
+        assert dac._combine(rows, ((0, 1),)) is None
+        assert dac._combine(rows, ((1, 1), (0, 2))) is None
+        # then and composites_agree: a None row, and a row meeting one
+        K = lambda_globe(1)
+        a = DAMorphism(K, K, (None, ((1, 1),), ((0, 1), (1, 1))))
+        b = DAMorphism(K, K, (None, ((0, 1),), ((2, 1),)))
+        assert a.then(b).images == then_by_dict(a, b).images == (None, ((0, 1),), None)
+        assert composites_agree(a, b, a, b)
+        assert not composites_agree(a, b, b, a)
+
+
+class TestComposites:
+    """then and composites_agree read a unit row as the row it picks and
+    merge the rest by the kernel; on every map the checks compose over the
+    cells with at most 6 nodes they match the composites built by the dict
+    oracle."""
+
+    def test_column_embeddings(self):
+        composites = 0
+        for t in cells_up_to(6):
+            columns = lax_shuffle_diagram(t)
+            legs = (projection_to_interval(t), projection_to_cell(t),
+                    shift_map(t, mirror_positions(t)))
+            pairs = [(c.embed, leg) for c in columns for leg in legs]
+            pairs += [pair for _, _, col_o, col_m, leg_o, leg_m in gray._spans(t, columns)
+                      for pair in ((leg_o, col_o.embed), (leg_m, col_m.embed))]
+            for a, b in pairs:
+                assert a.then(b).images == then_by_dict(a, b).images
+                composites += 1
+        assert composites == 1505
+
+    def test_hyperface_squares(self):
+        verdicts = Counter()
+        for t in cells_up_to(6):
+            for face in hyperfaces(t):
+                f = face.map
+                src, tgt = lax_shuffle_diagram(f.source), lax_shuffle_diagram(f.target)
+                steiner = cylinder_map(f)
+                for col_s, col_t, m in gray._column_maps(f, src, tgt):
+                    want = then_by_dict(col_s.embed, steiner).images
+                    assert col_s.embed.then(steiner).images == want
+                    if m is None:
+                        continue
+                    for n in (m, doubled(m)):
+                        agree = composites_agree(col_s.embed, steiner, n, col_t.embed)
+                        assert agree == (want == then_by_dict(n, col_t.embed).images)
+                        verdicts[agree] += 1
+        assert verdicts == {True: 2068, False: 2068}
 
 
 class TestTensor:

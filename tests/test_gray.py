@@ -13,7 +13,7 @@ from graycyl.nu import NuView
 from graycyl.theta import (POINT, cell, cells_up_to, cells_with_nodes, gamma_image, globe,
                            hyperfaces, parse_cell, theta_identity, vertex)
 
-from oracles import (check_functors, component, compose, element, image, m_face_map,
+from oracles import (check_functors, combine, component, compose, element, image, m_face_map,
                      nu_functor, o_face_morphism, o_leg_morphism, parse_morphism, row,
                      with_image)
 
@@ -453,11 +453,12 @@ class TestOneCylinderBuilder:
         steiner = cylinder_map(f)
         # the crossing 1-cells h⊗o_p go to h⊗o_f(p)
         for p in (0, 1):
-            img = steiner.apply(row(steiner.source, {("t", "v1", ("o", p)): 1}))
+            img = combine(steiner.images, row(steiner.source, {("t", "v1", ("o", p)): 1}))
             assert element(steiner.target, img) == {("t", "v1", ("o", f.base(p))): 1}
         # the lane edges b0⊗(1|o_a) go to the path through the component images
         for a in range(f.source.children[0].width + 1):
-            img = steiner.apply(row(steiner.source, {("t", "b0", ("s", 1, ("o", a))): 1}))
+            edge = row(steiner.source, {("t", "b0", ("s", 1, ("o", a))): 1})
+            img = combine(steiner.images, edge)
             want = {("t", "b0", ("s", j, ("o", comp.base(a)))): 1
                     for (i, j), comp in f.components}
             assert element(steiner.target, img) == want

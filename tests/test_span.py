@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -35,8 +36,12 @@ def doubled(m: DAMorphism) -> DAMorphism:
                           {g: {h: 2 * c for h, c in img.items()} for g, img in images(m).items()})
 
 
+def shift(t):
+    return shift_map(t, mirror_positions(t))
+
+
 def legs(t):
-    return projection_to_interval(t), projection_to_cell(t), shift_map(t)
+    return projection_to_interval(t), projection_to_cell(t), shift(t)
 
 
 def leg_functors(t, max_dim=None, maps=None):
@@ -91,7 +96,7 @@ class TestSplitMap:
 class TestShiftMap:
     def test_point_is_identity_shaped(self):
         t = parse_cell("[0]")
-        q = shift_map(t)
+        q = shift(t)
         assert image(q, ("t", "v1", ("o", 0))) == {("s", 1, ("o", 0)): 1}
 
     def test_mirror_names(self):
@@ -106,9 +111,25 @@ class TestShiftMap:
             ("s", 1, ("s", 1, ("o", 0))): ("s", 2, ("s", 1, ("o", 0)))}
         assert shift_target_cell(t) == cell(1, parse_cell("[2]([0],[1])"))
 
+    def test_mirror_table_built_once_per_report(self, monkeypatch):
+        # q and the sigma columns read one table; the recursion builds each
+        # child's own
+        built = span.mirror_positions
+        calls = Counter()
+
+        def counted(t):
+            calls[t] += 1
+            return built(t)
+
+        monkeypatch.setattr(span, "mirror_positions", counted)
+        for t in cells_up_to(5):
+            calls.clear()
+            assert verify_span(t).passed
+            assert calls[t] == 1, str(t)
+
     def test_is_chain_map_on_corpus(self):
         for s in ("[1]", "[2]", "[1]([1])", "[1]([2])", "[2]([1],[0])"):
-            shift_map(parse_cell(s)).validate()
+            shift(parse_cell(s)).validate()
 
     def test_unmirrored_assignment_fails(self):
         # sending h(x)x to the suspension of x itself breaks the chain rule
@@ -167,12 +188,12 @@ class TestVerifySpan:
 
     def test_mutated_sigma_fails(self):
         with pytest.raises(MorphismError):
-            swapped_ends(shift_map(cell(2))).validate()
+            swapped_ends(shift(cell(2))).validate()
 
     def test_image_violation_is_reported(self):
         t = cell(2)
         p1, p2, q = legs(t)
-        rep = _span_report(t, p1, p2, swapped_ends(q))
+        rep = _span_report(t, p1, p2, swapped_ends(q), mirror_positions(t))
         assert not rep.passed and not rep.kappa_functor
         assert rep.sigma_functor and rep.sigma_functor[0][0] == "chain"
         assert rep.to_json()["sigma_functor_violations"] == len(rep.sigma_functor)
@@ -180,7 +201,7 @@ class TestVerifySpan:
     def test_image_error_names_the_source_cell(self):
         t = cell(1)
         view = gray_cylinder(t)
-        F = nu_functor(swapped_ends(shift_map(t)), view.max_dim, source_view=view)
+        F = nu_functor(swapped_ends(shift(t)), view.max_dim, source_view=view)
         named = []
         for layer in view.layers:
             for c in layer:
@@ -200,7 +221,7 @@ class TestVerifySpan:
     def test_coefficient_two_is_an_image_violation(self):
         t = cell(1)
         view = gray_cylinder(t)
-        F = nu_functor(doubled(shift_map(t)), view.max_dim, source_view=view)
+        F = nu_functor(doubled(shift(t)), view.max_dim, source_view=view)
         for c in view.cells(0):
             with pytest.raises(TableError):
                 F(c)
@@ -210,14 +231,14 @@ class TestVerifySpan:
     def test_broken_kappa_leg_fails(self):
         t = parse_cell("[1]([1])")
         p1, p2, q = legs(t)
-        rep = _span_report(t, p1, swapped_ends(p2), q)
+        rep = _span_report(t, p1, swapped_ends(p2), q, mirror_positions(t))
         assert not rep.passed
         assert rep.kappa_functor and not rep.sigma_functor
 
     def test_swapped_sigma_fails_every_square(self):
         t = parse_cell("[2]([1],[0])")
         p1, p2, q = legs(t)
-        rep = _span_report(t, p1, p2, swapped_ends(q))
+        rep = _span_report(t, p1, p2, swapped_ends(q), mirror_positions(t))
         assert rep.sigma_functor and not rep.kappa_functor
         assert rep.sigma_columns and not any(ok for _, ok in rep.sigma_columns)
         assert not rep.diamonds["sigma_e0"] and not rep.diamonds["sigma_e1"]
@@ -229,7 +250,7 @@ class TestVerifySpan:
         p1, p2, q = legs(t)
         # p1 lands in lambda([1]), so its ends are the objects o0 and o1
         assert p1.target is lambda_cell(cell(1))
-        rep = _span_report(t, swapped_ends(p1), p2, q)
+        rep = _span_report(t, swapped_ends(p1), p2, q, mirror_positions(t))
         assert rep.kappa_functor and not rep.sigma_functor
         assert rep.kappa_columns and not any(ok for _, ok in rep.kappa_columns)
         assert not rep.diamonds["kappa_e0"] and not rep.diamonds["kappa_e1"]
@@ -265,7 +286,7 @@ class TestExpectationsMatchTheThetaOracles:
     def test_sigma_columns(self):
         columns = 0
         for t in cells_up_to(7):
-            for c, q_exp in sigma_column_expectations(t):
+            for c, q_exp in sigma_column_expectations(t, mirror_positions(t)):
                 want = (lambda_map(sigma_o_morphism(t, c.index)) if c.kind == "O"
                         else sigma_m_map(t, c))
                 assert_same_map(q_exp, want, (str(t), c.name))
@@ -402,7 +423,7 @@ class TestLegViolations:
         with pytest.raises(MorphismError):
             bad.validate()
         ms[leg] = bad
-        data = _span_report(self.T, *ms).to_json()
+        data = _span_report(self.T, *ms, mirror_positions(self.T)).to_json()
         assert not data["passed"]
         broken, intact = (("sigma", "kappa") if leg == 2 else ("kappa", "sigma"))
         assert data[f"{broken}_functor_violations"] > 0
