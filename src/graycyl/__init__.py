@@ -7,7 +7,7 @@ from .gray import (gray_cylinder, hyperface_cylinder, lax_shuffle_diagram,
 from .nu import NuView, enumerate_cells, nu_boundary, nu_identity
 from .pr import pr_count, pr_hom, pr_objects
 from .span import split_map, verify_span
-from .theta import (ThetaCell, ThetaMorphism, cell, globe, globular_sum,
-                    gamma_image, hyperfaces, parse_cell)
+from .theta import (ThetaCell, ThetaMap, cell, globe, globular_sum, hyperfaces,
+                    parse_cell)
 
 __version__ = "0.1.0"

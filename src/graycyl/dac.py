@@ -31,9 +31,8 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from weakref import WeakKeyDictionary
 
-from .theta import Frozen, ThetaCell, ThetaMorphism
+from .theta import Frozen, ThetaCell, ThetaMap
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +56,8 @@ def _combine(rows, x: tuple):
         joined += row if c == 1 else [(h, c * w) for h, w in row]
     joined.sort()
     out: list = []
-    last = -1
+    # last is the position of out[-1], or below every position still to come
+    last = joined[0][0] - 1 if joined else 0
     for pair in joined:
         if pair[0] != last:
             out.append(pair)
@@ -68,7 +68,7 @@ def _combine(rows, x: tuple):
                 out[-1] = (last, w)
             else:
                 out.pop()
-                last = -1
+                last -= 1
     return tuple(out)
 
 
@@ -320,7 +320,7 @@ def lambda_cell(t: ThetaCell) -> DAComplex:
 
     Memoised per cell, unbounded: every caller gets the same complex, which
     is shared and read-only, so lambda_map(f).source is
-    lambda_cell(f.source) for every f.
+    lambda_cell(f.source) for every map f.
     """
     return wreath_complex([lambda_cell(c) for c in t.children])
 
@@ -386,11 +386,14 @@ class DAMorphism(Frozen):
         coefficient), "degree" (a target generator of another degree),
         "augmentation" (degree 0) or "chain" (the image of g's boundary is
         not the boundary of g's image; unchecked while a generator of that
-        boundary has no image).  g is the generator's name.  A one-entry
-        image is read straight from its pair."""
+        boundary has no image).  g is the generator's name.  An image entry
+        at a position outside the target is of the wrong degree, and its
+        generator's augmentation and chain condition go unchecked.  A
+        one-entry image is read straight from its pair."""
         src, tgt = self.source, self.target
         names, images, src_aug, src_diff = src.names, self.images, src.aug, src.diff
         tgt_start, tgt_aug, tgt_diff = tgt.start, tgt.aug, tgt.diff
+        size = len(tgt_diff)
         found = []
         for d in range(src.top_degree + 1):
             # a degree above the target's top has no generators
@@ -406,6 +409,8 @@ class DAMorphism(Frozen):
                         found.append(("negative", names[x]))
                     if not lo <= h < hi:
                         found.append(("degree", names[x]))
+                        if not 0 <= h < size:
+                            continue
                     if d == 0:
                         if c * tgt_aug[h] != src_aug[x]:
                             found.append(("augmentation", names[x]))
@@ -416,6 +421,8 @@ class DAMorphism(Frozen):
                         found.append(("negative", names[x]))
                     if any(not lo <= h < hi for h, _ in img):
                         found.append(("degree", names[x]))
+                        if any(not 0 <= h < size for h, _ in img):
+                            continue
                     if d == 0:
                         if sum(c * tgt_aug[h] for h, c in img) != src_aug[x]:
                             found.append(("augmentation", names[x]))
@@ -474,12 +481,18 @@ def wreath_map(src: DAComplex, tgt: DAComplex, objects, legs) -> DAMorphism:
     """Morphism of wreath complexes that sends the object p to the object
     objects[p], and the suspension over segment i of a child generator to
     the sum, over the pairs (j, m) of legs[i - 1], of the suspensions over
-    segment j of its images under the child morphism m."""
+    segment j of its images under the child morphism m.  A leg whose m does
+    not run from the complex of slot i to that of slot j, by size, raises
+    MorphismError, so no position is read through the wrong table."""
     images = [None] * len(src.diff)
     units, parts = tgt.units, tgt.parts
     for x, p in zip(src.parts[0], objects):
         images[x] = units[parts[0][p]]
-    for src_part, leg in zip(src.parts[1:], legs):
+    for i, (src_part, leg) in enumerate(zip(src.parts[1:], legs), start=1):
+        for j, m in leg:
+            if (not 0 < j < len(parts) or len(m.images) != len(src_part)
+                    or len(m.target.diff) != len(parts[j])):
+                raise MorphismError(f"the leg of segment {i} over segment {j} does not fit")
         if len(leg) == 1:
             (j, m), = leg
             part, rows = parts[j], m.images
@@ -497,26 +510,21 @@ def wreath_map(src: DAComplex, tgt: DAComplex, objects, legs) -> DAMorphism:
     return DAMorphism(src, tgt, tuple(images))
 
 
-# lambda_map's value per interned morphism, held only while the morphism lives
-_LAMBDA_MAPS: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def lambda_map(f: ThetaMorphism) -> DAMorphism:
+def lambda_map(f: ThetaMap) -> DAMorphism:
     """The morphism of complexes of f, between lambda_cell(f.source) and
-    lambda_cell(f.target).  Built once per morphism and kept as long as f
-    lives: every caller gets the same morphism, which is shared and
-    read-only."""
-    out = _LAMBDA_MAPS.get(f)
+    lambda_cell(f.target).  Built on first read and kept on f (f.lam) as
+    long as f lives: every caller gets the same morphism, which is shared
+    and read-only."""
+    out = f.lam
     if out is None:
-        out = _LAMBDA_MAPS[f] = _lambda_map(f)
+        out = _lambda_map(f)
+        object.__setattr__(f, "lam", out)
     return out
 
 
-def _lambda_map(f: ThetaMorphism) -> DAMorphism:
-    legs = [[] for _ in f.source.children]
-    for (i, j), m in f.components:
-        legs[i - 1].append((j, lambda_map(m)))
-    return wreath_map(lambda_cell(f.source), lambda_cell(f.target), f.base.image, legs)
+def _lambda_map(f: ThetaMap) -> DAMorphism:
+    return wreath_map(lambda_cell(f.source), lambda_cell(f.target), f.image,
+                      [[(j, lambda_map(g)) for j, g in leg] for leg in f.legs])
 
 
 # ---------------------------------------------------------------------------

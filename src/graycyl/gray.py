@@ -17,9 +17,8 @@ from .dac import (DAComplex, DAMorphism, composites_agree, lambda_cell,
                   lambda_globe, lambda_map, morphisms_agree, tensor,
                   wreath_complex, wreath_map)
 from .nu import DEFAULT_CEILING, NuView
-from .theta import (POINT, Frozen, Hyperface, ThetaCell, ThetaMorphism, bang,
-                    gamma_image, globular_sum, leaf_inclusion, meet_inclusion,
-                    theta_identity)
+from .theta import (POINT, Frozen, Hyperface, ThetaCell, ThetaMap, bang, globular_sum,
+                    leaf_inclusion, meet_inclusion, theta_identity)
 
 
 def interval() -> DAComplex:
@@ -38,7 +37,7 @@ def cylinder_complex(t: ThetaCell) -> DAComplex:
     return tensor(interval(), lambda_cell(t))
 
 
-def cylinder_map(f: ThetaMorphism) -> DAMorphism:
+def cylinder_map(f: ThetaMap) -> DAMorphism:
     """[1]⊗f: the identity of the interval tensored with lambda(f), between
     the memoised cylinders of f's source and target."""
     return _interval_tensor(lambda_map(f), cylinder_complex(f.source),
@@ -241,8 +240,10 @@ def _covers(rows, K: DAComplex) -> dict:
 
 
 def _meet_in(a, b, m, width: int) -> bool:
-    """Do the lattices of a and b meet exactly in that of m?"""
-    return intlin.same_subgroup(intlin.intersection(a, b, width), m, width)
+    """Do the lattices of a and b meet exactly in that of m?  Each of the
+    meet and m contains the other."""
+    meet = intlin.intersection(a, b, width)
+    return intlin.contains(meet, m, width) and intlin.contains(m, meet, width)
 
 
 class GluingReport:
@@ -322,75 +323,65 @@ def _factors_through(src_col: ShuffleColumn, tgt_cols, steiner: DAMorphism) -> b
                            src_col.embed.then(steiner).images, len(steiner.target.diff))
 
 
-def _face_table(f: ThetaMorphism) -> dict:
-    """The lambda maps every column map of the face f reads: at (i, j) that
-    of f's component (i, j), and at (0, 0) that of the identity of [0], for
-    the unit slot of an O column.  Each distinct map is looked up once per
-    face."""
+def _face_table(f: ThetaMap) -> tuple:
+    """(legs, unit): per source segment of the face f, the pairs (j, lambda
+    map of its map into segment j), and the lambda map of the identity of
+    [0], for the unit slot of an O column.  Every column map of the face
+    reads this one table, and each distinct map is looked up once per face."""
     unit = theta_identity(POINT)
-    lams = {c: lambda_map(c) for c in {unit}.union(c for _, c in f.components)}
-    table = {key: lams[c] for key, c in f.components}
-    table[(0, 0)] = lams[unit]
-    return table
+    lams = {g: lambda_map(g) for g in {unit}.union([g for leg in f.legs for _, g in leg])}
+    return [[(j, lams[g]) for j, g in leg] for leg in f.legs], lams[unit]
 
 
-def _legs(image: tuple, table: dict, segments: range, shift: int = 0) -> list:
-    """Per source segment i in `segments`, the pairs (j + shift, table[(i, j)])
-    over the segments j that the base map with vertex images `image` sends
-    i over."""
-    return [[(j + shift, table[(i, j)]) for j in range(image[i - 1] + 1, image[i] + 1)]
-            for i in segments]
-
-
-def _face_between_o_cells(f: ThetaMorphism, table: dict, src, tgt, js: int,
+def _face_between_o_cells(f: ThetaMap, table: tuple, src, tgt, js: int,
                           jt: int) -> DAMorphism:
     """The map O_js(source) -> O_jt(target) induced by the face, between the
     columns of the shuffle diagrams src and tgt: f with the shuffle unit slot
     inserted at source position js+1 and target position jt+1 (requires
-    f.base(js) == jt).  Vertices after js and segments after the unit slot
+    f.image[js] == jt).  Vertices after js and segments after the unit slot
     move up by one, and the unit slot goes to the unit slot by the identity
     of [0]."""
-    image = f.base.image
+    image = f.image
     if image[js] != jt:
         raise ValueError("unit slots are not aligned")
-    legs = (_legs(image, table, range(1, js + 1)) + [[(jt + 1, table[(0, 0)])]]
-            + _legs(image, table, range(js + 1, len(image)), 1))
+    legs, unit = table
     return wreath_map(src[2 * js].embed.source, tgt[2 * jt].embed.source,
-                      image[:js + 1] + tuple([v + 1 for v in image[js:]]), legs)
+                      image[:js + 1] + tuple([v + 1 for v in image[js:]]),
+                      legs[:js] + [[(jt + 1, unit)]]
+                      + [[(j + 1, m) for j, m in leg] for leg in legs[js:]])
 
 
-def _face_between_m_columns(f: ThetaMorphism, table: dict, src, tgt, i: int,
+def _face_between_m_columns(f: ThetaMap, table: tuple, src, tgt, i: int,
                             i2: int) -> DAMorphism:
     """The map M_i(source) -> M_i2(target) induced by the face, between the
     columns of the shuffle diagrams src and tgt: the table's lambda maps,
-    and on the cylinder slot i the interval tensored with the component's."""
-    image = f.base.image
-    legs = _legs(image, table, range(1, len(image)))
+    and on the cylinder slot i the interval tensored with the one of its
+    map."""
+    legs = list(table[0])
     if any(j != i2 for j, _ in legs[i - 1]):
         raise ValueError("cylinder slot must map to the cylinder slot")
     child = cylinder_complex(f.source.children[i - 1])
     legs[i - 1] = [(j, _interval_tensor(m, child, cylinder_complex(f.target.children[j - 1])))
                    for j, m in legs[i - 1]]
-    return wreath_map(src[2 * i - 1].embed.source, tgt[2 * i2 - 1].embed.source, image, legs)
+    return wreath_map(src[2 * i - 1].embed.source, tgt[2 * i2 - 1].embed.source, f.image, legs)
 
 
-def _column_maps(f: ThetaMorphism, src, tgt):
+def _column_maps(f: ThetaMap, src, tgt):
     """(source column, target column, column map) per source column of the
     cylinder over f: O_j goes to O_f(j), and M_i to the column over the
-    segment F(f)(i).  An M_i over two segments {k, k+1} (the inner face's
-    own column) has no column map: it is claimed to factor through the
-    target columns [M_k, O_k, M_{k+1}], and its map is None.  Every map
+    segment its leg covers.  An M_i over two segments {k, k+1} (the inner
+    face's own column) has no column map: it is claimed to factor through
+    the target columns [M_k, O_k, M_{k+1}], and its map is None.  Every map
     reads one table of the face's lambda maps."""
     table = _face_table(f)
-    for j, jt in enumerate(f.base.image):
+    for j, jt in enumerate(f.image):
         yield src[2 * j], tgt[2 * jt], _face_between_o_cells(f, table, src, tgt, j, jt)
-    for i, segments in gamma_image(f.base).items():
-        if len(segments) == 1:
-            j, = segments
-            yield (src[2 * i - 1], tgt[2 * j - 1],
-                   _face_between_m_columns(f, table, src, tgt, i, j))
+    for i, leg in enumerate(f.legs, start=1):
+        k = leg[0][0]
+        if len(leg) == 1:
+            yield (src[2 * i - 1], tgt[2 * k - 1],
+                   _face_between_m_columns(f, table, src, tgt, i, k))
         else:
-            k, _ = segments
             yield src[2 * i - 1], tgt[2 * k - 1:2 * k + 2], None
 
 

@@ -1,5 +1,5 @@
-"""Small exact integer linear algebra on sparse rows: Hermite forms, ranks,
-pivots, lattice equality and meets.
+"""Small exact integer linear algebra on sparse rows: ranks, pivots,
+membership and meets of lattices.
 
 A row is a tuple of (position, coefficient) pairs with nonzero coefficients
 in position order, as dac holds them, and a lattice is the subgroup of
@@ -14,12 +14,10 @@ pivots and the rows that reach zero generate the input's subgroup.  Rows over
 disjoint ranges of positions never meet in Euclid, so one echelon of all of
 them is the echelon of each range.
 
-`rank` counts the pivots and `pivots` reads them, `hnf` back-reduces them to
-the canonical Hermite form, `intersection` is Zassenhaus's meet,
-`same_subgroup` compares Hermite forms, and `contains` reduces vectors by the
-pivots: v lies in the lattice of rows exactly when
-`contains(rows, [v], width)`, the verdict of
-`same_subgroup(rows, rows + [v], width)` from one echelon.
+`rank` counts the pivots and `pivots` reads them, `intersection` is
+Zassenhaus's meet, and `contains` reduces vectors by the pivots: v lies in
+the lattice of rows exactly when `contains(rows, [v], width)`.  Two lattices
+are equal when each contains the other.
 """
 
 from __future__ import annotations
@@ -75,28 +73,6 @@ def _echelon(rows, width: int) -> tuple[dict, list]:
     return pivots, zero
 
 
-def hnf(rows, width: int) -> tuple[tuple, ...]:
-    """Canonical (row-style) Hermite normal form of the subgroup generated
-    by `rows` inside Z^width: pivots positive, every entry above a pivot
-    in [0, pivot)."""
-    pivots, _ = _echelon(rows, width)
-    out = []
-    # the top-down back-reduction, row by row: reduce at each later pivot,
-    # left to right, by the pivot row as the echelon left it; a step changes
-    # only positions from that pivot on, so those already reduced hold
-    for p in sorted(pivots):
-        row, i = pivots[p], 1
-        while i < len(row):
-            r, e = row[i]
-            piv = pivots.get(r)
-            if piv is not None:
-                row = _minus(row, e // piv[0][1], piv)
-            if i < len(row) and row[i][0] == r:
-                i += 1
-        out.append(row)
-    return tuple(out)
-
-
 def rank(rows, width: int) -> int:
     return len(_echelon(rows, width)[0])
 
@@ -116,15 +92,12 @@ def intersection(rows_a, rows_b, width: int) -> list[tuple]:
     return [tuple([(p - width, c) for p, c in row]) for row in zero]
 
 
-def same_subgroup(rows_a, rows_b, width: int) -> bool:
-    return hnf(rows_a, width) == hnf(rows_b, width)
-
-
 def contains(rows, vectors, width: int) -> bool:
     """Does every vector lie in the lattice of rows?  The pivot rows are a
     basis of that lattice with distinct first positions, so a vector lies in
     it exactly when its first position holds a pivot that divides its entry
-    there, and what is left after subtracting that multiple lies in it too.
+    there, and what is left after subtracting that multiple lies in it too:
+    the vector without its first entry, where the pivot row has no other.
     Positions from `width` on are not read."""
     pivots, _ = _echelon(rows, width)
     for v in vectors:
@@ -133,5 +106,5 @@ def contains(rows, vectors, width: int) -> bool:
             piv = pivots.get(p)
             if piv is None or c % piv[0][1]:
                 return False
-            v = _minus(v, c // piv[0][1], piv)
+            v = v[1:] if len(piv) == 1 else _minus(v, c // piv[0][1], piv)
     return True

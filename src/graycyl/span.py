@@ -23,30 +23,51 @@ from functools import cache
 
 from .dac import DAComplex, DAMorphism, lambda_cell, lambda_map, morphisms_agree, wreath_map
 from .gray import cylinder_complex, endpoint_inclusion, interval, lax_shuffle_diagram
-from .theta import POINT, SimplicialMap, ThetaCell, cell, coface, mirror, theta_identity
+from .theta import POINT, ThetaCell, cell, coface, mirror, theta_identity
 
 
-def split_map(n: int, j: int) -> SimplicialMap:
-    """[n] -> [1]: vertices below j to 0, the rest to 1."""
+def split_map(n: int, j: int) -> tuple:
+    """The vertex images of [n] -> [1]: vertices below j to 0, the rest
+    to 1."""
     if not 0 <= j <= n + 1:
         raise ValueError("threshold out of range")
-    return SimplicialMap(n, 1, tuple(0 if i < j else 1 for i in range(n + 1)))
+    return tuple(0 if i < j else 1 for i in range(n + 1))
 
 
 def mirror_positions(t: ThetaCell) -> tuple:
     """By position in lambda(t), the position of the generator of
     lambda(mirror t) that matches it under the reversal: o_p goes to
-    o_{n-p}, and i|x to (n+1-i)|x' for the mirror x' of x."""
-    K, M = lambda_cell(t), lambda_cell(mirror(t))
-    n = t.width
-    out = [None] * len(K.diff)
-    for p, x in enumerate(K.parts[0]):
-        out[x] = M.parts[0][n - p]
-    for i, c in enumerate(t.children, start=1):
-        inner, slot = mirror_positions(c), M.parts[n + 1 - i]
-        for x, y in enumerate(K.parts[i]):
-            out[y] = slot[inner[x]]
-    return tuple(out)
+    o_{n-p}, and i|x to (n+1-i)|x' for the mirror x' of x.
+
+    Built bottom-up from an explicit stack, with no recursion, once per
+    distinct subtree u of t: the mirror of a child of u is read off the
+    mirror of u (child i of u goes with child n+1-i of it), and u's table
+    from its children's, over the parts of lambda(u) and of lambda of its
+    mirror."""
+    tables: dict = {}
+    stack = [(t, mirror(t))]
+    while stack:
+        u, v = stack[-1]
+        if u in tables:
+            stack.pop()
+            continue
+        n = u.width
+        missing = [(c, v.children[n - 1 - i]) for i, c in enumerate(u.children)
+                   if c not in tables]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        K, M = lambda_cell(u), lambda_cell(v)
+        out = [None] * len(K.diff)
+        for p, x in enumerate(K.parts[0]):
+            out[x] = M.parts[0][n - p]
+        for i, c in enumerate(u.children, start=1):
+            inner, slot = tables[c], M.parts[n + 1 - i]
+            for x, y in enumerate(K.parts[i]):
+                out[y] = slot[inner[x]]
+        tables[u] = out
+    return tuple(tables[t])
 
 
 def _ends_to(t: ThetaCell, tgt: DAComplex, ends, cross=()) -> DAMorphism:
@@ -255,10 +276,10 @@ def _split_identities() -> bool:
     for n in range(5):
         for k in range(n + 2):
             lhs = split_map(n + 1, k)
-            if coface(n + 1, k).then(split_map(n + 2, k)) != lhs:
-                ok = False
-            if coface(n + 1, k).then(split_map(n + 2, k + 1)) != lhs:
-                ok = False
+            for j in (k, k + 1):
+                split = split_map(n + 2, j)
+                if tuple([split[v] for v in coface(n + 1, k)]) != lhs:
+                    ok = False
     return ok
 
 

@@ -1,15 +1,19 @@
-"""Cells and morphisms of the wreath-product cell category.
+"""Cells and maps of the wreath-product cell category.
 
-A cell is a finite planar rooted tree [n];(T_1,...,T_n).  Morphisms pair a
-monotone map of the base simplices with a family of component morphisms
-indexed by the segment-image sets F(f)(i) = {j | f(i-1) < j <= f(i)}.
+A cell is a finite planar rooted tree [n];(T_1,...,T_n).  A map pairs a
+monotone map of the base simplices with one map of children per covered
+segment: source segment i covers the target segments j with
+f(i-1) < j <= f(i), and goes into each by a map from child i to child j
+(Berger, "Iterated wreath product of the simplex category and iterated loop
+spaces", Adv. Math. 2007).  A ThetaMap holds exactly that, as the vertex
+images of its base map and, per source segment, its (j, child map) legs,
+which is what dac.wreath_map reads to build the map's lambda map.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
 from itertools import product
-from types import MappingProxyType
 from weakref import WeakValueDictionary
 
 
@@ -33,12 +37,10 @@ class CellSyntaxError(ValueError):
         self.position = position
 
 
-# The live cells by children tuple, and the live morphisms by their field
-# tuple.  Construction returns the table's instance when there is one, so
-# equal values are one object and equality is identity.  The tables hold
-# their values weakly: a cell or morphism no one holds is freed.
+# The live cells by children tuple.  Construction returns the table's
+# instance when there is one, so equal cells are one object and equality is
+# identity.  The table holds its cells weakly: a cell no one holds is freed.
 _CELLS: WeakValueDictionary = WeakValueDictionary()
-_MORPHISMS: WeakValueDictionary = WeakValueDictionary()
 
 
 class ThetaCell(Frozen):
@@ -243,120 +245,48 @@ def globular_sum(t: ThetaCell) -> GlobularSumDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# simplicial maps and the functor F into Segal's category
+# maps of the wreath product, held as position data
 # ---------------------------------------------------------------------------
 
-class SimplicialMap(Frozen):
-    """Monotone map [n] -> [m], stored as the n+1 vertex images.  Maps
-    compare and hash by their three fields; gamma_image memoises on them."""
+def coface(n: int, k: int) -> tuple:
+    """The vertex images of d^k: [n] -> [n+1], which skips vertex k."""
+    return tuple(i if i < k else i + 1 for i in range(n + 1))
 
-    __slots__ = ("source_width", "target_width", "image")
 
-    def __init__(self, source_width: int, target_width: int, image: tuple[int, ...]):
-        if len(image) != source_width + 1:
-            raise ValueError("image length must be source width + 1")
-        if any(v < 0 or v > target_width for v in image):
-            raise ValueError("vertex image out of range")
-        if any(a > b for a, b in zip(image, image[1:])):
-            raise ValueError("map is not monotone")
-        object.__setattr__(self, "source_width", source_width)
-        object.__setattr__(self, "target_width", target_width)
+class ThetaMap(Frozen):
+    """A map source -> target of the wreath product, held as the input of
+    dac.wreath_map.  image lists the images of the n+1 vertices of the base
+    map, a monotone map of the base simplices, and legs[i-1] lists the pairs
+    (j, g) over the target segments j = image[i-1]+1 .. image[i] that source
+    segment i covers, where g is the map from source child i into target
+    child j.  lam is the map's lambda map: None until dac.lambda_map builds
+    it on first read and keeps it here.
+
+    Maps are neither interned nor checked when built: they compare by
+    identity, and the builders of this module make them well formed.  The
+    tests check every map those builders make against a validated oracle."""
+
+    __slots__ = ("source", "target", "image", "legs", "lam")
+
+    def __init__(self, source: ThetaCell, target: ThetaCell, image: tuple, legs: tuple):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
         object.__setattr__(self, "image", image)
-
-    def __eq__(self, other):
-        if type(other) is not SimplicialMap:
-            return NotImplemented
-        return ((self.source_width, self.target_width, self.image)
-                == (other.source_width, other.target_width, other.image))
-
-    def __hash__(self) -> int:
-        return hash((self.source_width, self.target_width, self.image))
-
-    def __call__(self, v: int) -> int:
-        return self.image[v]
-
-    def then(self, other: "SimplicialMap") -> "SimplicialMap":
-        if self.target_width != other.source_width:
-            raise ValueError("widths do not compose")
-        return SimplicialMap(self.source_width, other.target_width,
-                             tuple(other.image[v] for v in self.image))
-
-    def __str__(self) -> str:
-        return "{" + ",".join(map(str, self.image)) + "}"
-
-
-def simplicial_identity(n: int) -> SimplicialMap:
-    return SimplicialMap(n, n, tuple(range(n + 1)))
-
-
-def coface(n: int, k: int) -> SimplicialMap:
-    """d^k: [n] -> [n+1], skipping vertex k."""
-    return SimplicialMap(n, n + 1, tuple(i if i < k else i + 1 for i in range(n + 1)))
-
-
-@cache
-def gamma_image(f: SimplicialMap) -> MappingProxyType:
-    """F(f)(i) = {j | f(i-1) < j <= f(i)} for each source segment i.
-
-    Memoised per map: every caller gets the same read-only mapping."""
-    return MappingProxyType({i: tuple(range(f(i - 1) + 1, f(i) + 1))
-                             for i in range(1, f.source_width + 1)})
-
-
-# ---------------------------------------------------------------------------
-# morphisms of the wreath product
-# ---------------------------------------------------------------------------
-
-class ThetaMorphism(Frozen):
-    """A morphism, interned like ThetaCell: equal morphisms are one object.
-    The checks run once, when a morphism is first built; a construction
-    that fails raises and leaves nothing in the table."""
-
-    __slots__ = ("source", "target", "base", "components", "_hash", "__weakref__")
-
-    def __new__(cls, source: ThetaCell, target: ThetaCell, base: SimplicialMap,
-                components: tuple[tuple[tuple[int, int], "ThetaMorphism"], ...]):
-        key = (source, target, base, components)
-        self = _MORPHISMS.get(key)
-        if self is not None:
-            return self
-        if base.source_width != source.width:
-            raise ValueError("base source width mismatch")
-        if base.target_width != target.width:
-            raise ValueError("base target width mismatch")
-        image = gamma_image(base)
-        if [k for k, _ in components] != [(i, j) for i in range(1, source.width + 1)
-                                          for j in image[i]]:
-            raise ValueError("component keys must be exactly the segment-image pairs")
-        for (i, j), f in components:
-            if f.source is not source.children[i - 1]:
-                raise ValueError(f"component ({i},{j}) has wrong source")
-            if f.target is not target.children[j - 1]:
-                raise ValueError(f"component ({i},{j}) has wrong target")
-        self = object.__new__(cls)
-        for name, value in zip(("source", "target", "base", "components"), key):
-            object.__setattr__(self, name, value)
-        # hash of the field tuple, taken once
-        object.__setattr__(self, "_hash", hash(key))
-        _MORPHISMS[key] = self
-        return self
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __str__(self) -> str:
-        comps = ",".join(f"({i},{j}):{f}" for (i, j), f in self.components)
-        return f"{self.base};[{comps}]"
+        object.__setattr__(self, "legs", legs)
+        object.__setattr__(self, "lam", None)
 
 
 # theta_identity's value per cell, kept, like lambda_cell's: an identity
-# held here keeps its lambda map alive too, so that is built once per cell
+# held here keeps its lambda map too, so that is built once per cell
 _IDENTITIES: dict = {}
 
 
-def theta_identity(t: ThetaCell) -> ThetaMorphism:
+def theta_identity(t: ThetaCell) -> ThetaMap:
     """The identity of t.  Built once per cell and kept, bottom-up from an
     explicit stack, so deep cells do not recurse."""
+    out = _IDENTITIES.get(t)
+    if out is not None:
+        return out
     stack = [t]
     while stack:
         u = stack[-1]
@@ -368,35 +298,26 @@ def theta_identity(t: ThetaCell) -> ThetaMorphism:
             stack.extend(missing)
             continue
         stack.pop()
-        comps = tuple(((i, i), _IDENTITIES[c]) for i, c in enumerate(u.children, start=1))
-        _IDENTITIES[u] = ThetaMorphism(u, u, simplicial_identity(u.width), comps)
+        _IDENTITIES[u] = ThetaMap(u, u, tuple(range(u.width + 1)), tuple(
+            [((i, _IDENTITIES[c]),) for i, c in enumerate(u.children, start=1)]))
     return _IDENTITIES[t]
 
 
 @cache
-def bang(source: ThetaCell) -> ThetaMorphism:
-    """The unique morphism to [0].  Built once per cell and kept."""
-    return ThetaMorphism(source, POINT, SimplicialMap(source.width, 0, (0,) * (source.width + 1)), ())
+def bang(source: ThetaCell) -> ThetaMap:
+    """The unique map to [0]: every segment collapses.  Built once per cell
+    and kept."""
+    return ThetaMap(source, POINT, (0,) * (source.width + 1), ((),) * source.width)
 
 
-def theta_morphism(source, target, base, comp_map) -> ThetaMorphism:
-    """Assemble a morphism from a base map and a dict {(i,j): ThetaMorphism}."""
-    comps = []
-    for i in range(1, source.width + 1):
-        for j in gamma_image(base)[i]:
-            comps.append(((i, j), comp_map[(i, j)]))
-    return ThetaMorphism(source, target, base, tuple(comps))
-
-
-def vertex(t: ThetaCell, p: int) -> ThetaMorphism:
+def vertex(t: ThetaCell, p: int) -> ThetaMap:
     """The object inclusion [0] -> T picking vertex p."""
-    return ThetaMorphism(POINT, t, SimplicialMap(0, t.width, (p,)), ())
+    return ThetaMap(POINT, t, (p,), ())
 
 
-def segment_map(t: ThetaCell, s: int, g: ThetaMorphism) -> ThetaMorphism:
+def segment_map(t: ThetaCell, s: int, g: ThetaMap) -> ThetaMap:
     """[1];(g.source) -> t through segment s: g into slot s."""
-    return ThetaMorphism(ThetaCell((g.source,)), t,
-                         SimplicialMap(1, t.width, (s - 1, s)), (((1, s), g),))
+    return ThetaMap(ThetaCell((g.source,)), t, (s - 1, s), (((s, g),),))
 
 
 # ---------------------------------------------------------------------------
@@ -406,40 +327,46 @@ def segment_map(t: ThetaCell, s: int, g: ThetaMorphism) -> ThetaMorphism:
 class Hyperface(Frozen):
     __slots__ = ("kind", "position", "map")
 
-    def __init__(self, kind: str, position: tuple, map: ThetaMorphism):
+    def __init__(self, kind: str, position: tuple, map: ThetaMap):
         object.__setattr__(self, "kind", kind)          # "vertical" | "outer" | "inner"
         object.__setattr__(self, "position", position)
         object.__setattr__(self, "map", map)
 
 
-def coface_map(t: ThetaCell, k: int, drop: int) -> ThetaMorphism:
+def coface_map(t: ThetaCell, k: int, drop: int) -> ThetaMap:
     """d^k into t from t without slot `drop`.  Each slot keeps its child by
     the identity into the slot of t it copies; the slot sent over two
     segments reaches the other one, a unit, by bang."""
-    src = ThetaCell(t.children[:drop - 1] + t.children[drop:])
-    base = coface(src.width, k)
-    image = gamma_image(base)
-    comps = tuple(((i, j), theta_identity(c) if j == (i if i < drop else i + 1) else bang(c))
-                  for i, c in enumerate(src.children, start=1) for j in image[i])
-    return ThetaMorphism(src, t, base, comps)
+    children = t.children[:drop - 1] + t.children[drop:]
+    image = coface(len(children), k)
+    legs = tuple([tuple([(j, theta_identity(c) if j == (i if i < drop else i + 1) else bang(c))
+                         for j in range(image[i - 1] + 1, image[i] + 1)])
+                  for i, c in enumerate(children, start=1)])
+    return ThetaMap(ThetaCell(children), t, image, legs)
 
 
 def hyperfaces(t: ThetaCell) -> list[Hyperface]:
     """All vertical, outer and inner hyperfaces into t.
 
-    Vertical faces replace one child by one of its own hyperfaces' sources;
-    outer faces drop the first or last slot; inner faces d^k exist next to
-    unit children and come in an (id,!) and a (!,id) variant.
+    Vertical faces replace one child by one of its own hyperfaces' sources,
+    and equal children share those faces; outer faces drop the first or last
+    slot; inner faces d^k exist next to unit children and come in an (id,!)
+    and a (!,id) variant.
     """
     n = t.width
     out: list[Hyperface] = []
-    for k in range(1, n + 1):
-        for sub in hyperfaces(t.children[k - 1]):
-            comp_map = {(i, i): theta_identity(t.children[i - 1]) for i in range(1, n + 1)}
-            comp_map[(k, k)] = sub.map
-            src = ThetaCell(t.children[:k - 1] + (sub.map.source,) + t.children[k:])
-            m = theta_morphism(src, t, simplicial_identity(n), comp_map)
-            out.append(Hyperface("vertical", (k,) + sub.position, m))
+    ids = tuple([((i, theta_identity(c)),) for i, c in enumerate(t.children, start=1)])
+    image = tuple(range(n + 1))
+    below: dict = {}
+    for k, c in enumerate(t.children, start=1):
+        subs = below.get(c)
+        if subs is None:
+            subs = below[c] = hyperfaces(c)
+        for sub in subs:
+            g = sub.map
+            src = ThetaCell(t.children[:k - 1] + (g.source,) + t.children[k:])
+            out.append(Hyperface("vertical", (k,) + sub.position,
+                                 ThetaMap(src, t, image, ids[:k - 1] + (((k, g),),) + ids[k:])))
     if n >= 1:
         out.append(Hyperface("outer", (0,), coface_map(t, 0, 1)))
         out.append(Hyperface("outer", (n,), coface_map(t, n, n)))
@@ -466,7 +393,7 @@ def _leaf_segment(t: ThetaCell, leaf: int):
     raise IndexError("leaf index out of range")
 
 
-def leaf_inclusion(t: ThetaCell, leaf: int) -> ThetaMorphism:
+def leaf_inclusion(t: ThetaCell, leaf: int) -> ThetaMap:
     """The inclusion of the `leaf`-th leaf globe into t."""
     if t.width == 0:
         return theta_identity(t)
@@ -474,7 +401,7 @@ def leaf_inclusion(t: ThetaCell, leaf: int) -> ThetaMorphism:
     return segment_map(t, s, leaf_inclusion(t.children[s - 1], i))
 
 
-def meet_inclusion(t: ThetaCell, gap: int) -> ThetaMorphism:
+def meet_inclusion(t: ThetaCell, gap: int) -> ThetaMap:
     """The inclusion of the meet globe between leaves gap and gap+1."""
     if t.width == 0:
         raise ValueError("a point has no meets")

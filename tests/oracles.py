@@ -9,7 +9,19 @@ here.
 
 combine adds rows up in a dict, the oracle of the library's sort-and-merge
 row kernel, and then_by_dict and violations_by_dict compose maps and check
-morphisms through it, reading every image row the same way.
+morphisms through it, reading every image row the same way.  hnf and
+same_subgroup compare lattices by their Hermite forms, the oracle of the
+library's two containment tests.
+
+The library holds a Theta map as position data (theta.ThetaMap), built
+unchecked.  Its validated, interned form is ThetaMorphism here, with its
+base SimplicialMap, gamma_image and theta_morphism: map_errors and
+check_map make the structural checks on any map, as_oracle turns a map into
+its oracle form, and theta_identity_morphism, bang_morphism,
+vertex_morphism, segment_morphism, coface_morphism, hyperface_morphisms,
+leaf_morphism and meet_morphism build, as validated morphisms, what the
+library's builders build.  A ThetaMorphism is a ThetaMap too, so
+lambda_map and cylinder_map take it.
 
 The oracles build the complex of a cell a second way, by gluing globe
 complexes along its globular sum, and compare it with lambda_cell up to a
@@ -30,20 +42,21 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product as iproduct
+from types import MappingProxyType
+from weakref import WeakValueDictionary
 
 from graycyl.dac import (ComplexError, DAComplex, DAMorphism, MorphismError, _bit_positions,
                          lambda_cell, lambda_globe, lambda_map, render_name, wreath_map)
 from graycyl.gray import cylinder_map, o_cell
+from graycyl.intlin import _echelon, _minus
 from graycyl.nu import (DEFAULT_CEILING, EnumerationError, NuView, TableError, _compose,
                         _pair_key, nu_boundary, nu_identity)
-from graycyl.span import (mirror_positions, projection_to_cell, shift_map, shift_target_cell,
-                          split_map)
-from graycyl.theta import (POINT, GlobularSumDecomposition, SimplicialMap, ThetaCell,
-                           ThetaMorphism, bang, cell, coface_map, gamma_image, globular_sum,
-                           mirror, parse_cell, segment_map, simplicial_identity,
-                           theta_identity, theta_morphism, vertex)
+from graycyl.span import projection_to_cell, shift_map, shift_target_cell, split_map
+from graycyl.theta import (POINT, Frozen, GlobularSumDecomposition, ThetaCell, ThetaMap,
+                           _leaf_segment, bang, cell, coface, globular_sum, mirror, parse_cell,
+                           segment_map, theta_identity, vertex)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +96,9 @@ def then_by_dict(a: DAMorphism, b: DAMorphism) -> DAMorphism:
 
 def violations_by_dict(m: DAMorphism) -> list:
     """The oracle of DAMorphism.violations: every image is read through
-    combine and tested entry by entry, whatever its length."""
+    combine and tested entry by entry, whatever its length.  An image with
+    an entry outside the target is of the wrong degree and is not read
+    further."""
     src, tgt = m.source, m.target
     found = []
     for d in range(src.top_degree + 1):
@@ -97,6 +112,8 @@ def violations_by_dict(m: DAMorphism) -> list:
                 found.append(("negative", g))
             if any(h not in degree for h, _ in img):
                 found.append(("degree", g))
+                if any(not 0 <= h < len(tgt.diff) for h, _ in img):
+                    continue
             if d == 0:
                 if sum(c * tgt.aug[h] for h, c in img) != src.aug[x]:
                     found.append(("augmentation", g))
@@ -105,6 +122,38 @@ def violations_by_dict(m: DAMorphism) -> list:
                 if boundary is not None and boundary != combine(tgt.diff, img):
                     found.append(("chain", g))
     return found
+
+
+# ---------------------------------------------------------------------------
+# lattices: Hermite forms, the oracle of lattice equality
+# ---------------------------------------------------------------------------
+
+def hnf(rows, width: int) -> tuple[tuple, ...]:
+    """Canonical (row-style) Hermite normal form of the subgroup generated
+    by `rows` inside Z^width, from intlin's echelon: pivots positive, every
+    entry above a pivot in [0, pivot)."""
+    pivots, _ = _echelon(rows, width)
+    out = []
+    # the top-down back-reduction, row by row: reduce at each later pivot,
+    # left to right, by the pivot row as the echelon left it; a step changes
+    # only positions from that pivot on, so those already reduced hold
+    for p in sorted(pivots):
+        row, i = pivots[p], 1
+        while i < len(row):
+            r, e = row[i]
+            piv = pivots.get(r)
+            if piv is not None:
+                row = _minus(row, e // piv[0][1], piv)
+            if i < len(row) and row[i][0] == r:
+                i += 1
+        out.append(row)
+    return tuple(out)
+
+
+def same_subgroup(rows_a, rows_b, width: int) -> bool:
+    """Do rows_a and rows_b generate one lattice?  Their Hermite forms
+    agree."""
+    return hnf(rows_a, width) == hnf(rows_b, width)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +276,266 @@ def named_morphism(source: DAComplex, target: DAComplex, images: dict) -> DAMorp
 
 
 # ---------------------------------------------------------------------------
-# Theta: morphism literals and the inverse of the globular sum
+# Theta: the validated, interned morphisms, the oracle of theta.ThetaMap
+# ---------------------------------------------------------------------------
+
+class SimplicialMap(Frozen):
+    """Monotone map [n] -> [m], stored as the n+1 vertex images.  Maps
+    compare and hash by their three fields; gamma_image memoises on them."""
+
+    __slots__ = ("source_width", "target_width", "image")
+
+    def __init__(self, source_width: int, target_width: int, image: tuple[int, ...]):
+        if len(image) != source_width + 1:
+            raise ValueError("image length must be source width + 1")
+        if any(v < 0 or v > target_width for v in image):
+            raise ValueError("vertex image out of range")
+        if any(a > b for a, b in zip(image, image[1:])):
+            raise ValueError("map is not monotone")
+        object.__setattr__(self, "source_width", source_width)
+        object.__setattr__(self, "target_width", target_width)
+        object.__setattr__(self, "image", image)
+
+    def __eq__(self, other):
+        if type(other) is not SimplicialMap:
+            return NotImplemented
+        return ((self.source_width, self.target_width, self.image)
+                == (other.source_width, other.target_width, other.image))
+
+    def __hash__(self) -> int:
+        return hash((self.source_width, self.target_width, self.image))
+
+    def __call__(self, v: int) -> int:
+        return self.image[v]
+
+    def then(self, other: "SimplicialMap") -> "SimplicialMap":
+        if self.target_width != other.source_width:
+            raise ValueError("widths do not compose")
+        return SimplicialMap(self.source_width, other.target_width,
+                             tuple(other.image[v] for v in self.image))
+
+    def __str__(self) -> str:
+        return "{" + ",".join(map(str, self.image)) + "}"
+
+
+def simplicial_identity(n: int) -> SimplicialMap:
+    return SimplicialMap(n, n, tuple(range(n + 1)))
+
+
+def simplicial_coface(n: int, k: int) -> SimplicialMap:
+    """d^k: [n] -> [n+1], skipping vertex k, from theta.coface's images."""
+    return SimplicialMap(n, n + 1, coface(n, k))
+
+
+def split_base(n: int, j: int) -> SimplicialMap:
+    """[n] -> [1], from span.split_map's images."""
+    return SimplicialMap(n, 1, split_map(n, j))
+
+
+def codegeneracy(n: int, k: int) -> SimplicialMap:
+    """s^k: [n] -> [n-1], repeating vertex k."""
+    return SimplicialMap(n, n - 1, tuple(i if i <= k else i - 1 for i in range(n + 1)))
+
+
+@cache
+def gamma_image(f: SimplicialMap) -> MappingProxyType:
+    """F(f)(i) = {j | f(i-1) < j <= f(i)} for each source segment i.
+
+    Memoised per map: every caller gets the same read-only mapping."""
+    return MappingProxyType({i: tuple(range(f(i - 1) + 1, f(i) + 1))
+                             for i in range(1, f.source_width + 1)})
+
+
+def map_errors(f: ThetaMap) -> list:
+    """What keeps the map f from being well formed, at its top level: the
+    widths of its image and legs, a monotone image in the target's range,
+    leg keys that are exactly the segments each source segment covers, and
+    each leg's map running from its source child to its target child.
+    Empty when f is well formed there."""
+    src, tgt, image, legs = f.source, f.target, f.image, f.legs
+    if len(image) != src.width + 1:
+        return ["base source width mismatch"]
+    if any(not 0 <= v <= tgt.width for v in image):
+        return ["vertex image out of range"]
+    if any(a > b for a, b in zip(image, image[1:])):
+        return ["map is not monotone"]
+    if len(legs) != src.width:
+        return ["one leg per source segment"]
+    errors = []
+    for i, leg in enumerate(legs, start=1):
+        if [j for j, _ in leg] != list(range(image[i - 1] + 1, image[i] + 1)):
+            errors.append(f"leg {i}: component keys must be exactly the segment-image pairs")
+            continue
+        for j, g in leg:
+            if g.source is not src.children[i - 1]:
+                errors.append(f"component ({i},{j}) has wrong source")
+            if g.target is not tgt.children[j - 1]:
+                errors.append(f"component ({i},{j}) has wrong target")
+    return errors
+
+
+def check_map(f: ThetaMap) -> ThetaMap:
+    """f, or ValueError naming the first error of f or of a map in its
+    legs, at any depth."""
+    todo, seen = [f], set()
+    while todo:
+        g = todo.pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
+        errors = map_errors(g)
+        if errors:
+            raise ValueError(errors[0])
+        todo.extend(h for leg in g.legs for _, h in leg)
+    return f
+
+
+_MORPHISMS: WeakValueDictionary = WeakValueDictionary()
+
+
+class ThetaMorphism(ThetaMap):
+    """A map of the wreath product held as a base SimplicialMap and its
+    ((i, j), component) pairs, interned: equal morphisms are one object.
+    The checks run once, when a morphism is first built (map_errors, after
+    the component keys), and a construction that fails raises and leaves
+    nothing in the table.  It is a ThetaMap too, whose image and legs are
+    read from its base and components, so lambda_map and cylinder_map take
+    it as they take the library's maps."""
+
+    __slots__ = ("base", "components", "_hash", "__weakref__")
+
+    def __new__(cls, source: ThetaCell, target: ThetaCell, base: SimplicialMap,
+                components: tuple):
+        key = (source, target, base, components)
+        self = _MORPHISMS.get(key)
+        if self is not None:
+            return self
+        if base.source_width != source.width:
+            raise ValueError("base source width mismatch")
+        if base.target_width != target.width:
+            raise ValueError("base target width mismatch")
+        image = gamma_image(base)
+        if [k for k, _ in components] != [(i, j) for i in range(1, source.width + 1)
+                                          for j in image[i]]:
+            raise ValueError("component keys must be exactly the segment-image pairs")
+        self = object.__new__(cls)
+        legs = tuple(tuple((j, f) for (i, j), f in components if i == slot)
+                     for slot in range(1, source.width + 1))
+        ThetaMap.__init__(self, source, target, base.image, legs)
+        errors = map_errors(self)
+        if errors:
+            raise ValueError(errors[0])
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "components", components)
+        # hash of the field tuple, taken once
+        object.__setattr__(self, "_hash", hash(key))
+        _MORPHISMS[key] = self
+        return self
+
+    def __init__(self, *args):
+        """__new__ sets every field."""
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __str__(self) -> str:
+        comps = ",".join(f"({i},{j}):{f}" for (i, j), f in self.components)
+        return f"{self.base};[{comps}]"
+
+
+def theta_morphism(source, target, base, comp_map) -> ThetaMorphism:
+    """Assemble a morphism from a base map and a dict {(i,j): map}, each map
+    taken in its oracle form."""
+    comps = []
+    for i in range(1, source.width + 1):
+        for j in gamma_image(base)[i]:
+            comps.append(((i, j), as_oracle(comp_map[(i, j)])))
+    return ThetaMorphism(source, target, base, tuple(comps))
+
+
+def as_oracle(f: ThetaMap) -> ThetaMorphism:
+    """The validated, interned form of the map f (f itself if it is one):
+    ValueError where f, or a map in its legs, is not well formed."""
+    if isinstance(f, ThetaMorphism):
+        return f
+    if len(f.image) != f.source.width + 1:
+        raise ValueError("base source width mismatch")
+    return ThetaMorphism(f.source, f.target,
+                         SimplicialMap(f.source.width, f.target.width, f.image),
+                         tuple(((i, j), as_oracle(g))
+                               for i, leg in enumerate(f.legs, start=1) for j, g in leg))
+
+
+# the library's builders of Theta maps, as they were written on validated,
+# interned morphisms: the oracles of theta_identity, bang, vertex,
+# segment_map, coface_map, hyperfaces and the globe inclusions
+
+def theta_identity_morphism(t: ThetaCell) -> ThetaMorphism:
+    return theta_morphism(t, t, simplicial_identity(t.width),
+                          {(i, i): theta_identity_morphism(c)
+                           for i, c in enumerate(t.children, start=1)})
+
+
+def bang_morphism(t: ThetaCell) -> ThetaMorphism:
+    return ThetaMorphism(t, POINT, SimplicialMap(t.width, 0, (0,) * (t.width + 1)), ())
+
+
+def vertex_morphism(t: ThetaCell, p: int) -> ThetaMorphism:
+    return ThetaMorphism(POINT, t, SimplicialMap(0, t.width, (p,)), ())
+
+
+def segment_morphism(t: ThetaCell, s: int, g: ThetaMorphism) -> ThetaMorphism:
+    return ThetaMorphism(ThetaCell((g.source,)), t, SimplicialMap(1, t.width, (s - 1, s)),
+                         (((1, s), g),))
+
+
+def coface_morphism(t: ThetaCell, k: int, drop: int) -> ThetaMorphism:
+    src = ThetaCell(t.children[:drop - 1] + t.children[drop:])
+    base = simplicial_coface(src.width, k)
+    return ThetaMorphism(src, t, base, tuple(
+        ((i, j), theta_identity_morphism(c) if j == (i if i < drop else i + 1) else bang_morphism(c))
+        for i, c in enumerate(src.children, start=1) for j in gamma_image(base)[i]))
+
+
+def hyperface_morphisms(t: ThetaCell) -> list:
+    """(kind, position, morphism) per hyperface of t, in hyperfaces' order."""
+    n = t.width
+    out = []
+    for k in range(1, n + 1):
+        for kind, position, sub in hyperface_morphisms(t.children[k - 1]):
+            comp_map = {(i, i): theta_identity_morphism(t.children[i - 1]) for i in range(1, n + 1)}
+            comp_map[(k, k)] = sub
+            src = ThetaCell(t.children[:k - 1] + (sub.source,) + t.children[k:])
+            out.append(("vertical", (k,) + position,
+                        theta_morphism(src, t, simplicial_identity(n), comp_map)))
+    if n >= 1:
+        out.append(("outer", (0,), coface_morphism(t, 0, 1)))
+        out.append(("outer", (n,), coface_morphism(t, n, n)))
+    for k in range(1, n):
+        if t.children[k] == POINT:
+            out.append(("inner", (k, "after"), coface_morphism(t, k, k + 1)))
+        if t.children[k - 1] == POINT:
+            out.append(("inner", (k, "before"), coface_morphism(t, k, k)))
+    return out
+
+
+def leaf_morphism(t: ThetaCell, leaf: int) -> ThetaMorphism:
+    if t.width == 0:
+        return theta_identity_morphism(t)
+    s, i, _ = _leaf_segment(t, leaf)
+    return segment_morphism(t, s, leaf_morphism(t.children[s - 1], i))
+
+
+def meet_morphism(t: ThetaCell, gap: int) -> ThetaMorphism:
+    s, i, n = _leaf_segment(t, gap)
+    if i == n - 1:
+        return vertex_morphism(t, s)
+    return segment_morphism(t, s, meet_morphism(t.children[s - 1], i))
+
+
+# ---------------------------------------------------------------------------
+# Theta: morphism literals, composition, and the maps of the checks as
+# Theta morphisms
 # ---------------------------------------------------------------------------
 
 def parse_morphism(data, source: ThetaCell | None = None,
@@ -253,11 +561,12 @@ def parse_morphism(data, source: ThetaCell | None = None,
     return theta_morphism(src, tgt, base, comp_map)
 
 
-def o_face_morphism(f: ThetaMorphism, js: int, jt: int) -> ThetaMorphism:
+def o_face_morphism(f: ThetaMap, js: int, jt: int) -> ThetaMorphism:
     """The face f with the shuffle unit slot inserted at source position
-    js+1 and target position jt+1 (requires f.base(js) == jt), assembled as
-    a Theta morphism: the oracle of gray._face_between_o_cells, whose value
-    is its lambda map."""
+    js+1 and target position jt+1 (requires f.image[js] == jt), assembled
+    as a Theta morphism: the oracle of gray._face_between_o_cells, whose
+    value is its lambda map."""
+    f = as_oracle(f)
     src_cell = o_cell(f.source, js)
     tgt_cell = o_cell(f.target, jt)
     if f.base(js) != jt:
@@ -279,12 +588,13 @@ def o_face_morphism(f: ThetaMorphism, js: int, jt: int) -> ThetaMorphism:
     return theta_morphism(src_cell, tgt_cell, base, comp_map)
 
 
-def m_face_map(f: ThetaMorphism, src, tgt, i: int, i2: int) -> DAMorphism:
+def m_face_map(f: ThetaMap, src, tgt, i: int, i2: int) -> DAMorphism:
     """The map M_i(source) -> M_i2(target) induced by the face f, between
     the columns of the shuffle diagrams src and tgt, built for this one
     column from f's components: cylinder_map of the component on the
     cylinder slot i and lambda_map of every other.  The oracle of
     gray._face_between_m_columns, which reads one table per face."""
+    f = as_oracle(f)
     fimg = gamma_image(f.base)
     comps = {}
     for q in range(1, f.source.width + 1):
@@ -299,22 +609,14 @@ def m_face_map(f: ThetaMorphism, src, tgt, i: int, i2: int) -> DAMorphism:
                            f.base, comps)
 
 
-# ---------------------------------------------------------------------------
-# Theta: composition, and the span's and gluing's maps as Theta morphisms
-# ---------------------------------------------------------------------------
-
-def codegeneracy(n: int, k: int) -> SimplicialMap:
-    """s^k: [n] -> [n-1], repeating vertex k."""
-    return SimplicialMap(n, n - 1, tuple(i if i <= k else i - 1 for i in range(n + 1)))
+def component(f: ThetaMap, i: int, j: int) -> ThetaMorphism:
+    """The component (i, j) of f, in oracle form; KeyError where f has none."""
+    return dict(as_oracle(f).components)[(i, j)]
 
 
-def component(f: ThetaMorphism, i: int, j: int) -> ThetaMorphism:
-    """The component (i, j) of f; KeyError where f has none."""
-    return dict(f.components)[(i, j)]
-
-
-def compose(f: ThetaMorphism, g: ThetaMorphism) -> ThetaMorphism:
-    """The composite f;g (f first)."""
+def compose(f: ThetaMap, g: ThetaMap) -> ThetaMorphism:
+    """The composite f;g (f first), in oracle form."""
+    f, g = as_oracle(f), as_oracle(g)
     if f.target != g.source:
         raise ValueError("source/target mismatch")
     base = f.base.then(g.base)
@@ -345,7 +647,7 @@ def kappa_o_morphisms(t: ThetaCell, j: int) -> tuple:
     maps on O_j."""
     n = t.width
     oc = o_cell(t, j)
-    collapse = theta_morphism(oc, cell(1), split_map(n + 1, j + 1),
+    collapse = theta_morphism(oc, cell(1), split_base(n + 1, j + 1),
                               {(j + 1, 1): theta_identity(POINT)})
     to_t = theta_morphism(oc, t, codegeneracy(n + 1, j),
                           {(i, i if i <= j else i - 1): theta_identity(oc.children[i - 1])
@@ -360,7 +662,7 @@ def kappa_m_maps(t: ThetaCell, column) -> tuple:
     n, k = t.width, column.index
     child = t.children[k - 1]
     collapse = projection_to_cell(child).then(lambda_map(bang(child)))
-    p1 = wreath_morphism(column.embed.source, lambda_cell(cell(1)), split_map(n, k),
+    p1 = wreath_morphism(column.embed.source, lambda_cell(cell(1)), split_base(n, k),
                          {(k, 1): collapse})
     comps = {(i, i): projection_to_cell(c) if i == k else lambda_map(theta_identity(c))
              for i, c in enumerate(t.children, start=1)}
@@ -371,7 +673,7 @@ def sigma_o_morphism(t: ThetaCell, j: int) -> ThetaMorphism:
     """O_j onto the shift [1];(mirror t) through its unit slot, at the
     vertex n-j of the mirrored cell."""
     n = t.width
-    return theta_morphism(o_cell(t, j), shift_target_cell(t), split_map(n + 1, j + 1),
+    return theta_morphism(o_cell(t, j), shift_target_cell(t), split_base(n + 1, j + 1),
                           {(j + 1, 1): vertex(mirror(t), n - j)})
 
 
@@ -382,9 +684,9 @@ def sigma_m_map(t: ThetaCell, column) -> DAMorphism:
     mt = mirror(t)
     slot = segment_map(mt, n + 1 - k, theta_identity(mt.children[n - k]))
     child = t.children[k - 1]
-    into_slot = shift_map(child, mirror_positions(child)).then(lambda_map(slot))
+    into_slot = shift_map(child, mirror_positions_by_recursion(child)).then(lambda_map(slot))
     return wreath_morphism(column.embed.source, lambda_cell(shift_target_cell(t)),
-                           split_map(n, k), {(k, 1): into_slot})
+                           split_base(n, k), {(k, 1): into_slot})
 
 
 def constant_morphism(t: ThetaCell, target: ThetaCell, p: int) -> ThetaMorphism:
@@ -395,7 +697,22 @@ def constant_morphism(t: ThetaCell, target: ThetaCell, p: int) -> ThetaMorphism:
 def o_leg_morphism(t: ThetaCell, j: int, k: int) -> ThetaMorphism:
     """The face d^k from t into o_cell(t, j) that drops its unit slot j+1:
     the gluing leg of a span into the column O_j."""
-    return coface_map(o_cell(t, j), k, j + 1)
+    return coface_morphism(o_cell(t, j), k, j + 1)
+
+
+def mirror_positions_by_recursion(t: ThetaCell) -> tuple:
+    """span.mirror_positions as it was first written, by recursion on the
+    tree with a mirror per level: its oracle."""
+    K, M = lambda_cell(t), lambda_cell(mirror(t))
+    n = t.width
+    out = [None] * len(K.diff)
+    for p, x in enumerate(K.parts[0]):
+        out[x] = M.parts[0][n - p]
+    for i, c in enumerate(t.children, start=1):
+        inner, slot = mirror_positions_by_recursion(c), M.parts[n + 1 - i]
+        for x, y in enumerate(K.parts[i]):
+            out[y] = slot[inner[x]]
+    return tuple(out)
 
 
 def reconstruct(d: GlobularSumDecomposition) -> ThetaCell:

@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from graycyl import cli, nu
+from graycyl import cli, dac, gray, nu
 from graycyl.cli import main
-from graycyl.dac import lambda_cell
+from graycyl.dac import MorphismError, lambda_cell
 from graycyl.gray import gray_cylinder
 from graycyl.nu import NuView
 from graycyl.theta import MAX_DEPTH, cells_up_to, cells_with_nodes, parse_cell
@@ -325,6 +325,41 @@ class TestNineNodeCorpus:
                 assert json.loads(capsys.readouterr().out)["ok"] is True, str(t)
         finally:
             forget_memos()
+
+
+class TestForgetMemos:
+    """A sweep may drop every per-cell memo between its items (the
+    forget_memos fixture).  A kept identity holds its lambda map, which
+    runs between the complexes it was built from, so the identities and
+    bangs go with the complexes, cylinders and diagrams."""
+
+    @pytest.mark.parametrize("cell", ["[2]([1],[0])", "[3]([0],[1]([1]),[0])",
+                                      "[2]([1]([2]),[1])"])
+    def test_check_forget_check(self, capsys, forget_memos, cell):
+        outs = []
+        for _ in range(2):
+            assert main(["verify", "all", cell]) == 0
+            outs.append(capsys.readouterr().out)
+            forget_memos()
+        assert outs[0] == outs[1] and json.loads(outs[0])["ok"] is True
+
+    def test_a_kept_identity_meets_a_rebuilt_complex(self, capsys, forget_memos):
+        # the complexes dropped, the identities kept: the span's diamond
+        # compares a map out of the new lambda(T) with the identity's
+        # lambda map out of the old one, and refuses
+        cell = "[2]([1],[0])"
+        assert main(["verify", "all", cell]) == 0
+        capsys.readouterr()
+        dac.lambda_cell.cache_clear()
+        gray.cylinder_complex.cache_clear()
+        gray.lax_shuffle_diagram.cache_clear()
+        try:
+            with pytest.raises(MorphismError, match="different complexes"):
+                main(["verify", "span", cell])
+        finally:
+            forget_memos()
+        assert main(["verify", "all", cell]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
 # the closure-wide items of the benchmark: closures of up to 672 cells per dimension

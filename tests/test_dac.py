@@ -1,5 +1,4 @@
 from collections import Counter
-from weakref import WeakKeyDictionary
 
 import pytest
 from hypothesis import given, settings
@@ -13,15 +12,15 @@ from graycyl.dac import (ComplexError, DAMorphism, MorphismError, check_basis,
 from graycyl.gray import (cylinder_complex, cylinder_map, hyperface_cylinder,
                           lax_shuffle_diagram)
 from graycyl.span import mirror_positions, projection_to_cell, projection_to_interval, shift_map
-from graycyl.theta import (POINT, cell, cells_up_to, coface, globe, hyperfaces, parse_cell,
-                           theta_identity, theta_morphism, vertex)
+from graycyl.theta import (POINT, cell, cells_up_to, globe, hyperfaces, parse_cell,
+                           theta_identity, vertex)
 
 from oracles import (amalgamate_with_inclusions, amalgamation_over_globular_sum,
                      augmentations, boundaries, boundary, codegeneracy, combine, compose,
                      degree_of, degrees, element, find_isomorphism, gadd, globe_inclusion,
                      identity_morphism, image, named_complex, named_morphism, names_of,
-                     position, positions_by_name, row, size_profile, then_by_dict,
-                     violations_by_dict)
+                     position, positions_by_name, row, simplicial_coface, size_profile,
+                     then_by_dict, theta_morphism, violations_by_dict)
 
 
 def ordered_renaming_equal(K, L):
@@ -107,7 +106,6 @@ class TestLambdaMap:
             return real(f)
 
         monkeypatch.setattr(dac, "_lambda_map", counted)
-        monkeypatch.setattr(dac, "_LAMBDA_MAPS", WeakKeyDictionary())
         monkeypatch.setattr(theta, "_IDENTITIES", {})
         for t in cells_up_to(5):
             assert main(["verify", "hyperface", str(t)]) == 0
@@ -123,7 +121,7 @@ class TestLambdaMap:
     def test_inner_coface_sum(self):
         comp = {(1, 1): theta_identity(POINT), (1, 2): theta_identity(POINT),
                 (2, 3): theta_identity(POINT)}
-        f = theta_morphism(cell(2), cell(3), coface(2, 1), comp)
+        f = theta_morphism(cell(2), cell(3), simplicial_coface(2, 1), comp)
         m = lambda_map(f).validate()
         assert image(m, ("s", 1, ("o", 0))) == {("s", 1, ("o", 0)): 1, ("s", 2, ("o", 0)): 1}
 
@@ -165,7 +163,8 @@ class TestLambdaMap:
             for face in hyperfaces(t):
                 lambda_map(face.map).validate()
 
-    def test_built_once_per_distinct_morphism(self, monkeypatch):
+    def test_built_once_per_distinct_morphism(self, monkeypatch, forget_memos):
+        # with the memos dropped, no identity or bang holds a lambda map yet
         built = Counter()      # also keeps every morphism built alive
         real = dac._lambda_map
 
@@ -174,7 +173,7 @@ class TestLambdaMap:
             return real(f)
 
         monkeypatch.setattr(dac, "_lambda_map", counted)
-        monkeypatch.setattr(dac, "_LAMBDA_MAPS", WeakKeyDictionary())
+        forget_memos()
         faces = hyperfaces(parse_cell("[2]([1],[0])"))
         for _ in range(2):
             for face in faces:
@@ -185,7 +184,7 @@ class TestLambdaMap:
             f = todo.pop()
             if f not in reachable:
                 reachable.add(f)
-                todo.extend(m for _, m in f.components)
+                todo.extend(m for leg in f.legs for _, m in leg)
         assert reachable == set(built)
         assert set(built.values()) == {1}
 
@@ -258,6 +257,21 @@ class TestViolations:
         assert m.violations() == want
         assert violations_by_dict(m) == want
 
+    def test_a_position_outside_the_target_is_of_the_wrong_degree(self):
+        # t0 goes to position 7 of a complex of 3 generators: its degree is
+        # wrong, and its augmentation and boundary cannot be read; v1's
+        # boundary now holds that position, so v1 breaks the chain condition
+        G = lambda_globe(1)
+        m = DAMorphism(G, G, (((0, 1),), ((7, 1),), ((2, 1),)))
+        assert m.violations() == violations_by_dict(m) == [("degree", "t0"), ("chain", "v1")]
+        with pytest.raises(MorphismError, match="wrong degree"):
+            m.validate()
+        # on the multi-entry path, and below position 0
+        for img in (((1, 1), (7, 1)), ((-1, 1),), ((-1, 1), (1, 1))):
+            m = DAMorphism(G, G, (((0, 1),), img, ((2, 1),)))
+            assert m.violations() == violations_by_dict(m) == [("degree", "t0"),
+                                                               ("chain", "v1")]
+
     def test_corpus_matches_the_oracle(self):
         # the column embeddings, the span's legs and the face maps, as
         # built and with every coefficient doubled
@@ -311,6 +325,10 @@ class TestCombine:
         # a position that cancels to zero and then comes back
         assert dac._combine(rows, ((2, 1), (3, 1), (4, 1))) == ((4, 2),)
         assert dac._combine(rows, ((0, -3), (2, 1), (3, 1))) == ((0, -3), (3, -6))
+        # a malformed row below position 0, which violations may meet
+        rows = (((-1, 1),), ((-1, -1), (0, 1)), ((-1, 1),))
+        for x in (((0, 1), (1, 1)), ((0, 1), (1, 1), (2, 1)), ((1, 2), (2, 1))):
+            assert dac._combine(rows, x) == combine(rows, x)
 
     def test_none_row(self):
         rows = (None, ((0, 1),), ((1, 2),))

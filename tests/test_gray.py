@@ -10,12 +10,12 @@ from graycyl.gray import (ShuffleColumn, cylinder_complex, cylinder_map,
                           interval, lax_shuffle_diagram, shuffle_dot, verify_gluing,
                           verify_globular_preservation)
 from graycyl.nu import NuView
-from graycyl.theta import (POINT, cell, cells_up_to, cells_with_nodes, gamma_image, globe,
-                           hyperfaces, parse_cell, theta_identity, vertex)
+from graycyl.theta import (POINT, cell, cells_up_to, cells_with_nodes, globe, hyperfaces,
+                           parse_cell, theta_identity, vertex)
 
-from oracles import (check_functors, combine, component, compose, element, image, m_face_map,
-                     nu_functor, o_face_morphism, o_leg_morphism, parse_morphism, row,
-                     with_image)
+from oracles import (as_oracle, check_functors, combine, component, compose, element, image,
+                     m_face_map, nu_functor, o_face_morphism, o_leg_morphism, parse_morphism,
+                     row, simplicial_coface, theta_morphism, with_image)
 
 
 class TestGrayCylinder:
@@ -85,13 +85,12 @@ class TestEndpoints:
 def unit_missing_inclusion(t, which):
     """T into the O-piece with the unit slot first or last, missing it."""
     from graycyl.gray import o_cell
-    from graycyl.theta import coface, theta_morphism
     n = t.width
     if which == "first":
         comp = {(i, i + 1): theta_identity(t.children[i - 1]) for i in range(1, n + 1)}
-        return theta_morphism(t, o_cell(t, 0), coface(n, 0), comp)
+        return theta_morphism(t, o_cell(t, 0), simplicial_coface(n, 0), comp)
     comp = {(i, i): theta_identity(t.children[i - 1]) for i in range(1, n + 1)}
-    return theta_morphism(t, o_cell(t, n), coface(n, n + 1), comp)
+    return theta_morphism(t, o_cell(t, n), simplicial_coface(n, n + 1), comp)
 
 
 def column_labels(t):
@@ -291,8 +290,8 @@ class TestHyperfaceCylinder:
                 table = gray._face_table(f)
                 src, tgt = lax_shuffle_diagram(f.source), lax_shuffle_diagram(f.target)
                 for j in range(f.source.width + 1):
-                    got = gray._face_between_o_cells(f, table, src, tgt, j, f.base(j))
-                    want = lambda_map(o_face_morphism(f, j, f.base(j)))
+                    got = gray._face_between_o_cells(f, table, src, tgt, j, f.image[j])
+                    want = lambda_map(o_face_morphism(f, j, f.image[j]))
                     assert got.source is want.source and got.target is want.target
                     assert got.images == want.images, (str(t), face.position, j)
                     maps += 1
@@ -307,11 +306,12 @@ class TestHyperfaceCylinder:
                 f = face.map
                 table = gray._face_table(f)
                 src, tgt = lax_shuffle_diagram(f.source), lax_shuffle_diagram(f.target)
-                for i, segments in gamma_image(f.base).items():
-                    if len(segments) != 1:
+                for i, leg in enumerate(f.legs, start=1):
+                    if len(leg) != 1:
                         continue
-                    got = gray._face_between_m_columns(f, table, src, tgt, i, segments[0])
-                    want = m_face_map(f, src, tgt, i, segments[0])
+                    (j, _), = leg
+                    got = gray._face_between_m_columns(f, table, src, tgt, i, j)
+                    want = m_face_map(f, src, tgt, i, j)
                     assert got.source is want.source and got.target is want.target
                     assert got.images == want.images, (str(t), face.position, i)
                     maps += 1
@@ -341,7 +341,7 @@ class TestHyperfaceCylinder:
             looked_up.clear()
             assert hyperface_cylinder(face).agree
             f = face.map
-            allowed = {f, theta_identity(POINT)} | {c for _, c in f.components}
+            allowed = {f, theta_identity(POINT)} | {g for leg in f.legs for _, g in leg}
             assert len(looked_up) == len(set(looked_up)) == len(allowed)
             assert set(looked_up) == allowed
         assert len(faces) == 502
@@ -644,13 +644,14 @@ class TestPerturbedInputsFail:
         # O columns and the M columns read the table as it is
         face = next(f for f in hyperfaces(parse_cell("[2]([1],[0])"))
                     if f.position == (1, 0))
-        assert component(face.map, 1, 1) is vertex(cell(1), 1)
+        assert component(face.map, 1, 1) is as_oracle(vertex(cell(1), 1))
         wrong = lambda_map(vertex(cell(1), 0))
         real = gray._face_between_o_cells
 
         def perturbed(f, table, src, tgt, js, jt):
             if js == 1:
-                table = {**table, (1, 1): wrong}
+                legs, unit = table
+                table = [[(1, wrong)]] + legs[1:], unit
             return real(f, table, src, tgt, js, jt)
 
         monkeypatch.setattr(gray, "_face_between_o_cells", perturbed)
@@ -681,7 +682,7 @@ class TestPerturbedInputsFail:
 class TestFacePreconditions:
     def test_misaligned_unit_slots(self):
         face = next(f for f in hyperfaces(cell(2)) if f.position == (0,))
-        assert face.map.base(0) == 1
+        assert face.map.image[0] == 1
         src = lax_shuffle_diagram(face.map.source)
         tgt = lax_shuffle_diagram(face.map.target)
         with pytest.raises(ValueError, match="unit slots"):

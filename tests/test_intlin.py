@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graycyl import intlin
+from graycyl import gray, intlin
+
+from oracles import hnf, same_subgroup
 
 LIBRARY = sorted((Path(__file__).resolve().parents[1] / "src" / "graycyl").glob("*.py"))
 
@@ -29,12 +31,11 @@ def _callers(name: str) -> set:
 
 
 # the meet of two lattices is read only by gray._meet_in, which compares it
-# with a lattice as an equality of subgroups, and lattice membership is asked
-# only by gray._factors_through
+# with a lattice by two containments, and lattice membership is asked only
+# there and by gray._factors_through
 LATTICE_CALLERS = {
-    "contains": {"gray._factors_through"},
+    "contains": {"gray._factors_through", "gray._meet_in"},
     "intersection": {"gray._meet_in"},
-    "same_subgroup": {"gray._meet_in"},
 }
 
 
@@ -44,8 +45,8 @@ def test_lattice_meets_go_through_one_helper(name):
 
 
 def test_predicates_reduce_through_one_echelon():
-    assert _callers("_echelon") == {"intlin.hnf", "intlin.rank", "intlin.pivots",
-                                    "intlin.intersection", "intlin.contains"}
+    assert _callers("_echelon") == {"intlin.rank", "intlin.pivots", "intlin.intersection",
+                                    "intlin.contains"}
 
 
 def sparse(rows):
@@ -119,7 +120,7 @@ class TestAgainstTheSweep:
     @given(matrices())
     def test_hnf_and_rank(self, m):
         rows, width = m
-        assert intlin.hnf(sparse(rows), width) == tuple(sparse(oracle_hnf(rows, width)))
+        assert hnf(sparse(rows), width) == tuple(sparse(oracle_hnf(rows, width)))
         assert intlin.rank(sparse(rows), width) == oracle_rank(rows, width)
 
     @settings(max_examples=300, deadline=None)
@@ -141,7 +142,7 @@ class TestAgainstTheSweep:
         rows, width = m
         v = tuple(v[:width])
         member = oracle_hnf(rows + [v], width) == oracle_hnf(rows, width)
-        assert intlin.same_subgroup(sparse(rows), sparse(rows + [v]), width) == member
+        assert same_subgroup(sparse(rows), sparse(rows + [v]), width) == member
 
     @settings(max_examples=300, deadline=None)
     @given(matrices(), st.lists(st.lists(st.integers(-6, 6), min_size=5, max_size=5),
@@ -154,7 +155,7 @@ class TestAgainstTheSweep:
         members = [oracle_hnf(rows + [v], width) == oracle_hnf(rows, width) for v in vs]
         for v, member in zip(vs, members):
             assert intlin.contains(sparse(rows), sparse([v]), width) == member
-            assert intlin.same_subgroup(sparse(rows), sparse(rows + [v]), width) == member
+            assert same_subgroup(sparse(rows), sparse(rows + [v]), width) == member
         assert intlin.contains(sparse(rows), sparse(vs), width) == all(members)
 
     @settings(max_examples=200, deadline=None)
@@ -164,10 +165,27 @@ class TestAgainstTheSweep:
         rows_b = data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * width), max_size=4))
         a, b = sparse(rows_a), sparse(rows_b)
         inter = intlin.intersection(a, b, width)
-        assert intlin.same_subgroup(inter, sparse(oracle_intersection(rows_a, rows_b, width)),
+        assert same_subgroup(inter, sparse(oracle_intersection(rows_a, rows_b, width)),
                                     width)
-        assert intlin.same_subgroup(a, a + inter, width)
-        assert intlin.same_subgroup(b, b + inter, width)
+        assert same_subgroup(a, a + inter, width)
+        assert same_subgroup(b, b + inter, width)
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices(max_rows=4, max_width=3), st.data())
+    def test_equality_by_two_containments(self, m, data):
+        # gray._meet_in compares the meet with a lattice by two containment
+        # tests: the verdict of comparing their Hermite forms
+        rows_a, width = m
+        rows_b = data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * width), max_size=4))
+        rows_m = data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * width), max_size=3))
+        a, b, rows = sparse(rows_a), sparse(rows_b), sparse(rows_m)
+        for x, y in ((a, b), (a, rows), (a, a + b)):
+            assert (intlin.contains(x, y, width) and intlin.contains(y, x, width)) == \
+                same_subgroup(x, y, width)
+        inter = intlin.intersection(a, b, width)
+        assert gray._meet_in(a, b, rows, width) == same_subgroup(inter, rows, width)
+        assert gray._meet_in(a, b, inter, width)
+        assert gray._meet_in(a, b, sparse(oracle_intersection(rows_a, rows_b, width)), width)
 
     @settings(max_examples=200, deadline=None)
     @given(matrices(max_rows=4, max_width=3), st.data())
@@ -205,13 +223,13 @@ class TestDegreesAtOnce:
             rows_a += shifted(a, offset)
             rows_b += shifted(b, offset)
             pivots.update({p + offset: v for p, v in intlin.pivots(a + b, width).items()})
-            meets += shifted(intlin.hnf(intlin.intersection(a, b, width), width), offset)
+            meets += shifted(hnf(intlin.intersection(a, b, width), width), offset)
             offset += width
         rnd.shuffle(rows_a)
         rnd.shuffle(rows_b)
         assert intlin.pivots(rows_a + rows_b, offset) == pivots
         assert intlin.rank(rows_a + rows_b, offset) == len(pivots)
-        assert intlin.hnf(intlin.intersection(rows_a, rows_b, offset), offset) == tuple(meets)
+        assert hnf(intlin.intersection(rows_a, rows_b, offset), offset) == tuple(meets)
 
 
 class TestVerdictsCanFail:
@@ -230,7 +248,7 @@ class TestVerdictsCanFail:
         rows = [((0, 2),)]
         assert intlin.rank(rows + [((0, 1),)], 2) == intlin.rank(rows, 2)
         assert not intlin.contains(rows, [((0, 1),)], 2)
-        assert not intlin.same_subgroup(rows, rows + [((0, 1),)], 2)
+        assert not same_subgroup(rows, rows + [((0, 1),)], 2)
         assert intlin.contains(rows, [((0, 4),), ((0, -2),), ()], 2)
 
     def test_one_lattice_has_one_form(self):
@@ -238,22 +256,22 @@ class TestVerdictsCanFail:
         # leaves (1, 1, -1) in the first and (1, 1, 2) in the second
         a = sparse([(1, 3, 0), (0, 2, 1), (0, 0, 3)])
         b = sparse([(1, 1, 2), (0, 2, 1), (0, 0, 3)])
-        assert intlin.hnf(a, 3) == intlin.hnf(b, 3) == tuple(sparse([(1, 1, 2), (0, 2, 1),
+        assert hnf(a, 3) == hnf(b, 3) == tuple(sparse([(1, 1, 2), (0, 2, 1),
                                                                      (0, 0, 3)]))
-        assert intlin.same_subgroup(a, b, 3)
-        assert not intlin.same_subgroup(a, sparse([(1, 0, 0), (0, 1, 0), (0, 0, 3)]), 3)
+        assert same_subgroup(a, b, 3)
+        assert not same_subgroup(a, sparse([(1, 0, 0), (0, 1, 0), (0, 0, 3)]), 3)
 
 
 class TestIntersection:
     def test_known_lattices(self):
         # 2Z x Z meets Z x 3Z in 2Z x 3Z
         inter = intlin.intersection(sparse([(2, 0), (0, 1)]), sparse([(1, 0), (0, 3)]), 2)
-        assert intlin.same_subgroup(inter, sparse([(2, 0), (0, 3)]), 2)
+        assert same_subgroup(inter, sparse([(2, 0), (0, 3)]), 2)
 
     def test_skew_generators(self):
         # the same lattices on other bases: Z(2,1) + Z(0,1) and Z(1,3) + Z(0,3)
         inter = intlin.intersection(sparse([(2, 1), (0, 1)]), sparse([(1, 3), (0, 3)]), 2)
-        assert intlin.same_subgroup(inter, sparse([(2, 0), (0, 3)]), 2)
+        assert same_subgroup(inter, sparse([(2, 0), (0, 3)]), 2)
 
     def test_disjoint_lines(self):
         assert not any(intlin.intersection(sparse([(1, 0)]), sparse([(0, 1)]), 2))
@@ -262,4 +280,4 @@ class TestIntersection:
         # two planes of Z^3 meet in a line of the ambient space
         inter = intlin.intersection(sparse([(1, 0, 0), (0, 1, 0)]),
                                     sparse([(0, 2, 0), (0, 0, 1)]), 3)
-        assert intlin.same_subgroup(inter, sparse([(0, 2, 0)]), 3)
+        assert same_subgroup(inter, sparse([(0, 2, 0)]), 3)

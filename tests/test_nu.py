@@ -9,13 +9,12 @@ from graycyl.dac import DAComplex, lambda_cell, lambda_globe, lambda_map, render
 from graycyl.gray import cylinder_complex
 from graycyl.nu import (EnumerationError, NuView, TableError, enumerate_cells,
                         nu_boundary, nu_identity)
-from graycyl.theta import (cell, cells_up_to, coface, globe, hyperfaces,
-                           parse_cell, theta_identity, theta_morphism)
+from graycyl.theta import cell, cells_up_to, hyperfaces, parse_cell, theta_identity
 
 from oracles import (OmegaFunctor, augmentations, boundaries, check_functors,
                      close_all_pairs, degrees, identity_morphism, make_cell, named_complex,
                      named_morphism, names_of, nu_composable, nu_compose, nu_functor,
-                     position, search_tables)
+                     position, search_tables, simplicial_coface, theta_morphism)
 
 
 def atom_cell(K, g) -> tuple:
@@ -287,7 +286,7 @@ class TestFunctors:
         comp = {(1, 1): theta_identity(parse_cell("[0]")),
                 (1, 2): theta_identity(parse_cell("[0]")),
                 (2, 3): theta_identity(parse_cell("[0]"))}
-        f = theta_morphism(cell(2), cell(3), coface(2, 1), comp)
+        f = theta_morphism(cell(2), cell(3), simplicial_coface(2, 1), comp)
         m = lambda_map(f)
         F = nu_functor(m, 1)
         K = lambda_cell(cell(2))

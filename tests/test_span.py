@@ -11,13 +11,12 @@ from graycyl.span import (_span_report, _split_identities, kappa_column_expectat
                           mirror_positions, projection_to_cell, projection_to_interval,
                           shift_map, shift_target_cell, sigma_column_expectations, span_dot,
                           split_map, verify_span)
-from graycyl.theta import (POINT, SimplicialMap, ThetaMorphism, bang, cell, cells_up_to,
-                           cells_with_nodes, coface, mirror, parse_cell, theta_identity,
-                           vertex)
+from graycyl.theta import (POINT, ThetaMap, bang, cell, cells_up_to, cells_with_nodes, coface,
+                           mirror, parse_cell, theta_identity, vertex)
 
 from oracles import (check_functors, compose, constant_morphism, degree_of, image, images,
-                     kappa_m_maps, kappa_o_morphisms, named_morphism, nu_functor,
-                     sigma_m_map, sigma_o_morphism, with_image)
+                     kappa_m_maps, kappa_o_morphisms, mirror_positions_by_recursion,
+                     named_morphism, nu_functor, sigma_m_map, sigma_o_morphism, with_image)
 
 
 def swapped_ends(q: DAMorphism) -> DAMorphism:
@@ -70,21 +69,21 @@ def not_onto(view, Fs) -> list:
 
 class TestSplitMap:
     def test_threshold_one_on_three(self):
-        assert split_map(3, 1).image == (0, 1, 1, 1)
+        assert split_map(3, 1) == (0, 1, 1, 1)
 
     def test_threshold_zero_is_constant_one(self):
         for n in range(5):
-            assert split_map(n, 0).image == (1,) * (n + 1)
+            assert split_map(n, 0) == (1,) * (n + 1)
 
     def test_top_threshold_is_constant_zero(self):
-        assert split_map(2, 3).image == (0, 0, 0)
+        assert split_map(2, 3) == (0, 0, 0)
 
     def test_coface_identities(self):
         for n in range(5):
             for k in range(n + 2):
                 lhs = split_map(n + 1, k)
-                assert coface(n + 1, k).then(split_map(n + 2, k)) == lhs
-                assert coface(n + 1, k).then(split_map(n + 2, k + 1)) == lhs
+                assert tuple(split_map(n + 2, k)[v] for v in coface(n + 1, k)) == lhs
+                assert tuple(split_map(n + 2, k + 1)[v] for v in coface(n + 1, k)) == lhs
         # every span report reads these identities from one check per process
         assert _split_identities() and _split_identities.cache_info().currsize == 1
 
@@ -112,20 +111,35 @@ class TestShiftMap:
         assert shift_target_cell(t) == cell(1, parse_cell("[2]([0],[1])"))
 
     def test_mirror_table_built_once_per_report(self, monkeypatch):
-        # q and the sigma columns read one table; the recursion builds each
-        # child's own
-        built = span.mirror_positions
-        calls = Counter()
+        # q and the sigma columns read one table, built in one pass with one
+        # mirror of the cell: no call per child
+        built, real_mirror = span.mirror_positions, span.mirror
+        calls, mirrors = Counter(), Counter()
 
         def counted(t):
             calls[t] += 1
             return built(t)
 
+        def mirrored(t):
+            mirrors[t] += 1
+            return real_mirror(t)
+
         monkeypatch.setattr(span, "mirror_positions", counted)
+        monkeypatch.setattr(span, "mirror", mirrored)
         for t in cells_up_to(5):
             calls.clear()
+            mirrors.clear()
+            assert span.mirror_positions(t) == mirror_positions_by_recursion(t)
+            assert calls == {t: 1} and mirrors == {t: 1}, str(t)
+            calls.clear()
             assert verify_span(t).passed
-            assert calls[t] == 1, str(t)
+            assert calls == {t: 1}, str(t)
+
+    def test_mirror_table_matches_the_recursive_oracle(self):
+        cells = cells_up_to(8)
+        for t in cells:
+            assert mirror_positions(t) == mirror_positions_by_recursion(t), str(t)
+        assert len(cells) == 626
 
     def test_is_chain_map_on_corpus(self):
         for s in ("[1]", "[2]", "[1]([1])", "[1]([2])", "[2]([1],[0])"):
@@ -367,26 +381,27 @@ class TestPerturbedExpectationsFail:
 class TestBuiltFromPositions:
     def test_no_theta_morphism_or_simplicial_map_per_column(self, monkeypatch):
         # once the identities and bangs of a cell's children exist, the span
-        # and the gluing build every map they compare from positions
+        # and the gluing build every map they compare from positions, and
+        # no Theta map
         cells = cells_up_to(6)
-        _split_identities()
         for t in cells:
             theta_identity(t)
             for c in t.children:
                 bang(c)
+        built = []
+        real = ThetaMap.__init__
 
-        def refuse(*args):
-            raise AssertionError("a Theta morphism or simplicial map was built")
+        def counted(self, *args):
+            built.append(args)
+            real(self, *args)
 
-        monkeypatch.setattr(ThetaMorphism, "__new__", refuse)
-        monkeypatch.setattr(SimplicialMap, "__init__", refuse)
+        monkeypatch.setattr(ThetaMap, "__init__", counted)
         for t in cells:
             assert verify_span(t).passed and verify_gluing(t).overall, str(t)
-        # the guard sees a build
-        with pytest.raises(AssertionError, match="was built"):
-            vertex(cell(1), 0)
-        with pytest.raises(AssertionError, match="was built"):
-            split_map(1, 1)
+        assert built == []
+        # the count sees a build
+        v = vertex(cell(1), 0)
+        assert built == [(POINT, cell(1), (0,), ())] and v.image == (0,)
         assert len(cells) == 65
 
 

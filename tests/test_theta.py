@@ -7,15 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from graycyl import pr, theta
-from graycyl.theta import (MAX_DEPTH, CellSyntaxError, POINT, SimplicialMap, ThetaCell,
-                           bang, cell, cells_up_to, cells_with_nodes, coface,
-                           gamma_image, globe, globular_sum, hyperfaces,
-                           leaf_inclusion, meet_inclusion, mirror,
-                           parse_cell, simplicial_identity, theta_identity,
-                           theta_morphism, vertex)
+from graycyl.dac import MorphismError, lambda_map
+from graycyl.gray import o_cell
+from graycyl.theta import (MAX_DEPTH, CellSyntaxError, POINT, ThetaCell, ThetaMap, bang, cell,
+                           cells_up_to, cells_with_nodes, coface, coface_map, globe,
+                           globular_sum, hyperfaces, leaf_inclusion, meet_inclusion, mirror,
+                           parse_cell, segment_map, theta_identity, vertex)
 
-from oracles import codegeneracy, component, compose, parse_morphism, reconstruct
+from oracles import (SimplicialMap, as_oracle, bang_morphism, check_map, codegeneracy,
+                     coface_morphism, component, compose, gamma_image, hyperface_morphisms,
+                     leaf_morphism, map_errors, meet_morphism, parse_morphism, reconstruct,
+                     segment_morphism, simplicial_coface, simplicial_identity,
+                     theta_identity_morphism, theta_morphism, vertex_morphism)
 
 
 def cells_strategy(max_width=3, max_height=3):
@@ -113,14 +118,15 @@ class TestGammaImage:
         assert gamma_image(simplicial_identity(2)) == {1: (1,), 2: (2,)}
 
     def test_inner_coface(self):
-        assert gamma_image(coface(2, 1)) == {1: (1, 2), 2: (3,)}
+        assert coface(2, 1) == (0, 2, 3)
+        assert gamma_image(simplicial_coface(2, 1)) == {1: (1, 2), 2: (3,)}
 
     def test_degeneracy(self):
         assert gamma_image(codegeneracy(1, 0)) == {1: ()}
 
     def test_memoised_value_is_read_only(self):
-        image = gamma_image(coface(2, 1))
-        assert gamma_image(coface(2, 1)) is image
+        image = gamma_image(simplicial_coface(2, 1))
+        assert gamma_image(simplicial_coface(2, 1)) is image
         with pytest.raises(TypeError):
             image[1] = ()
         with pytest.raises(TypeError):
@@ -166,7 +172,6 @@ def random_morphism_from(rng, src, max_width=3, depth=0):
             targets[j] = sub.target
     kids = tuple(targets.get(j, rng.choice([POINT, cell(1)])) for j in range(1, m + 1))
     tgt = ThetaCell(kids)
-    from graycyl.theta import theta_morphism
     return theta_morphism(src, tgt, base, comps)
 
 
@@ -199,7 +204,6 @@ class TestCompose:
             compose(f, g)
 
     def test_hyperface_composite_base(self):
-        from graycyl.dac import lambda_map
         faces3 = [f.map for f in hyperfaces(cell(3)) if f.kind != "vertical"]
         faces2 = [f.map for f in hyperfaces(cell(2)) if f.kind != "vertical"]
         pairs = 0
@@ -207,7 +211,7 @@ class TestCompose:
             for g in faces3:
                 if f.target == g.source:
                     comp = compose(f, g)
-                    assert comp.base == f.base.then(g.base)
+                    assert comp.base == as_oracle(f).base.then(as_oracle(g).base)
                     lhs = lambda_map(comp)
                     rhs = lambda_map(f).then(lambda_map(g))
                     assert lhs.images == rhs.images
@@ -218,7 +222,7 @@ class TestCompose:
 class TestHyperfaces:
     def test_interval(self):
         out = hyperfaces(cell(1))
-        kinds = sorted((h.kind, h.map.base.image) for h in out)
+        kinds = sorted((h.kind, h.map.image) for h in out)
         assert kinds == [("outer", (0,)), ("outer", (1,))]
 
     def test_two_simplex(self):
@@ -249,10 +253,10 @@ class TestHyperfaces:
         one = cell(1)
         after, = [h for h in hyperfaces(parse_cell("[2]([1],[0])")) if h.kind == "inner"]
         assert after.position == (1, "after")
-        assert after.map.components == (((1, 1), theta_identity(one)), ((1, 2), bang(one)))
+        assert after.map.legs == (((1, theta_identity(one)), (2, bang(one))),)
         before, = [h for h in hyperfaces(parse_cell("[2]([0],[1])")) if h.kind == "inner"]
         assert before.position == (1, "before")
-        assert before.map.components == (((1, 1), bang(one)), ((1, 2), theta_identity(one)))
+        assert before.map.legs == (((1, bang(one)), (2, theta_identity(one))),)
 
 
 class TestMisc:
@@ -279,7 +283,7 @@ class TestMisc:
             d = globular_sum(t)
             lines += [("leaf", (i,), leaf_inclusion(t, i)) for i in range(len(d.leaf_dims))]
             lines += [("meet", (g,), meet_inclusion(t, g)) for g in range(len(d.meet_dims))]
-        text = "\n".join(f"{kind} {position} {f.source} {f.target} {f}"
+        text = "\n".join(f"{kind} {position} {f.source} {f.target} {as_oracle(f)}"
                          for kind, position, f in lines)
         assert len(lines) == 2925
         assert (hashlib.sha256(text.encode()).hexdigest()
@@ -298,7 +302,7 @@ class TestMisc:
 
     def test_vertex(self):
         v = vertex(cell(2), 1)
-        assert v.source == POINT and v.base(0) == 1
+        assert v.source == POINT and v.image == (1,) and v.legs == ()
 
 
 class TestCellsWithNodes:
@@ -356,7 +360,7 @@ class TestDeepCells:
         for t in cells_up_to(5):
             assert hash(t) == hash((t.children,))
             for face in hyperfaces(t):
-                f = face.map
+                f = as_oracle(face.map)
                 assert hash(f.source) == hash((f.source.children,))
                 assert hash(f) == hash((f.source, f.target, f.base, f.components))
                 b = f.base
@@ -380,7 +384,8 @@ class TestDeepCells:
     def test_shared_values_are_read_only(self):
         t = parse_cell("[2]([1],[0])")
         face = hyperfaces(t)[0]
-        for value, name in ((t, "children"), (face.map, "base"), (face.map.base, "image"),
+        for value, name in ((t, "children"), (face.map, "image"), (face.map, "lam"),
+                            (as_oracle(face.map).base, "image"),
                             (face, "map"), (globular_sum(t), "leaf_dims"),
                             (pr.Cell(t), "cell"), (pr.PR((t,)), "cells")):
             with pytest.raises(AttributeError):
@@ -388,10 +393,10 @@ class TestDeepCells:
         assert t.children == (cell(1), POINT)
 
     def test_simplicial_maps_compare_by_value(self):
-        a, b = coface(2, 1), SimplicialMap(2, 3, (0, 2, 3))
+        a, b = simplicial_coface(2, 1), SimplicialMap(2, 3, (0, 2, 3))
         assert a == b and a is not b and not a != b
-        assert a != coface(2, 0) and a != (2, 3, (0, 2, 3))
-        assert len({a, b, coface(2, 0)}) == 2
+        assert a != simplicial_coface(2, 0) and a != (2, 3, (0, 2, 3))
+        assert len({a, b, simplicial_coface(2, 0)}) == 2
 
     def test_printing_and_dimension_do_not_recurse(self):
         g = globe(1000)
@@ -402,7 +407,8 @@ class TestDeepCells:
 
 
 class TestInterning:
-    """Equal cells and morphisms are one object, held weakly."""
+    """Equal cells are one object, held weakly, and so are equal morphisms
+    in their oracle form."""
 
     def test_construction_returns_the_live_instance(self):
         for text in ("[0]", "[2]([1],[0])", "[3]([0],[1]([1]),[0])", "G7"):
@@ -410,31 +416,32 @@ class TestInterning:
         assert parse_cell("[2]([1],[0])") is cell(2, cell(1), POINT)
         assert globe(250) is globe(250)
         for face in hyperfaces(parse_cell("[2]([1],[1])")):
-            f = face.map
+            f = as_oracle(face.map)
             assert theta_morphism(f.source, f.target, f.base, dict(f.components)) is f
             assert compose(f, theta_identity(f.target)) is f
 
     def test_tables_free_what_no_one_holds(self):
         gc.collect()
-        before = len(theta._CELLS), len(theta._MORPHISMS)
+        before = len(theta._CELLS), len(oracles._MORPHISMS)
         t = globe(500)
-        v = vertex(t, 1)
+        v = as_oracle(vertex(t, 1))
         assert theta._CELLS[t.children] is t and len(theta._CELLS) > before[0]
-        assert len(theta._MORPHISMS) == before[1] + 1
+        assert len(oracles._MORPHISMS) == before[1] + 1
         del t, v
         gc.collect()
-        assert (len(theta._CELLS), len(theta._MORPHISMS)) == before
+        assert (len(theta._CELLS), len(oracles._MORPHISMS)) == before
 
     def test_a_bad_morphism_raises_every_time_and_is_not_kept(self):
         src = cell(1)
         base = simplicial_identity(1)
         wrong = {(1, 1): theta_identity(src)}       # the component must start at [0]
-        before = len(theta._MORPHISMS)
+        before = len(oracles._MORPHISMS)
         for _ in range(2):
             with pytest.raises(ValueError, match="wrong source"):
                 theta_morphism(src, src, base, wrong)
-        assert len(theta._MORPHISMS) == before
-        assert (src, src, base, tuple(wrong.items())) not in theta._MORPHISMS
+        assert len(oracles._MORPHISMS) == before
+        key = (src, src, base, (((1, 1), as_oracle(theta_identity(src))),))
+        assert key not in oracles._MORPHISMS
 
 
 class TestIdentities:
@@ -446,17 +453,101 @@ class TestIdentities:
         f = theta_identity(g)
         assert f.source is f.target is g
         for _ in range(3000):
-            assert f.base == simplicial_identity(f.source.width)
-            (key, f), = f.components
-            assert key == (1, 1)
-        assert f.source is POINT and f.components == ()
+            assert f.image == (0, 1)
+            ((j, f),), = f.legs
+            assert j == 1
+        assert f.source is POINT and f.image == (0,) and f.legs == ()
 
     def test_built_once_per_cell(self):
         for t in cells_up_to(5):
             f = theta_identity(t)
             assert theta_identity(t) is f and theta._IDENTITIES[t] is f
-            assert f is theta_morphism(t, t, simplicial_identity(t.width),
-                                       {(i, i): theta_identity(c)
-                                        for i, c in enumerate(t.children, start=1)})
+            assert as_oracle(f) is theta_morphism(t, t, simplicial_identity(t.width),
+                                                  {(i, i): theta_identity(c)
+                                                   for i, c in enumerate(t.children, start=1)})
+            assert [g for leg in f.legs for _, g in leg] == [theta_identity(c)
+                                                             for c in t.children]
             assert bang(t) is bang(t)
             assert bang(t).target is POINT and bang(t).source is t
+
+
+class TestMapsMatchTheirOracles:
+    """The library builds Theta maps as position data, unchecked.  Every map
+    its builders make over the cells with at most 8 nodes passes the
+    structural checks (check_map, at every depth) and equals, in its oracle
+    form, what the same builder makes of validated, interned morphisms."""
+
+    def test_every_builder_up_to_eight_nodes(self):
+        counts = {}
+
+        def same(f, want, kind):
+            assert as_oracle(check_map(f)) is want, (kind, str(f.target))
+            counts[kind] = counts.get(kind, 0) + 1
+
+        for t in cells_up_to(8):
+            same(theta_identity(t), theta_identity_morphism(t), "identity")
+            same(bang(t), bang_morphism(t), "bang")
+            for p in t.objects():
+                same(vertex(t, p), vertex_morphism(t, p), "vertex")
+            for s, c in enumerate(t.children, start=1):
+                same(segment_map(t, s, theta_identity(c)),
+                     segment_morphism(t, s, theta_identity_morphism(c)), "segment")
+            faces, want = hyperfaces(t), hyperface_morphisms(t)
+            assert [(h.kind, h.position) for h in faces] == [(k, p) for k, p, _ in want]
+            for h, (_, _, m) in zip(faces, want):
+                same(h.map, m, "hyperface")
+            for k in range(1, t.width + 1):
+                for j in (k - 1, k):
+                    same(coface_map(o_cell(t, j), k, j + 1),
+                         coface_morphism(o_cell(t, j), k, j + 1), "coface")
+            d = globular_sum(t)
+            for i in range(len(d.leaf_dims)):
+                same(leaf_inclusion(t, i), leaf_morphism(t, i), "leaf")
+            for g in range(len(d.meet_dims)):
+                same(meet_inclusion(t, g), meet_morphism(t, g), "meet")
+        assert counts == {"identity": 626, "bang": 626, "vertex": 2055, "segment": 1429,
+                          "hyperface": 6862, "coface": 2858, "leaf": 2354, "meet": 1728}
+
+    def test_a_perturbed_leg_fails_the_checks(self):
+        face = next(h for h in hyperfaces(parse_cell("[2]([1],[0])"))
+                    if h.position == (1, 0))
+        f = face.map
+        assert map_errors(f) == [] and check_map(f) is f
+        # the leg of slot 1 reaches [1] at the wrong end: still a map into
+        # [1], but from [0] by way of a map into [2]
+        wrong_target = ThetaMap(f.source, f.target, f.image,
+                                (((1, vertex(cell(2), 0)),),) + f.legs[1:])
+        # the leg of slot 2 claims segment 1, which slot 1 covers
+        wrong_key = ThetaMap(f.source, f.target, f.image,
+                             f.legs[:1] + (((1, theta_identity(POINT)),),))
+        # one deeper: the face over the perturbed map, as a vertical face
+        deeper = ThetaMap(ThetaCell((wrong_target.source,)), ThetaCell((f.target,)),
+                          (0, 1), (((1, wrong_target),),))
+        for bad, error in ((wrong_target, "wrong target"), (wrong_key, "segment-image pairs"),
+                           (deeper, "wrong target")):
+            with pytest.raises(ValueError, match=error):
+                check_map(bad)
+            with pytest.raises(ValueError, match=error):
+                as_oracle(bad)
+        assert map_errors(deeper) == []
+        assert map_errors(ThetaMap(f.source, f.target, (0, 2, 1), f.legs)) == [
+            "map is not monotone"]
+        assert map_errors(ThetaMap(f.source, f.target, (0, 1, 3), f.legs)) == [
+            "vertex image out of range"]
+        assert map_errors(ThetaMap(f.source, f.target, (0, 1), f.legs)) == [
+            "base source width mismatch"]
+        assert map_errors(ThetaMap(f.source, f.target, f.image, f.legs[:1])) == [
+            "one leg per source segment"]
+
+    def test_a_missized_child_map_is_refused(self):
+        # a leg whose map runs into a complex of another size than its
+        # target slot's raises, rather than read positions through the
+        # wrong table
+        face = next(h for h in hyperfaces(parse_cell("[2]([1],[0])"))
+                    if h.position == (1, 0))
+        f = face.map
+        bad = ThetaMap(f.source, f.target, f.image, (((1, vertex(cell(2), 0)),),) + f.legs[1:])
+        with pytest.raises(MorphismError, match="segment 1 over segment 1"):
+            lambda_map(bad)
+        assert bad.lam is None
+        assert lambda_map(f).validate() is lambda_map(f)
