@@ -19,9 +19,9 @@ _SUBSCRIPTS = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 
 
 def _decompose_text(t) -> str:
-    d = globular_sum(t)
-    parts = [str(d.leaf_dims[0])]
-    for m, n in zip(d.meet_dims, d.leaf_dims[1:]):
+    leaves, meets = globular_sum(t)
+    parts = [str(leaves[0][0])]
+    for (m, _), (n, _) in zip(meets, leaves[1:]):
         parts.append(f"⊕{str(m).translate(_SUBSCRIPTS)} {n}")
     return " ".join(parts)
 

@@ -18,7 +18,7 @@ from .dac import (DAComplex, DAMorphism, composites_agree, lambda_cell,
                   wreath_complex, wreath_map)
 from .nu import DEFAULT_CEILING, NuView
 from .theta import (POINT, Frozen, Hyperface, ThetaCell, ThetaMap, bang, globular_sum,
-                    leaf_inclusion, meet_inclusion, theta_identity)
+                    theta_identity)
 
 
 def interval() -> DAComplex:
@@ -295,13 +295,12 @@ def verify_gluing(t: ThetaCell) -> GluingReport:
 def verify_globular_preservation(t: ThetaCell) -> bool:
     """Cylinders over the leaf globes cover the cylinder and meet exactly
     in the cylinders over the meet globes."""
-    dec = globular_sum(t)
+    leaves, meets = globular_sum(t)
     cyl = cylinder_complex(t)
-    pieces = [cylinder_map(leaf_inclusion(t, i)).images for i in range(len(dec.leaf_dims))]
-    meets = [cylinder_map(meet_inclusion(t, g)).images for g in range(len(dec.meet_dims))]
+    pieces = [cylinder_map(f).images for _, f in leaves]
     return (all(_covers([row for piece in pieces for row in piece], cyl).values())
-            and all(_meet_in(pieces[g], pieces[g + 1], m, len(cyl.diff))
-                    for g, m in enumerate(meets)))
+            and all(_meet_in(pieces[g], pieces[g + 1], cylinder_map(f).images, len(cyl.diff))
+                    for g, (_, f) in enumerate(meets)))
 
 
 # ---------------------------------------------------------------------------

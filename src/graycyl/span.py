@@ -34,10 +34,10 @@ def split_map(n: int, j: int) -> tuple:
     return tuple(0 if i < j else 1 for i in range(n + 1))
 
 
-def mirror_positions(t: ThetaCell) -> tuple:
+def mirror_positions(t: ThetaCell, mt: ThetaCell) -> tuple:
     """By position in lambda(t), the position of the generator of
-    lambda(mirror t) that matches it under the reversal: o_p goes to
-    o_{n-p}, and i|x to (n+1-i)|x' for the mirror x' of x.
+    lambda(mt), where mt is mirror(t), that matches it under the reversal:
+    o_p goes to o_{n-p}, and i|x to (n+1-i)|x' for the mirror x' of x.
 
     Built bottom-up from an explicit stack, with no recursion, once per
     distinct subtree u of t: the mirror of a child of u is read off the
@@ -45,7 +45,7 @@ def mirror_positions(t: ThetaCell) -> tuple:
     from its children's, over the parts of lambda(u) and of lambda of its
     mirror."""
     tables: dict = {}
-    stack = [(t, mirror(t))]
+    stack = [(t, mt)]
     while stack:
         u, v = stack[-1]
         if u in tables:
@@ -105,15 +105,11 @@ def projection_to_cell(t: ThetaCell) -> DAMorphism:
     return DAMorphism(cyl, K, tuple(images))
 
 
-def shift_target_cell(t: ThetaCell) -> ThetaCell:
-    return ThetaCell((mirror(t),))
-
-
-def shift_map(t: ThetaCell, mirrored: tuple) -> DAMorphism:
-    """cyl(T) -> lambda([1];(mirror T)): ends collapse to the two objects,
-    h⊗x goes to the suspended mirror of x, read from mirrored, which is
-    mirror_positions(t)."""
-    tgt = lambda_cell(shift_target_cell(t))
+def shift_map(t: ThetaCell, mt: ThetaCell, mirrored: tuple) -> DAMorphism:
+    """cyl(T) -> lambda([1];(mt)), where mt is mirror(t): ends collapse to
+    the two objects, h⊗x goes to the suspended mirror of x, read from
+    mirrored, which is mirror_positions(t, mt)."""
+    tgt = lambda_cell(ThetaCell((mt,)))
     slot = tgt.parts[1]
     return _ends_to(t, tgt, (*tgt.parts[0], None), [slot[x] for x in mirrored])
 
@@ -172,16 +168,16 @@ def kappa_column_expectations(t: ThetaCell):
     return out
 
 
-def sigma_column_expectations(t: ThetaCell, mirrored: tuple):
+def sigma_column_expectations(t: ThetaCell, mt: ThetaCell, mirrored: tuple):
     """(column, expected sigma composite) pairs.  O_j goes over the edge of
     the shift through its unit slot j+1, onto the object n-j of the mirrored
-    cell.  M_k goes over it through its cylinder slot k: the ends of the
-    child go to the objects n-k and n+1-k of the mirrored cell, and its
+    cell mt, which is mirror(t).  M_k goes over it through its cylinder slot
+    k: the ends of the child go to the objects n-k and n+1-k of mt, and its
     crossing generators into the slot n+1-k, read from t's mirror table
-    mirrored, which is mirror_positions(t)."""
+    mirrored, which is mirror_positions(t, mt)."""
     n = t.width
-    tgt = lambda_cell(shift_target_cell(t))
-    M, K, point = lambda_cell(mirror(t)), lambda_cell(t), lambda_cell(POINT)
+    tgt = lambda_cell(ThetaCell((mt,)))
+    M, K, point = lambda_cell(mt), lambda_cell(t), lambda_cell(POINT)
     out = []
     for c in lax_shuffle_diagram(t):
         src, k = c.embed.source, c.index
@@ -234,17 +230,19 @@ class SpanReport:
 
 
 def verify_span(t: ThetaCell) -> SpanReport:
-    mirrored = mirror_positions(t)
+    """The span report on t, whose sigma side reads one mirror of t."""
+    mt = mirror(t)
+    mirrored = mirror_positions(t, mt)
     return _span_report(t, projection_to_interval(t), projection_to_cell(t),
-                        shift_map(t, mirrored), mirrored)
+                        shift_map(t, mt, mirrored), mt, mirrored)
 
 
-def _span_report(t: ThetaCell, p1: DAMorphism, p2: DAMorphism,
-                 q: DAMorphism, mirrored: tuple) -> SpanReport:
+def _span_report(t: ThetaCell, p1: DAMorphism, p2: DAMorphism, q: DAMorphism,
+                 mt: ThetaCell, mirrored: tuple) -> SpanReport:
     """The report on the span with legs p1, p2 (kappa) and q (sigma), where
-    mirrored is mirror_positions(t).  A leg that is not a morphism of
-    augmented directed complexes is recorded by its violations, not
-    raised."""
+    mt is mirror(t) and mirrored is mirror_positions(t, mt).  A leg that is
+    not a morphism of augmented directed complexes is recorded by its
+    violations, not raised."""
     report = SpanReport(t, p1.violations() + p2.violations(), q.violations(),
                         _split_identities())
 
@@ -252,13 +250,13 @@ def _span_report(t: ThetaCell, p1: DAMorphism, p2: DAMorphism,
         ok = (morphisms_agree(col.embed.then(p1), p1_exp)
               and morphisms_agree(col.embed.then(p2), p2_exp))
         report.kappa_columns.append((col.name, ok))
-    for col, q_exp in sigma_column_expectations(t, mirrored):
+    for col, q_exp in sigma_column_expectations(t, mt, mirrored):
         report.sigma_columns.append((col.name, morphisms_agree(col.embed.then(q), q_exp)))
 
     # folding diamonds: each end of the cylinder goes to that end of the
     # interval and of the shift, and identically to the cell
     K = lambda_cell(t)
-    edge, shift = lambda_cell(cell(1)), lambda_cell(shift_target_cell(t))
+    edge, shift = lambda_cell(cell(1)), lambda_cell(ThetaCell((mt,)))
     for eps in (0, 1):
         e = endpoint_inclusion(t, eps)
         report.diamonds[f"kappa_e{eps}"] = (

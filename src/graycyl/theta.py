@@ -8,6 +8,10 @@ f(i-1) < j <= f(i), and goes into each by a map from child i to child j
 spaces", Adv. Math. 2007).  A ThetaMap holds exactly that, as the vertex
 images of its base map and, per source segment, its (j, child map) legs,
 which is what dac.wreath_map reads to build the map's lambda map.
+
+The maps the checks read are built here: identities, bangs, vertices and
+one-segment maps, the hyperfaces, and the globular sum, one walk that
+gives each leaf and meet globe with its inclusion.
 """
 
 from __future__ import annotations
@@ -215,36 +219,6 @@ def parse_cell(text: str) -> ThetaCell:
 
 
 # ---------------------------------------------------------------------------
-# globular sums
-# ---------------------------------------------------------------------------
-
-class GlobularSumDecomposition(Frozen):
-    __slots__ = ("leaf_dims", "meet_dims")
-
-    def __init__(self, leaf_dims: tuple[int, ...], meet_dims: tuple[int, ...]):
-        object.__setattr__(self, "leaf_dims", leaf_dims)
-        object.__setattr__(self, "meet_dims", meet_dims)
-
-
-def globular_sum(t: ThetaCell) -> GlobularSumDecomposition:
-    """Leaf depths left-to-right and depths of consecutive-leaf meets."""
-    leaves: list[int] = []
-    meets: list[int] = []
-
-    def walk(u: ThetaCell, depth: int):
-        if u.width == 0:
-            leaves.append(depth)
-            return
-        for i, c in enumerate(u.children):
-            if i > 0:
-                meets.append(depth)
-            walk(c, depth + 1)
-
-    walk(t, 0)
-    return GlobularSumDecomposition(tuple(leaves), tuple(meets))
-
-
-# ---------------------------------------------------------------------------
 # maps of the wreath product, held as position data
 # ---------------------------------------------------------------------------
 
@@ -379,37 +353,29 @@ def hyperfaces(t: ThetaCell) -> list[Hyperface]:
 
 
 # ---------------------------------------------------------------------------
-# leaf and meet globe inclusions (the globular sum realized in Theta)
+# the globular sum (leaf and meet globe inclusions)
 # ---------------------------------------------------------------------------
 
-def _leaf_segment(t: ThetaCell, leaf: int):
-    """(s, i, n): the `leaf`-th leaf of t is leaf i of the n leaves of
-    child s."""
+def globular_sum(t: ThetaCell) -> tuple[list, list]:
+    """(leaves, meets): the leaf globes of t left to right, and the globes
+    where consecutive leaves meet, each as a (dimension, inclusion into t)
+    pair.  A leaf or meet of child s goes in through segment s, one
+    dimension up, and the last leaf of child s meets the first of child
+    s+1 in vertex s.  Equal children share their pieces."""
+    if t.width == 0:
+        return [(0, theta_identity(t))], []
+    leaves: list = []
+    meets: list = []
+    below: dict = {}
     for s, c in enumerate(t.children, start=1):
-        n = len(globular_sum(c).leaf_dims)
-        if leaf < n:
-            return s, leaf, n
-        leaf -= n
-    raise IndexError("leaf index out of range")
-
-
-def leaf_inclusion(t: ThetaCell, leaf: int) -> ThetaMap:
-    """The inclusion of the `leaf`-th leaf globe into t."""
-    if t.width == 0:
-        return theta_identity(t)
-    s, i, _ = _leaf_segment(t, leaf)
-    return segment_map(t, s, leaf_inclusion(t.children[s - 1], i))
-
-
-def meet_inclusion(t: ThetaCell, gap: int) -> ThetaMap:
-    """The inclusion of the meet globe between leaves gap and gap+1."""
-    if t.width == 0:
-        raise ValueError("a point has no meets")
-    s, i, n = _leaf_segment(t, gap)
-    if i == n - 1:
-        # the meet sits between segment s and s+1: the shared object
-        return vertex(t, s)
-    return segment_map(t, s, meet_inclusion(t.children[s - 1], i))
+        if s > 1:
+            meets.append((0, vertex(t, s - 1)))
+        sub = below.get(c)
+        if sub is None:
+            sub = below[c] = globular_sum(c)
+        leaves += [(n + 1, segment_map(t, s, g)) for n, g in sub[0]]
+        meets += [(m + 1, segment_map(t, s, g)) for m, g in sub[1]]
+    return leaves, meets
 
 
 # ---------------------------------------------------------------------------

@@ -53,10 +53,9 @@ from graycyl.gray import cylinder_map, o_cell
 from graycyl.intlin import _echelon, _minus
 from graycyl.nu import (DEFAULT_CEILING, EnumerationError, NuView, TableError, _compose,
                         _pair_key, nu_boundary, nu_identity)
-from graycyl.span import projection_to_cell, shift_map, shift_target_cell, split_map
-from graycyl.theta import (POINT, Frozen, GlobularSumDecomposition, ThetaCell, ThetaMap,
-                           _leaf_segment, bang, cell, coface, globular_sum, mirror, parse_cell,
-                           segment_map, theta_identity, vertex)
+from graycyl.span import projection_to_cell, shift_map, split_map
+from graycyl.theta import (POINT, Frozen, ThetaCell, ThetaMap, bang, cell, coface,
+                           globular_sum, mirror, parse_cell, segment_map, theta_identity, vertex)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +518,24 @@ def hyperface_morphisms(t: ThetaCell) -> list:
     return out
 
 
+def _leaf_count(t: ThetaCell) -> int:
+    return 1 if t.width == 0 else sum(_leaf_count(c) for c in t.children)
+
+
+def _leaf_segment(t: ThetaCell, leaf: int):
+    """(s, i, n): the `leaf`-th leaf of t is leaf i of the n leaves of
+    child s."""
+    for s, c in enumerate(t.children, start=1):
+        n = _leaf_count(c)
+        if leaf < n:
+            return s, leaf, n
+        leaf -= n
+    raise IndexError("leaf index out of range")
+
+
 def leaf_morphism(t: ThetaCell, leaf: int) -> ThetaMorphism:
+    """The inclusion of the `leaf`-th leaf globe into t, found by walking
+    down from the root: the oracle of the leaves of globular_sum."""
     if t.width == 0:
         return theta_identity_morphism(t)
     s, i, _ = _leaf_segment(t, leaf)
@@ -527,6 +543,8 @@ def leaf_morphism(t: ThetaCell, leaf: int) -> ThetaMorphism:
 
 
 def meet_morphism(t: ThetaCell, gap: int) -> ThetaMorphism:
+    """The inclusion of the globe where leaves gap and gap+1 meet, found
+    the same way: the oracle of the meets of globular_sum."""
     s, i, n = _leaf_segment(t, gap)
     if i == n - 1:
         return vertex_morphism(t, s)
@@ -673,8 +691,9 @@ def sigma_o_morphism(t: ThetaCell, j: int) -> ThetaMorphism:
     """O_j onto the shift [1];(mirror t) through its unit slot, at the
     vertex n-j of the mirrored cell."""
     n = t.width
-    return theta_morphism(o_cell(t, j), shift_target_cell(t), split_base(n + 1, j + 1),
-                          {(j + 1, 1): vertex(mirror(t), n - j)})
+    mt = mirror(t)
+    return theta_morphism(o_cell(t, j), cell(1, mt), split_base(n + 1, j + 1),
+                          {(j + 1, 1): vertex(mt, n - j)})
 
 
 def sigma_m_map(t: ThetaCell, column) -> DAMorphism:
@@ -684,8 +703,9 @@ def sigma_m_map(t: ThetaCell, column) -> DAMorphism:
     mt = mirror(t)
     slot = segment_map(mt, n + 1 - k, theta_identity(mt.children[n - k]))
     child = t.children[k - 1]
-    into_slot = shift_map(child, mirror_positions_by_recursion(child)).then(lambda_map(slot))
-    return wreath_morphism(column.embed.source, lambda_cell(shift_target_cell(t)),
+    into_slot = shift_map(child, mirror(child),
+                          mirror_positions_by_recursion(child)).then(lambda_map(slot))
+    return wreath_morphism(column.embed.source, lambda_cell(cell(1, mt)),
                            split_base(n, k), {(k, 1): into_slot})
 
 
@@ -715,10 +735,11 @@ def mirror_positions_by_recursion(t: ThetaCell) -> tuple:
     return tuple(out)
 
 
-def reconstruct(d: GlobularSumDecomposition) -> ThetaCell:
-    """Inverse of globular_sum."""
-    leaves = list(d.leaf_dims)
-    meets = list(d.meet_dims)
+def reconstruct(leaf_pieces: list, meet_pieces: list) -> ThetaCell:
+    """The cell with the given globular sum: inverse of globular_sum, read
+    from the dimensions of its pieces alone."""
+    leaves = [n for n, _ in leaf_pieces]
+    meets = [m for m, _ in meet_pieces]
 
     def build(idx_lo: int, idx_hi: int, depth: int) -> ThetaCell:
         # leaves[idx_lo:idx_hi] all have depth > `depth` unless single leaf at depth
@@ -852,10 +873,10 @@ def globe_inclusion(m: int, n: int, side: str) -> DAMorphism:
 
 def amalgamation_over_globular_sum(t: ThetaCell) -> DAComplex:
     """Iterated pushout of globe complexes along the decomposition of t."""
-    dec = globular_sum(t)
-    acc = lambda_globe(dec.leaf_dims[0])
+    leaves, meets = globular_sum(t)
+    acc = lambda_globe(leaves[0][0])
     latest = identity_morphism(acc)      # inclusion of the newest leaf globe
-    for m, n_next in zip(dec.meet_dims, dec.leaf_dims[1:]):
+    for (m, _), (n_next, _) in zip(meets, leaves[1:]):
         meet = lambda_globe(m)
         nxt = lambda_globe(n_next)
         prev_n = latest.source.top_degree

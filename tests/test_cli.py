@@ -168,13 +168,14 @@ class TestSubcommands:
         assert capsys.readouterr().out == ""
         assert not target.exists()
 
-    @pytest.mark.parametrize("command", ["lambda", "tensor", "decompose"])
+    @pytest.mark.parametrize("command", ["lambda", "tensor", "decompose", "verify gray",
+                                         "verify span"])
     def test_depth_cap(self, capsys, forget_memos, command):
         # the deepest call chain: nothing built for a shallower cell is cached
         forget_memos()
-        assert main([command, f"G{MAX_DEPTH}"]) == 0
+        assert main([*command.split(), f"G{MAX_DEPTH}"]) == 0
         capsys.readouterr()
-        assert main([command, f"G{MAX_DEPTH + 1}"]) == 2
+        assert main([*command.split(), f"G{MAX_DEPTH + 1}"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

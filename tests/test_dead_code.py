@@ -8,9 +8,9 @@ that an import binds (followed through ``graycyl/__init__.py``).  An
 attribute ``x.a`` reaches ``a`` of the module or class that ``x`` is; that
 class is inferred from ``self`` and ``cls``, parameter and field
 annotations, constructor calls, return annotations and iteration over an
-annotated sequence.  A field is a dataclass or NamedTuple field, a name in
-``__slots__`` (typed by the constructor parameter of that name), a name the
-class body assigns, or an attribute that ``__init__`` stores on ``self``.
+annotated sequence.  A field is a name in ``__slots__`` (typed by the
+constructor parameter of that name), a name the class body assigns, or an
+attribute that ``__init__`` stores on ``self``.
 A member read counts for the class, its library bases and its library
 subclasses.  An attribute read whose receiver has no inferred class counts
 for every library class with a member of that name.
@@ -68,16 +68,6 @@ def _assigned_names(node) -> list:
     return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    return any(isinstance(d, ast.Name) and d.id == "dataclass"
-               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
-               for d in node.decorator_list)
-
-
-def _is_named_tuple(node: ast.ClassDef) -> bool:
-    return any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)
-
-
 @dataclass
 class ClassInfo:
     node: ast.ClassDef
@@ -105,9 +95,9 @@ def _fields(node) -> list:
 
 def _class_info(cls: ast.ClassDef, module: str) -> ClassInfo:
     """Each method, property and field of a class: its non-dunder defs, its
-    dataclass or NamedTuple fields, its __slots__, the names its body
-    assigns (a property made by a call) and every attribute that __init__
-    stores on self, with the annotation of each value where there is one:
+    __slots__, the names its body assigns (a property made by a call) and
+    every attribute that __init__ stores on self, with the annotation of
+    each value where there is one:
     that of an annotated store, of the parameter a plain store copies, or,
     for a slot, of the parameter of __init__ or __new__ with its name."""
     info = ClassInfo(cls, module)
@@ -137,10 +127,6 @@ def _class_info(cls: ast.ClassDef, module: str) -> ClassInfo:
                     elif isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Name):
                         for t in filter(_on_self, sub.targets):
                             info.annotations.setdefault(t.attr, params.get(sub.value.id))
-        elif (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
-              and (_is_dataclass(cls) or _is_named_tuple(cls))):
-            info.members[node.target.id] = node
-            info.annotations[node.target.id] = node.annotation
     return info
 
 
@@ -379,8 +365,6 @@ class Scope:
             return _union(_attribute(t, node.attr) for t in self.infer(node.value) or [None])
         if isinstance(node, ast.Subscript) and not isinstance(node.slice, ast.Slice):
             return _elements(self.infer(node.value))
-        if isinstance(node, ast.IfExp):
-            return _union([self.infer(node.body), self.infer(node.orelse)])
         return None
 
 

@@ -608,17 +608,27 @@ class TestPerturbedInputsFail:
 
     def test_globular_meet_piece(self, monkeypatch):
         # the leaves of [2] meet in vertex 1, not in vertex 0
-        monkeypatch.setattr(gray, "meet_inclusion", lambda u, gap: vertex(u, 0))
+        real = gray.globular_sum
+
+        def perturbed(u):
+            leaves, meets = real(u)
+            return leaves, [(0, vertex(u, 0))] + meets[1:]
+
+        monkeypatch.setattr(gray, "globular_sum", perturbed)
         assert not verify_globular_preservation(cell(2))
         monkeypatch.undo()
         assert verify_globular_preservation(cell(2))
 
     def test_globular_leaf_piece(self, monkeypatch):
         t = parse_cell("[2]([1],[0])")
-        real = gray.leaf_inclusion
-        # the second leaf piece becomes a copy of the first
-        monkeypatch.setattr(gray, "leaf_inclusion",
-                            lambda u, leaf: real(u, 0 if leaf == 1 else leaf))
+        real = gray.globular_sum
+
+        def perturbed(u):
+            # the second leaf piece becomes a copy of the first
+            leaves, meets = real(u)
+            return [leaves[0], leaves[0]] + leaves[2:], meets
+
+        monkeypatch.setattr(gray, "globular_sum", perturbed)
         assert not verify_globular_preservation(t)
         monkeypatch.undo()
         assert verify_globular_preservation(t)

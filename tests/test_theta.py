@@ -13,8 +13,8 @@ from graycyl.dac import MorphismError, lambda_map
 from graycyl.gray import o_cell
 from graycyl.theta import (MAX_DEPTH, CellSyntaxError, POINT, ThetaCell, ThetaMap, bang, cell,
                            cells_up_to, cells_with_nodes, coface, coface_map, globe,
-                           globular_sum, hyperfaces, leaf_inclusion, meet_inclusion, mirror,
-                           parse_cell, segment_map, theta_identity, vertex)
+                           globular_sum, hyperfaces, mirror, parse_cell, segment_map,
+                           theta_identity, vertex)
 
 from oracles import (SimplicialMap, as_oracle, bang_morphism, check_map, codegeneracy,
                      coface_morphism, component, compose, gamma_image, hyperface_morphisms,
@@ -89,28 +89,30 @@ class TestDimension:
             assert globe(n).dimension() == n
 
 
+def globular_dims(t):
+    """The dimensions of the leaves and of the meets of t's globular sum."""
+    leaves, meets = globular_sum(t)
+    return [n for n, _ in leaves], [m for m, _ in meets]
+
+
 class TestGlobularSum:
     def test_globe_single_leaf(self):
         for n in range(5):
-            d = globular_sum(globe(n))
-            assert d.leaf_dims == (n,)
-            assert d.meet_dims == ()
+            assert globular_dims(globe(n)) == ([n], [])
 
     def test_examples(self):
-        d = globular_sum(parse_cell("[2]([1],[0])"))
-        assert (d.leaf_dims, d.meet_dims) == ((2, 1), (0,))
-        d = globular_sum(parse_cell("[1]([2])"))
-        assert (d.leaf_dims, d.meet_dims) == ((2, 2), (1,))
+        assert globular_dims(parse_cell("[2]([1],[0])")) == ([2, 1], [0])
+        assert globular_dims(parse_cell("[1]([2])")) == ([2, 2], [1])
 
     def test_shape_condition(self):
         for t in cells_up_to(7):
-            d = globular_sum(t)
-            for i, m in enumerate(d.meet_dims):
-                assert d.leaf_dims[i] >= m <= d.leaf_dims[i + 1]
+            leaf_dims, meet_dims = globular_dims(t)
+            for i, m in enumerate(meet_dims):
+                assert leaf_dims[i] >= m <= leaf_dims[i + 1]
 
     def test_reconstruct_corpus(self):
         for t in cells_up_to(7):
-            assert reconstruct(globular_sum(t)) == t
+            assert reconstruct(*globular_sum(t)) == t
 
 
 class TestGammaImage:
@@ -266,23 +268,19 @@ class TestMisc:
 
     def test_leaf_and_meet_inclusions(self):
         for t in cells_up_to(6):
-            d = globular_sum(t)
-            for i, n in enumerate(d.leaf_dims):
-                inc = leaf_inclusion(t, i)
+            leaves, meets = globular_sum(t)
+            for n, inc in leaves + meets:
                 assert inc.source == globe(n)
                 assert inc.target == t
-            for g, m in enumerate(d.meet_dims):
-                inc = meet_inclusion(t, g)
-                assert inc.source == globe(m)
 
     def test_faces_and_globe_inclusions_are_pinned(self):
         lines = []
         for t in cells_up_to(7):
             for h in hyperfaces(t):
                 lines.append((h.kind, h.position, h.map))
-            d = globular_sum(t)
-            lines += [("leaf", (i,), leaf_inclusion(t, i)) for i in range(len(d.leaf_dims))]
-            lines += [("meet", (g,), meet_inclusion(t, g)) for g in range(len(d.meet_dims))]
+            leaves, meets = globular_sum(t)
+            lines += [("leaf", (i,), f) for i, (_, f) in enumerate(leaves)]
+            lines += [("meet", (g,), f) for g, (_, f) in enumerate(meets)]
         text = "\n".join(f"{kind} {position} {f.source} {f.target} {as_oracle(f)}"
                          for kind, position, f in lines)
         assert len(lines) == 2925
@@ -385,8 +383,7 @@ class TestDeepCells:
         t = parse_cell("[2]([1],[0])")
         face = hyperfaces(t)[0]
         for value, name in ((t, "children"), (face.map, "image"), (face.map, "lam"),
-                            (as_oracle(face.map).base, "image"),
-                            (face, "map"), (globular_sum(t), "leaf_dims"),
+                            (as_oracle(face.map).base, "image"), (face, "map"),
                             (pr.Cell(t), "cell"), (pr.PR((t,)), "cells")):
             with pytest.raises(AttributeError):
                 setattr(value, name, None)
@@ -500,11 +497,11 @@ class TestMapsMatchTheirOracles:
                 for j in (k - 1, k):
                     same(coface_map(o_cell(t, j), k, j + 1),
                          coface_morphism(o_cell(t, j), k, j + 1), "coface")
-            d = globular_sum(t)
-            for i in range(len(d.leaf_dims)):
-                same(leaf_inclusion(t, i), leaf_morphism(t, i), "leaf")
-            for g in range(len(d.meet_dims)):
-                same(meet_inclusion(t, g), meet_morphism(t, g), "meet")
+            leaves, meets = globular_sum(t)
+            for i, (_, f) in enumerate(leaves):
+                same(f, leaf_morphism(t, i), "leaf")
+            for g, (_, f) in enumerate(meets):
+                same(f, meet_morphism(t, g), "meet")
         assert counts == {"identity": 626, "bang": 626, "vertex": 2055, "segment": 1429,
                           "hyperface": 6862, "coface": 2858, "leaf": 2354, "meet": 1728}
 
