@@ -180,8 +180,9 @@ class NuView:
         """The d-cells sorted by their entries' ranks among the layer's
         entry keys (EntryText.key).  A layer's cells have d + 1 rows each and
         no key is a prefix of another, so this is the order of the reprs of
-        the cells as rows of (name, 1) pairs, which pinned bytes keep."""
-        if d > self.max_dim:
+        the cells as rows of (name, 1) pairs, which pinned bytes keep.  A d
+        outside 0..max_dim has no cells."""
+        if not 0 <= d <= self.max_dim:
             return ()
         if d not in self._sorted:
             layer, entry = self.layers[d], self.complex.rendering.entry

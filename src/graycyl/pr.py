@@ -200,7 +200,10 @@ def _count(expr: PRExpr, d: int) -> int:
 
 
 def pr_count(cells_or_expr, d: int) -> int:
-    """Total d-cell count of PR(cells) (or of any expression)."""
+    """Total d-cell count of PR(cells) (or of any expression): 0 for
+    d < 0, where _count would read a point as one cell."""
+    if d < 0:
+        return 0
     if isinstance(cells_or_expr, PRExpr):
         return _count(cells_or_expr, d)
     return _count(pr(cells_or_expr), d)

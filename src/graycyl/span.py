@@ -23,7 +23,7 @@ from functools import cache
 
 from .dac import DAComplex, DAMorphism, lambda_cell, lambda_map, morphisms_agree, wreath_map
 from .gray import cylinder_complex, endpoint_inclusion, interval, lax_shuffle_diagram
-from .theta import POINT, ThetaCell, cell, coface, mirror, theta_identity
+from .theta import POINT, ThetaCell, cell, coface, fold, theta_identity
 
 
 def split_map(n: int, j: int) -> tuple:
@@ -34,40 +34,30 @@ def split_map(n: int, j: int) -> tuple:
     return tuple(0 if i < j else 1 for i in range(n + 1))
 
 
-def mirror_positions(t: ThetaCell, mt: ThetaCell) -> tuple:
-    """By position in lambda(t), the position of the generator of
-    lambda(mt), where mt is mirror(t), that matches it under the reversal:
-    o_p goes to o_{n-p}, and i|x to (n+1-i)|x' for the mirror x' of x.
+def mirror_positions(t: ThetaCell) -> tuple:
+    """(mt, table): the mirror mt of t, and by position in lambda(t) the
+    position of the generator of lambda(mt) that matches it under the
+    reversal: o_p goes to o_{n-p}, and i|x to (n+1-i)|x' for the mirror x'
+    of x.  Both come from one fold over the distinct subtrees of t."""
+    mt, table = fold(t, _mirror_table, {})
+    return mt, tuple(table)
 
-    Built bottom-up from an explicit stack, with no recursion, once per
-    distinct subtree u of t: the mirror of a child of u is read off the
-    mirror of u (child i of u goes with child n+1-i of it), and u's table
-    from its children's, over the parts of lambda(u) and of lambda of its
-    mirror."""
-    tables: dict = {}
-    stack = [(t, mt)]
-    while stack:
-        u, v = stack[-1]
-        if u in tables:
-            stack.pop()
-            continue
-        n = u.width
-        missing = [(c, v.children[n - 1 - i]) for i, c in enumerate(u.children)
-                   if c not in tables]
-        if missing:
-            stack.extend(missing)
-            continue
-        stack.pop()
-        K, M = lambda_cell(u), lambda_cell(v)
-        out = [None] * len(K.diff)
-        for p, x in enumerate(K.parts[0]):
-            out[x] = M.parts[0][n - p]
-        for i, c in enumerate(u.children, start=1):
-            inner, slot = tables[c], M.parts[n + 1 - i]
-            for x, y in enumerate(K.parts[i]):
-                out[y] = slot[inner[x]]
-        tables[u] = out
-    return tuple(tables[t])
+
+def _mirror_table(u: ThetaCell, below: dict) -> tuple:
+    """(mirror of u, its table), given those of u's children in below: child
+    i of u goes with child n+1-i of the mirror, over the parts of lambda(u)
+    and of lambda of the mirror."""
+    n = u.width
+    mu = ThetaCell(tuple([below[c][0] for c in reversed(u.children)]))
+    K, M = lambda_cell(u), lambda_cell(mu)
+    out = [None] * len(K.diff)
+    for p, x in enumerate(K.parts[0]):
+        out[x] = M.parts[0][n - p]
+    for i, c in enumerate(u.children, start=1):
+        inner, slot = below[c][1], M.parts[n + 1 - i]
+        for x, y in enumerate(K.parts[i]):
+            out[y] = slot[inner[x]]
+    return mu, out
 
 
 def _ends_to(t: ThetaCell, tgt: DAComplex, ends, cross=()) -> DAMorphism:
@@ -106,9 +96,9 @@ def projection_to_cell(t: ThetaCell) -> DAMorphism:
 
 
 def shift_map(t: ThetaCell, mt: ThetaCell, mirrored: tuple) -> DAMorphism:
-    """cyl(T) -> lambda([1];(mt)), where mt is mirror(t): ends collapse to
-    the two objects, h⊗x goes to the suspended mirror of x, read from
-    mirrored, which is mirror_positions(t, mt)."""
+    """cyl(T) -> lambda([1];(mt)), where (mt, mirrored) is
+    mirror_positions(t): ends collapse to the two objects, h⊗x goes to the
+    suspended mirror of x, read from mirrored."""
     tgt = lambda_cell(ThetaCell((mt,)))
     slot = tgt.parts[1]
     return _ends_to(t, tgt, (*tgt.parts[0], None), [slot[x] for x in mirrored])
@@ -171,10 +161,10 @@ def kappa_column_expectations(t: ThetaCell):
 def sigma_column_expectations(t: ThetaCell, mt: ThetaCell, mirrored: tuple):
     """(column, expected sigma composite) pairs.  O_j goes over the edge of
     the shift through its unit slot j+1, onto the object n-j of the mirrored
-    cell mt, which is mirror(t).  M_k goes over it through its cylinder slot
-    k: the ends of the child go to the objects n-k and n+1-k of mt, and its
-    crossing generators into the slot n+1-k, read from t's mirror table
-    mirrored, which is mirror_positions(t, mt)."""
+    cell mt.  M_k goes over it through its cylinder slot k: the ends of the
+    child go to the objects n-k and n+1-k of mt, and its crossing generators
+    into the slot n+1-k, read from t's mirror table mirrored, where
+    (mt, mirrored) is mirror_positions(t)."""
     n = t.width
     tgt = lambda_cell(ThetaCell((mt,)))
     M, K, point = lambda_cell(mt), lambda_cell(t), lambda_cell(POINT)
@@ -196,12 +186,13 @@ def sigma_column_expectations(t: ThetaCell, mt: ThetaCell, mirrored: tuple):
 # ---------------------------------------------------------------------------
 
 class SpanReport:
-    __slots__ = ("cell", "kappa_functor", "sigma_functor", "kappa_columns",
+    __slots__ = ("cell", "mirrored", "kappa_functor", "sigma_functor", "kappa_columns",
                  "sigma_columns", "diamonds", "split_identities")
 
-    def __init__(self, cell: ThetaCell, kappa_functor: list, sigma_functor: list,
-                 split_identities: bool):
+    def __init__(self, cell: ThetaCell, mirrored: ThetaCell, kappa_functor: list,
+                 sigma_functor: list, split_identities: bool):
         self.cell = cell
+        self.mirrored = mirrored                # the cell the shift suspends
         self.kappa_functor = kappa_functor      # (kind, g) of p1, then p2
         self.sigma_functor = sigma_functor      # (kind, g) of q
         self.kappa_columns: list = []
@@ -231,8 +222,7 @@ class SpanReport:
 
 def verify_span(t: ThetaCell) -> SpanReport:
     """The span report on t, whose sigma side reads one mirror of t."""
-    mt = mirror(t)
-    mirrored = mirror_positions(t, mt)
+    mt, mirrored = mirror_positions(t)
     return _span_report(t, projection_to_interval(t), projection_to_cell(t),
                         shift_map(t, mt, mirrored), mt, mirrored)
 
@@ -240,10 +230,10 @@ def verify_span(t: ThetaCell) -> SpanReport:
 def _span_report(t: ThetaCell, p1: DAMorphism, p2: DAMorphism, q: DAMorphism,
                  mt: ThetaCell, mirrored: tuple) -> SpanReport:
     """The report on the span with legs p1, p2 (kappa) and q (sigma), where
-    mt is mirror(t) and mirrored is mirror_positions(t, mt).  A leg that is
-    not a morphism of augmented directed complexes is recorded by its
-    violations, not raised."""
-    report = SpanReport(t, p1.violations() + p2.violations(), q.violations(),
+    (mt, mirrored) is mirror_positions(t).  A leg that is not a morphism of
+    augmented directed complexes is recorded by its violations, not
+    raised."""
+    report = SpanReport(t, mt, p1.violations() + p2.violations(), q.violations(),
                         _split_identities())
 
     for col, p1_exp, p2_exp in kappa_column_expectations(t):
@@ -287,7 +277,7 @@ def span_dot(t: ThetaCell) -> str:
     lines = ["digraph span {", "  rankdir=LR;",
              f'  cyl [label="[1]⊗{t}"];',
              f'  cart [label="[1]×{t}"];',
-             f'  shift [label="[1];({mirror(t)})"];',
+             f'  shift [label="[1];({rep.mirrored})"];',
              "  cyl -> cart [label=kappa];",
              "  cyl -> shift [label=sigma];"]
     for name, ok in rep.kappa_columns:

@@ -10,8 +10,9 @@ images of its base map and, per source segment, its (j, child map) legs,
 which is what dac.wreath_map reads to build the map's lambda map.
 
 The maps the checks read are built here: identities, bangs, vertices and
-one-segment maps, the hyperfaces, and the globular sum, one walk that
-gives each leaf and meet globe with its inclusion.
+one-segment maps, the hyperfaces, and the globular sum, which gives each
+leaf and meet globe with its inclusion.  Identities, hyperfaces, globular
+sums and mirrors are each one fold: children first, once per subtree.
 """
 
 from __future__ import annotations
@@ -130,9 +131,27 @@ def globe(n: int) -> ThetaCell:
     return t
 
 
+def fold(t: ThetaCell, build, memo: dict):
+    """memo[t], after setting memo[u] = build(u, memo) for every subtree u
+    of t that memo lacks: children first, so build reads theirs from memo,
+    and once per distinct subtree.  The subtrees are listed from one
+    explicit stack, each before its children, and built in reverse, so
+    deep cells do not recurse."""
+    order, stack = [], [t]
+    while stack:
+        u = stack.pop()
+        if u not in memo:
+            order.append(u)
+            stack += u.children
+    for u in reversed(order):
+        if u not in memo:
+            memo[u] = build(u, memo)
+    return memo[t]
+
+
 def mirror(t: ThetaCell) -> ThetaCell:
-    """Recursive left-right reversal of the tree."""
-    return ThetaCell(tuple(mirror(c) for c in reversed(t.children)))
+    """Left-right reversal of the tree."""
+    return fold(t, lambda u, m: ThetaCell(tuple([m[c] for c in reversed(u.children)])), {})
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +159,11 @@ def mirror(t: ThetaCell) -> ThetaCell:
 # ---------------------------------------------------------------------------
 
 # Deepest tree parse_cell accepts.  Cell construction, equality, hashing,
-# printing and dimension() do not recurse, but the complex builders recurse
-# through three or four frames per tree level; under Python's default
-# recursion limit of 1000 they fail near depth 250.
+# printing, dimension() and every builder that goes through fold do not
+# recurse, but four things still recurse per tree level: dac.lambda_cell
+# through its lru_cache, dac.lambda_map over a map's legs, dac.render_name
+# and parse_cell itself.  Under Python's default recursion limit of 1000
+# the complex builders fail near depth 250.
 MAX_DEPTH = 200
 
 
@@ -256,25 +277,10 @@ _IDENTITIES: dict = {}
 
 
 def theta_identity(t: ThetaCell) -> ThetaMap:
-    """The identity of t.  Built once per cell and kept, bottom-up from an
-    explicit stack, so deep cells do not recurse."""
-    out = _IDENTITIES.get(t)
-    if out is not None:
-        return out
-    stack = [t]
-    while stack:
-        u = stack[-1]
-        if u in _IDENTITIES:
-            stack.pop()
-            continue
-        missing = [c for c in u.children if c not in _IDENTITIES]
-        if missing:
-            stack.extend(missing)
-            continue
-        stack.pop()
-        _IDENTITIES[u] = ThetaMap(u, u, tuple(range(u.width + 1)), tuple(
-            [((i, _IDENTITIES[c]),) for i, c in enumerate(u.children, start=1)]))
-    return _IDENTITIES[t]
+    """The identity of t.  Built once per cell and kept."""
+    return _IDENTITIES.get(t) or fold(t, lambda u, ids: ThetaMap(
+        u, u, tuple(range(u.width + 1)),
+        tuple([((i, ids[c]),) for i, c in enumerate(u.children, start=1)])), _IDENTITIES)
 
 
 @cache
@@ -323,20 +329,21 @@ def hyperfaces(t: ThetaCell) -> list[Hyperface]:
     """All vertical, outer and inner hyperfaces into t.
 
     Vertical faces replace one child by one of its own hyperfaces' sources,
-    and equal children share those faces; outer faces drop the first or last
+    and equal subtrees share those faces; outer faces drop the first or last
     slot; inner faces d^k exist next to unit children and come in an (id,!)
     and a (!,id) variant.
     """
+    return fold(t, _hyperfaces, {})
+
+
+def _hyperfaces(t: ThetaCell, below: dict) -> list[Hyperface]:
+    """The hyperfaces into t, given those into its children in below."""
     n = t.width
     out: list[Hyperface] = []
     ids = tuple([((i, theta_identity(c)),) for i, c in enumerate(t.children, start=1)])
     image = tuple(range(n + 1))
-    below: dict = {}
     for k, c in enumerate(t.children, start=1):
-        subs = below.get(c)
-        if subs is None:
-            subs = below[c] = hyperfaces(c)
-        for sub in subs:
+        for sub in below[c]:
             g = sub.map
             src = ThetaCell(t.children[:k - 1] + (g.source,) + t.children[k:])
             out.append(Hyperface("vertical", (k,) + sub.position,
@@ -361,20 +368,21 @@ def globular_sum(t: ThetaCell) -> tuple[list, list]:
     where consecutive leaves meet, each as a (dimension, inclusion into t)
     pair.  A leaf or meet of child s goes in through segment s, one
     dimension up, and the last leaf of child s meets the first of child
-    s+1 in vertex s.  Equal children share their pieces."""
+    s+1 in vertex s.  Equal subtrees share their pieces."""
+    return fold(t, _globular_sum, {})
+
+
+def _globular_sum(t: ThetaCell, below: dict) -> tuple[list, list]:
+    """The globular sum of t, given those of its children in below."""
     if t.width == 0:
         return [(0, theta_identity(t))], []
-    leaves: list = []
-    meets: list = []
-    below: dict = {}
+    leaves, meets = [], []
     for s, c in enumerate(t.children, start=1):
         if s > 1:
             meets.append((0, vertex(t, s - 1)))
-        sub = below.get(c)
-        if sub is None:
-            sub = below[c] = globular_sum(c)
-        leaves += [(n + 1, segment_map(t, s, g)) for n, g in sub[0]]
-        meets += [(m + 1, segment_map(t, s, g)) for m, g in sub[1]]
+        sub_leaves, sub_meets = below[c]
+        leaves += [(n + 1, segment_map(t, s, g)) for n, g in sub_leaves]
+        meets += [(m + 1, segment_map(t, s, g)) for m, g in sub_meets]
     return leaves, meets
 
 

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from graycyl import dac, gray, theta
+from graycyl import cli, dac, gray, intlin, nu, pr, span, theta
 
 
 def _forget_memos():
@@ -21,3 +23,19 @@ def forget_memos():
     between the very same complexes: a kept identity or bang holds its
     lambda map, whose complexes the next lambda_cell would not return."""
     return _forget_memos
+
+
+@pytest.fixture
+def mirror_calls(monkeypatch):
+    """A Counter, by cell, of the calls of theta.mirror made while the test
+    runs, through the module theta or any name a library module binds to
+    it."""
+    calls, real = Counter(), theta.mirror
+
+    def counted(t):
+        calls[t] += 1
+        return real(t)
+
+    for module in (cli, dac, gray, intlin, nu, pr, span, theta):
+        monkeypatch.setattr(module, "mirror", counted, raising=False)
+    return calls

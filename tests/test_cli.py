@@ -188,6 +188,12 @@ class TestSubcommands:
         assert main(["emit", "span"] + args) == 0
         assert capsys.readouterr().out.count('color=green') == 6
 
+    def test_emit_span_mirrors_no_cell(self, capsys, mirror_calls):
+        # the shift node's label is the mirror the span report holds
+        assert main(["emit", "span", "[2]([1],[0])"]) == 0
+        assert 'shift [label="[1];([2]([0],[1]))"]' in capsys.readouterr().out
+        assert not mirror_calls
+
     def test_span_subcommand(self, capsys):
         assert main(["span", "[1]([1])"]) == 0
         data = json.loads(capsys.readouterr().out)

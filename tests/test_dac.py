@@ -12,7 +12,7 @@ from graycyl.dac import (ComplexError, DAMorphism, MorphismError, check_basis,
 from graycyl.gray import (cylinder_complex, cylinder_map, hyperface_cylinder,
                           lax_shuffle_diagram)
 from graycyl.span import mirror_positions, projection_to_cell, projection_to_interval, shift_map
-from graycyl.theta import (POINT, cell, cells_up_to, globe, hyperfaces, mirror, parse_cell,
+from graycyl.theta import (POINT, cell, cells_up_to, globe, hyperfaces, parse_cell,
                            theta_identity, vertex)
 
 from oracles import (amalgamate_with_inclusions, amalgamation_over_globular_sum,
@@ -277,9 +277,8 @@ class TestViolations:
         # built and with every coefficient doubled
         maps = 0
         for t in cells_up_to(6):
-            mt = mirror(t)
             legs = (projection_to_interval(t), projection_to_cell(t),
-                    shift_map(t, mt, mirror_positions(t, mt)))
+                    shift_map(t, *mirror_positions(t)))
             faces = tuple(lambda_map(face.map) for face in hyperfaces(t))
             for m in tuple(c.embed for c in lax_shuffle_diagram(t)) + legs + faces:
                 assert m.violations() == violations_by_dict(m) == []
@@ -354,9 +353,8 @@ class TestComposites:
         composites = 0
         for t in cells_up_to(6):
             columns = lax_shuffle_diagram(t)
-            mt = mirror(t)
             legs = (projection_to_interval(t), projection_to_cell(t),
-                    shift_map(t, mt, mirror_positions(t, mt)))
+                    shift_map(t, *mirror_positions(t)))
             pairs = [(c.embed, leg) for c in columns for leg in legs]
             pairs += [pair for _, _, col_o, col_m, leg_o, leg_m in gray._spans(t, columns)
                       for pair in ((leg_o, col_o.embed), (leg_m, col_m.embed))]

@@ -44,6 +44,7 @@ PACKAGE = "graycyl"
 # Public names that only tests use, kept as independent checks of the library.
 ORACLES = {
     "theta.cells_up_to": "the corpora of the tests and the benchmark",
+    "theta.mirror": "the tests' reference for the mirrored cell of span.mirror_positions",
 }
 
 TREES = {path: ast.parse(path.read_text(encoding="utf-8")) for path in LIBRARY + TESTS}

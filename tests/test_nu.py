@@ -142,6 +142,13 @@ class TestEnumeration:
         view = NuView(lambda_globe(0), 3)
         assert view.counts() == (1, 1, 1, 1)
 
+    def test_cells_outside_the_dimensions_are_empty(self):
+        # a negative d indexes no layer from the top
+        view = NuView(cylinder_complex(cell(1)), 2)
+        assert len(view.cells(2)) == 11
+        for d in (-1, -2, -3, 3):
+            assert view.cells(d) == ()
+
     def test_globes_up_to_five(self):
         for n in range(6):
             view = NuView(lambda_globe(n), n)

@@ -101,6 +101,11 @@ class TestCounting:
         with pytest.raises(TypeError):
             pr_count(Unknown(), 0)
 
+    def test_no_cells_below_dimension_zero(self):
+        for cells in ([ONE], [TWO], []):
+            assert pr_count(cells, -1) == pr_count(cells, -3) == 0
+        assert pr_count(POINT_EXPR, -1) == pr_count(EMPTY, -1) == 0
+
     def test_theta_count_matches_nu(self):
         from graycyl.dac import lambda_cell
         from graycyl.nu import NuView

@@ -35,16 +35,8 @@ def doubled(m: DAMorphism) -> DAMorphism:
                           {g: {h: 2 * c for h, c in img.items()} for g, img in images(m).items()})
 
 
-def mirror_args(t):
-    """The mirror of t and its position table, as verify_span builds them:
-    the last arguments of shift_map, sigma_column_expectations and
-    _span_report."""
-    mt = mirror(t)
-    return mt, mirror_positions(t, mt)
-
-
 def shift(t):
-    return shift_map(t, *mirror_args(t))
+    return shift_map(t, *mirror_positions(t))
 
 
 def legs(t):
@@ -110,7 +102,7 @@ class TestShiftMap:
         t = parse_cell("[2]([1],[0])")
         names = lambda_cell(t).names
         mirrored = lambda_cell(mirror(t)).names
-        mirror_name = {g: mirrored[x] for g, x in zip(names, mirror_positions(t, mirror(t)))}
+        mirror_name = {g: mirrored[x] for g, x in zip(names, mirror_positions(t)[1])}
         assert mirror_name == {
             ("o", 0): ("o", 2), ("o", 1): ("o", 1), ("o", 2): ("o", 0),
             ("s", 1, ("o", 0)): ("s", 2, ("o", 1)), ("s", 1, ("o", 1)): ("s", 2, ("o", 0)),
@@ -118,35 +110,28 @@ class TestShiftMap:
             ("s", 1, ("s", 1, ("o", 0))): ("s", 2, ("s", 1, ("o", 0)))}
         assert mirror(t) == parse_cell("[2]([0],[1])")
 
-    def test_mirror_table_built_once_per_report(self, monkeypatch):
+    def test_mirror_table_built_once_per_report(self, monkeypatch, mirror_calls):
         # q, the sigma columns and the diamonds read one mirror of the cell
-        # and one table, built from it in one pass: no call per child
-        built, real_mirror = span.mirror_positions, span.mirror
-        calls, mirrors = Counter(), Counter()
+        # and one table, both built in one fold: no call per child, and no
+        # mirror of the cell on its own
+        built, calls = span.mirror_positions, Counter()
 
-        def counted(t, mt):
+        def counted(t):
             calls[t] += 1
-            return built(t, mt)
-
-        def mirrored(t):
-            mirrors[t] += 1
-            return real_mirror(t)
+            return built(t)
 
         monkeypatch.setattr(span, "mirror_positions", counted)
-        monkeypatch.setattr(span, "mirror", mirrored)
         for t in cells_up_to(5):
             calls.clear()
-            mirrors.clear()
-            assert span.mirror_positions(t, real_mirror(t)) == mirror_positions_by_recursion(t)
-            assert calls == {t: 1} and not mirrors, str(t)
-            calls.clear()
-            assert verify_span(t).passed
-            assert calls == {t: 1} and mirrors == {t: 1}, str(t)
+            rep = verify_span(t)
+            assert calls == {t: 1} and not mirror_calls, str(t)
+            assert rep.passed and rep.mirrored == mirror(t)
 
     def test_mirror_table_matches_the_recursive_oracle(self):
         cells = cells_up_to(8)
         for t in cells:
-            assert mirror_positions(t, mirror(t)) == mirror_positions_by_recursion(t), str(t)
+            mt, table = mirror_positions(t)
+            assert mt == mirror(t) and table == mirror_positions_by_recursion(t), str(t)
         assert len(cells) == 626
 
     def test_is_chain_map_on_corpus(self):
@@ -215,7 +200,7 @@ class TestVerifySpan:
     def test_image_violation_is_reported(self):
         t = cell(2)
         p1, p2, q = legs(t)
-        rep = _span_report(t, p1, p2, swapped_ends(q), *mirror_args(t))
+        rep = _span_report(t, p1, p2, swapped_ends(q), *mirror_positions(t))
         assert not rep.passed and not rep.kappa_functor
         assert rep.sigma_functor and rep.sigma_functor[0][0] == "chain"
         assert rep.to_json()["sigma_functor_violations"] == len(rep.sigma_functor)
@@ -253,14 +238,14 @@ class TestVerifySpan:
     def test_broken_kappa_leg_fails(self):
         t = parse_cell("[1]([1])")
         p1, p2, q = legs(t)
-        rep = _span_report(t, p1, swapped_ends(p2), q, *mirror_args(t))
+        rep = _span_report(t, p1, swapped_ends(p2), q, *mirror_positions(t))
         assert not rep.passed
         assert rep.kappa_functor and not rep.sigma_functor
 
     def test_swapped_sigma_fails_every_square(self):
         t = parse_cell("[2]([1],[0])")
         p1, p2, q = legs(t)
-        rep = _span_report(t, p1, p2, swapped_ends(q), *mirror_args(t))
+        rep = _span_report(t, p1, p2, swapped_ends(q), *mirror_positions(t))
         assert rep.sigma_functor and not rep.kappa_functor
         assert rep.sigma_columns and not any(ok for _, ok in rep.sigma_columns)
         assert not rep.diamonds["sigma_e0"] and not rep.diamonds["sigma_e1"]
@@ -272,7 +257,7 @@ class TestVerifySpan:
         p1, p2, q = legs(t)
         # p1 lands in lambda([1]), so its ends are the objects o0 and o1
         assert p1.target is lambda_cell(cell(1))
-        rep = _span_report(t, swapped_ends(p1), p2, q, *mirror_args(t))
+        rep = _span_report(t, swapped_ends(p1), p2, q, *mirror_positions(t))
         assert rep.kappa_functor and not rep.sigma_functor
         assert rep.kappa_columns and not any(ok for _, ok in rep.kappa_columns)
         assert not rep.diamonds["kappa_e0"] and not rep.diamonds["kappa_e1"]
@@ -308,7 +293,7 @@ class TestExpectationsMatchTheThetaOracles:
     def test_sigma_columns(self):
         columns = 0
         for t in cells_up_to(7):
-            for c, q_exp in sigma_column_expectations(t, *mirror_args(t)):
+            for c, q_exp in sigma_column_expectations(t, *mirror_positions(t)):
                 want = (lambda_map(sigma_o_morphism(t, c.index)) if c.kind == "O"
                         else sigma_m_map(t, c))
                 assert_same_map(q_exp, want, (str(t), c.name))
@@ -446,7 +431,7 @@ class TestLegViolations:
         with pytest.raises(MorphismError):
             bad.validate()
         ms[leg] = bad
-        data = _span_report(self.T, *ms, *mirror_args(self.T)).to_json()
+        data = _span_report(self.T, *ms, *mirror_positions(self.T)).to_json()
         assert not data["passed"]
         broken, intact = (("sigma", "kappa") if leg == 2 else ("kappa", "sigma"))
         assert data[f"{broken}_functor_violations"] > 0

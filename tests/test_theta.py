@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import sys
 from functools import lru_cache
 
 import pytest
@@ -401,6 +402,33 @@ class TestDeepCells:
         assert repr(g) == f"ThetaCell({g})"
         assert g.dimension() == 1000
         assert str(ThetaCell((g, POINT))).startswith("[2]([1]([1](")
+
+    def test_tree_builders_do_not_recurse(self, monkeypatch):
+        # a cell built in library code, deeper than parse_cell accepts, under
+        # a recursion limit a fixed margin above this test's own depth
+        monkeypatch.setattr(theta, "_IDENTITIES", {})     # drop the deep cells afterwards
+        t = ThetaCell((globe(300), POINT))
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            faces = hyperfaces(t)
+            leaves, meets = globular_sum(t)
+            identity = theta_identity(t)
+            mirrored = mirror(t)
+        finally:
+            sys.setrecursionlimit(limit)
+        # globe(n) has the two outer faces at each of its n levels; t adds
+        # its own two outer faces and the inner face after its point child
+        assert len(faces) == 603
+        assert faces[0].position == (1,) * 300 + (0,) and faces[0].map.source.width == 2
+        assert [(f.kind, f.position) for f in faces[600:]] == [
+            ("outer", (0,)), ("outer", (2,)), ("inner", (1, "after"))]
+        assert [n for n, _ in leaves] == [301, 1] and [m for m, _ in meets] == [0]
+        assert identity.source is identity.target is t
+        assert mirrored == ThetaCell((POINT, globe(300)))
 
 
 class TestInterning:
