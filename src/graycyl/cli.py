@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache, lru_cache
+from functools import cache
 
 from .dac import lambda_cell
 from .gray import (cylinder_complex, gray_cylinder, hyperface_cylinder,
@@ -60,8 +60,8 @@ def _dump_pieces(view: NuView, indent: int | None):
     indent=indent) of data = {"counts": [...], "nondegenerate": [...],
     "cells": {str(d): [cell, ...]}}, where a cell is the list of its rows
     and a row is [neg, pos], each entry a {name: 1} dict, but no such tree
-    is built: each entry mask's text is rendered once per dump, and each
-    row's text from them."""
+    is built: each generator name is quoted once per dump, each entry mask's
+    text is rendered once from them, and each row's text from those."""
     # brk[level] opens a line at the indent of `level`: 0 the whole dump,
     # 1 its values, 2 a dimension's list, 3 a cell, 4 a row, 5 an entry
     if indent is None:
@@ -75,23 +75,30 @@ def _dump_pieces(view: NuView, indent: int | None):
         inner = brk[level + 1]
         return brackets[0] + inner + (sep + inner).join(items) + brk[level] + brackets[1]
 
-    entry = view.complex.rendering.entry
+    rendering = view.complex.rendering
+    entry = rendering.entry
+    quoted = {name: json.dumps(name, ensure_ascii=False) + ": 1" for name in rendering.text}
 
     @cache
     def mask_text(m: int) -> str:
-        return block([json.dumps(k, ensure_ascii=False) + ": 1" for k in entry(m).names],
-                     5, "{}")
+        return block([quoted[k] for k in entry(m).names], 5, "{}")
 
     @cache
     def row_text(row: tuple) -> str:
         return block([mask_text(row[0]), mask_text(row[1])], 4)
 
+    # a d-cell has d + 1 rows, so none is empty: each is its rows' texts
+    # joined between these strings
+    first, later = brk[3] + "[" + brk[4], sep + brk[3] + "[" + brk[4]
+    rows_sep, close = sep + brk[4], brk[3] + "]"
     yield "{" + brk[1] + '"cells": {'
     # every layer holds the identities of the 0-cells, so no list is empty
     for i, key in enumerate(sorted(str(d) for d in range(view.max_dim + 1))):
         yield (sep if i else "") + brk[2] + f'"{key}": ['
-        for j, c in enumerate(view.cells(int(key))):
-            yield (sep if j else "") + brk[3] + block([row_text(r) for r in c], 3)
+        opening = first
+        for c in view.cells(int(key)):
+            yield opening + rows_sep.join(map(row_text, c)) + close
+            opening = later
         yield brk[2] + "]"
     yield (brk[1] + "}" + sep + brk[1] + '"counts": ' + block([str(n) for n in view.counts()], 1)
            + sep + brk[1] + '"nondegenerate": '
@@ -131,10 +138,20 @@ def _run_verify(suite: str, t) -> tuple[bool, dict]:
     return ok, results
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared by every
-    later one."""
+# the subcommands in help order, each with the (name, choices) of its
+# positionals before the cell
+_COMMANDS = {
+    **dict.fromkeys(("decompose", "lambda", "tensor", "nu", "gray", "counts", "span"), ()),
+    "verify": (("suite", ("gluing", "globular", "hyperface", "span", "gray", "all")),),
+    "emit": (("kind", ("shuffle", "skeleton", "span")),),
+}
+
+
+@cache
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser with the subparser of `command` only, or of every
+    subcommand when `command` is None, built on the first call for it and
+    shared by every later one.  Either usage line names every subcommand."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max-dim", type=int, default=None)
     common.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
@@ -144,23 +161,23 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graycyl",
         description="Exact computations and verification for Gray cylinders over Theta-cells")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("decompose", "lambda", "tensor", "nu", "gray", "counts", "span"):
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for name in _COMMANDS if command is None else (command,):
         p = sub.add_parser(name, parents=[common])
+        for arg, choices in _COMMANDS[name]:
+            p.add_argument(arg, choices=choices)
         p.add_argument("cell")
-    pv = sub.add_parser("verify", parents=[common])
-    pv.add_argument("suite", choices=("gluing", "globular", "hyperface", "span", "gray", "all"))
-    pv.add_argument("cell")
-    pe = sub.add_parser("emit", parents=[common])
-    pe.add_argument("kind", choices=("shuffle", "skeleton", "span"))
-    pe.add_argument("cell")
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a known command needs its own subparser only; anything else (help, no
+    # argument, an unknown command, an option first) reads the whole parser
+    args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         t = parse_cell(args.cell)
     except CellSyntaxError as exc:

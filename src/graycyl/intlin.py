@@ -7,12 +7,15 @@ Z^width that its rows generate; entries from position `width` on ride along.
 Every reduction runs through `_echelon`, the incremental Hermite reduction
 (Cohen, "A Course in Computational Algebraic Number Theory", §2.4): rows go
 one at a time into an echelon keyed by pivot position.  A row whose first
-position is free becomes its pivot as it is; on a clash, Euclid on the two
-rows leaves the gcd row as the pivot and carries the remainder, which no
-longer holds that position, on to its next.  Each step is unimodular, so the
-pivots and the rows that reach zero generate the input's subgroup.  Rows over
-disjoint ranges of positions never meet in Euclid, so one echelon of all of
-them is the echelon of each range.
+position is free becomes its pivot as it is.  On a clash with a pivot that
+divides the row's entry there, the row drops that position by subtracting
+the multiple of the pivot, which stays, so a short pivot carries no fill-in
+into later rows; with any other pivot, Euclid on the two rows leaves the gcd
+row as the pivot and carries the remainder, which no longer holds that
+position, on to its next.  Each step is unimodular, so the pivots and the
+rows that reach zero generate the input's subgroup.  Rows over disjoint
+ranges of positions never clash, so one echelon of all of them is the
+echelon of each range.
 
 `rank` counts the pivots and `pivots` reads them, `intersection` is
 Zassenhaus's meet, and `contains` reduces vectors by the pivots: v lies in
@@ -64,6 +67,11 @@ def _echelon(rows, width: int) -> tuple[dict, list]:
             if piv is None:
                 pivots[p] = _positive(row)
                 break
+            c, e = row[0][1], piv[0][1]
+            if not c % e:
+                # the pivot divides: the row drops p and the pivot stays
+                row = row[1:] if len(piv) == 1 else _minus(row, c // e, piv)
+                continue
             # Euclid at p: piv keeps the gcd, row is left without p
             while row and row[0][0] == p:
                 piv, row = row, _minus(piv, piv[0][1] // row[0][1], row)

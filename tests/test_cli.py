@@ -1,8 +1,10 @@
+import argparse
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +16,8 @@ from graycyl.dac import MorphismError, lambda_cell
 from graycyl.gray import gray_cylinder
 from graycyl.nu import NuView
 from graycyl.theta import MAX_DEPTH, cells_up_to, cells_with_nodes, parse_cell
+
+from oracles import named_complex
 
 
 def run_cli(args):
@@ -242,7 +246,62 @@ class TestRepeatedMain:
         assert [code for code, _ in separate] == [0, 2, 0, 2, 0, 0, 0, 0, 0]
 
 
+class TestOneSubparser:
+    """main builds the parser of its command only, and the parser of every
+    subcommand for any other first argument; both read an argv alike."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "nosuch", "[1]"], ["gray", "[1]", "extra"], ["gray"], ["verify"], ["emit"],
+        ["verify", "-h"], ["-h"], ["nosuch"], ["--max-dim", "3", "gray", "[1]"], [],
+    ])
+    def test_same_exit_code_and_messages(self, capsys, argv):
+        def outcome(call):
+            try:
+                code = call()
+            except SystemExit as exc:
+                code = exc.code
+            return code, capsys.readouterr()
+
+        code, streams = outcome(lambda: cli._parser().parse_args(argv))
+        if not isinstance(code, argparse.Namespace):
+            assert outcome(lambda: main(argv)) == (code, streams)
+        else:
+            # the whole parser accepts it: main runs the command
+            code, (out, err) = outcome(lambda: main(argv))
+            assert (code, err) == (0, "") and out
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "gray", "[1]"], ["emit", "span", "[2]", "--out", "x.dot"],
+        ["counts", "[1]", "--format", "text", "--max-dim", "2"], ["nu", "--ceiling", "9", "G3"],
+    ])
+    def test_same_arguments(self, argv):
+        assert cli._parser(argv[0]).parse_args(argv) == cli._parser().parse_args(argv)
+
+
 class TestStartUp:
+    def test_one_command_builds_three_parsers(self):
+        # the common options, the top level and the command's subparser;
+        # a parser per subcommand would make 11
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = textwrap.dedent("""\
+            import argparse, sys
+            sys.path.insert(0, sys.argv[1])
+            built, init = [], argparse.ArgumentParser.__init__
+            def counted(self, *args, **kwargs):
+                built.append(self)
+                init(self, *args, **kwargs)
+            argparse.ArgumentParser.__init__ = counted
+            from graycyl.cli import main
+            code = main(["verify", "gray", "[1]"])
+            print(code, len(built), file=sys.stderr)
+            """)
+        proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        code, built = map(int, proc.stderr.split())
+        assert code == 0
+        assert built <= 3
+
     def test_cli_import_loads_no_dataclasses_inspect_or_typing(self):
         # each CLI process pays for every module its import loads; these three
         # cost several milliseconds and the library needs none of them
@@ -392,6 +451,21 @@ class TestStreamedDump:
             assert main(args + ["--format", fmt, "--out", str(target)]) == 0
             assert capsys.readouterr().out == ""
             assert target.read_bytes() == want.encode("utf-8")
+
+    def test_names_that_need_escapes(self):
+        # each name is quoted once per dump: a quote, a backslash, a tab and
+        # names beyond ASCII, which the dump keeps as they are
+        K = named_complex([['a"', "b\\"], ["f→", "g\t"], ["α"]],
+                          {"f→": {'a"': -1, "b\\": 1}, "g\t": {'a"': -1, "b\\": 1},
+                           "α": {"f→": -1, "g\t": 1}},
+                          {'a"': 1, "b\\": 1})
+        view = NuView(K, 3)
+        assert view.counts()[2] > 2
+        for fmt, indent in (("json", None), ("text", 1)):
+            out = "".join(cli._dump_pieces(view, indent)) + "\n"
+            assert out == tree_dump(view, fmt)
+            for quoted in ('"a\\"": 1', '"b\\\\": 1', '"f→": 1', '"g\\t": 1', '"α": 1'):
+                assert quoted in out
 
     def test_written_cell_by_cell(self, monkeypatch):
         stdout = Recorder()

@@ -281,3 +281,28 @@ class TestIntersection:
         inter = intlin.intersection(sparse([(1, 0, 0), (0, 1, 0)]),
                                     sparse([(0, 2, 0), (0, 0, 1)]), 3)
         assert same_subgroup(inter, sparse([(0, 2, 0)]), 3)
+
+
+class TestDividingPivot:
+    """A row whose entry at a pivot's position is a multiple of the pivot is
+    reduced by it, and the pivot stays; Euclid runs only when the pivot does
+    not divide."""
+
+    def test_a_unit_pivot_stays(self):
+        # Euclid alone would make the longer row the pivot at 0 and carry
+        # the remainder (0, -1, -1) on to position 1
+        e0 = ((0, 1),)
+        pivots, zero = intlin._echelon([e0, ((0, 1), (1, 1), (2, 1))], 3)
+        assert pivots == {0: e0, 1: ((1, 1), (2, 1))}
+        assert zero == []
+
+    def test_a_dividing_pivot_stays(self):
+        two = ((0, 2), (1, 1))
+        pivots, zero = intlin._echelon([two, ((0, 4), (1, 3))], 2)
+        assert pivots == {0: two, 1: ((1, 1),)}
+        assert zero == []
+
+    def test_euclid_reaches_the_gcd(self):
+        pivots, zero = intlin._echelon([((0, 4),), ((0, 6),)], 1)
+        assert pivots == {0: ((0, 2),)}
+        assert zero == [()]
