@@ -233,10 +233,12 @@ def _injective(rows, width: int) -> bool:
 
 
 def _covers(rows, K: DAComplex) -> dict:
-    """Per degree d of K, do the rows span that degree's lattice?  Each row
-    lies in one degree, so one echelon holds every degree's pivots."""
+    """Per degree d of K, keyed by str(d) as the report prints it, do the
+    rows span that degree's lattice?  Each row lies in one degree, so one
+    echelon holds every degree's pivots."""
     pivots = intlin.pivots(rows, len(K.diff))
-    return {d: all(pivots.get(x) == 1 for x in K.positions(d)) for d in range(K.top_degree + 1)}
+    return {str(d): all(pivots.get(x) == 1 for x in K.positions(d))
+            for d in range(K.top_degree + 1)}
 
 
 def _meet_in(a, b, m, width: int) -> bool:
@@ -246,74 +248,49 @@ def _meet_in(a, b, m, width: int) -> bool:
     return intlin.contains(meet, m, width) and intlin.contains(m, meet, width)
 
 
-class GluingReport:
-    __slots__ = ("cell", "monos", "coverage", "spans")
-
-    def __init__(self, cell: ThetaCell, monos: dict, coverage: dict, spans: list):
-        self.cell = cell
-        self.monos = monos
-        self.coverage = coverage
-        self.spans = spans
-
-    @property
-    def overall(self) -> bool:
-        return (all(self.monos.values()) and all(self.coverage.values())
-                and all(s["commutes"] and s["pullback"] for s in self.spans))
-
-    def to_json(self):
-        return {
-            "cell": str(self.cell),
-            "monos": {k: v for k, v in sorted(self.monos.items())},
-            "coverage": {str(d): v for d, v in sorted(self.coverage.items())},
-            "spans": self.spans,
-            "overall": self.overall,
-        }
-
-
-def verify_gluing(t: ThetaCell) -> GluingReport:
-    """Monomorphism, coverage and pullback checks for the shuffle pieces."""
+def verify_gluing(t: ThetaCell) -> tuple[bool, dict]:
+    """(ok, data): monomorphism, coverage and pullback checks for the
+    shuffle pieces, data being the report the CLI prints."""
     columns = lax_shuffle_diagram(t)
     cyl = cylinder_complex(t)
     width = len(cyl.diff)
-    report = GluingReport(t, {c.name: _injective(c.embed.images, width) for c in columns},
-                          _covers([row for c in columns for row in c.embed.images], cyl), [])
+    monos = {c.name: _injective(c.embed.images, width) for c in columns}
+    coverage = _covers([row for c in columns for row in c.embed.images], cyl)
+    spans = []
     for level, position, col_o, col_m, leg_o, leg_m in _spans(t, columns):
         via_o = leg_o.then(col_o.embed)
-        report.spans.append({
+        spans.append({
             "level": level, "position": position,
             "commutes": morphisms_agree(via_o, leg_m.then(col_m.embed)),
             # the span maps injectively onto the intersection of its columns
             "pullback": (_meet_in(col_o.embed.images, col_m.embed.images, via_o.images, width)
                          and _injective(via_o.images, width))})
-    return report
+    ok = (all(monos.values()) and all(coverage.values())
+          and all(s["commutes"] and s["pullback"] for s in spans))
+    return ok, {"cell": str(t), "monos": monos, "coverage": coverage, "spans": spans,
+                "overall": ok}
 
 
 # ---------------------------------------------------------------------------
 # globular-sum preservation
 # ---------------------------------------------------------------------------
 
-def verify_globular_preservation(t: ThetaCell) -> bool:
-    """Cylinders over the leaf globes cover the cylinder and meet exactly
-    in the cylinders over the meet globes."""
+def verify_globular_preservation(t: ThetaCell) -> tuple[bool, bool]:
+    """(ok, ok): do the cylinders over the leaf globes cover the cylinder
+    and meet exactly in the cylinders over the meet globes?  The CLI prints
+    the verdict itself."""
     leaves, meets = globular_sum(t)
     cyl = cylinder_complex(t)
     pieces = [cylinder_map(f).images for _, f in leaves]
-    return (all(_covers([row for piece in pieces for row in piece], cyl).values())
-            and all(_meet_in(pieces[g], pieces[g + 1], cylinder_map(f).images, len(cyl.diff))
-                    for g, (_, f) in enumerate(meets)))
+    ok = (all(_covers([row for piece in pieces for row in piece], cyl).values())
+          and all(_meet_in(pieces[g], pieces[g + 1], cylinder_map(f).images, len(cyl.diff))
+                  for g, (_, f) in enumerate(meets)))
+    return ok, ok
 
 
 # ---------------------------------------------------------------------------
 # hyperface cylinders
 # ---------------------------------------------------------------------------
-
-class HyperfaceCylinderReport:
-    __slots__ = ("column_results", "agree")
-
-    def __init__(self, column_results: list, agree: bool):
-        self.column_results = column_results
-        self.agree = agree
-
 
 def _factors_through(src_col: ShuffleColumn, tgt_cols, steiner: DAMorphism) -> bool:
     """Does the cylinder map send the column into the lattice of the target
@@ -384,9 +361,10 @@ def _column_maps(f: ThetaMap, src, tgt):
             yield src[2 * i - 1], tgt[2 * k - 1:2 * k + 2], None
 
 
-def hyperface_cylinder(face: Hyperface) -> HyperfaceCylinderReport:
-    """Check the shuffle-diagram description of the cylinder over a face
-    against the cylinder map [1]⊗f of the face."""
+def hyperface_cylinder(face: Hyperface) -> tuple[bool, list]:
+    """(ok, results): check the shuffle-diagram description of the cylinder
+    over a face against the cylinder map [1]⊗f of the face, one result per
+    source column."""
     f = face.map
     src = lax_shuffle_diagram(f.source)
     tgt = lax_shuffle_diagram(f.target)
@@ -398,4 +376,4 @@ def hyperface_cylinder(face: Hyperface) -> HyperfaceCylinderReport:
         else:
             ok, mode = composites_agree(col_s.embed, steiner, m, col_t.embed), "exact"
         results.append({"column": col_s.name, "mode": mode, "ok": ok})
-    return HyperfaceCylinderReport(results, all(r["ok"] for r in results))
+    return all(r["ok"] for r in results), results

@@ -185,75 +185,52 @@ def sigma_column_expectations(t: ThetaCell, mt: ThetaCell, mirrored: tuple):
 # verification
 # ---------------------------------------------------------------------------
 
-class SpanReport:
-    __slots__ = ("cell", "mirrored", "kappa_functor", "sigma_functor", "kappa_columns",
-                 "sigma_columns", "diamonds", "split_identities")
-
-    def __init__(self, cell: ThetaCell, mirrored: ThetaCell, kappa_functor: list,
-                 sigma_functor: list, split_identities: bool):
-        self.cell = cell
-        self.mirrored = mirrored                # the cell the shift suspends
-        self.kappa_functor = kappa_functor      # (kind, g) of p1, then p2
-        self.sigma_functor = sigma_functor      # (kind, g) of q
-        self.kappa_columns: list = []
-        self.sigma_columns: list = []
-        self.diamonds: dict = {}
-        self.split_identities = split_identities
-
-    @property
-    def passed(self) -> bool:
-        return (not self.kappa_functor and not self.sigma_functor
-                and all(ok for _, ok in self.kappa_columns)
-                and all(ok for _, ok in self.sigma_columns)
-                and all(self.diamonds.values()) and self.split_identities)
-
-    def to_json(self):
-        return {
-            "cell": str(self.cell),
-            "kappa_functor_violations": len(self.kappa_functor),
-            "sigma_functor_violations": len(self.sigma_functor),
-            "kappa_columns": {k: v for k, v in self.kappa_columns},
-            "sigma_columns": {k: v for k, v in self.sigma_columns},
-            "diamonds": self.diamonds,
-            "split_identities": self.split_identities,
-            "passed": self.passed,
-        }
+def verify_span(t: ThetaCell) -> tuple[bool, dict]:
+    """(ok, data) of the span on t, data being the report the CLI prints;
+    the sigma side reads one mirror of t."""
+    return _span_of(t, *mirror_positions(t))
 
 
-def verify_span(t: ThetaCell) -> SpanReport:
-    """The span report on t, whose sigma side reads one mirror of t."""
-    mt, mirrored = mirror_positions(t)
+def _span_of(t: ThetaCell, mt: ThetaCell, mirrored: tuple) -> tuple[bool, dict]:
+    """The span report on t's own legs, where (mt, mirrored) is
+    mirror_positions(t)."""
     return _span_report(t, projection_to_interval(t), projection_to_cell(t),
                         shift_map(t, mt, mirrored), mt, mirrored)
 
 
 def _span_report(t: ThetaCell, p1: DAMorphism, p2: DAMorphism, q: DAMorphism,
-                 mt: ThetaCell, mirrored: tuple) -> SpanReport:
-    """The report on the span with legs p1, p2 (kappa) and q (sigma), where
+                 mt: ThetaCell, mirrored: tuple) -> tuple[bool, dict]:
+    """(ok, data) of the span with legs p1, p2 (kappa) and q (sigma), where
     (mt, mirrored) is mirror_positions(t).  A leg that is not a morphism of
-    augmented directed complexes is recorded by its violations, not
+    augmented directed complexes is counted by its violations, not
     raised."""
-    report = SpanReport(t, mt, p1.violations() + p2.violations(), q.violations(),
-                        _split_identities())
-
-    for col, p1_exp, p2_exp in kappa_column_expectations(t):
-        ok = (morphisms_agree(col.embed.then(p1), p1_exp)
-              and morphisms_agree(col.embed.then(p2), p2_exp))
-        report.kappa_columns.append((col.name, ok))
-    for col, q_exp in sigma_column_expectations(t, mt, mirrored):
-        report.sigma_columns.append((col.name, morphisms_agree(col.embed.then(q), q_exp)))
+    kappa_functor = len(p1.violations()) + len(p2.violations())
+    sigma_functor = len(q.violations())
+    split_identities = _split_identities()
+    kappa_columns = {col.name: (morphisms_agree(col.embed.then(p1), p1_exp)
+                                and morphisms_agree(col.embed.then(p2), p2_exp))
+                     for col, p1_exp, p2_exp in kappa_column_expectations(t)}
+    sigma_columns = {col.name: morphisms_agree(col.embed.then(q), q_exp)
+                     for col, q_exp in sigma_column_expectations(t, mt, mirrored)}
 
     # folding diamonds: each end of the cylinder goes to that end of the
     # interval and of the shift, and identically to the cell
     K = lambda_cell(t)
     edge, shift = lambda_cell(cell(1)), lambda_cell(ThetaCell((mt,)))
+    diamonds = {}
     for eps in (0, 1):
         e = endpoint_inclusion(t, eps)
-        report.diamonds[f"kappa_e{eps}"] = (
+        diamonds[f"kappa_e{eps}"] = (
             morphisms_agree(e.then(p1), _constant(K, edge, eps))
             and morphisms_agree(e.then(p2), lambda_map(theta_identity(t))))
-        report.diamonds[f"sigma_e{eps}"] = morphisms_agree(e.then(q), _constant(K, shift, eps))
-    return report
+        diamonds[f"sigma_e{eps}"] = morphisms_agree(e.then(q), _constant(K, shift, eps))
+
+    ok = (not kappa_functor and not sigma_functor and all(kappa_columns.values())
+          and all(sigma_columns.values()) and all(diamonds.values()) and split_identities)
+    return ok, {"cell": str(t), "kappa_functor_violations": kappa_functor,
+                "sigma_functor_violations": sigma_functor, "kappa_columns": kappa_columns,
+                "sigma_columns": sigma_columns, "diamonds": diamonds,
+                "split_identities": split_identities, "passed": ok}
 
 
 @cache
@@ -273,17 +250,18 @@ def _split_identities() -> bool:
 
 def span_dot(t: ThetaCell) -> str:
     """The span diagram with pass/fail coloring per column square."""
-    rep = verify_span(t)
+    mt, mirrored = mirror_positions(t)
+    _, data = _span_of(t, mt, mirrored)
     lines = ["digraph span {", "  rankdir=LR;",
              f'  cyl [label="[1]⊗{t}"];',
              f'  cart [label="[1]×{t}"];',
-             f'  shift [label="[1];({rep.mirrored})"];',
+             f'  shift [label="[1];({mt})"];',
              "  cyl -> cart [label=kappa];",
              "  cyl -> shift [label=sigma];"]
-    for name, ok in rep.kappa_columns:
+    for name, ok in data["kappa_columns"].items():
         color = "green" if ok else "red"
         lines.append(f'  k_{name} [label="kappa {name}", color={color}];')
-    for name, ok in rep.sigma_columns:
+    for name, ok in data["sigma_columns"].items():
         color = "green" if ok else "red"
         lines.append(f'  s_{name} [label="sigma {name}", color={color}];')
     lines.append("}")

@@ -93,6 +93,45 @@ class TestSubcommands:
         assert main(["counts", "[1]", "--max-dim", "2", "--format", "text"]) == 1
         assert capsys.readouterr().out.endswith("agree: False\n")
 
+    @pytest.mark.parametrize("args, binding", [
+        (["verify", "gluing"], "verify_gluing"),
+        (["verify", "globular"], "verify_globular_preservation"),
+        (["verify", "hyperface"], "hyperface_cylinder"),
+        (["verify", "span"], "verify_span"),
+        (["verify", "gray"], "verify_gluing"),
+        (["verify", "gray"], "verify_globular_preservation"),
+        (["verify", "all"], "verify_gluing"),
+        (["verify", "all"], "verify_globular_preservation"),
+        (["verify", "all"], "hyperface_cylinder"),
+        (["verify", "all"], "verify_span"),
+        (["span"], "verify_span"),
+    ], ids=lambda v: "-".join(v) if isinstance(v, list) else v)
+    def test_every_suite_can_fail(self, monkeypatch, capsys, args, binding):
+        # a verifier that fails fails its command, read through cli's own
+        # binding when the check runs (the benchmark's tracer wraps it there)
+        real, returned = getattr(cli, binding), []
+
+        def failing(x):
+            _, data = real(x)
+            returned.append(data)
+            return False, data
+
+        monkeypatch.setattr(cli, binding, failing)
+        assert main(args + ["[2]([1],[0])"]) == 1
+        printed = json.loads(capsys.readouterr().out)
+        assert returned
+        if args == ["span"]:
+            # the span subcommand prints the report as the check returned it
+            assert [printed] == returned
+        elif binding == "hyperface_cylinder":
+            assert printed["ok"] is False
+            assert [f["agree"] for f in printed["hyperfaces"]] == [False] * len(returned)
+        else:
+            assert printed["ok"] is False
+            key = {"verify_gluing": "gluing", "verify_globular_preservation": "globular",
+                   "verify_span": "span"}[binding]
+            assert [printed[key]] == returned
+
     def test_verify_gray_exit_zero(self, capsys):
         assert main(["verify", "gray", "[3]"]) == 0
 
@@ -193,7 +232,8 @@ class TestSubcommands:
         assert capsys.readouterr().out.count('color=green') == 6
 
     def test_emit_span_mirrors_no_cell(self, capsys, mirror_calls):
-        # the shift node's label is the mirror the span report holds
+        # the shift node's label is the mirror that span_dot reads from the
+        # one mirror_positions call its span report reads too
         assert main(["emit", "span", "[2]([1],[0])"]) == 0
         assert 'shift [label="[1];([2]([0],[1]))"]' in capsys.readouterr().out
         assert not mirror_calls
@@ -359,12 +399,31 @@ class TestDeterminism:
          "6cf2dbc93fe48b067f9957b409a2684a701bd74dd55737364fa6a76d36b527c4"),
         (["tensor", "G3"],                          # a cylinder three levels deep
          "88c46d45a62a77c81921153ecb47b616dff3d3a586fe154b0a71f5829cba9552"),
+        (["verify", "gluing", "[2]([1],[0])"],      # monos, coverage per degree, spans
+         "d184c61820d22f87921bd85a530fb4c77b02c5a66200f35a3520cdc7bd8a31d2"),
+        (["verify", "globular", "[2]([1],[0])"],    # the bare verdict
+         "f566644797381d9e4f8ef7a8ed11ab471d76777ed4f64da6516ab3f98a48ba1f"),
+        (["verify", "span", "[2]([1],[0])"],        # the span report under "span"
+         "6fd678f26b05e793e41132fa018110f9c0897c087b1f362a6494df2464141ee6"),
+        (["span", "[2]([1],[0])"],                  # the same report on its own
+         "65b8c8579c1867f696b97b5f36c45b827728567555bf00f99ccf0f0980f7e470"),
     ])
     def test_pinned_output_bytes(self, capsys, args, digest):
         # cell order and rendering of the table dumps are part of the output
         assert main(args) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_pinned_suite_choices(self, capsys):
+        # the choices argparse lists for a bad suite, in the order of the
+        # verify table
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "nosuch", "[1]"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert hashlib.sha256(err.encode("utf-8")).hexdigest() == \
+            "dba2ae83db95f82e0e0e2b1a43125ece3fa4f20b9918d868113893252b4a89e6"
 
     def test_verify_all_up_to_seven_nodes_is_pinned(self, capsys):
         # every verdict of the 197 cells: gluing coverage per degree, the

@@ -178,7 +178,7 @@ class TestLambdaMap:
         for _ in range(2):
             for face in faces:
                 assert lambda_map(face.map) is lambda_map(face.map)
-                assert hyperface_cylinder(face).agree
+                assert hyperface_cylinder(face)[0]
         reachable, todo = set(), [face.map for face in faces]
         while todo:
             f = todo.pop()

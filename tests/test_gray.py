@@ -172,52 +172,52 @@ class TestShuffleDiagram:
         assert main(["verify", "hyperface", str(t)]) == 0
         capsys.readouterr()
         assert calls == []
-        assert verify_gluing(t).overall
+        assert verify_gluing(t)[0]
         assert len(calls) == 2 * t.width
 
 
 class TestGluing:
     def test_globes(self):
         for n in range(5):
-            assert verify_gluing(globe(n)).overall
+            assert verify_gluing(globe(n))[0]
 
     def test_point_trivial(self):
-        assert verify_gluing(parse_cell("[0]")).overall
+        assert verify_gluing(parse_cell("[0]"))[0]
 
     def test_five_pieces(self):
-        rep = verify_gluing(parse_cell("[2]([1],[0])"))
-        assert rep.overall
-        assert len(rep.monos) == 5
-        assert len(rep.spans) == 4
+        ok, data = verify_gluing(parse_cell("[2]([1],[0])"))
+        assert ok and data["overall"] is True
+        assert len(data["monos"]) == 5
+        assert len(data["spans"]) == 4
 
     def test_decomposition_corpus(self):
         for s in ("[1]", "[2]", "[3]", "[1]([1])", "[1]([2])", "[2]([1],[0])"):
             t = parse_cell(s)
-            assert verify_gluing(t).overall
-            assert verify_globular_preservation(t)
+            assert verify_gluing(t)[0]
+            assert verify_globular_preservation(t)[0]
 
     def test_corpus_up_to_six_nodes(self):
         for t in cells_up_to(6):
-            assert verify_gluing(t).overall, str(t)
+            assert verify_gluing(t)[0], str(t)
 
     def test_corpus_of_eight_nodes(self):
         # the corpus of TestVerifySpan::test_corpus_of_eight_nodes
         cells = cells_with_nodes(8)
         assert len(cells) == 429
         for t in cells:
-            assert verify_gluing(t).overall, str(t)
-            assert verify_globular_preservation(t), str(t)
+            assert verify_gluing(t)[0], str(t)
+            assert verify_globular_preservation(t)[0], str(t)
 
 
 class TestGlobularPreservation:
     def test_globe_trivial(self):
-        assert verify_globular_preservation(globe(3))
+        assert verify_globular_preservation(globe(3))[0]
 
     def test_two_simplex(self):
-        assert verify_globular_preservation(cell(2))
+        assert verify_globular_preservation(cell(2))[0]
 
     def test_suspended(self):
-        assert verify_globular_preservation(parse_cell("[1]([2])"))
+        assert verify_globular_preservation(parse_cell("[1]([2])"))[0]
 
 
 class TestHyperfaceCylinder:
@@ -226,21 +226,21 @@ class TestHyperfaceCylinder:
         vertical = [f for f in hyperfaces(t) if f.kind == "vertical"]
         assert vertical
         for f in vertical:
-            assert hyperface_cylinder(f).agree
+            assert hyperface_cylinder(f)[0]
 
     def test_outer(self):
         t = cell(2)
         for f in hyperfaces(t):
             if f.kind == "outer":
-                assert hyperface_cylinder(f).agree
+                assert hyperface_cylinder(f)[0]
 
     def test_inner_with_nontrivial_child(self):
         t = parse_cell("[2]([1],[0])")
         inner = [f for f in hyperfaces(t) if f.kind == "inner"]
         assert len(inner) == 1
-        rep = hyperface_cylinder(inner[0])
-        assert rep.agree
-        assert any(r["mode"] == "span" for r in rep.column_results)
+        ok, results = hyperface_cylinder(inner[0])
+        assert ok
+        assert any(r["mode"] == "span" for r in results)
 
     def test_pinned_column_order_and_modes(self):
         # the CLI prints only `agree`; the columns checked per face are pinned here
@@ -253,31 +253,31 @@ class TestHyperfaceCylinder:
         }
         faces = hyperfaces(parse_cell("[2]([1],[0])"))
         assert {(f.kind, f.position): [(r["column"], r["mode"])
-                                       for r in hyperface_cylinder(f).column_results]
+                                       for r in hyperface_cylinder(f)[1]]
                 for f in faces} == expected
         assert len(faces) == len(expected)
 
     def test_full_corpus(self):
         for s in ("[2]", "[3]", "[1]([1])", "[2]([1],[0])"):
             for f in hyperfaces(parse_cell(s)):
-                assert hyperface_cylinder(f).agree, (s, f.kind, f.position)
+                assert hyperface_cylinder(f)[0], (s, f.kind, f.position)
 
     def test_nested_cells(self):
         for s in ("[1]([2])", "[3]([1],[0],[0])", "[2]([2],[0])", "[1]([1]([1]))"):
             for f in hyperfaces(parse_cell(s)):
-                assert hyperface_cylinder(f).agree, (s, f.kind, f.position)
+                assert hyperface_cylinder(f)[0], (s, f.kind, f.position)
 
     def test_corpus_up_to_seven_nodes(self):
         for t in cells_up_to(7):
             for f in hyperfaces(t):
-                assert hyperface_cylinder(f).agree, (str(t), f.kind, f.position)
+                assert hyperface_cylinder(f)[0], (str(t), f.kind, f.position)
 
     def test_corpus_of_eight_nodes(self):
         # the corpus of TestGluing::test_corpus_of_eight_nodes
         faces = [f for t in cells_with_nodes(8) for f in hyperfaces(t)]
         assert len(faces) == 5016
         for f in faces:
-            assert hyperface_cylinder(f).agree, (str(f.map.target), f.kind, f.position)
+            assert hyperface_cylinder(f)[0], (str(f.map.target), f.kind, f.position)
 
     def test_o_column_maps_match_the_theta_oracle(self):
         # the expected O-column maps are wreath maps of the face's own
@@ -339,7 +339,7 @@ class TestHyperfaceCylinder:
         monkeypatch.setattr(gray, "o_cell", no_o_cell)
         for face in faces:
             looked_up.clear()
-            assert hyperface_cylinder(face).agree
+            assert hyperface_cylinder(face)[0]
             f = face.map
             allowed = {f, theta_identity(POINT)} | {g for leg in f.legs for _, g in leg}
             assert len(looked_up) == len(set(looked_up)) == len(allowed)
@@ -367,7 +367,7 @@ class TestMemoisedDiagram:
         t = parse_cell("[2]([1],[1])")
         faces = hyperfaces(t)
         forget_memos()
-        assert all(hyperface_cylinder(f).agree for f in faces)
+        assert all(hyperface_cylinder(f)[0] for f in faces)
         sources = {f.map.source for f in faces}
         assert lax_shuffle_diagram.cache_info().misses <= 1 + len(sources)
 
@@ -527,10 +527,10 @@ class TestPerturbedInputsFail:
                          for c in diag)
 
         monkeypatch.setattr(gray, "lax_shuffle_diagram", perturbed)
-        rep = verify_gluing(t)
-        assert not rep.overall and not rep.monos["M1"]
+        ok, data = verify_gluing(t)
+        assert not ok and not data["overall"] and not data["monos"]["M1"]
         monkeypatch.undo()
-        assert verify_gluing(t).overall
+        assert verify_gluing(t)[0]
 
     def test_gluing_span_leg(self, monkeypatch):
         t = parse_cell("[2]([1],[0])")
@@ -543,10 +543,10 @@ class TestPerturbedInputsFail:
             return leg
 
         monkeypatch.setattr(gray, "m_end_leg", perturbed)
-        rep = verify_gluing(t)
-        assert not rep.overall and not rep.spans[0]["commutes"]
+        ok, data = verify_gluing(t)
+        assert not ok and not data["overall"] and not data["spans"][0]["commutes"]
         monkeypatch.undo()
-        assert verify_gluing(t).overall
+        assert verify_gluing(t)[0]
 
     def test_gluing_o_leg_builder(self, monkeypatch):
         # the leg of the first span skips vertex 0 of O_0 in place of vertex
@@ -558,13 +558,14 @@ class TestPerturbedInputsFail:
             return real(u, j, 0 if (j, k) == (0, 1) else k, tgt, ids)
 
         monkeypatch.setattr(gray, "_o_leg", perturbed)
-        rep = verify_gluing(t)
-        assert not rep.overall and all(rep.monos.values()) and all(rep.coverage.values())
-        assert [(s["level"], s["position"], s["commutes"], s["pullback"]) for s in rep.spans] == [
+        ok, data = verify_gluing(t)
+        assert not ok and all(data["monos"].values()) and all(data["coverage"].values())
+        assert [(s["level"], s["position"], s["commutes"], s["pullback"])
+                for s in data["spans"]] == [
             (1, "upper", False, False), (1, "lower", True, True),
             (2, "upper", True, True), (2, "lower", True, True)]
         monkeypatch.undo()
-        assert verify_gluing(t).overall
+        assert verify_gluing(t)[0]
 
     def test_gluing_coverage(self, monkeypatch):
         t = parse_cell("[2]([1],[0])")
@@ -580,11 +581,11 @@ class TestPerturbedInputsFail:
                          for c in diag)
 
         monkeypatch.setattr(gray, "lax_shuffle_diagram", perturbed)
-        rep = verify_gluing(t)
-        assert not rep.overall and not rep.coverage[2]
-        assert all(rep.coverage[d] for d in rep.coverage if d != 2)
+        ok, data = verify_gluing(t)
+        assert not ok and not data["coverage"]["2"]
+        assert all(v for d, v in data["coverage"].items() if d != "2")
         monkeypatch.undo()
-        assert verify_gluing(t).overall
+        assert verify_gluing(t)[0]
 
     def test_gluing_pullback(self, monkeypatch):
         t = parse_cell("[2]([1],[0])")
@@ -599,12 +600,12 @@ class TestPerturbedInputsFail:
                      with_image(leg_o, edge, {}), with_image(leg_m, edge, {}))] + rest
 
         monkeypatch.setattr(gray, "_spans", perturbed)
-        rep = verify_gluing(t)
-        assert not rep.overall
-        assert rep.spans[0]["commutes"] and not rep.spans[0]["pullback"]
-        assert all(s["commutes"] and s["pullback"] for s in rep.spans[1:])
+        ok, data = verify_gluing(t)
+        assert not ok
+        assert data["spans"][0]["commutes"] and not data["spans"][0]["pullback"]
+        assert all(s["commutes"] and s["pullback"] for s in data["spans"][1:])
         monkeypatch.undo()
-        assert verify_gluing(t).overall
+        assert verify_gluing(t)[0]
 
     def test_globular_meet_piece(self, monkeypatch):
         # the leaves of [2] meet in vertex 1, not in vertex 0
@@ -615,9 +616,9 @@ class TestPerturbedInputsFail:
             return leaves, [(0, vertex(u, 0))] + meets[1:]
 
         monkeypatch.setattr(gray, "globular_sum", perturbed)
-        assert not verify_globular_preservation(cell(2))
+        assert not verify_globular_preservation(cell(2))[0]
         monkeypatch.undo()
-        assert verify_globular_preservation(cell(2))
+        assert verify_globular_preservation(cell(2))[0]
 
     def test_globular_leaf_piece(self, monkeypatch):
         t = parse_cell("[2]([1],[0])")
@@ -629,9 +630,9 @@ class TestPerturbedInputsFail:
             return [leaves[0], leaves[0]] + leaves[2:], meets
 
         monkeypatch.setattr(gray, "globular_sum", perturbed)
-        assert not verify_globular_preservation(t)
+        assert not verify_globular_preservation(t)[0]
         monkeypatch.undo()
-        assert verify_globular_preservation(t)
+        assert verify_globular_preservation(t)[0]
 
     @pytest.mark.parametrize("kind", ["vertical", "outer", "inner"])
     def test_hyperface_column_map(self, monkeypatch, kind):
@@ -643,10 +644,10 @@ class TestPerturbedInputsFail:
             return [(col_s, col_t, with_image(m, ("o", 0), {}))] + rest
 
         monkeypatch.setattr(gray, "_column_maps", perturbed)
-        rep = hyperface_cylinder(face)
-        assert not rep.agree and not rep.column_results[0]["ok"]
+        ok, results = hyperface_cylinder(face)
+        assert not ok and not results[0]["ok"]
         monkeypatch.undo()
-        assert hyperface_cylinder(face).agree
+        assert hyperface_cylinder(face)[0]
 
     def test_hyperface_o_column_builder(self, monkeypatch):
         # the builder of O1's map reads the component [0] -> [1] at the
@@ -665,12 +666,12 @@ class TestPerturbedInputsFail:
             return real(f, table, src, tgt, js, jt)
 
         monkeypatch.setattr(gray, "_face_between_o_cells", perturbed)
-        rep = hyperface_cylinder(face)
-        assert not rep.agree
-        assert [(r["column"], r["ok"]) for r in rep.column_results] == [
+        ok, results = hyperface_cylinder(face)
+        assert not ok
+        assert [(r["column"], r["ok"]) for r in results] == [
             ("O0", True), ("O1", False), ("O2", True), ("M1", True), ("M2", True)]
         monkeypatch.undo()
-        assert hyperface_cylinder(face).agree
+        assert hyperface_cylinder(face)[0]
 
     def test_hyperface_span_column(self, monkeypatch):
         face = next(f for f in hyperfaces(parse_cell("[2]([1],[0])")) if f.kind == "inner")
@@ -682,11 +683,12 @@ class TestPerturbedInputsFail:
                     for col_s, col_t, m in real(*args)]
 
         monkeypatch.setattr(gray, "_column_maps", perturbed)
-        results = hyperface_cylinder(face).column_results
+        ok, results = hyperface_cylinder(face)
+        assert not ok
         assert [(r["column"], r["mode"], r["ok"]) for r in results] == [
             ("O0", "exact", True), ("O1", "exact", True), ("M1", "span", False)]
         monkeypatch.undo()
-        assert hyperface_cylinder(face).agree
+        assert hyperface_cylinder(face)[0]
 
 
 class TestFacePreconditions:

@@ -113,7 +113,8 @@ class TestShiftMap:
     def test_mirror_table_built_once_per_report(self, monkeypatch, mirror_calls):
         # q, the sigma columns and the diamonds read one mirror of the cell
         # and one table, both built in one fold: no call per child, and no
-        # mirror of the cell on its own
+        # mirror of the cell on its own; span_dot labels the shift with
+        # that same mirror
         built, calls = span.mirror_positions, Counter()
 
         def counted(t):
@@ -123,9 +124,13 @@ class TestShiftMap:
         monkeypatch.setattr(span, "mirror_positions", counted)
         for t in cells_up_to(5):
             calls.clear()
-            rep = verify_span(t)
+            ok, _ = verify_span(t)
             assert calls == {t: 1} and not mirror_calls, str(t)
-            assert rep.passed and rep.mirrored == mirror(t)
+            assert ok, str(t)
+            calls.clear()
+            dot = span_dot(t)
+            assert calls == {t: 1} and not mirror_calls, str(t)
+            assert f'shift [label="[1];({mirror(t)})"];' in dot, str(t)
 
     def test_mirror_table_matches_the_recursive_oracle(self):
         cells = cells_up_to(8)
@@ -161,27 +166,27 @@ class TestShiftMap:
 class TestVerifySpan:
     def test_simplicial_cases(self):
         for n in range(5):
-            assert verify_span(cell(n) if n else parse_cell("[0]")).passed
+            assert verify_span(cell(n) if n else parse_cell("[0]"))[0]
 
     def test_general_cases(self):
         for s in ("[1]([1])", "[2]([1],[0])", "[1]([2])"):
-            assert verify_span(parse_cell(s)).passed
+            assert verify_span(parse_cell(s))[0]
 
     def test_corpus_up_to_six_nodes(self):
         for t in cells_up_to(6):
-            assert verify_span(t).passed, str(t)
+            assert verify_span(t)[0], str(t)
 
     def test_corpus_of_seven_nodes(self):
         cells = cells_with_nodes(7)
         assert len(cells) == 132
         for t in cells:
-            assert verify_span(t).passed, str(t)
+            assert verify_span(t)[0], str(t)
 
     def test_corpus_of_eight_nodes(self):
         cells = cells_with_nodes(8)
         assert len(cells) == 429
         for t in cells:
-            assert verify_span(t).passed, str(t)
+            assert verify_span(t)[0], str(t)
 
     def test_kappa_object_bijection(self):
         t = parse_cell("[2]([1],[0])")
@@ -200,10 +205,12 @@ class TestVerifySpan:
     def test_image_violation_is_reported(self):
         t = cell(2)
         p1, p2, q = legs(t)
-        rep = _span_report(t, p1, p2, swapped_ends(q), *mirror_positions(t))
-        assert not rep.passed and not rep.kappa_functor
-        assert rep.sigma_functor and rep.sigma_functor[0][0] == "chain"
-        assert rep.to_json()["sigma_functor_violations"] == len(rep.sigma_functor)
+        bad = swapped_ends(q)
+        violations = bad.violations()
+        assert violations and violations[0][0] == "chain"
+        ok, data = _span_report(t, p1, p2, bad, *mirror_positions(t))
+        assert not ok and not data["passed"] and data["kappa_functor_violations"] == 0
+        assert data["sigma_functor_violations"] == len(violations)
 
     def test_image_error_names_the_source_cell(self):
         t = cell(1)
@@ -238,31 +245,33 @@ class TestVerifySpan:
     def test_broken_kappa_leg_fails(self):
         t = parse_cell("[1]([1])")
         p1, p2, q = legs(t)
-        rep = _span_report(t, p1, swapped_ends(p2), q, *mirror_positions(t))
-        assert not rep.passed
-        assert rep.kappa_functor and not rep.sigma_functor
+        ok, data = _span_report(t, p1, swapped_ends(p2), q, *mirror_positions(t))
+        assert not ok
+        assert data["kappa_functor_violations"] and not data["sigma_functor_violations"]
 
     def test_swapped_sigma_fails_every_square(self):
         t = parse_cell("[2]([1],[0])")
         p1, p2, q = legs(t)
-        rep = _span_report(t, p1, p2, swapped_ends(q), *mirror_positions(t))
-        assert rep.sigma_functor and not rep.kappa_functor
-        assert rep.sigma_columns and not any(ok for _, ok in rep.sigma_columns)
-        assert not rep.diamonds["sigma_e0"] and not rep.diamonds["sigma_e1"]
-        assert all(ok for _, ok in rep.kappa_columns)
-        assert rep.diamonds["kappa_e0"] and rep.diamonds["kappa_e1"]
+        ok, data = _span_report(t, p1, p2, swapped_ends(q), *mirror_positions(t))
+        assert not ok
+        assert data["sigma_functor_violations"] and not data["kappa_functor_violations"]
+        assert data["sigma_columns"] and not any(data["sigma_columns"].values())
+        assert not data["diamonds"]["sigma_e0"] and not data["diamonds"]["sigma_e1"]
+        assert all(data["kappa_columns"].values())
+        assert data["diamonds"]["kappa_e0"] and data["diamonds"]["kappa_e1"]
 
     def test_swapped_kappa_fails_every_square(self):
         t = parse_cell("[2]([1],[0])")
         p1, p2, q = legs(t)
         # p1 lands in lambda([1]), so its ends are the objects o0 and o1
         assert p1.target is lambda_cell(cell(1))
-        rep = _span_report(t, swapped_ends(p1), p2, q, *mirror_positions(t))
-        assert rep.kappa_functor and not rep.sigma_functor
-        assert rep.kappa_columns and not any(ok for _, ok in rep.kappa_columns)
-        assert not rep.diamonds["kappa_e0"] and not rep.diamonds["kappa_e1"]
-        assert all(ok for _, ok in rep.sigma_columns)
-        assert rep.diamonds["sigma_e0"] and rep.diamonds["sigma_e1"]
+        ok, data = _span_report(t, swapped_ends(p1), p2, q, *mirror_positions(t))
+        assert not ok
+        assert data["kappa_functor_violations"] and not data["sigma_functor_violations"]
+        assert data["kappa_columns"] and not any(data["kappa_columns"].values())
+        assert not data["diamonds"]["kappa_e0"] and not data["diamonds"]["kappa_e1"]
+        assert all(data["sigma_columns"].values())
+        assert data["diamonds"]["sigma_e0"] and data["diamonds"]["sigma_e1"]
 
     def test_dot_colors(self):
         dot = span_dot(cell(1))
@@ -328,13 +337,13 @@ class TestPerturbedExpectationsFail:
             return real(src, tgt, j, [[(1, wrong)]] + ids[1:] if j == 1 else ids)
 
         monkeypatch.setattr(span, "_codegeneracy", perturbed)
-        rep = verify_span(self.T)
-        assert not rep.passed
-        assert rep.kappa_columns == [("O0", True), ("M1", True), ("O1", False), ("M2", True),
-                                     ("O2", True)]
-        assert all(ok for _, ok in rep.sigma_columns) and all(rep.diamonds.values())
+        ok, data = verify_span(self.T)
+        assert not ok
+        assert list(data["kappa_columns"].items()) == [("O0", True), ("M1", True), ("O1", False),
+                                                       ("M2", True), ("O2", True)]
+        assert all(data["sigma_columns"].values()) and all(data["diamonds"].values())
         monkeypatch.undo()
-        assert verify_span(self.T).passed
+        assert verify_span(self.T)[0]
 
     def test_sigma_o_column_builder(self, monkeypatch):
         # sigma's O_j reads the vertex j of the mirrored cell in place of
@@ -346,13 +355,13 @@ class TestPerturbedExpectationsFail:
             return real(src, tgt, n - p if src is point else p)
 
         monkeypatch.setattr(span, "_constant", perturbed)
-        rep = verify_span(self.T)
-        assert not rep.passed
-        assert rep.sigma_columns == [("O0", False), ("M1", True), ("O1", True), ("M2", True),
-                                     ("O2", False)]
-        assert all(ok for _, ok in rep.kappa_columns) and all(rep.diamonds.values())
+        ok, data = verify_span(self.T)
+        assert not ok
+        assert list(data["sigma_columns"].items()) == [("O0", False), ("M1", True), ("O1", True),
+                                                       ("M2", True), ("O2", False)]
+        assert all(data["kappa_columns"].values()) and all(data["diamonds"].values())
         monkeypatch.undo()
-        assert verify_span(self.T).passed
+        assert verify_span(self.T)[0]
 
     def test_kappa_diamond_builder(self, monkeypatch):
         # the 0-end of the cell is expected at the 1-end of the interval
@@ -363,12 +372,13 @@ class TestPerturbedExpectationsFail:
             return real(src, tgt, 1 if tgt is edge and p == 0 else p)
 
         monkeypatch.setattr(span, "_constant", perturbed)
-        rep = verify_span(self.T)
-        assert rep.diamonds == {"kappa_e0": False, "sigma_e0": True, "kappa_e1": True,
-                                "sigma_e1": True}
-        assert all(ok for _, ok in rep.kappa_columns + rep.sigma_columns)
+        ok, data = verify_span(self.T)
+        assert not ok
+        assert data["diamonds"] == {"kappa_e0": False, "sigma_e0": True, "kappa_e1": True,
+                                    "sigma_e1": True}
+        assert all(data["kappa_columns"].values()) and all(data["sigma_columns"].values())
         monkeypatch.undo()
-        assert verify_span(self.T).passed
+        assert verify_span(self.T)[0]
 
 
 class TestBuiltFromPositions:
@@ -390,7 +400,7 @@ class TestBuiltFromPositions:
 
         monkeypatch.setattr(ThetaMap, "__init__", counted)
         for t in cells:
-            assert verify_span(t).passed and verify_gluing(t).overall, str(t)
+            assert verify_span(t)[0] and verify_gluing(t)[0], str(t)
         assert built == []
         # the count sees a build
         v = vertex(cell(1), 0)
@@ -431,8 +441,8 @@ class TestLegViolations:
         with pytest.raises(MorphismError):
             bad.validate()
         ms[leg] = bad
-        data = _span_report(self.T, *ms, *mirror_positions(self.T)).to_json()
-        assert not data["passed"]
+        ok, data = _span_report(self.T, *ms, *mirror_positions(self.T))
+        assert not ok and not data["passed"]
         broken, intact = (("sigma", "kappa") if leg == 2 else ("kappa", "sigma"))
         assert data[f"{broken}_functor_violations"] > 0
         assert data[f"{intact}_functor_violations"] == 0
