@@ -200,6 +200,10 @@ def main(argv=None) -> int:
     except EnumerationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        # a resource limit like the ceiling, not a failed check
+        print("error: out of memory", file=sys.stderr)
+        return 3
     except _OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,133 +5,41 @@ product of the S_i.  Its objects are (level, coordinates) with level in
 {0..n} and coordinates ranging over the object sets of the S_i; its homs
 are products of cell homs and smaller PR expressions.  PR(S) is the
 cylinder over S, which is what the counting oracle cross-checks.
-"""
 
-from __future__ import annotations
+An expression is a tuple whose first item names its kind, as dac names
+generators: EMPTY, POINT_EXPR, ("cell", s) for a cell s, ("*", factors)
+for a product of two or more factors, none of them a product, a point or
+a unit, and ("PR", cells) for PR of one or more cells.  Tuples compare
+and hash by value, so _count memoises on expressions as they are.
+"""
 
 from functools import lru_cache
 from itertools import product as cartesian
 
-from .theta import Frozen, ThetaCell
+EMPTY = ("empty",)
+POINT_EXPR = ("point",)
 
 
-class PRExpr(Frozen):
-    """An expression compares and hashes by its class and the tuple of its
-    fields, its __slots__; _count memoises on expressions."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-
-class Empty(PRExpr):
-    __slots__ = ()
-
-    def __str__(self):
-        return "0"
-
-
-class Point(PRExpr):
-    __slots__ = ()
-
-    def __str__(self):
-        return "x"
-
-
-class Cell(PRExpr):
-    __slots__ = ("cell",)
-
-    def __init__(self, cell: ThetaCell):
-        object.__setattr__(self, "cell", cell)
-
-    def objects(self):
-        return self.cell.objects()
-
-    def pairs(self) -> list:
-        """The pairs of objects z <= w: every other hom is empty."""
-        return _ordered_pairs(self.cell.width)
-
-    def hom(self, z: int, w: int) -> PRExpr:
-        return hom_cell(self.cell, z, w)
-
-    def __str__(self):
-        return str(self.cell)
-
-
-class Product(PRExpr):
-    __slots__ = ("factors",)
-
-    def __init__(self, factors: tuple):
-        object.__setattr__(self, "factors", factors)
-
-    def __str__(self):
-        if not self.factors:
-            return "x"
-        return "*".join(str(f) for f in self.factors)
-
-
-class PR(PRExpr):
-    __slots__ = ("cells",)
-
-    def __init__(self, cells: tuple):
-        object.__setattr__(self, "cells", cells)
-
-    def objects(self) -> set:
-        return pr_objects(self.cells)
-
-    def pairs(self) -> list:
-        """The pairs of objects (x, zs), (y, ws) with x <= y and zs <= ws
-        coordinatewise: every other hom is empty."""
-        coords = [tuple(zip(*zw)) or ((), ())
-                  for zw in cartesian(*[_ordered_pairs(c.width) for c in self.cells])]
-        return [((x, zs), (y, ws)) for x, y in _ordered_pairs(len(self.cells))
-                for zs, ws in coords]
-
-    def hom(self, src, tgt) -> PRExpr:
-        return pr_hom(self.cells, src, tgt)
-
-    def __str__(self):
-        return "PR(" + ",".join(str(c) for c in self.cells) + ")"
-
-
-EMPTY = Empty()
-POINT_EXPR = Point()
-
-
-def product(factors) -> PRExpr:
+def product(factors) -> tuple:
+    """The product of the factors: EMPTY if one of them is, without its
+    points and [0] cells, with products flattened, and the point or the
+    one factor when fewer than two are left."""
     flat = []
     for f in factors:
-        if isinstance(f, Empty):
+        if f == EMPTY:
             return EMPTY
-        if isinstance(f, Point):
-            continue
-        if isinstance(f, Cell) and f.cell.width == 0:
-            continue
-        if isinstance(f, Product):
-            flat.extend(f.factors)
-        else:
+        if f[0] == "*":
+            flat.extend(f[1])
+        elif f != POINT_EXPR and not (f[0] == "cell" and f[1].width == 0):
             flat.append(f)
-    if not flat:
-        return POINT_EXPR
-    if len(flat) == 1:
-        return flat[0]
-    return Product(tuple(flat))
+    if len(flat) < 2:
+        return flat[0] if flat else POINT_EXPR
+    return ("*", tuple(flat))
 
 
-def pr(cells) -> PRExpr:
+def pr(cells) -> tuple:
     cells = tuple(cells)
-    if not cells:
-        return POINT_EXPR
-    return PR(cells)
+    return ("PR", cells) if cells else POINT_EXPR
 
 
 def _ordered_pairs(n: int) -> list:
@@ -139,17 +47,13 @@ def _ordered_pairs(n: int) -> list:
     return [(z, w) for w in range(n + 1) for z in range(w + 1)]
 
 
-def hom_cell(s: ThetaCell, z: int, w: int) -> PRExpr:
+def hom_cell(s, z: int, w: int) -> tuple:
     """Hom in a cell from object z to object w: the product of the
     children over the interval, empty when w < z."""
     if z > w:
         return EMPTY
-    return product(Cell(c) for c in s.children[z:w])
+    return product([("cell", c) for c in s.children[z:w]])
 
-
-# ---------------------------------------------------------------------------
-# objects and homs
-# ---------------------------------------------------------------------------
 
 def pr_objects(cells) -> set:
     cells = tuple(cells)
@@ -157,21 +61,37 @@ def pr_objects(cells) -> set:
     return {(level, c) for level in range(len(cells) + 1) for c in coords}
 
 
-def pr_hom(cells, src, tgt) -> PRExpr:
-    """Hom of PR(cells) from (x, z) to (y, w)."""
-    cells = tuple(cells)
-    x, zs = src
-    y, ws = tgt
+def pr_hom(cells, src, tgt) -> tuple:
+    """Hom of PR(cells) from (x, zs) to (y, ws): the product over the
+    cells of PR of a cell's children over [z, w] where the hom crosses
+    the cell's level (x <= i < y), and of its cell hom elsewhere."""
+    (x, zs), (y, ws) = src, tgt
     if x > y or any(z > w for z, w in zip(zs, ws)):
         return EMPTY
-    factors = []
-    for a in range(1, x + 1):
-        factors.append(hom_cell(cells[a - 1], zs[a - 1], ws[a - 1]))
-    for b in range(x + 1, y + 1):
-        factors.append(pr(cells[b - 1].children[zs[b - 1]:ws[b - 1]]))
-    for c in range(y + 1, len(cells) + 1):
-        factors.append(hom_cell(cells[c - 1], zs[c - 1], ws[c - 1]))
-    return product(factors)
+    return product([pr(c.children[z:w]) if x <= i < y else hom_cell(c, z, w)
+                    for i, (c, z, w) in enumerate(zip(cells, zs, ws))])
+
+
+# The objects, the pairs of objects whose hom can be nonempty, and the hom
+# of a cell or a PR expression e, the three things _count reads of it.
+
+def _objects(e):
+    return e[1].objects() if e[0] == "cell" else pr_objects(e[1])
+
+
+def _pairs(e) -> list:
+    """z <= w in a cell; x <= y with coordinates zs <= ws in PR(cells):
+    every other hom is empty."""
+    if e[0] == "cell":
+        return _ordered_pairs(e[1].width)
+    cells = e[1]
+    coords = [tuple(zip(*zw)) or ((), ())
+              for zw in cartesian(*[_ordered_pairs(c.width) for c in cells])]
+    return [((x, zs), (y, ws)) for x, y in _ordered_pairs(len(cells)) for zs, ws in coords]
+
+
+def _hom(e, x, y) -> tuple:
+    return hom_cell(e[1], x, y) if e[0] == "cell" else pr_hom(e[1], x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -179,32 +99,34 @@ def pr_hom(cells, src, tgt) -> PRExpr:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _count(expr: PRExpr, d: int) -> int:
+def _count(e: tuple, d: int) -> int:
     """A product multiplies its factors' counts; a cell or a PR expression
     has its objects as 0-cells, and above that the (d-1)-cells of its homs,
     read over the pairs of objects whose hom can be nonempty."""
-    if isinstance(expr, Empty):
+    kind = e[0]
+    if kind == "empty":
         return 0
-    if isinstance(expr, Point):
+    if kind == "point":
         return 1
-    if isinstance(expr, Product):
+    if kind == "*":
         out = 1
-        for f in expr.factors:
+        for f in e[1]:
             out *= _count(f, d)
         return out
-    if isinstance(expr, (Cell, PR)):
+    if kind in ("cell", "PR"):
         if d == 0:
-            return len(expr.objects())
-        return sum(_count(expr.hom(x, y), d - 1) for x, y in expr.pairs())
-    raise TypeError(f"unknown expression {expr!r}")
+            return len(_objects(e))
+        return sum(_count(_hom(e, x, y), d - 1) for x, y in _pairs(e))
+    raise TypeError(f"unknown expression {e!r}")
 
 
 def pr_count(cells_or_expr, d: int) -> int:
-    """Total d-cell count of PR(cells) (or of any expression): 0 for
-    d < 0, where _count would read a point as one cell."""
+    """Total d-cell count of PR(cells) (or of any expression, a tuple that
+    starts with its kind): 0 for d < 0, where _count would read a point as
+    one cell."""
     if d < 0:
         return 0
-    if isinstance(cells_or_expr, PRExpr):
-        return _count(cells_or_expr, d)
-    return _count(pr(cells_or_expr), d)
-
+    e = cells_or_expr
+    if not (isinstance(e, tuple) and e and isinstance(e[0], str)):
+        e = pr(e)
+    return _count(e, d)

@@ -11,8 +11,8 @@ which is what dac.wreath_map reads to build the map's lambda map.
 
 The maps the checks read are built here: identities, bangs, vertices and
 one-segment maps, the hyperfaces, and the globular sum, which gives each
-leaf and meet globe with its inclusion.  Identities, hyperfaces, globular
-sums and mirrors are each one fold: children first, once per subtree.
+leaf and meet globe with its inclusion.  Identities, hyperfaces and
+globular sums are each one fold: children first, once per subtree.
 """
 
 from __future__ import annotations
@@ -147,11 +147,6 @@ def fold(t: ThetaCell, build, memo: dict):
         if u not in memo:
             memo[u] = build(u, memo)
     return memo[t]
-
-
-def mirror(t: ThetaCell) -> ThetaCell:
-    """Left-right reversal of the tree."""
-    return fold(t, lambda u, m: ThetaCell(tuple([m[c] for c in reversed(u.children)])), {})
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,12 @@ face's components.  The span's expected column maps, its diamonds and the
 gluing legs into the O columns, which the library builds from positions,
 are assembled here as Theta morphisms (or, on the M columns, from the
 child's own legs), with compose, the composite of Theta morphisms.
+mirror, the left-right reversal of a cell, is the reference for the
+mirrored cell of span.mirror_positions.
+
+A product-rule expression of graycyl.pr is a tagged tuple; expression_text
+writes it out: 0, x, a cell's own text, factors joined by *, and
+PR(cells).
 """
 
 from __future__ import annotations
@@ -53,9 +59,10 @@ from graycyl.gray import cylinder_map, o_cell
 from graycyl.intlin import _echelon, _minus
 from graycyl.nu import (DEFAULT_CEILING, EnumerationError, NuView, TableError, _compose,
                         _pair_key, nu_boundary, nu_identity)
+from graycyl.pr import EMPTY, POINT_EXPR
 from graycyl.span import projection_to_cell, shift_map, split_map
-from graycyl.theta import (POINT, Frozen, ThetaCell, ThetaMap, bang, cell, coface,
-                           globular_sum, mirror, parse_cell, segment_map, theta_identity, vertex)
+from graycyl.theta import (POINT, Frozen, ThetaCell, ThetaMap, bang, cell, coface, fold,
+                           globular_sum, parse_cell, segment_map, theta_identity, vertex)
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +727,12 @@ def o_leg_morphism(t: ThetaCell, j: int, k: int) -> ThetaMorphism:
     return coface_morphism(o_cell(t, j), k, j + 1)
 
 
+def mirror(t: ThetaCell) -> ThetaCell:
+    """Left-right reversal of the tree, in one fold: the reference for the
+    mirrored cell that span.mirror_positions builds beside its table."""
+    return fold(t, lambda u, m: ThetaCell(tuple([m[c] for c in reversed(u.children)])), {})
+
+
 def mirror_positions_by_recursion(t: ThetaCell) -> tuple:
     """span.mirror_positions as it was first written, by recursion on the
     tree with a mirror per level: its oracle."""
@@ -1126,3 +1139,22 @@ def check_functors(Fs, max_dim: int):
                         elif lhs != rhs:
                             report.append(("compose", d, j, a, b))
     return reports
+
+
+# ---------------------------------------------------------------------------
+# product-rule expressions as text
+# ---------------------------------------------------------------------------
+
+def expression_text(e: tuple) -> str:
+    """0 for EMPTY, x for the point, a cell's text, a product's factors
+    joined by *, and PR(cells) with the cells' texts."""
+    if e == EMPTY:
+        return "0"
+    if e == POINT_EXPR:
+        return "x"
+    kind, items = e
+    if kind == "cell":
+        return str(items)
+    if kind == "*":
+        return "*".join(map(expression_text, items))
+    return "PR(" + ",".join(map(str, items)) + ")"

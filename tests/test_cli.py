@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from graycyl import cli, dac, gray, nu
+from graycyl import cli, dac, gray, nu, span
 from graycyl.cli import main
 from graycyl.dac import MorphismError, lambda_cell
 from graycyl.gray import gray_cylinder
@@ -183,6 +183,21 @@ class TestSubcommands:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_out_of_memory_exit_three(self, capsys, monkeypatch, tmp_path):
+        # running out of memory is a resource limit, not a failed check:
+        # one error line and exit 3, with no traceback and nothing written
+        def exhausted(_):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "verify_gluing", exhausted)
+        target = tmp_path / "out.json"
+        for out in ([], ["--out", str(target)]):
+            assert main(["verify", "gluing", "[2]([1],[0])"] + out) == 3
+            stdout, err = capsys.readouterr()
+            assert stdout == ""
+            assert err == "error: out of memory\n"
+        assert not target.exists()
+
     @pytest.mark.parametrize("args", [
         ["verify", "span", "[2]"], ["verify", "all", "[2]"],
         ["span", "[2]"], ["emit", "span", "[2]"],
@@ -231,12 +246,15 @@ class TestSubcommands:
         assert main(["emit", "span"] + args) == 0
         assert capsys.readouterr().out.count('color=green') == 6
 
-    def test_emit_span_mirrors_no_cell(self, capsys, mirror_calls):
-        # the shift node's label is the mirror that span_dot reads from the
-        # one mirror_positions call its span report reads too
+    def test_emit_span_mirrors_no_cell(self, capsys, monkeypatch):
+        # no cell is mirrored on its own: the shift node's label is the
+        # mirror that span_dot reads from the one mirror_positions call its
+        # span report reads too
+        built, calls = span.mirror_positions, []
+        monkeypatch.setattr(span, "mirror_positions", lambda t: calls.append(t) or built(t))
         assert main(["emit", "span", "[2]([1],[0])"]) == 0
         assert 'shift [label="[1];([2]([0],[1]))"]' in capsys.readouterr().out
-        assert not mirror_calls
+        assert calls == [parse_cell("[2]([1],[0])")]
 
     def test_span_subcommand(self, capsys):
         assert main(["span", "[1]([1])"]) == 0
@@ -407,6 +425,10 @@ class TestDeterminism:
          "6fd678f26b05e793e41132fa018110f9c0897c087b1f362a6494df2464141ee6"),
         (["span", "[2]([1],[0])"],                  # the same report on its own
          "65b8c8579c1867f696b97b5f36c45b827728567555bf00f99ccf0f0980f7e470"),
+        (["counts", "[2]([1],[0])"],                # nu and pr counts per dimension
+         "7983e7d9d606f3d005dfbeb3e364f821f9aea1792258f597294558cc232c0446"),
+        (["counts", "G3", "--format", "text"],      # the same as text lines
+         "cd0b6ad49a6f772ce3dd3cf51cace67a720f0fe6a64eed48878b53a3915eb0dd"),
     ])
     def test_pinned_output_bytes(self, capsys, args, digest):
         # cell order and rendering of the table dumps are part of the output

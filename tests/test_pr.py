@@ -1,13 +1,15 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graycyl.gray import gray_cylinder
-from graycyl.pr import (EMPTY, POINT_EXPR, Cell, PRExpr, Product, hom_cell, pr,
-                        pr_count, pr_hom, pr_objects, product)
+from graycyl.pr import (EMPTY, POINT_EXPR, _hom, _objects, _pairs, hom_cell, pr, pr_count,
+                        pr_hom, pr_objects, product)
 from graycyl.theta import cells_up_to, parse_cell
 
-from oracles import names_of
+from oracles import expression_text, names_of
 
 
 ONE = parse_cell("[1]")
@@ -61,11 +63,11 @@ class TestHom:
         t = parse_cell("[2]([1],[0])")
         h = pr_hom([t], (0, (0,)), (0, (2,)))
         assert h == hom_cell(t, 0, 2)
-        assert h == Cell(parse_cell("[1]"))
+        assert h == ("cell", parse_cell("[1]"))
 
     def test_product_over_crossed_cells(self):
         h = pr_hom([ONE, ONE], (0, (0, 0)), (2, (1, 1)))
-        assert h == Product((pr([parse_cell("[0]")]), pr([parse_cell("[0]")])))
+        assert h == ("*", (pr([parse_cell("[0]")]), pr([parse_cell("[0]")])))
         assert pr_count(h, 0) == 4
 
 
@@ -76,12 +78,12 @@ class TestExpressions:
         assert product([POINT_EXPR, POINT_EXPR]) is POINT_EXPR
 
     def test_empty_absorbs(self):
-        assert product([Cell(ONE), EMPTY]) is EMPTY
+        assert product([("cell", ONE), EMPTY]) is EMPTY
 
     def test_pretty_printer(self):
-        e = product([Cell(TWO), pr([ONE, TWO])])
-        assert str(e) == "[2]*PR([1],[2])"
-        assert str(POINT_EXPR) == "x"
+        e = product([("cell", TWO), pr([ONE, TWO])])
+        assert expression_text(e) == "[2]*PR([1],[2])"
+        assert expression_text(POINT_EXPR) == "x" and expression_text(EMPTY) == "0"
 
 
 class TestCounting:
@@ -93,13 +95,10 @@ class TestCounting:
         assert pr_count([ONE], 1) == 10
 
     def test_units_and_unknown_expressions(self):
-        class Unknown(PRExpr):
-            __slots__ = ()
-
         assert [pr_count(EMPTY, d) for d in range(3)] == [0, 0, 0]
         assert [pr_count(POINT_EXPR, d) for d in range(3)] == [1, 1, 1]
         with pytest.raises(TypeError):
-            pr_count(Unknown(), 0)
+            pr_count(("nosuch", ONE), 0)
 
     def test_no_cells_below_dimension_zero(self):
         for cells in ([ONE], [TWO], []):
@@ -113,7 +112,7 @@ class TestCounting:
             t = parse_cell(s)
             view = NuView(lambda_cell(t), 3)
             for d in range(4):
-                assert pr_count(Cell(t), d) == len(view.layers[d])
+                assert pr_count(("cell", t), d) == len(view.layers[d])
 
     def test_cross_oracle_small(self):
         for s in ("[1]", "[2]", "[1]([1])"):
@@ -167,11 +166,31 @@ class TestCounting:
 
 
     def test_counted_pairs_are_the_nonempty_homs(self):
-        # _count reads the homs over pairs() only, so those must be every
+        # _count reads the homs over _pairs only, so those must be every
         # pair of objects whose hom is not EMPTY
         for t in cells_up_to(5):
-            for expr in (Cell(t), pr([t]), pr([t, ONE])):
-                objs = expr.objects()
-                nonempty = {(x, y) for x in objs for y in objs if expr.hom(x, y) is not EMPTY}
-                assert len(expr.pairs()) == len(nonempty)
-                assert set(expr.pairs()) == nonempty
+            for expr in (("cell", t), pr([t]), pr([t, ONE])):
+                objs = _objects(expr)
+                nonempty = {(x, y) for x in objs for y in objs if _hom(expr, x, y) is not EMPTY}
+                assert len(_pairs(expr)) == len(nonempty)
+                assert set(_pairs(expr)) == nonempty
+
+
+class TestPinnedCounts:
+    # every count of two corpora, one "cells d count" line each, pinned by
+    # digest: a change to how expressions are held must keep them all
+
+    def test_every_cell_up_to_six_nodes(self):
+        text = "".join(f"{t} {d} {pr_count([t], d)}\n" for t in cells_up_to(6) for d in range(5))
+        assert text.count("\n") == 65 * 5
+        assert text.startswith("[0] 0 2\n[0] 1 3\n[0] 2 3\n")
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+            "17a231a7484e12a9a19663e8e1ae726a43828a70ef7966fa12013238dad19277"
+
+    def test_every_pair_up_to_four_and_three_nodes(self):
+        text = "".join(f"{s} {u} {d} {pr_count([s, u], d)}\n"
+                       for s in cells_up_to(4) for u in cells_up_to(3) for d in range(4))
+        assert text.count("\n") == 9 * 4 * 4
+        assert text.endswith("[3] [2] 0 36\n[3] [2] 1 600\n[3] [2] 2 1065\n[3] [2] 3 1065\n")
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+            "615f9bf95b163b1c26f150063da619d3da84981199d6bcf94057d7eb1c8f2d31"

@@ -14,13 +14,13 @@ from graycyl.dac import MorphismError, lambda_map
 from graycyl.gray import o_cell
 from graycyl.theta import (MAX_DEPTH, CellSyntaxError, POINT, ThetaCell, ThetaMap, bang, cell,
                            cells_up_to, cells_with_nodes, coface, coface_map, globe,
-                           globular_sum, hyperfaces, mirror, parse_cell, segment_map,
+                           globular_sum, hyperfaces, parse_cell, segment_map,
                            theta_identity, vertex)
 
 from oracles import (SimplicialMap, as_oracle, bang_morphism, check_map, codegeneracy,
                      coface_morphism, component, compose, gamma_image, hyperface_morphisms,
-                     leaf_morphism, map_errors, meet_morphism, parse_morphism, reconstruct,
-                     segment_morphism, simplicial_coface, simplicial_identity,
+                     leaf_morphism, map_errors, meet_morphism, mirror, parse_morphism,
+                     reconstruct, segment_morphism, simplicial_coface, simplicial_identity,
                      theta_identity_morphism, theta_morphism, vertex_morphism)
 
 
@@ -365,27 +365,29 @@ class TestDeepCells:
                 b = f.base
                 assert hash(b) == hash((b.source_width, b.target_width, b.image))
 
-    def test_expression_hash_is_the_dataclass_hash(self):
-        # pr_count memoises on expressions, so they hash and compare by value
+    def test_expressions_compare_and_hash_by_value(self):
+        # pr_count memoises on expressions: equal ones, however built,
+        # compare and hash alike, and the five kinds stay distinct
         t = parse_cell("[2]([1],[0])")
-        exprs = [pr.EMPTY, pr.POINT_EXPR, pr.Cell(t), pr.product([pr.Cell(t), pr.Cell(t)]),
+        tt = ThetaCell((t, t))
+        exprs = [pr.EMPTY, pr.POINT_EXPR, ("cell", t), pr.product([("cell", t), ("cell", t)]),
                  pr.pr([t, t])]
-        assert [type(e).__name__ for e in exprs] == ["Empty", "Point", "Cell", "Product", "PR"]
-        assert [hash(e) for e in exprs] == [hash(()), hash(()), hash((t,)),
-                                            hash(((pr.Cell(t), pr.Cell(t)),)), hash(((t, t),))]
-        assert pr.Empty() == pr.EMPTY and pr.Cell(t) == pr.Cell(t)
-        assert pr.Product((pr.Cell(t),)) != pr.PR((t,)) and pr.Cell(t) != pr.PR((t,))
-        # the unit expressions hash alike and are told apart by class
-        assert pr.Empty() != pr.Point() and not pr.Empty() == pr.Point()
-        assert len({e for e in exprs} | {pr.Empty(), pr.Point()}) == 5
-        assert pr.Product((t,)) != pr.PR((t,)) and hash(pr.Product((t,))) == hash(pr.PR((t,)))
+        again = [pr.hom_cell(t, 1, 0), pr.pr([]), pr.hom_cell(ThetaCell((t,)), 0, 1),
+                 pr.hom_cell(tt, 0, 2), pr.pr_hom([tt], (0, (0,)), (1, (2,)))]
+        assert [e[0] for e in exprs] == ["empty", "point", "cell", "*", "PR"]
+        assert again == exprs and [hash(e) for e in again] == [hash(e) for e in exprs]
+        assert len(set(exprs) | set(again)) == 5
+        # a one-factor product, which only a test builds, is not PR of its
+        # factor, nor a cell PR of the cell
+        assert ("*", (("cell", t),)) != pr.pr([t]) and ("*", (t,)) != pr.pr([t])
+        assert ("cell", t) != pr.pr([t])
+        assert pr.pr_count(("cell", t), 1) != pr.pr_count(pr.pr([t]), 1)
 
     def test_shared_values_are_read_only(self):
         t = parse_cell("[2]([1],[0])")
         face = hyperfaces(t)[0]
         for value, name in ((t, "children"), (face.map, "image"), (face.map, "lam"),
-                            (as_oracle(face.map).base, "image"), (face, "map"),
-                            (pr.Cell(t), "cell"), (pr.PR((t,)), "cells")):
+                            (as_oracle(face.map).base, "image"), (face, "map")):
             with pytest.raises(AttributeError):
                 setattr(value, name, None)
         assert t.children == (cell(1), POINT)
